@@ -9,10 +9,12 @@ carry basis labels are supported (every mode then pairs against exactly
 one partner label), which covers every operator the verifiers build.
 
 Coefficients here carry no polynomial wrapper: the deformation variable
-never enters the mandatory generators.  Operator rows are
-``monomial -> Fraction``; Heisenberg-mode rows are integer rows; the
-charged field (ChargedField) keeps integer rows over one common
-denominator per field, so bulk sweeps never touch Fraction arithmetic.
+never enters the mandatory generators.  Every row is integer: operator
+rows (op_action_rows) are over the operator's one denominator
+(op_denominator), Heisenberg-mode rows need none, and the charged field
+(ChargedField) keeps one common denominator per field, so bulk sweeps
+never touch Fraction arithmetic.  ``add_scaled`` is the one
+row-accumulate primitive the engines share.
 """
 
 from __future__ import annotations
@@ -79,31 +81,51 @@ def creation_chain(
     return sign, cur
 
 
-def _grouped_terms(op: OperatorExpr):
-    """[(annih part, needed partner-mode counts, [(creations, coeff)])]"""
-    groups: dict[Monomial, list[tuple[Monomial, Fraction]]] = {}
+def add_scaled(acc: IntRow, row: IntRow, c: int) -> None:
+    """acc += c * row in place, dropping entries that cancel to zero."""
+    get = acc.get
+    for u, v in row.items():
+        total = get(u, 0) + c * v
+        if total:
+            acc[u] = total
+        elif u in acc:
+            del acc[u]
+
+
+def op_denominator(op: OperatorExpr) -> int:
+    """The lcm of the denominators of the operator's term coefficients:
+    every coefficient times it is an integer."""
+    return lcm(*(t.coeff.denominator for t in op.terms))
+
+
+def _grouped_terms(op: OperatorExpr, denom: int):
+    """[(annih part, needed partner-mode counts, [(creations, coeff)])],
+    each coeff an integer: the term's coefficient times ``denom``."""
+    groups: dict[Monomial, list[tuple[Monomial, int]]] = {}
     for t in op.terms:
-        groups.setdefault(t.annihilations, []).append((t.creations, t.coeff))
+        coeff = t.coeff.numerator * (denom // t.coeff.denominator)
+        groups.setdefault(t.annihilations, []).append((t.creations, coeff))
     out = []
     for part, entries in groups.items():
         need: dict[tuple[int, int], int] = {}
         for k, label in part:
             key = (k, _DUAL[label])
             need[key] = need.get(key, 0) + 1
-        out.append((part, need, entries))
+        out.append((part, tuple(need.items()), entries))
     return out
 
 
-def apply_to_monomial(groups, mono: Monomial, counts=None) -> Row:
-    """Row of a grouped operator on one monomial."""
+def apply_to_monomial(groups, mono: Monomial, counts=None) -> IntRow:
+    """Integer row of a grouped operator on one monomial, over the
+    denominator the groups were built with."""
     if counts is None:
         counts = {}
         for mode in mono:
             counts[mode] = counts.get(mode, 0) + 1
-    row: Row = {}
+    row: IntRow = {}
     for part, need, entries in groups:
         ok = True
-        for key, c in need.items():
+        for key, c in need:
             if counts.get(key, 0) < c:
                 ok = False
                 break
@@ -128,18 +150,19 @@ def apply_to_monomial(groups, mono: Monomial, counts=None) -> Row:
     return row
 
 
-def op_action_rows(op: OperatorExpr, monos) -> dict[Monomial, Row]:
-    """Rows of ``op`` on every given monomial.  Exactness: the operator
-    must include every term of annihilation depth up to the largest
-    monomial energy supplied (OperatorExpr stores that bound as its
-    truncation)."""
+def op_action_rows(op: OperatorExpr, monos) -> dict[Monomial, IntRow]:
+    """Integer rows of ``op`` on every given monomial, over
+    ``op_denominator(op)``: ``rows[m][u] / op_denominator(op)`` is the
+    exact coefficient of u in op(m).  Exactness: the operator must
+    include every term of annihilation depth up to the largest monomial
+    energy supplied (OperatorExpr stores that bound as its truncation)."""
     if op.truncation is not None:
         top = max((monomial_energy(m) for m in monos), default=0)
         if top > op.truncation:
             raise ValueError(
                 f"operator window {op.truncation} below basis energy {top}"
             )
-    groups = _grouped_terms(op)
+    groups = _grouped_terms(op, op_denominator(op))
     return {m: apply_to_monomial(groups, m) for m in monos}
 
 
@@ -160,24 +183,20 @@ def single_mode_row(mono: Monomial, n: int, label: int) -> IntRow:
 
 
 def apply_single_mode(
-    row: Row, n: int, label: int, cache: dict[Monomial, IntRow]
-) -> Row:
-    """alpha_n(label) applied to a row (an int- or Fraction-linear
-    combination; the result has the same coefficient type).  ``cache``
-    memoizes this one mode's single-monomial rows, for callers that apply
-    it repeatedly."""
-    out: Row = {}
+    row: IntRow, n: int, label: int, cache: dict[Monomial, IntRow]
+) -> IntRow:
+    """alpha_n(label) applied to an integer row.  ``cache`` memoizes this
+    one mode's single-monomial rows, for callers that apply it
+    repeatedly.  A single mode sends distinct monomials to distinct
+    monomials (it removes or inserts one fixed mode), so the images
+    never collide and need no accumulation."""
+    out: IntRow = {}
     for mono, coeff in row.items():
         hit = cache.get(mono)
         if hit is None:
             hit = cache[mono] = single_mode_row(mono, n, label)
         for target, c in hit.items():
-            acc = out.get(target)
-            total = coeff * c if acc is None else acc + coeff * c
-            if total:
-                out[target] = total
-            elif acc is not None:
-                del out[target]
+            out[target] = coeff * c
     return out
 
 

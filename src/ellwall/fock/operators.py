@@ -245,12 +245,14 @@ def _gamma_terms(m: int, x: int, max_depth: int) -> list[NormalTerm]:
     terms = []
     for q in range(max(0, x), max_depth + 1):
         p = q - x
+        annihilating = [
+            (tuple((j, COH_E) for j in mu), _partition_coeff(mu, -slope))
+            for mu in _partitions(q)
+        ]
         for lam in _partitions(p):
             c_coeff = _partition_coeff(lam, slope)
             creations = tuple((j, COH_E) for j in lam)
-            for mu in _partitions(q):
-                a_coeff = _partition_coeff(mu, -slope)
-                annihilations = tuple((j, COH_E) for j in mu)
+            for annihilations, a_coeff in annihilating:
                 terms.append(
                     NormalTerm(c_coeff * a_coeff, m, creations, annihilations)
                 )

@@ -19,18 +19,17 @@ past the slope-m charged exponential field up to the pairing factor
 <g, mE> and a mode shift by k; checked state-by-state on every basis
 monomial of the valid window.
 
-All engines work on sparse rows (see fastapply) so the full mandatory
-sweeps run in seconds rather than hours: Fraction rows for the bracket
-and slope-zero checks, integer rows over one common denominator per
-charged field for the vertex commutator, divided back to exact rationals
-only when a failure witness is built.
+All engines work on sparse integer rows (see fastapply) so the full
+mandatory sweeps run in seconds rather than hours: one denominator per
+operator table for the bracket, per charged field for the vertex
+commutator, and bare Heisenberg-mode rows with the generator factors
+brought in once per identity for the slope-zero checks.  Rows are
+divided back to exact rationals only for the reported rescales and
+central scalars and when a failure witness is built.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -41,8 +40,10 @@ from .fastapply import (
     ChargedField,
     IntRow,
     Row,
+    add_scaled,
     apply_single_mode,
     op_action_rows,
+    op_denominator,
     single_mode_row,
 )
 from .labels import (
@@ -104,45 +105,43 @@ class BracketReport:
 
 
 class _BracketEngine:
-    """Shared per-truncation action tables for bracket verification."""
+    """Shared per-truncation action tables for bracket verification.
+
+    Each table is stored as (denominator, integer rows): the operator's
+    op_denominator and its op_action_rows.  A composition of two tables
+    is over the product of their denominators; exact rationals are built
+    only for the reported rescale and central scalar and for witnesses."""
 
     def __init__(self, N: int):
         self.N = N
         self.monos: tuple[Monomial, ...] = tuple(basis_monomials(N))
         self._energy = {m: monomial_energy(m) for m in self.monos}
-        self._rows: dict[tuple[int, int, int], dict[Monomial, Row]] = {}
-        self._lock = threading.Lock()
+        self._rows: dict[tuple[int, int, int], tuple[int, dict[Monomial, IntRow]]] = {}
 
-    def rows(self, a: int, b: int, li: int) -> dict[Monomial, Row]:
+    def rows(self, a: int, b: int, li: int) -> tuple[int, dict[Monomial, IntRow]]:
         key = (a, b, li)
-        with self._lock:
-            cached = self._rows.get(key)
-        if cached is not None:
-            return cached
-        rows = op_action_rows(w_general(a, b, li, self.N), self.monos)
-        with self._lock:
-            return self._rows.setdefault(key, rows)
+        cached = self._rows.get(key)
+        if cached is None:
+            op = w_general(a, b, li, self.N)
+            cached = self._rows[key] = (
+                op_denominator(op), op_action_rows(op, self.monos)
+            )
+        return cached
 
     def window_monos(self, w: int) -> list[Monomial]:
         return [m for m in self.monos if self._energy[m] <= w]
 
     def _compose(
         self,
-        outer: dict[Monomial, Row],
-        inner: dict[Monomial, Row],
+        outer: dict[Monomial, IntRow],
+        inner: dict[Monomial, IntRow],
         monos: Sequence[Monomial],
-    ) -> dict[Monomial, Row]:
-        out: dict[Monomial, Row] = {}
+    ) -> dict[Monomial, IntRow]:
+        out: dict[Monomial, IntRow] = {}
         for m in monos:
-            acc: Row = {}
+            acc: IntRow = {}
             for t, c in inner[m].items():
-                for u, c2 in outer[t].items():
-                    v = acc.get(u)
-                    total = c * c2 if v is None else v + c * c2
-                    if total:
-                        acc[u] = total
-                    elif v is not None:
-                        del acc[u]
+                add_scaled(acc, outer[t], c)
             out[m] = acc
         return out
 
@@ -156,19 +155,22 @@ class _BracketEngine:
                 f"truncation {self.N} too small for modes {b}, {d}"
             )
         monos = self.window_monos(w)
-        rows_a = self.rows(a, b, gi)
-        rows_b = self.rows(c, d, hi)
+        denom_a, rows_a = self.rows(a, b, gi)
+        denom_b, rows_b = self.rows(c, d, hi)
+        # both orders are over denom_a * denom_b
+        denom = denom_a * denom_b
         comp_ab = self._compose(rows_a, rows_b, monos)
         comp_ba = self._compose(rows_b, rows_a, monos)
         eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
         lhs_fwd = {
             m: _combine(comp_ab[m], comp_ba[m], eps) for m in monos
         }
-        rep_fwd = self._evaluate(a, b, gi, c, d, hi, lhs_fwd, monos)
-        lhs_rev = {
-            m: _combine(comp_ba[m], comp_ab[m], eps) for m in monos
+        rep_fwd = self._evaluate(a, b, gi, c, d, hi, lhs_fwd, denom, monos)
+        # BA + eps AB = eps (AB + eps BA), as eps = +-1
+        lhs_rev = lhs_fwd if eps == 1 else {
+            m: {u: -v for u, v in row.items()} for m, row in lhs_fwd.items()
         }
-        rep_rev = self._evaluate(c, d, hi, a, b, gi, lhs_rev, monos)
+        rep_rev = self._evaluate(c, d, hi, a, b, gi, lhs_rev, denom, monos)
         return rep_fwd, rep_rev
 
     def _evaluate(
@@ -179,39 +181,41 @@ class _BracketEngine:
         c: int,
         d: int,
         hi: int,
-        lhs: dict[Monomial, Row],
+        lhs: dict[Monomial, IntRow],
+        denom: int,
         monos: Sequence[Monomial],
     ) -> BracketReport:
+        """Compare the integer rows ``lhs`` (over ``denom``) of [A, B} on
+        each monomial against the target relation."""
         lp = (a, b, LABEL_NAMES[gi])
         rp = (c, d, LABEL_NAMES[hi])
+
+        def mismatch(m: Monomial, got: IntRow, expected) -> BracketReport:
+            return BracketReport(
+                lp, rp, self.N, False, "mismatch",
+                witness={
+                    "state": _row_state(0, {m: Fraction(1)}).to_json_dict(),
+                    "got": _row_state(a + c, _unscale(got, denom)).to_json_dict(),
+                    "expected": expected,
+                },
+            )
+
         if (a + c, b + d) == (0, 0):
-            scalar: Optional[Fraction] = None
+            scalar: Optional[int] = None
             for m in monos:
                 row = lhs[m]
-                val = row.get(m, Fraction(0)) if len(row) <= 1 else None
+                val = row.get(m, 0) if len(row) <= 1 else None
                 if val is None or (row and m not in row):
-                    return BracketReport(
-                        lp, rp, self.N, False, "mismatch",
-                        witness={
-                            "state": _row_state(0, {m: Fraction(1)}).to_json_dict(),
-                            "got": _row_state(0, row).to_json_dict(),
-                            "expected": "scalar multiple of the state",
-                        },
-                    )
+                    return mismatch(m, row, "scalar multiple of the state")
                 if scalar is None:
                     scalar = val
                 elif scalar != val:
-                    return BracketReport(
-                        lp, rp, self.N, False, "mismatch",
-                        witness={
-                            "state": _row_state(0, {m: Fraction(1)}).to_json_dict(),
-                            "got": _row_state(0, row).to_json_dict(),
-                            "expected": f"uniform scalar {scalar}",
-                        },
+                    return mismatch(
+                        m, row, f"uniform scalar {Fraction(scalar, denom)}"
                     )
             return BracketReport(
                 lp, rp, self.N, True, "central",
-                central_value=scalar if scalar is not None else Fraction(0),
+                central_value=Fraction(scalar or 0, denom),
             )
         coef = Fraction(-(a * d - b * c))
         product = star_product(CohClass.basis(gi), CohClass.basis(hi))
@@ -219,75 +223,61 @@ class _BracketEngine:
         if coef == 0 or not support:
             for m in monos:
                 if lhs[m]:
-                    return BracketReport(
-                        lp, rp, self.N, False, "mismatch",
-                        witness={
-                            "state": _row_state(0, {m: Fraction(1)}).to_json_dict(),
-                            "got": _row_state(a + c, lhs[m]).to_json_dict(),
-                            "expected": "0",
-                        },
-                    )
+                    return mismatch(m, lhs[m], "0")
             return BracketReport(lp, rp, self.N, True, "exact", rescale=Fraction(1))
         # basis-label star products are monomial, so one target operator
         lbl, comp = support[0]
-        target_rows = self.rows(a + c, b + d, lbl)
+        denom_t, target_rows = self.rows(a + c, b + d, lbl)
         scale = coef * comp
-        factor: Optional[Fraction] = None
+        # got = factor * scale * want as rationals; the integer ratio
+        # gv / wv is then the same on every entry, compared as g0 / w0
+        g0 = w0 = 0
         for m in monos:
             got = lhs[m]
             want = target_rows[m]
             if not got and not want:
                 continue
-            if set(got) != set(want):
-                return self._mismatch(lp, rp, a + c, m, got, want, scale)
+            if got.keys() != want.keys():
+                return mismatch(m, got, _expected(a + c, want, denom_t, scale))
             for u, gv in got.items():
-                wv = want[u] * scale
-                if wv == 0:
-                    return self._mismatch(lp, rp, a + c, m, got, want, scale)
-                ratio = gv / wv
-                if factor is None:
-                    factor = ratio
-                elif factor != ratio:
-                    return self._mismatch(lp, rp, a + c, m, got, want, scale)
-        if factor is None or factor == 1:
-            return BracketReport(lp, rp, self.N, True, "exact", rescale=Fraction(1))
+                wv = want[u]
+                if not w0:
+                    g0, w0 = gv, wv
+                elif gv * w0 != g0 * wv:
+                    return mismatch(m, got, _expected(a + c, want, denom_t, scale))
+        factor = Fraction(g0 * denom_t, w0 * denom) / scale if w0 else Fraction(1)
+        if factor == 1:
+            return BracketReport(lp, rp, self.N, True, "exact", rescale=factor)
         return BracketReport(lp, rp, self.N, True, "rescaled", rescale=factor)
 
-    def _mismatch(self, lp, rp, charge, m, got, want, scale) -> BracketReport:
-        expected = {u: v * scale for u, v in want.items()}
-        return BracketReport(
-            lp, rp, self.N, False, "mismatch",
-            witness={
-                "state": _row_state(0, {m: Fraction(1)}).to_json_dict(),
-                "got": _row_state(charge, got).to_json_dict(),
-                "expected": _row_state(charge, expected).to_json_dict(),
-            },
-        )
+
+def _unscale(row: IntRow, denom: int) -> Row:
+    """The exact rational row an integer row over ``denom`` stands for."""
+    return {u: Fraction(v, denom) for u, v in row.items()}
 
 
-def _combine(first: Row, second: Row, eps: int) -> Row:
+def _expected(charge: int, want: IntRow, denom: int, scale: Fraction) -> dict:
+    """Witness form of ``scale`` times a target row over ``denom``."""
+    return _row_state(
+        charge, {u: Fraction(v, denom) * scale for u, v in want.items()}
+    ).to_json_dict()
+
+
+def _combine(first: IntRow, second: IntRow, eps: int) -> IntRow:
+    """first + eps * second."""
     out = dict(first)
-    for u, v in second.items():
-        acc = out.get(u)
-        total = eps * v if acc is None else acc + eps * v
-        if total:
-            out[u] = total
-        elif acc is not None:
-            del out[u]
+    add_scaled(out, second, eps)
     return out
 
 
 _ENGINES: dict[int, _BracketEngine] = {}
-_ENGINES_LOCK = threading.Lock()
 
 
 def _get_engine(N: int) -> _BracketEngine:
-    with _ENGINES_LOCK:
-        engine = _ENGINES.get(N)
-        if engine is None:
-            engine = _BracketEngine(N)
-            _ENGINES[N] = engine
-        return engine
+    engine = _ENGINES.get(N)
+    if engine is None:
+        engine = _ENGINES[N] = _BracketEngine(N)
+    return engine
 
 
 def bracket_verify(
@@ -368,7 +358,6 @@ def bracket_sweep(
     labels: Sequence[Union[int, str]] = ("E", "sigma+", "sigma-"),
     a_range: int = 1,
     b_range: int = 2,
-    max_workers: Optional[int] = None,
 ) -> SweepSummary:
     """Verify every ordered bracket instance with |a|,|c| <= a_range,
     |b|,|d| <= b_range, (a,b) != (0,0) != (c,d), over the given labels.
@@ -394,25 +383,11 @@ def bracket_sweep(
             continue
         seen.add(key)
         pairs.append((x, y))
-    if max_workers is None:
-        max_workers = int(os.environ.get("ELLWALL_THREADS", "0")) or 1
-    # deterministic sequential warm-up of the shared action tables
     for a, b, li in operands:
         engine.rows(a, b, li)
-
-    def run(pair):
-        (a, b, gi), (c, d, hi) = pair
-        return engine.pair_reports(a, b, gi, c, d, hi)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run, pairs))
-    else:
-        results = [run(p) for p in pairs]
     by_job: dict[tuple[tuple, tuple], BracketReport] = {}
-    for (x, y), (fwd, rev) in zip(pairs, results):
-        by_job[(x, y)] = fwd
-        by_job[(y, x)] = rev
+    for x, y in pairs:
+        by_job[(x, y)], by_job[(y, x)] = engine.pair_reports(*x, *y)
 
     summary = SweepSummary(truncation=N)
     central_instances: dict[tuple[str, str], list[tuple[int, int, Fraction]]] = {}
@@ -468,22 +443,10 @@ def _commutator_diff(
     alpha_k(gamma) on single monomials."""
     diff = apply_single_mode(slices[n], k, gamma, mode_cache)
     for t, c in ak_row.items():
-        for u, v in field.slices(t)[n].items():
-            acc = diff.get(u)
-            total = -c * v if acc is None else acc - c * v
-            if total:
-                diff[u] = total
-            elif acc is not None:
-                del diff[u]
+        add_scaled(diff, field.slices(t)[n], -c)
     pair = pairing_scalar(gamma, COH_E) * field.m
     if pair:
-        for u, v in slices[n + k].items():
-            acc = diff.get(u)
-            total = -pair * v if acc is None else acc - pair * v
-            if total:
-                diff[u] = total
-            elif acc is not None:
-                del diff[u]
+        add_scaled(diff, slices[n + k], -pair)
     return diff
 
 
@@ -497,9 +460,7 @@ def _vertex_witness(
         "label": LABEL_NAMES[gamma],
         "mode": n,
         "state": _row_state(0, {mono: Fraction(1)}).to_json_dict(),
-        "difference": _row_state(
-            field.m, {u: Fraction(v, field.denom) for u, v in diff.items()}
-        ).to_json_dict(),
+        "difference": _row_state(field.m, _unscale(diff, field.denom)).to_json_dict(),
     }
 
 
@@ -575,25 +536,25 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
     """Criteria for the slope-zero generators: the E and pt
     normalizations against bare Heisenberg modes on the full basis, and
     the central pairing [w^{0,n}_g, w^{0,-n}_h} = n <g,h> for every
-    ordered label pair and 1 <= n <= n_max."""
+    ordered label pair and 1 <= n <= n_max.
+
+    The sweep's generator w^{0,n}_g is _w_small_factor(n, g) times the
+    bare mode alpha_n(g), so it works on integer alpha rows and brings
+    the factors in once per identity; a failure divides back to exact
+    rationals."""
     monos = basis_monomials(N)
     energies = {m: monomial_energy(m) for m in monos}
     failures: list[dict] = []
     checked = 0
     for n in range(1, n_max + 1):
-        # w^{0,n}_E = alpha_n(E)/n and w^{0,n}_pt = n alpha_n(pt)
+        # w^{0,n}_E = alpha_n(E)/n and w^{0,n}_pt = n alpha_n(pt); the
+        # sweep's row differs from the scaled mode only where the factors
+        # differ and the alpha row does not vanish
         for li, factor in ((COH_E, Fraction(1, n)), (COH_PT, Fraction(n))):
-            window = N  # annihilation modes never raise energy
+            same = _w_small_factor(n, li) == factor
             for mono in monos:
-                if energies[mono] > window:
-                    continue
                 checked += 1
-                got = _w_small_row(n, li, mono)
-                want = {
-                    t: factor * c
-                    for t, c in single_mode_row(mono, n, li).items()
-                }
-                if got != want:
+                if not same and single_mode_row(mono, n, li):
                     failures.append(
                         {
                             "identity": f"w[0,{n}] normalization",
@@ -605,16 +566,24 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
         for gi in range(4):
             for hi in range(4):
                 expected = Fraction(n * pairing_scalar(gi, hi))
+                # both orders carry f(n, g) f(n, h): the bare alpha
+                # commutator must be expected over that factor
+                scale = _w_small_factor(n, gi) * _w_small_factor(n, hi)
+                want = expected / scale
+                if want.denominator == 1:
+                    want = want.numerator
                 eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
                 window = N - n
                 for mono in monos:
                     if energies[mono] > window:
                         continue
                     checked += 1
-                    fwd = _w_small_then(n, gi, -n, hi, mono)
-                    rev = _w_small_then(-n, hi, n, gi, mono)
-                    diff = _combine(fwd, rev, eps)
-                    if diff != ({mono: expected} if expected else {}):
+                    diff = _combine(
+                        _alpha_then(n, gi, -n, hi, mono),
+                        _alpha_then(-n, hi, n, gi, mono),
+                        eps,
+                    )
+                    if diff != ({mono: want} if want else {}):
                         failures.append(
                             {
                                 "identity": f"[w[0,{n}],w[0,{-n}]] central",
@@ -622,7 +591,9 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
                                 "state": _row_state(
                                     0, {mono: Fraction(1)}
                                 ).to_json_dict(),
-                                "got": _row_state(0, diff).to_json_dict(),
+                                "got": _row_state(
+                                    0, {u: v * scale for u, v in diff.items()}
+                                ).to_json_dict(),
                                 "expected": frac_str(expected),
                             }
                         )
@@ -630,6 +601,7 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
 
 
 def _w_small_factor(n: int, li: int) -> Fraction:
+    """w^{0,n}_li = _w_small_factor(n, li) * alpha_n(li)."""
     if li == COH_E:
         return Fraction(1, abs(n))
     if li == COH_PT:
@@ -637,22 +609,10 @@ def _w_small_factor(n: int, li: int) -> Fraction:
     return Fraction(1)
 
 
-def _w_small_row(n: int, li: int, mono: Monomial) -> Row:
-    factor = _w_small_factor(n, li)
-    return {t: factor * c for t, c in single_mode_row(mono, n, li).items()}
-
-
-def _w_small_then(n2: int, l2: int, n1: int, l1: int, mono: Monomial) -> Row:
-    """Row of w^{0,n2}_{l2} w^{0,n1}_{l1} on one monomial (right op first)."""
-    out: Row = {}
-    inner = _w_small_row(n1, l1, mono)
-    f2 = _w_small_factor(n2, l2)
-    for t, c in inner.items():
-        for u, v in single_mode_row(t, n2, l2).items():
-            acc = out.get(u)
-            total = c * v * f2 if acc is None else acc + c * v * f2
-            if total:
-                out[u] = total
-            elif acc is not None:
-                del out[u]
+def _alpha_then(n2: int, l2: int, n1: int, l1: int, mono: Monomial) -> IntRow:
+    """Row of alpha_{n2}(l2) alpha_{n1}(l1) on one monomial (right mode
+    first)."""
+    out: IntRow = {}
+    for t, c in single_mode_row(mono, n1, l1).items():
+        add_scaled(out, single_mode_row(t, n2, l2), c)
     return out

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellwall.fock.labels import CohClass, star_product
+from ellwall.fock.labels import CohClass, label_index, star_product
 from ellwall.fock.operators import ExtendedModeError, commutator_apply, w_general
 from ellwall.fock.states import FockState, basis_monomials, monomial_energy
 from ellwall.fock.verify import (
@@ -196,3 +196,36 @@ class TestSmallSweep:
         assert d["rescale_conflicts"] == []
         assert "sigma+,sigma-" in d["central"]
         assert d["central"]["sigma+,sigma-"]["c_t"] == "1"
+
+
+class TestMismatchWitness:
+    def test_witness_is_exact(self, monkeypatch):
+        """With the star product sending the pair to the wrong target
+        label the instance fails; the witness must carry the exact
+        rational images of the reference path (OperatorExpr.apply), not
+        the integer rows over the tables' denominators."""
+        import ellwall.fock.verify as verify
+
+        # pt * sigma+ = sigma+; send it to E instead
+        monkeypatch.setattr(
+            verify, "star_product", lambda u, v: CohClass.basis("E")
+        )
+        # a fresh engine, so no table built before the patch is reused
+        monkeypatch.setattr(verify, "_ENGINES", {})
+        N = 3
+        a, b, g, c, d, h = 1, -1, "sigma+", 0, -1, "pt"
+        rep = verify.bracket_verify(a, b, g, c, d, h, N)
+        assert not rep.match and rep.kind == "mismatch"
+        (term,) = rep.witness["state"]["terms"]
+        mono = tuple((j, label_index(name)) for j, name in term["modes"])
+        s = FockState.from_monomial(mono)
+        A, B = w_general(a, b, g, N), w_general(c, d, h, N)
+        got = commutator_apply(A, B, s)
+        target = w_general(a + c, b + d, "E", N).apply(s)
+        expected = target.scale(Fraction(-(a * d - b * c)))
+        assert rep.witness["got"] == got.to_json_dict()
+        assert rep.witness["expected"] == expected.to_json_dict()
+        # the division back is exercised: both tables have denominators
+        engine = verify._ENGINES[N]
+        assert engine.rows(a, b, label_index(g))[0] > 1
+        assert engine.rows(a + c, b + d, label_index("E"))[0] > 1

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellwall.exactpoly import QPoly
@@ -12,6 +12,7 @@ from ellwall.fock.fastapply import (
     creation_chain,
     merge_even_creations,
     op_action_rows,
+    op_denominator,
     single_mode_row,
 )
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, pairing_scalar
@@ -268,17 +269,40 @@ class TestFastRows:
         ("small pt", lambda: w_general(0, 3, COH_PT, 4)),
     ]
 
-    @pytest.mark.parametrize("name,make", OPS, ids=[n for n, _ in OPS])
-    def test_rows_match_operator_apply(self, name, make):
-        op = make()
-        monos = basis_monomials(4)
+    @staticmethod
+    def assert_rows_match(op, monos):
+        """Integer rows divided by the operator's denominator equal the
+        reference application on every given monomial."""
         rows = op_action_rows(op, monos)
+        denom = op_denominator(op)
         for mono in monos:
             want = op.apply(FockState.from_monomial(mono))
             got = rows[mono]
             assert set(got) == set(want.terms)
             for target, coeff in got.items():
-                assert want.terms[target] == QPoly(coeff)
+                assert want.terms[target] == QPoly(Fraction(coeff, denom))
+
+    @pytest.mark.parametrize("name,make", OPS, ids=[n for n, _ in OPS])
+    def test_rows_match_operator_apply(self, name, make):
+        self.assert_rows_match(make(), basis_monomials(4))
+
+    @given(
+        st.integers(-2, 2),
+        st.integers(-3, 3),
+        st.sampled_from(range(4)),
+        st.integers(0, 4),
+        st.sampled_from(("z_ddz", "ddz")),
+        st.integers(0, 10**4),
+    )
+    @example(-1, 2, COH_PT, 4, "z_ddz", 40)
+    @example(2, -1, COH_PT, 4, "ddz", 40)
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_random_generators(self, a, b, label, N, derivative, pick):
+        assume((a, b) != (0, 0))
+        # the derivative convention matters only for pt at a != 0
+        op = w_general(a, b, label, N, FockConfig(derivative=derivative))
+        monos = basis_monomials(N)
+        self.assert_rows_match(op, [monos[pick % len(monos)]])
 
     def test_rows_reject_undersized_window(self):
         op = vertex_mode(1, 0, 2)

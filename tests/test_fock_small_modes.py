@@ -1,0 +1,41 @@
+import ellwall.fock.verify as verify
+from ellwall.fock.fastapply import single_mode_row
+from ellwall.fock.labels import COH_PT
+from ellwall.fock.operators import w_small
+from ellwall.fock.states import FockState, basis_monomials
+
+
+def test_sweep_rows_are_w_small():
+    """The slope-zero sweep represents w^{0,n}_g as its factor table
+    times the bare Heisenberg mode; that must be operators.w_small."""
+    monos = basis_monomials(3)
+    for n in (-3, -2, -1, 1, 2, 3):
+        for li in range(4):
+            op = w_small(n, li)
+            factor = verify._w_small_factor(n, li)
+            for mono in monos:
+                got = {t: factor * c for t, c in single_mode_row(mono, n, li).items()}
+                want = op.apply(FockState.from_monomial(mono))
+                assert verify._row_state(0, got) == want, (n, li, mono)
+
+
+def test_central_witness_is_exact(monkeypatch):
+    """A wrong pt factor breaks the pairing of E with pt; the witness
+    carries the rescaled commutator, not the bare alpha row."""
+    true_factor = verify._w_small_factor
+    monkeypatch.setattr(
+        verify,
+        "_w_small_factor",
+        lambda n, li: 2 * true_factor(n, li) if li == COH_PT else true_factor(n, li),
+    )
+    result = verify.small_mode_sweep(3, 2)
+    central = [f for f in result["failures"] if "central" in f["identity"]]
+    assert central
+    for f in central:
+        assert set(f["labels"]) == {"E", "pt"}
+        # the patched generators give twice the pairing n <E, pt>
+        (term,) = f["state"]["terms"]
+        twice = str(2 * int(f["expected"]))
+        assert f["got"]["terms"] == [dict(term, coeff=twice)]
+    normalization = [f for f in result["failures"] if "normalization" in f["identity"]]
+    assert normalization and all(f["label"] == "pt" for f in normalization)
