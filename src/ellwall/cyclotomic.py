@@ -1,18 +1,26 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_k).
 
-Elements are residues modulo the k-th cyclotomic polynomial, stored as
-coefficient tuples over :class:`fractions.Fraction`.  Division works for
-any nonzero element (extended Euclid against the modulus), so Gaussian
-elimination over these fields is exact.
+Elements are residues modulo the k-th cyclotomic polynomial Phi_k, stored
+as integer numerators (one per power of zeta below deg Phi_k) over one
+positive integer denominator, with no common factor: every value has one
+representation, so equality and hashing are tuple compares.  Phi_k is
+monic with integer coefficients and divides x^k - 1, so each order keeps
+one integer table of x^j mod Phi_k for j < k, built on first use; powers
+of zeta are rows of it and products are reduced through it.  Division
+works for any nonzero element (extended Euclid against the modulus, over
+:class:`fractions.Fraction`), so Gaussian elimination over these fields is
+exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence, Union
 
 Coeffs = tuple[Fraction, ...]
+Nums = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
@@ -87,47 +95,79 @@ def cyclotomic_polynomial(k: int) -> Coeffs:
     return tuple(num)
 
 
+@lru_cache(maxsize=32)
+def _power_table(k: int) -> tuple[Nums, ...]:
+    """x^j mod Phi_k for j = 0..k-1, as integer rows of length deg Phi_k.
+
+    Phi_k is monic, so x^deg = -(lower coefficients); each row is the
+    previous one shifted up with its top coefficient folded back."""
+    phi = cyclotomic_polynomial(k)
+    deg = len(phi) - 1
+    low = [int(c) for c in phi[:deg]]
+    row = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(k):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, low)]
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # field elements
 # ---------------------------------------------------------------------------
 
 
 class Cyclotomic:
-    """An element of Q(zeta_k), reduced mod the k-th cyclotomic polynomial."""
+    """An element of Q(zeta_k), reduced mod the k-th cyclotomic polynomial:
+    ``sum(nums[j] * zeta**j) / den`` with den > 0 and gcd(den, *nums) = 1."""
 
-    __slots__ = ("k", "coeffs")
+    __slots__ = ("k", "nums", "den")
 
     def __init__(self, k: int, coeffs: Union[Scalar, Sequence[Scalar]] = 0):
-        self.k = k
-        phi = cyclotomic_polynomial(k)
-        deg = len(phi) - 1
+        rows = _power_table(k)
+        deg = len(rows[0])
         if isinstance(coeffs, (int, Fraction)):
-            cs = [Fraction(coeffs)]
-        else:
-            cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            _, cs = _poly_divmod(cs, list(phi))
-        cs = cs + [Fraction(0)] * (deg - len(cs))
-        self.coeffs: Coeffs = tuple(cs[:deg])
+            coeffs = (coeffs,)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        nums = [0] * deg
+        for j, c in enumerate(cs):
+            n = c.numerator * (den // c.denominator)
+            if not n:
+                continue
+            if j < deg:
+                nums[j] += n
+            else:
+                for t, r in enumerate(rows[j % k]):
+                    nums[t] += n * r
+        self.k = k
+        self.nums, self.den = _canonical(nums, den)
 
     @staticmethod
     def zeta(k: int, power: int = 1) -> "Cyclotomic":
-        """zeta_k**power as a field element."""
-        power %= k
-        return Cyclotomic(k, [Fraction(0)] * power + [Fraction(1)])
+        """zeta_k**power as a field element: one row of the power table."""
+        return _element(k, _power_table(k)[power % k], 1)
+
+    @property
+    def coeffs(self) -> Coeffs:
+        """The coefficients of 1, zeta, zeta^2, ... as fractions."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -135,24 +175,61 @@ class Cyclotomic:
         if self.k != other.k:
             raise ValueError(f"mixed cyclotomic orders {self.k} and {other.k}")
 
+    def _linear(self, other: Union["Cyclotomic", Scalar], sign: int) -> "Cyclotomic":
+        """self + sign * other, over the product of the denominators."""
+        a, da = self.nums, self.den
+        if isinstance(other, Cyclotomic):
+            self._check(other)
+            b, db = other.nums, other.den
+        elif isinstance(other, (int, Fraction)):
+            b = (other.numerator,) + (0,) * (len(a) - 1)
+            db = other.denominator
+        else:
+            return NotImplemented
+        if da == db:
+            nums = [x + sign * y for x, y in zip(a, b)]
+        else:
+            nums = [x * db + sign * y * da for x, y in zip(a, b)]
+            da *= db
+        return _element(self.k, nums, da)
+
     def __add__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
-        other = self._coerce(other)
-        return Cyclotomic(self.k, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._linear(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.k, [-c for c in self.coeffs])
+        return _element(self.k, [-x for x in self.nums], self.den)
 
     def __sub__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
-        return self + (-self._coerce(other))
+        return self._linear(other, -1)
 
     def __rsub__(self, other: Scalar) -> "Cyclotomic":
-        return self._coerce(other) - self
+        return (-self)._linear(other, 1)
 
     def __mul__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
-        other = self._coerce(other)
-        return Cyclotomic(self.k, _poly_mul(self.coeffs, other.coeffs))
+        a = self.nums
+        if not isinstance(other, Cyclotomic):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            c = other.numerator
+            return _element(self.k, [x * c for x in a], self.den * other.denominator)
+        self._check(other)
+        deg = len(a)
+        prod = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(other.nums, i):
+                    prod[j] += x * y
+        out = prod[:deg]
+        if deg > 1:
+            k, rows = self.k, _power_table(self.k)
+            for j in range(deg, 2 * deg - 1):
+                c = prod[j]
+                if c:
+                    for t, r in enumerate(rows[j % k]):
+                        out[t] += c * r
+        return _element(self.k, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -161,8 +238,8 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
         phi = list(cyclotomic_polynomial(self.k))
-        # Bezout: s*self + t*phi = gcd (a nonzero constant, since phi irreducible)
-        r0, r1 = _trim(list(self.coeffs)), phi
+        # Bezout: s*nums + t*phi = gcd (a nonzero constant, since phi irreducible)
+        r0, r1 = _trim([Fraction(n) for n in self.nums]), phi
         s0: list[Fraction] = [Fraction(1)]
         s1: list[Fraction] = []
         while r1:
@@ -170,27 +247,35 @@ class Cyclotomic:
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         assert len(r0) == 1, "cyclotomic modulus not coprime to element?"
-        inv_gcd = 1 / r0[0]
-        return Cyclotomic(self.k, [c * inv_gcd for c in s0])
+        scale = self.den / r0[0]
+        return Cyclotomic(self.k, [c * scale for c in s0])
 
     def __truediv__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
-        return self * self._coerce(other).inverse()
-
-    def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic(self.k, other)
+            if not other:
+                raise ZeroDivisionError("inverse of zero in cyclotomic field")
+            p, q = other.numerator, other.denominator
+            if p < 0:
+                p, q = -p, -q
+            return _element(self.k, [x * q for x in self.nums], self.den * p)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        return self.k == other.k and self.coeffs == other.coeffs
+        self._check(other)
+        return self * other.inverse()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Cyclotomic):
+            return self.k == other.k and self.den == other.den and self.nums == other.nums
+        if isinstance(other, (int, Fraction)):
+            return (
+                self.den == other.denominator
+                and self.nums[0] == other.numerator
+                and self.is_rational()
+            )
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.k, self.coeffs))
-
-    def _coerce(self, x: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
-        if isinstance(x, Cyclotomic):
-            self._check(x)
-            return x
-        return Cyclotomic(self.k, x)
+        return hash((self.k, self.nums, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -205,3 +290,21 @@ class Cyclotomic:
                 mon = "z" if i == 1 else f"z^{i}"
                 parts.append(mon if c == 1 else f"{c}*{mon}")
         return " + ".join(parts)
+
+
+def _canonical(nums: Sequence[int], den: int) -> tuple[Nums, int]:
+    """nums/den (den > 0) with the common factor removed."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple(n // g for n in nums), den // g
+    return tuple(nums), den
+
+
+def _element(k: int, nums: Sequence[int], den: int) -> Cyclotomic:
+    """The element nums/den of Q(zeta_k), for nums already reduced mod
+    Phi_k; skips the coercion in ``Cyclotomic.__init__``."""
+    x = object.__new__(Cyclotomic)
+    x.k = k
+    x.nums, x.den = _canonical(nums, den)
+    return x

@@ -120,11 +120,27 @@ class TriPoly:
         return not self.terms
 
     def evaluate(self, b: Scalar, c: Scalar, d: Scalar) -> Fraction:
-        vals = (Fraction(b), Fraction(c), Fraction(d))
-        total = Fraction(0)
-        for (i, j, k), coeff in self.terms.items():
-            total += coeff * vals[0] ** i * vals[1] ** j * vals[2] ** k
-        return total
+        """Value at a rational point, as one integer sum over the common
+        denominator: the lcm of the coefficient denominators times each
+        coordinate's denominator raised to the top degree in it."""
+        terms = self.terms
+        if not terms:
+            return Fraction(0)
+        coeff_den = math.lcm(*(v.denominator for v in terms.values()))
+        den = coeff_den
+        # scaled[axis][e] = p^e * q^(top - e) for the coordinate p/q
+        scaled = []
+        for axis, x in enumerate((b, c, d)):
+            top = max(key[axis] for key in terms)
+            p, q = x.numerator, x.denominator
+            scaled.append([p**e * q ** (top - e) for e in range(top + 1)])
+            den *= q**top
+        sb, sc, sd = scaled
+        total = sum(
+            v.numerator * (coeff_den // v.denominator) * sb[i] * sc[j] * sd[k]
+            for (i, j, k), v in terms.items()
+        )
+        return Fraction(total, den)
 
     def primitive_form(self) -> "TriPoly":
         """Scale to coprime integer coefficients with the lexicographically

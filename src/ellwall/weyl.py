@@ -1,7 +1,11 @@
 """Reflection groups of elliptic root systems.
 
-Elements act on F = h + Q*delta1 + Q*delta2 and are stored as exact
-rational matrices (optionally with the generating word for provenance).
+Elements act on F = h + Q*delta1 + Q*delta2 and are stored as integer
+matrices (optionally with the generating word for provenance): a
+reflection's coefficients 2<e_j,b>/<b,b> are Cartan integers, and the
+stabilizer generators lift GL(2,Z) blocks, so every product stays
+integral.  Only the translation vectors, solved through the Gram form,
+are rational.
 Reflections exist for real roots only and fix the radical pointwise, so
 the induced action on the delta-plane is trivial for the reflection
 subgroup; the interesting delta-plane action comes from the
@@ -15,44 +19,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import mul
+from typing import Sequence
 
 from .roots import EllipticRoot, EllipticRootSystem
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 def _identity(size: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(size))
-        for i in range(size)
-    )
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(size)), Fraction(0)) for j in range(size))
-        for i in range(size)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _mat_vec(a: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in a)
+def _mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def full_gram(system: EllipticRootSystem) -> Matrix:
     """Gram of F: the finite block extended by the two radical directions."""
-    size = system.rank + 2
-    g = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(system.rank):
-        for j in range(system.rank):
-            g[i][j] = Fraction(system.gram[i][j])
-    return tuple(tuple(row) for row in g)
+    rows = [tuple(row) + (0, 0) for row in system.gram]
+    rows += [(0,) * (system.rank + 2)] * 2
+    return tuple(rows)
 
 
-def root_vector(system: EllipticRootSystem, beta: EllipticRoot) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in beta.finite) + (Fraction(beta.m), Fraction(beta.n))
+def root_vector(system: EllipticRootSystem, beta: EllipticRoot) -> tuple[int, ...]:
+    return tuple(beta.finite) + (beta.m, beta.n)
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class WeylElement:
     def size(self) -> int:
         return len(self.matrix)
 
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         return _mat_vec(self.matrix, v)
 
     def apply_root(self, system: EllipticRootSystem, beta: EllipticRoot) -> EllipticRoot:
@@ -83,7 +79,7 @@ class WeylElement:
         return self.matrix == _identity(self.size)
 
     def preserves_form(self, gram: Matrix) -> bool:
-        """M^T G M == G, checked entry by entry in exact arithmetic."""
+        """M^T G M == G, checked entry by entry in integer arithmetic."""
         mt = tuple(zip(*self.matrix))
         return _mat_mul(_mat_mul(mt, gram), self.matrix) == gram
 
@@ -98,27 +94,29 @@ def identity_element(system: EllipticRootSystem) -> WeylElement:
 
 
 def reflect(system: EllipticRootSystem, beta: EllipticRoot) -> WeylElement:
-    """Reflection through a real root: x -> x - 2<x,b>/<b,b> * b."""
+    """Reflection through a real root: x -> x - 2<x,b>/<b,b> * b.
+
+    Column j is e_j - c_j b with c_j = 2<e_j,b>/<b,b> a Cartan integer;
+    a form for which it is not one raises ValueError."""
     if not system.is_real(beta):
         raise ValueError(f"no reflection through imaginary root {beta}")
     size = system.rank + 2
     bvec = root_vector(system, beta)
-    bb = system.length_sq(beta)
-    cols = []
-    for j in range(size):
-        # pairing of basis vector e_j with beta; deltas pair to zero
-        if j < system.rank:
-            pj = sum(
-                Fraction(system.gram[j][i]) * bvec[i] for i in range(system.rank)
+    # pairings of the basis vectors e_j with beta; deltas pair to zero
+    pairings = [sum(map(mul, row, beta.finite)) for row in system.gram] + [0, 0]
+    bb = sum(map(mul, beta.finite, pairings))
+    coefs = []
+    for pj in pairings:
+        coef, rem = divmod(2 * pj, bb)
+        if rem:
+            raise ValueError(
+                f"reflection coefficient 2*{pj}/{bb} through {beta} is not an integer"
             )
-        else:
-            pj = Fraction(0)
-        coef = 2 * pj / bb
-        col = [Fraction(1) if i == j else Fraction(0) for i in range(size)]
-        for i in range(size):
-            col[i] -= coef * bvec[i]
-        cols.append(col)
-    matrix = tuple(tuple(cols[j][i] for j in range(size)) for i in range(size))
+        coefs.append(coef)
+    matrix = tuple(
+        tuple(int(i == j) - coefs[j] * bvec[i] for j in range(size))
+        for i in range(size)
+    )
     label = f"w[{','.join(map(str, beta.finite))};{beta.m},{beta.n}]"
     return WeylElement(matrix, (label,))
 
@@ -238,7 +236,7 @@ def _delta_plane_element(
     """
     r = system.rank
     size = r + 2
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(size)] for i in range(size)]
+    m = [list(row) for row in _identity(size)]
     if marking == "delta2":
         idx = (r + 1, r)  # (marking, complement) -> storage rows
     elif marking == "delta1":
@@ -247,7 +245,7 @@ def _delta_plane_element(
         raise ValueError("marking must be 'delta1' or 'delta2'")
     for i in range(2):
         for j in range(2):
-            m[idx[i]][idx[j]] = Fraction(gl2[i][j])
+            m[idx[i]][idx[j]] = gl2[i][j]
     return ExtendedElement(
         WeylElement(tuple(tuple(row) for row in m), (label,)), gl2, label
     )

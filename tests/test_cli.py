@@ -244,6 +244,27 @@ class TestLocal:
         doc = run_json(capsys, "local", "--k", "2", "--a", "1/2,-3")
         assert doc["a"] == ["1/2", "-3"]
 
+    def test_order_sixty_matches_golden(self, capsys):
+        # a period-12 parameter: A_r vanishes unless 5 | r, and the other
+        # values are non-rational elements of Q(zeta_60)
+        period = ["2", "-1", "0", "1/2", "0", "0", "-3", "0", "1", "0", "0", "1/3"]
+        a = ",".join(period[g % 12] for g in range(60))
+        rc, out, err = run(capsys, "local", "--k", "60", f"--a={a}", "--n", "5")
+        assert rc == 0, err
+        assert out == (DATA / "cli_local_k60.json").read_text()
+
+    def test_order_210_character_table(self, capsys):
+        # the indicator of the generator: A_r = zeta^r, all distinct
+        a = ",".join("1" if g == 1 else "0" for g in range(210))
+        doc = run_json(capsys, "local", "--k", "210", f"--a={a}", "--n", "2")
+        values = [row["A_i"] for row in doc["character_table"]]
+        assert len(values) == len(set(values)) == 210
+        assert values[:3] == ["1", "z", "z^2"]
+        assert values[47] == "z^47"  # deg Phi_210 = 48
+        assert values[105] == "-1"
+        assert all(row["case"] == "ext" for row in doc["character_table"])
+        assert doc["jet"] == {"n": 2, "trace": "1 + z + z^2", "splits": False}
+
 
 class TestHH0:
     def test_table_csv(self, capsys):

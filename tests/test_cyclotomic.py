@@ -1,10 +1,18 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellwall.cyclotomic import Cyclotomic, cyclotomic_polynomial
+from ellwall.cyclotomic import (
+    Cyclotomic,
+    _poly_divmod,
+    _poly_mul,
+    _poly_sub,
+    cyclotomic_polynomial,
+)
+from ellwall.serialize import cyclo_str
 
 
 def test_cyclotomic_polynomials_small():
@@ -83,3 +91,134 @@ def test_embedding_of_q_is_ring_hom(p, q):
     assert Cyclotomic(k, p) + Cyclotomic(k, q) == Cyclotomic(k, p + q)
     assert Cyclotomic(k, p) * Cyclotomic(k, q) == Cyclotomic(k, p * q)
     assert Cyclotomic(k, Fraction(p, 7)).is_rational()
+
+
+# ---------------------------------------------------------------------------
+# differential test against a reference model: Fraction coefficient lists
+# reduced mod Phi_k by polynomial long division
+# ---------------------------------------------------------------------------
+
+
+def ref_reduce(k, cs):
+    phi = list(cyclotomic_polynomial(k))
+    deg = len(phi) - 1
+    _, rem = _poly_divmod([Fraction(c) for c in cs], phi)
+    return tuple(rem) + (Fraction(0),) * (deg - len(rem))
+
+
+def ref_add(a, b, sign=1):
+    return tuple(x + sign * y for x, y in zip(a, b))
+
+
+def ref_mul(k, a, b):
+    return ref_reduce(k, _poly_mul(a, b))
+
+
+def ref_str(cs):
+    """The rendering of a coefficient tuple: a plain rational when only the
+    constant term is nonzero, else the polynomial in z."""
+    if all(c == 0 for c in cs[1:]):
+        c = cs[0]
+        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    parts = []
+    for i, c in enumerate(cs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            mon = "z" if i == 1 else f"z^{i}"
+            parts.append(mon if c == 1 else f"{c}*{mon}")
+    return " + ".join(parts)
+
+
+rationals = st.builds(
+    Fraction, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=12)
+)
+orders = st.integers(min_value=1, max_value=12)
+
+
+@st.composite
+def order_and_coeffs(draw, count=2):
+    k = draw(orders)
+    deg = len(cyclotomic_polynomial(k)) - 1
+    # longer lists than deg Phi_k exercise the reduction in the constructor
+    lists = [
+        draw(st.lists(rationals, min_size=0, max_size=2 * deg + 2)) for _ in range(count)
+    ]
+    return k, lists
+
+
+def check_matches(x, k, ref):
+    assert x.k == k
+    assert x.coeffs == ref
+    assert cyclo_str(x) == ref_str(ref)
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert x == Cyclotomic(k, list(ref))
+    assert hash(x) == hash(Cyclotomic(k, list(ref)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_and_coeffs())
+def test_arithmetic_matches_reference(case):
+    k, (ca, cb) = case
+    a, b = Cyclotomic(k, ca), Cyclotomic(k, cb)
+    ra, rb = ref_reduce(k, ca), ref_reduce(k, cb)
+    check_matches(a, k, ra)
+    check_matches(b, k, rb)
+    check_matches(a + b, k, ref_add(ra, rb))
+    check_matches(a - b, k, ref_add(ra, rb, -1))
+    check_matches(-a, k, tuple(-x for x in ra))
+    check_matches(a * b, k, ref_mul(k, ra, rb))
+    if any(rb):
+        q = a / b
+        assert ref_mul(k, q.coeffs, rb) == ra
+        inv = b.inverse()
+        assert ref_mul(k, inv.coeffs, rb) == ref_reduce(k, [1])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+
+
+@settings(max_examples=150, deadline=None)
+@given(order_and_coeffs(count=1), rationals, st.integers(min_value=-30, max_value=30))
+def test_scalar_arithmetic_matches_reference(case, f, n):
+    k, (ca,) = case
+    a, ra = Cyclotomic(k, ca), ref_reduce(k, ca)
+    for s in (f, n):
+        rs = ref_reduce(k, [s])
+        check_matches(a + s, k, ref_add(ra, rs))
+        check_matches(s + a, k, ref_add(ra, rs))
+        check_matches(a - s, k, ref_add(ra, rs, -1))
+        check_matches(s - a, k, ref_add(rs, ra, -1))
+        check_matches(a * s, k, ref_mul(k, ra, rs))
+        check_matches(s * a, k, ref_mul(k, ra, rs))
+        if s:
+            check_matches(a / s, k, tuple(x / s for x in ra))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / s
+        assert (Cyclotomic(k, s) == s) and hash(Cyclotomic(k, s)) == hash(Cyclotomic(k, [s, 0]))
+        assert (a == s) == (ra == rs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders, st.integers(min_value=-50, max_value=50))
+def test_zeta_matches_reference(k, p):
+    ref = ref_reduce(k, [0] * (p % k) + [1])
+    check_matches(Cyclotomic.zeta(k, p), k, ref)
+    assert Cyclotomic.zeta(k, p) == Cyclotomic.zeta(k, p + k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(order_and_coeffs())
+def test_equal_values_hash_equal(case):
+    # the same residue written two ways: plus a multiple of Phi_k, and scaled
+    k, (ca, extra) = case
+    shifted = _poly_sub(ca, _poly_mul(extra, cyclotomic_polynomial(k)))
+    a, b = Cyclotomic(k, ca), Cyclotomic(k, shifted)
+    assert a == b and hash(a) == hash(b)
+    assert (a * 6) / 6 == a and hash((a * 6) / 6) == hash(a)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellwall.lattices import (
     MukaiVector,
@@ -33,6 +35,10 @@ NS = surface_lattice("A-1")
 # wall counts for n = 1..12, frozen from the primitive-pair count
 # 1 + sum_{q=2}^{n} phi(q)
 EXPECTED_WALL_COUNTS = [1, 2, 4, 6, 10, 12, 18, 22, 28, 32, 42, 46]
+
+RATIONALS = st.builds(
+    Fraction, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=15)
+)
 
 
 def brute_force_wall_pairs(n):
@@ -231,6 +237,35 @@ class TestTriPoly:
         b, c, d = (TriPoly.var(v) for v in "bcd")
         p = d + b * c - b * c * c - b + TriPoly.const(-2)
         assert str(p) == "-2 + d - b + b*c - b*c^2"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=4)] * 3), RATIONALS, max_size=8
+        ),
+        RATIONALS,
+        RATIONALS,
+        RATIONALS,
+    )
+    def test_evaluate_matches_naive_sum(self, terms, b, c, d):
+        p = TriPoly(terms)
+        naive = sum(
+            (v * b**i * c**j * d**k for (i, j, k), v in terms.items()), Fraction(0)
+        )
+        value = p.evaluate(b, c, d)
+        assert type(value) is Fraction
+        assert value == naive
+        assert p.evaluate(b.numerator, c.numerator, d.numerator) == sum(
+            (
+                v * b.numerator**i * c.numerator**j * d.numerator**k
+                for (i, j, k), v in terms.items()
+            ),
+            Fraction(0),
+        )
+
+    def test_evaluate_empty_polynomial(self):
+        assert TriPoly().evaluate(Fraction(-3, 4), 2, Fraction(5, 7)) == 0
+        assert type(TriPoly().evaluate(1, 2, 3)) is Fraction
 
 
 class TestNefClassEvaluation:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellwall.roots import EllipticRoot, build_elliptic
+from ellwall.roots import DELIGNE_TYPES, EllipticRoot, EllipticRootSystem, build_elliptic
 from ellwall.weyl import (
     ExtendedElement,
     WeylElement,
@@ -227,3 +227,37 @@ def test_serialization(a1):
     assert d["matrix"][0][0] == "-1"
     assert root_vector(a1, a1.simple_root(0, 1, 2)) == (1, 1, 2)
     assert finite_block(identity_element(a1), a1) == ((Fraction(1),),)
+
+
+# Checks below raise through pytest.fail rather than assert, so that they
+# still run under ``python -O``.
+
+
+@pytest.mark.parametrize(
+    "tname", [t for t in DELIGNE_TYPES if build_elliptic(t).rank > 0]
+)
+def test_reflections_are_integral_involutive_isometries(tname):
+    system = build_elliptic(tname)
+    gram = full_gram(system)
+    ident = identity_element(system)
+    for beta in system.roots_in_box(1, 1):
+        if not system.is_real(beta):
+            continue
+        w = reflect(system, beta)
+        if any(type(x) is not int for row in w.matrix for x in row):
+            pytest.fail(f"{tname}: reflection through {beta} has non-int entries")
+        if w.compose(w).matrix != ident.matrix:
+            pytest.fail(f"{tname}: reflection through {beta} does not square to 1")
+        if not w.preserves_form(gram):
+            pytest.fail(f"{tname}: reflection through {beta} breaks the form")
+        if w.apply_root(system, beta) != -beta:
+            pytest.fail(f"{tname}: reflection through {beta} does not negate it")
+
+
+def test_non_integral_reflection_coefficient_rejected():
+    # an A2 system carrying a form with <a0,a0> = 4 and <a1,a0> = -1: the
+    # coefficient 2<e_1,a0>/<a0,a0> = -1/2 is not a Cartan integer
+    system = EllipticRootSystem("A2")
+    system.gram = ((4, -1), (-1, 4))
+    with pytest.raises(ValueError, match="not an integer"):
+        reflect(system, system.simple_root(0))
