@@ -1,26 +1,27 @@
 """Sparse-row application of normal-ordered operators to monomials.
 
-Semantically identical to OperatorExpr.apply restricted to a single
-monomial, but organized for bulk work: terms are grouped by their
-annihilation part, so the (expensive) annihilation chain runs once per
-group instead of once per term, and results are plain dict rows keyed
-by the canonical creation-monomial tuples.  Only operators whose modes
-carry basis labels are supported (every mode then pairs against exactly
-one partner label), which covers every operator the verifiers build.
+The one production representation of linear maps on the truncated Fock
+space.  Semantically identical to OperatorExpr.apply restricted to a
+single monomial (that path stays as the reference oracle), but organized
+for bulk work: terms are grouped by their annihilation part, so the
+(expensive) annihilation chain runs once per group instead of once per
+term, and results are plain dict rows keyed by the canonical
+creation-monomial tuples.  Only operators whose modes carry basis labels
+are supported (every mode then pairs against exactly one partner label),
+which covers every operator the verifiers build.
 
-Coefficients here carry no polynomial wrapper: the deformation variable
-never enters the mandatory generators.  Every row is integer: operator
-rows (op_action_rows) are over the operator's one denominator
-(op_denominator), Heisenberg-mode rows need none, and the charged field
-(ChargedField) keeps one common denominator per field, so bulk sweeps
-never touch Fraction arithmetic.  ``add_scaled`` is the one
-row-accumulate primitive the engines share.
+Every row is integer: operator rows (op_action_rows) are over the
+operator's one denominator (op_denominator), Heisenberg-mode rows need
+none, and the charged field (ChargedField) keeps one common denominator
+per field, so bulk work never touches Fraction arithmetic.
+``add_scaled`` is the one row-accumulate primitive the engines share,
+and ``compose_rows`` the one row-composition primitive; a composition
+is over the product of its factors' denominators.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from math import factorial, lcm
 from typing import Optional
 
@@ -31,7 +32,6 @@ from .states import Monomial, insert_creation, monomial_energy
 # label paired nontrivially against each basis label
 _DUAL = (COH_PT, COH_SM, COH_SP, COH_E)
 
-Row = dict[Monomial, Fraction]
 IntRow = dict[Monomial, int]
 
 
@@ -90,6 +90,16 @@ def add_scaled(acc: IntRow, row: IntRow, c: int) -> None:
             acc[u] = total
         elif u in acc:
             del acc[u]
+
+
+def compose_rows(outer: dict[Monomial, IntRow], row: IntRow) -> IntRow:
+    """The row sum of c * outer[t] over the entries t: c of ``row``: an
+    operator with action rows ``outer`` applied after the one that gave
+    ``row``.  ``outer`` must hold a row for every monomial of ``row``."""
+    acc: IntRow = {}
+    for t, c in row.items():
+        add_scaled(acc, outer[t], c)
+    return acc
 
 
 def op_denominator(op: OperatorExpr) -> int:
@@ -316,18 +326,3 @@ class ChargedField:
                         del row[final]
         self._slices[mono] = slices
         return slices
-
-
-def charged_field_slices(
-    m: int, mono: Monomial, n_lo: int, n_hi: int
-) -> dict[int, Row]:
-    """Rational rows of the z^{-n} modes of the slope-m charged
-    exponential field on one monomial, for every n in [n_lo, n_hi] at
-    once; equal to ``vertex_mode(m, n, N).apply`` on that monomial.  Bulk
-    callers use a ChargedField and its integer rows instead."""
-    e = monomial_energy(mono)
-    field = ChargedField(m, n_lo, n_hi, e - min(n_lo, 0))
-    return {
-        n: {u: Fraction(v, field.denom) for u, v in row.items()}
-        for n, row in field.slices(mono).items()
-    }

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -146,6 +146,12 @@ _STAR_TABLE = {
     (COH_SP, COH_SM): (COH_E, 1),
     (COH_SM, COH_SP): (COH_E, -1),
 }
+
+
+def star_label(i: int, j: int) -> Optional[tuple[int, int]]:
+    """The star product of two basis classes as (label, sign): basis
+    products are monomial.  None when the product vanishes."""
+    return _STAR_TABLE.get((i, j))
 
 
 def cup_product(u: CohClass, v: CohClass) -> CohClass:

@@ -4,16 +4,19 @@ The fiber-type action flips each mode by (-1)^(k+1) and reflects the
 vacuum charge through -n (n the weight); with that charge reading it is
 an involution on every weight space.  The section-type action replaces
 each creation mode by the corresponding slope-one generator, applied in
-the monomial's canonical order.
+the monomial's canonical order; it composes the generators' integer
+action rows (see fastapply) and divides back to exact rationals once per
+monomial.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
-from .labels import COH_PT
-from .operators import ExtendedModeError, FockConfig, w_general
-from .states import FockState
+from .fastapply import IntRow, compose_rows, op_action_rows, op_denominator
+from .operators import FockConfig, OperatorExpr, w_general
+from .states import FockState, Monomial
 
 NAKAJIMA_ORDER_NOTE = (
     "slope-one generators are applied in canonical monomial order "
@@ -46,28 +49,45 @@ def monodromy_s(
 ) -> FockState:
     """Section-type action: each creation mode alpha_{-k}(gamma) is
     replaced by the slope-one generator w^{1,-k}_gamma; linear; exact on
-    states of energy <= N.  pt labels need the extended configuration."""
+    states of energy <= N, and a ValueError when an intermediate image
+    leaves that window.  pt labels need the extended configuration."""
     if state.charge != 0:
         raise ValueError("the section-type action is defined on charge-0 states")
-    out = FockState.zero(0)
+    # per mode (k, label): the generator, its denominator and the rows
+    # built so far
+    tables: dict[
+        tuple[int, int], tuple[OperatorExpr, int, dict[Monomial, IntRow]]
+    ] = {}
+    out: dict[Monomial, Fraction] = {}
+    charge = 0
     for mono, coeff in state.terms.items():
-        if any(l == COH_PT for _, l in mono) and config is None:
-            raise ExtendedModeError(
-                "pt-labeled modes need an extended-mode configuration"
-            )
-        cur = FockState.vacuum(0)
-        for k, label in reversed(mono):
-            op = w_general(1, -k, label, N, config)
-            cur = op.apply(cur)
-        acc = cur.scale(coeff)
-        if out.is_zero():
-            out = acc
-        elif acc.is_zero():
-            pass
-        elif acc.charge == out.charge:
-            out = out + acc
-        else:
+        row: IntRow = {(): 1}
+        denom = 1
+        shift = 0
+        for mode in reversed(mono):
+            table = tables.get(mode)
+            if table is None:
+                op = w_general(1, -mode[0], mode[1], N, config)
+                table = tables[mode] = (op, op_denominator(op), {})
+            op, op_denom, rows = table
+            missing = [t for t in row if t not in rows]
+            if missing:
+                rows.update(op_action_rows(op, missing))
+            row = compose_rows(rows, row)
+            denom *= op_denom
+            shift += op.charge_shift
+        if not row:
+            continue
+        if out and shift != charge:
             raise ValueError(
                 "image spans several charges; apply to single monomials instead"
             )
-    return out
+        charge = shift
+        scale = coeff / denom
+        for u, v in row.items():
+            total = out.get(u, 0) + v * scale
+            if total:
+                out[u] = total
+            else:
+                del out[u]
+    return FockState(charge, out)

@@ -6,32 +6,33 @@ Canonical order: k descending, then label ascending.  Odd labels
 (sigma+/sigma-) square to zero per mode index and anticommute; all
 reordering signs are absorbed into coefficients at insertion time.
 
-Coefficients live in the one-variable polynomial ring over Q (the
-deformation variable ``h``); every mandatory computation stays in
-degree 0 but the ring is carried throughout.
+Coefficients are exact rationals (``Fraction``).  ``alpha_apply`` and
+``OperatorExpr.apply`` act on these states directly and serve as the
+reference oracle for the integer-row engine in ``fastapply``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
-from ..exactpoly import QPoly
-from ..serialize import coeff_str
-from .labels import COH_PT, LABEL_NAMES, LABEL_PARITY, CohClass, pairing_scalar
+from ..serialize import frac_str
+from .labels import LABEL_NAMES, LABEL_PARITY, CohClass, pairing_scalar
 
 Monomial = tuple[tuple[int, int], ...]
-Scalar = Union[int, Fraction, QPoly]
+Scalar = Union[int, Fraction]
 
 
 class TruncationError(RuntimeError):
     """An exact result would exceed the requested energy window."""
 
 
-def _as_qpoly(x: Scalar) -> QPoly:
-    if isinstance(x, QPoly):
+def _as_fraction(x: Scalar) -> Fraction:
+    if isinstance(x, Fraction):
         return x
-    return QPoly(Fraction(x))
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 def monomial_energy(mono: Monomial) -> int:
@@ -87,18 +88,18 @@ class FockState:
 
     __slots__ = ("charge", "terms")
 
-    def __init__(self, charge: int = 0, terms: Optional[dict[Monomial, QPoly]] = None):
+    def __init__(self, charge: int = 0, terms: Optional[dict[Monomial, Scalar]] = None):
         self.charge = charge
-        self.terms: dict[Monomial, QPoly] = {}
+        self.terms: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_qpoly(coeff)
-                if not coeff.is_zero():
+                coeff = _as_fraction(coeff)
+                if coeff:
                     self.terms[mono] = coeff
 
     @staticmethod
     def vacuum(charge: int = 0) -> "FockState":
-        return FockState(charge, {(): QPoly.one()})
+        return FockState(charge, {(): 1})
 
     @staticmethod
     def zero(charge: int = 0) -> "FockState":
@@ -108,7 +109,7 @@ class FockState:
     def from_monomial(
         mono: Monomial, coeff: Scalar = 1, charge: int = 0
     ) -> "FockState":
-        return FockState(charge, {mono: _as_qpoly(coeff)})
+        return FockState(charge, {mono: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -129,7 +130,7 @@ class FockState:
         for mono, coeff in other.terms.items():
             acc = out.get(mono)
             total = coeff if acc is None else acc + coeff
-            if total.is_zero():
+            if not total:
                 out.pop(mono, None)
             else:
                 out[mono] = total
@@ -139,8 +140,8 @@ class FockState:
         return self + other.scale(-1)
 
     def scale(self, x: Scalar) -> "FockState":
-        x = _as_qpoly(x)
-        if x.is_zero():
+        x = _as_fraction(x)
+        if not x:
             return FockState.zero(self.charge)
         return FockState(self.charge, {m: c * x for m, c in self.terms.items()})
 
@@ -187,7 +188,7 @@ class FockState:
             "terms": [
                 {
                     "modes": [[k, LABEL_NAMES[l]] for k, l in mono],
-                    "coeff": coeff_str(self.terms[mono]),
+                    "coeff": frac_str(self.terms[mono]),
                 }
                 for mono in sorted(self.terms)
             ],
@@ -207,7 +208,7 @@ def alpha_apply(
         raise ValueError("zero modes are excluded")
     if not isinstance(gamma, CohClass):
         gamma = CohClass.basis(gamma)
-    acc: dict[Monomial, QPoly] = {}
+    acc: dict[Monomial, Fraction] = {}
     for i, comp in gamma.support():
         for mono, coeff in state.terms.items():
             if n < 0:
@@ -228,10 +229,10 @@ def alpha_apply(
     return FockState(state.charge, acc)
 
 
-def _accumulate(acc: dict[Monomial, QPoly], mono: Monomial, coeff: QPoly) -> None:
+def _accumulate(acc: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
     prev = acc.get(mono)
     total = coeff if prev is None else prev + coeff
-    if total.is_zero():
+    if not total:
         acc.pop(mono, None)
     else:
         acc[mono] = total

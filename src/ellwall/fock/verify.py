@@ -34,14 +34,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ..exactpoly import QPoly
 from ..serialize import frac_str
 from .fastapply import (
     ChargedField,
     IntRow,
-    Row,
     add_scaled,
     apply_single_mode,
+    compose_rows,
     op_action_rows,
     op_denominator,
     single_mode_row,
@@ -51,10 +50,9 @@ from .labels import (
     COH_PT,
     LABEL_NAMES,
     LABEL_PARITY,
-    CohClass,
     label_index,
     pairing_scalar,
-    star_product,
+    star_label,
 )
 from .operators import w_general
 from .states import FockState, Monomial, basis_monomials, monomial_energy
@@ -64,10 +62,6 @@ def _eval_window(N: int, b: int, d: int) -> int:
     """Energy cap so every intermediate application stays within N."""
     slack = max(0, -b, -d, -(b + d))
     return N - slack
-
-
-def _row_state(charge: int, row: Row) -> FockState:
-    return FockState(charge, {m: QPoly(c) for m, c in row.items()})
 
 
 @dataclass(frozen=True)
@@ -131,20 +125,6 @@ class _BracketEngine:
     def window_monos(self, w: int) -> list[Monomial]:
         return [m for m in self.monos if self._energy[m] <= w]
 
-    def _compose(
-        self,
-        outer: dict[Monomial, IntRow],
-        inner: dict[Monomial, IntRow],
-        monos: Sequence[Monomial],
-    ) -> dict[Monomial, IntRow]:
-        out: dict[Monomial, IntRow] = {}
-        for m in monos:
-            acc: IntRow = {}
-            for t, c in inner[m].items():
-                add_scaled(acc, outer[t], c)
-            out[m] = acc
-        return out
-
     def pair_reports(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
     ) -> tuple[BracketReport, BracketReport]:
@@ -159,11 +139,12 @@ class _BracketEngine:
         denom_b, rows_b = self.rows(c, d, hi)
         # both orders are over denom_a * denom_b
         denom = denom_a * denom_b
-        comp_ab = self._compose(rows_a, rows_b, monos)
-        comp_ba = self._compose(rows_b, rows_a, monos)
         eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
         lhs_fwd = {
-            m: _combine(comp_ab[m], comp_ba[m], eps) for m in monos
+            m: _combine(
+                compose_rows(rows_a, rows_b[m]), compose_rows(rows_b, rows_a[m]), eps
+            )
+            for m in monos
         }
         rep_fwd = self._evaluate(a, b, gi, c, d, hi, lhs_fwd, denom, monos)
         # BA + eps AB = eps (AB + eps BA), as eps = +-1
@@ -194,8 +175,8 @@ class _BracketEngine:
             return BracketReport(
                 lp, rp, self.N, False, "mismatch",
                 witness={
-                    "state": _row_state(0, {m: Fraction(1)}).to_json_dict(),
-                    "got": _row_state(a + c, _unscale(got, denom)).to_json_dict(),
+                    "state": FockState.from_monomial(m).to_json_dict(),
+                    "got": FockState(a + c, _unscale(got, denom)).to_json_dict(),
                     "expected": expected,
                 },
             )
@@ -218,17 +199,15 @@ class _BracketEngine:
                 central_value=Fraction(scalar or 0, denom),
             )
         coef = Fraction(-(a * d - b * c))
-        product = star_product(CohClass.basis(gi), CohClass.basis(hi))
-        support = [(l, comp) for l, comp in product.support()]
-        if coef == 0 or not support:
+        product = star_label(gi, hi)
+        if coef == 0 or product is None:
             for m in monos:
                 if lhs[m]:
                     return mismatch(m, lhs[m], "0")
             return BracketReport(lp, rp, self.N, True, "exact", rescale=Fraction(1))
-        # basis-label star products are monomial, so one target operator
-        lbl, comp = support[0]
+        lbl, sign = product
         denom_t, target_rows = self.rows(a + c, b + d, lbl)
-        scale = coef * comp
+        scale = coef * sign
         # got = factor * scale * want as rationals; the integer ratio
         # gv / wv is then the same on every entry, compared as g0 / w0
         g0 = w0 = 0
@@ -251,14 +230,14 @@ class _BracketEngine:
         return BracketReport(lp, rp, self.N, True, "rescaled", rescale=factor)
 
 
-def _unscale(row: IntRow, denom: int) -> Row:
+def _unscale(row: IntRow, denom: int) -> dict[Monomial, Fraction]:
     """The exact rational row an integer row over ``denom`` stands for."""
     return {u: Fraction(v, denom) for u, v in row.items()}
 
 
 def _expected(charge: int, want: IntRow, denom: int, scale: Fraction) -> dict:
     """Witness form of ``scale`` times a target row over ``denom``."""
-    return _row_state(
+    return FockState(
         charge, {u: Fraction(v, denom) * scale for u, v in want.items()}
     ).to_json_dict()
 
@@ -405,9 +384,8 @@ def bracket_sweep(
                 (a, b, report.central_value)
             )
         elif report.rescale is not None and report.rescale != 1:
-            product = star_product(CohClass.basis(gi), CohClass.basis(hi))
-            support = product.support()
-            target_label = LABEL_NAMES[support[0][0]] if support else "0"
+            product = star_label(gi, hi)
+            target_label = LABEL_NAMES[product[0]] if product else "0"
             key = (a + c, b + d, target_label)
             prev = summary.rescales.get(key)
             if prev is None:
@@ -459,8 +437,8 @@ def _vertex_witness(
         "k": k,
         "label": LABEL_NAMES[gamma],
         "mode": n,
-        "state": _row_state(0, {mono: Fraction(1)}).to_json_dict(),
-        "difference": _row_state(field.m, _unscale(diff, field.denom)).to_json_dict(),
+        "state": FockState.from_monomial(mono).to_json_dict(),
+        "difference": FockState(field.m, _unscale(diff, field.denom)).to_json_dict(),
     }
 
 
@@ -559,7 +537,7 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
                         {
                             "identity": f"w[0,{n}] normalization",
                             "label": LABEL_NAMES[li],
-                            "state": _row_state(0, {mono: Fraction(1)}).to_json_dict(),
+                            "state": FockState.from_monomial(mono).to_json_dict(),
                         }
                     )
         # central pairing on all ordered label pairs
@@ -588,10 +566,8 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
                             {
                                 "identity": f"[w[0,{n}],w[0,{-n}]] central",
                                 "labels": [LABEL_NAMES[gi], LABEL_NAMES[hi]],
-                                "state": _row_state(
-                                    0, {mono: Fraction(1)}
-                                ).to_json_dict(),
-                                "got": _row_state(
+                                "state": FockState.from_monomial(mono).to_json_dict(),
+                                "got": FockState(
                                     0, {u: v * scale for u, v in diff.items()}
                                 ).to_json_dict(),
                                 "expected": frac_str(expected),

@@ -1,8 +1,8 @@
 """JSON/CSV-friendly encoding of exact values.
 
 Rationals travel as strings ("3/4", "-2", "0") so round-trips are exact;
-polynomial coefficients are rendered the same way when constant and as a
-readable polynomial string otherwise.
+cyclotomic values are rendered the same way when rational and as a
+reduced polynomial in the root of unity otherwise.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from fractions import Fraction
 from typing import Any
 
 from .cyclotomic import Cyclotomic
-from .exactpoly import QPoly
 
 TOOL_VERSION = "0.1.0"
 
@@ -24,15 +23,6 @@ def frac_str(x: Fraction | int) -> str:
 
 def parse_frac(s: str) -> Fraction:
     return Fraction(s)
-
-
-def coeff_str(c: QPoly | Fraction | int) -> str:
-    """Render a coefficient: plain rational when constant, else the polynomial."""
-    if isinstance(c, QPoly):
-        if c.is_constant():
-            return frac_str(c.constant_value())
-        return str(c)
-    return frac_str(c)
 
 
 def cyclo_str(x: Cyclotomic) -> str:

@@ -207,6 +207,32 @@ class TestMonodromy:
             main(["monodromy", "--generator", "f", "--modes", "0:E"])
         assert exc.value.code == 2
 
+    def test_window_overflow_is_usage_error(self, capsys):
+        # the third generator would act on a state of energy 6 > 5
+        rc, out, err = run(
+            capsys, "monodromy", "--generator", "s",
+            "--modes", "3:E,3:E,3:E", "--truncation", "5",
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and "window 5" in err
+
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("cli_monodromy_s_sigma.json",
+             ["--modes", "3:E,2:sigma+,1:sigma-", "--truncation", "6"]),
+            ("cli_monodromy_s_pt.json",
+             ["--modes", "2:pt,1:E", "--truncation", "5"]),
+            ("cli_monodromy_s_pt_zero.json",
+             ["--modes", "2:pt,1:E", "--truncation", "5", "--weight-field", "zero"]),
+        ],
+    )
+    def test_section_matches_golden(self, capsys, golden, argv):
+        rc, out, err = run(capsys, "monodromy", "--generator", "s", *argv)
+        assert rc == 0, err
+        assert out == (DATA / golden).read_text()
+
 
 class TestLocal:
     def test_jet_split_case(self, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellwall.fock.labels import CohClass, label_index, star_product
+from ellwall.fock.labels import COH_E, CohClass, label_index, star_product
 from ellwall.fock.operators import ExtendedModeError, commutator_apply, w_general
 from ellwall.fock.states import FockState, basis_monomials, monomial_energy
 from ellwall.fock.verify import (
@@ -207,9 +207,7 @@ class TestMismatchWitness:
         import ellwall.fock.verify as verify
 
         # pt * sigma+ = sigma+; send it to E instead
-        monkeypatch.setattr(
-            verify, "star_product", lambda u, v: CohClass.basis("E")
-        )
+        monkeypatch.setattr(verify, "star_label", lambda i, j: (COH_E, 1))
         # a fresh engine, so no table built before the patch is reused
         monkeypatch.setattr(verify, "_ENGINES", {})
         N = 3

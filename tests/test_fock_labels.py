@@ -16,6 +16,7 @@ from ellwall.fock.labels import (
     label_index,
     pairing_scalar,
     sl2_label_action,
+    star_label,
     star_product,
     super_pairing,
 )
@@ -105,6 +106,13 @@ class TestProducts:
                 sign = -1 if (LABEL_PARITY[i] and LABEL_PARITY[j]) else 1
                 assert cup_product(u, v) == cup_product(v, u).scale(sign)
                 assert star_product(u, v) == star_product(v, u).scale(sign)
+
+    def test_star_label_reads_basis_products(self):
+        for i, u in enumerate(BASIS):
+            for j, v in enumerate(BASIS):
+                hit = star_label(i, j)
+                want = CohClass.zero() if hit is None else BASIS[hit[0]].scale(hit[1])
+                assert star_product(u, v) == want, (i, j)
 
     @given(coh_classes, coh_classes, coh_classes)
     def test_bilinear(self, u, v, w):

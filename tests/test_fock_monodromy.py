@@ -2,11 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from ellwall.exactpoly import QPoly
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP
 from ellwall.fock.monodromy import monodromy_f, monodromy_s
-from ellwall.fock.operators import ExtendedModeError, FockConfig
-from ellwall.fock.states import FockState, basis_monomials, monomial_energy
+from ellwall.fock.operators import ExtendedModeError, FockConfig, w_general
+from ellwall.fock.states import (
+    FockState,
+    TruncationError,
+    basis_monomials,
+    monomial_energy,
+)
 
 
 def state_of(*modes, coeff=1, charge=0):
@@ -32,7 +36,7 @@ class TestFiberAction:
             sign = 1
             for k, _ in mono:
                 sign *= (-1) ** (k + 1)
-            assert got.terms[mono] == QPoly(Fraction(sign))
+            assert got.terms[mono] == Fraction(sign)
             assert got.charge == -monomial_energy(mono) - 2
 
     def test_involution_on_weight_spaces(self):
@@ -106,7 +110,7 @@ class TestSectionAction:
             expected = FockState(
                 len(mono),
                 {
-                    tuple((j, COH_E) for j in parts): QPoly(c)
+                    tuple((j, COH_E) for j in parts): Fraction(c)
                     for parts, c in acc.items()
                 },
             )
@@ -119,8 +123,8 @@ class TestSectionAction:
         expected = FockState(
             1,
             {
-                ((1, COH_E), (1, COH_SM)): QPoly(Fraction(1)),
-                ((2, COH_SM),): QPoly(Fraction(1)),
+                ((1, COH_E), (1, COH_SM)): Fraction(1),
+                ((2, COH_SM),): Fraction(1),
             },
         )
         assert got == expected
@@ -142,3 +146,52 @@ class TestSectionAction:
         combined = a + b
         got = monodromy_s(combined, 5)
         assert got == monodromy_s(a, 5) + monodromy_s(b, 5)
+
+    def test_window_overflow_is_value_error(self):
+        # the last generator would act on an intermediate state of energy 6
+        s = state_of((3, COH_E), (3, COH_E), (3, COH_E))
+        with pytest.raises(ValueError, match="window 5"):
+            monodromy_s(s, 5)
+        # exact past the window when every intermediate state fits in it
+        fits = state_of((3, COH_E), (3, COH_E), (1, COH_E))
+        assert not monodromy_s(fits, 5).is_zero()
+
+
+CONFIGS = [
+    FockConfig(weight_field=w, derivative=d)
+    for w in ("symplectic_fermion", "zero")
+    for d in ("z_ddz", "ddz")
+]
+
+
+@pytest.mark.parametrize(
+    "config", CONFIGS, ids=[f"{c.weight_field}-{c.derivative}" for c in CONFIGS]
+)
+def test_section_action_matches_operator_chain(config):
+    """The integer-row section action equals the reference chain of
+    OperatorExpr.apply calls, slope-one generators applied right to left,
+    on every basis monomial of energy <= 4 (all four labels).  Under the
+    ddz convention a pt generator raises the energy by k + 1, so some
+    chains leave the window: both paths must then refuse."""
+    N = 4
+    ops = {}
+    overflows = 0
+    for mono in basis_monomials(N):
+        state = FockState.from_monomial(mono)
+        want = FockState.vacuum(0)
+        try:
+            for k, label in reversed(mono):
+                op = ops.get((k, label))
+                if op is None:
+                    op = ops[(k, label)] = w_general(1, -k, label, N, config)
+                want = op.apply(want)
+        except TruncationError:
+            overflows += 1
+            with pytest.raises(ValueError):
+                monodromy_s(state, N, config)
+            continue
+        got = monodromy_s(state, N, config)
+        assert got == want, mono
+        if not want.is_zero():
+            assert got.to_json_dict() == want.to_json_dict(), mono
+    assert (overflows > 0) == (config.derivative == "ddz")
