@@ -11,9 +11,10 @@ are supported (every mode then pairs against exactly one partner label),
 which covers every operator the verifiers build.
 
 Every row is integer: operator rows (op_action_rows) are over the
-operator's one denominator (op_denominator), Heisenberg-mode rows need
-none, and the charged field (ChargedField) keeps one common denominator
-per field, so bulk work never touches Fraction arithmetic.
+denominator the operator's construction fixed (``OperatorExpr.denom``),
+Heisenberg-mode rows need none, and the charged field (ChargedField)
+reads the integer table of operators.FieldTable, so bulk work never
+touches Fraction arithmetic.
 ``add_scaled`` is the one row-accumulate primitive the engines share,
 and ``compose_rows`` the one row-composition primitive; a composition
 is over the product of its factors' denominators.
@@ -21,13 +22,11 @@ is over the product of its factors' denominators.
 
 from __future__ import annotations
 
-from collections import Counter
-from math import factorial, lcm
 from typing import Optional
 
 from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, pairing_scalar
-from .operators import OperatorExpr, _partitions
-from .states import Monomial, insert_creation, monomial_energy
+from .operators import FieldTable, OperatorExpr
+from .states import Monomial, _mode_key, insert_creation, monomial_energy
 
 # label paired nontrivially against each basis label
 _DUAL = (COH_PT, COH_SM, COH_SP, COH_E)
@@ -67,18 +66,35 @@ def annihilation_chain(
 def creation_chain(
     mono: Monomial, part: Monomial
 ) -> Optional[tuple[int, Monomial]]:
-    """Apply the creation modes of ``part`` (reversed order, matching
-    OperatorExpr.apply); returns (sign, monomial) or None when an odd
-    mode repeats."""
+    """Apply the creation modes of a canonical ``part`` (rightmost first,
+    as OperatorExpr.apply does) to a canonical monomial in one merge
+    pass: each odd mode of the part passes the odd modes of ``mono``
+    before it, a sign each.  Returns (sign, monomial), or None when an
+    odd mode repeats, within the part or against the monomial."""
+    out: list[tuple[int, int]] = []
     sign = 1
-    cur = mono
-    for k, label in reversed(part):
-        hit = insert_creation(cur, k, label)
-        if hit is None:
-            return None
-        s, cur = hit
-        sign *= s
-    return sign, cur
+    odd_passed = 0
+    i = 0
+    size = len(mono)
+    for mode in part:
+        k, label = mode
+        while i < size:
+            cur = mono[i]
+            if cur[0] > k or (cur[0] == k and cur[1] < label):
+                out.append(cur)
+                odd_passed += LABEL_PARITY[cur[1]]
+                i += 1
+            else:
+                break
+        if LABEL_PARITY[label]:
+            # a repeat sits just before (within the part) or just after
+            if (out and out[-1] == mode) or (i < size and mono[i] == mode):
+                return None
+            if odd_passed & 1:
+                sign = -sign
+        out.append(mode)
+    out.extend(mono[i:])
+    return sign, tuple(out)
 
 
 def add_scaled(acc: IntRow, row: IntRow, c: int) -> None:
@@ -103,44 +119,49 @@ def compose_rows(outer: dict[Monomial, IntRow], row: IntRow) -> IntRow:
 
 
 def op_denominator(op: OperatorExpr) -> int:
-    """The lcm of the denominators of the operator's term coefficients:
-    every coefficient times it is an integer."""
-    return lcm(*(t.coeff.denominator for t in op.terms))
+    """The least common denominator of the operator's coefficients."""
+    return op.denom
 
 
-def _grouped_terms(op: OperatorExpr, denom: int):
-    """[(annih part, needed partner-mode counts, [(creations, coeff)])],
-    each coeff an integer: the term's coefficient times ``denom``."""
-    groups: dict[Monomial, list[tuple[Monomial, int]]] = {}
+def _grouped_terms(op: OperatorExpr):
+    """(groups, contracted modes): the terms grouped by annihilation part,
+    keyed by the monomial modes the part contracts (one partner label
+    per label), as (index of first appearance, part, [(creations, integer
+    coeff)])."""
+    by_part: dict[Monomial, list[tuple[Monomial, int]]] = {}
     for t in op.terms:
-        coeff = t.coeff.numerator * (denom // t.coeff.denominator)
-        groups.setdefault(t.annihilations, []).append((t.creations, coeff))
-    out = []
-    for part, entries in groups.items():
-        need: dict[tuple[int, int], int] = {}
-        for k, label in part:
-            key = (k, _DUAL[label])
-            need[key] = need.get(key, 0) + 1
-        out.append((part, tuple(need.items()), entries))
-    return out
+        by_part.setdefault(t.annihilations, []).append((t.creations, t.coeff))
+    groups = {}
+    for index, (part, entries) in enumerate(by_part.items()):
+        need = tuple(
+            sorted(((k, _DUAL[label]) for k, label in part), key=_mode_key)
+        )
+        groups[need] = (index, part, entries)
+    return groups, {mode for need in groups for mode in need}
 
 
-def apply_to_monomial(groups, mono: Monomial, counts=None) -> IntRow:
-    """Integer row of a grouped operator on one monomial, over the
-    denominator the groups were built with."""
-    if counts is None:
-        counts = {}
-        for mode in mono:
-            counts[mode] = counts.get(mode, 0) + 1
+def _sub_monomials(mono: Monomial) -> list[Monomial]:
+    """Every sub-multiset of a canonical monomial, each canonical."""
+    subs: list[Monomial] = [()]
+    for mode in dict.fromkeys(mono):
+        r = mono.count(mode)
+        subs = [sub + (mode,) * t for sub in subs for t in range(r + 1)]
+    return subs
+
+
+def apply_to_monomial(grouped, mono: Monomial) -> IntRow:
+    """Integer row of a grouped operator on one monomial, over its
+    denominator: the groups whose contracted modes the monomial holds
+    act, in term order."""
+    groups, contracted = grouped
+    hits = [
+        groups[sub]
+        for sub in _sub_monomials(tuple(m for m in mono if m in contracted))
+        if sub in groups
+    ]
+    hits.sort()
     row: IntRow = {}
-    for part, need, entries in groups:
-        ok = True
-        for key, c in need:
-            if counts.get(key, 0) < c:
-                ok = False
-                break
-        if not ok:
-            continue
+    for _, part, entries in hits:
         ann = annihilation_chain(mono, part)
         if ann is None:
             continue
@@ -172,8 +193,8 @@ def op_action_rows(op: OperatorExpr, monos) -> dict[Monomial, IntRow]:
             raise ValueError(
                 f"operator window {op.truncation} below basis energy {top}"
             )
-    groups = _grouped_terms(op, op_denominator(op))
-    return {m: apply_to_monomial(groups, m) for m in monos}
+    grouped = _grouped_terms(op)
+    return {m: apply_to_monomial(grouped, m) for m in monos}
 
 
 def single_mode_row(mono: Monomial, n: int, label: int) -> IntRow:
@@ -210,52 +231,6 @@ def apply_single_mode(
     return out
 
 
-def _sub_partitions(mult: dict[int, int]) -> list[tuple[int, ...]]:
-    """All sub-multisets of a partition given as {part: multiplicity},
-    each returned with parts descending."""
-    items = sorted(mult.items(), reverse=True)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, cur: list[int]):
-        if i == len(items):
-            out.append(tuple(cur))
-            return
-        j, r = items[i]
-        for take in range(r + 1):
-            rec(i + 1, cur + [j] * take)
-
-    rec(0, [])
-    return out
-
-
-def merge_even_creations(
-    mono: Monomial, lam: tuple[int, ...], label: int = COH_E
-) -> Monomial:
-    """Insert creation modes of an even label (parts descending) into a
-    canonical monomial in one merge pass; even modes cross without
-    signs, so the result needs no coefficient."""
-    out: list[tuple[int, int]] = []
-    i = 0
-    size = len(mono)
-    for j in lam:
-        key = (-j, label)
-        while i < size and (-mono[i][0], mono[i][1]) < key:
-            out.append(mono[i])
-            i += 1
-        out.append((j, label))
-    out.extend(mono[i:])
-    return tuple(out)
-
-
-def _centralizer(parts: tuple[int, ...]) -> int:
-    """z_lambda: product over distinct parts j of multiplicity r of
-    j^r r!."""
-    z = 1
-    for j, r in Counter(parts).items():
-        z *= j**r * factorial(r)
-    return z
-
-
 class ChargedField:
     """The z^{-n} modes, n_lo <= n <= n_hi, of the slope-m charged
     exponential field on the energy window ``depth``, as integer rows
@@ -265,11 +240,10 @@ class ChargedField:
     maps the monomial (energy e <= depth) into the window, i.e. with
     e - n <= depth.  A term annihilating the E-modes mu and creating the
     E-modes lam has coefficient m^l(lam) (-m)^l(mu) / (z_lam z_mu) times
-    an integer contraction factor, with |mu|, |lam| <= depth.  ``denom``
-    is the square of the lcm of all z_lam with |lam| <= depth, so every
-    coefficient times ``denom`` is an integer:
-    ``slices(mono)[n][u] / denom`` is the exact coefficient of u.
-    Slices are cached per monomial."""
+    an integer contraction factor, with |mu|, |lam| <= depth; the
+    coefficients come from a FieldTable of both depths, and ``denom`` is
+    its denominator: ``slices(mono)[n][u] / denom`` is the exact
+    coefficient of u.  Slices are cached per monomial."""
 
     def __init__(self, m: int, n_lo: int, n_hi: int, depth: int):
         if depth < 0:
@@ -278,14 +252,10 @@ class ChargedField:
         self.n_lo = n_lo
         self.n_hi = n_hi
         self.depth = depth
-        z = {lam: _centralizer(lam) for p in range(depth + 1) for lam in _partitions(p)}
-        base = lcm(*z.values())
-        # base * (+-m)^l(lam) / z_lam, an integer for each listed lam
-        self._create = {lam: m ** len(lam) * (base // zl) for lam, zl in z.items()}
-        self._annihilate = {
-            lam: (-m) ** len(lam) * (base // zl) for lam, zl in z.items()
-        }
-        self.denom = base * base
+        table = FieldTable(m, depth, depth)
+        self._create = table.create
+        self._annihilate = dict(pair for level in table.annihilate for pair in level)
+        self.denom = table.denom
         self._slices: dict[Monomial, dict[int, IntRow]] = {}
 
     def slices(self, mono: Monomial) -> dict[int, IntRow]:
@@ -299,25 +269,23 @@ class ChargedField:
         e = monomial_energy(mono)
         if e > self.depth:
             raise ValueError(f"monomial energy {e} above field depth {self.depth}")
-        pt_mult: dict[int, int] = {}
-        for k, label in mono:
-            if label == COH_PT:
-                pt_mult[k] = pt_mult.get(k, 0) + 1
         create = self._create
         n_lo = max(self.n_lo, e - self.depth)
         slices: dict[int, IntRow] = {n: {} for n in range(n_lo, self.n_hi + 1)}
-        for mu in _sub_partitions(pt_mult):
-            ann = annihilation_chain(mono, tuple((j, COH_E) for j in mu))
+        for sub in _sub_monomials(tuple(md for md in mono if md[1] == COH_PT)):
+            part = tuple((k, COH_E) for k, _ in sub)
+            ann = annihilation_chain(mono, part)
             if ann is None:
                 continue
             factor, reduced = ann
-            a_coeff = self._annihilate[mu] * factor
-            q = sum(mu)
+            a_coeff = self._annihilate[part] * factor
+            q = monomial_energy(part)
             for n in range(n_lo, min(self.n_hi, q) + 1):
                 row = slices[n]
-                for lam in _partitions(q - n):
-                    final = merge_even_creations(reduced, lam)
-                    val = create[lam] * a_coeff
+                for lam, c_coeff in create[q - n]:
+                    # even modes: no sign, and no repeat can vanish
+                    final = creation_chain(reduced, lam)[1]
+                    val = c_coeff * a_coeff
                     acc = row.get(final)
                     total = val if acc is None else acc + val
                     if total:

@@ -1,7 +1,8 @@
 """Operators: normal-ordered mode sums acting exactly on states.
 
 Every operator is a finite sum of normal-ordered terms
-``coeff * charge-shift * (creation modes) * (annihilation modes)``.
+``coeff * charge-shift * (creation modes) * (annihilation modes)``, with
+canonical monomials and integer coefficients over ``OperatorExpr.denom``.
 Mode sums that are a priori infinite (vertex-operator modes and the
 slope fields built from them) are stored with all terms of annihilation
 depth at most the truncation ``N``; since each mode is homogeneous of a
@@ -12,15 +13,18 @@ Slope fields: the E-label field at slope m is the charged exponential
 field scaled by 1/m; the odd-label fields multiply it by the odd
 current; the pt-label field (extended mode, excluded from mandatory
 verification) needs an explicit configuration choosing the derivative
-convention and the weight-current convention.
+convention and the weight-current convention.  All of them read one
+integer coefficient table (``FieldTable``), built once per generator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from math import factorial, gcd, lcm
+from typing import NamedTuple, Optional, Union
 
 from .labels import (
     COH_E,
@@ -35,6 +39,7 @@ from .states import (
     FockState,
     Monomial,
     TruncationError,
+    _mode_key,
     alpha_apply,
     monomial_energy,
 )
@@ -60,35 +65,28 @@ class FockConfig:
             raise ValueError(f"unknown derivative {self.derivative!r}")
 
 
-@dataclass(frozen=True)
-class NormalTerm:
-    coeff: Fraction
+class NormalTerm(NamedTuple):
+    """One normal-ordered term; ``coeff`` is an integer, to be read over
+    the denominator of the operator that holds the term."""
+
+    coeff: int
     charge_shift: int
     creations: Monomial
     annihilations: Monomial
 
-    @property
-    def energy_shift(self) -> int:
-        return monomial_energy(self.creations) - monomial_energy(self.annihilations)
 
-    @property
-    def parity(self) -> int:
-        odd = sum(
-            LABEL_PARITY[l] for _, l in self.creations + self.annihilations
-        )
-        return odd % 2
-
-    def scaled(self, x: Scalar) -> "NormalTerm":
-        return NormalTerm(
-            self.coeff * Fraction(x), self.charge_shift, self.creations,
-            self.annihilations,
-        )
+def _grade(mono: Monomial) -> tuple[int, int]:
+    return monomial_energy(mono), sum(LABEL_PARITY[l] for _, l in mono)
 
 
 class OperatorExpr:
-    """Finite normal-ordered sum with uniform gradings."""
+    """Finite normal-ordered sum with uniform gradings.  Construction
+    divides the integer coefficients and ``denom`` by their gcd (sign
+    included), so ``denom`` > 0 is their least common denominator."""
 
-    __slots__ = ("terms", "truncation", "charge_shift", "energy_shift", "parity", "name")
+    __slots__ = (
+        "terms", "truncation", "charge_shift", "energy_shift", "parity", "name", "denom"
+    )
 
     def __init__(
         self,
@@ -98,20 +96,39 @@ class OperatorExpr:
         energy_shift: int,
         parity: int,
         name: str = "",
+        denom: int = 1,
     ):
+        if not denom:
+            raise ValueError("the denominator must be nonzero")
+        # (energy, odd-mode count) of each monomial, which repeat across terms
+        grades: dict[Monomial, tuple[int, int]] = {}
         for t in terms:
             if t.charge_shift != charge_shift:
                 raise ValueError("terms must share the charge shift")
-            if t.energy_shift != energy_shift:
+            cre = grades.get(t.creations) or grades.setdefault(
+                t.creations, _grade(t.creations))
+            ann = grades.get(t.annihilations) or grades.setdefault(
+                t.annihilations, _grade(t.annihilations))
+            if cre[0] - ann[0] != energy_shift:
                 raise ValueError("terms must share the energy shift")
-            if t.parity != parity:
+            if (cre[1] + ann[1]) % 2 != parity:
                 raise ValueError("terms must share parity")
+        g = gcd(denom, *(t.coeff for t in terms))
+        if denom < 0:
+            g = -g
+        if g != 1:
+            terms = tuple(
+                NormalTerm(t.coeff // g, charge_shift, t.creations, t.annihilations)
+                for t in terms
+            )
+            denom //= g
         self.terms = terms
         self.truncation = truncation
         self.charge_shift = charge_shift
         self.energy_shift = energy_shift
         self.parity = parity
         self.name = name
+        self.denom = denom
 
     def __repr__(self) -> str:
         label = self.name or "operator"
@@ -128,12 +145,13 @@ class OperatorExpr:
                 self.parity, name=f"0*({self.name})",
             )
         return OperatorExpr(
-            tuple(t.scaled(x) for t in self.terms),
+            tuple(t._replace(coeff=t.coeff * x.numerator) for t in self.terms),
             self.truncation,
             self.charge_shift,
             self.energy_shift,
             self.parity,
             name=f"({x})*{self.name}" if self.name else "",
+            denom=self.denom * x.denominator,
         )
 
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
@@ -148,10 +166,15 @@ class OperatorExpr:
             trunc = min(
                 t for t in (self.truncation, other.truncation) if t is not None
             )
+        denom = lcm(self.denom, other.denom)
         return OperatorExpr(
-            self.terms + other.terms, trunc, self.charge_shift,
-            self.energy_shift, self.parity,
-            name=f"{self.name}+{other.name}",
+            tuple(
+                t._replace(coeff=t.coeff * (denom // op.denom))
+                for op in (self, other)
+                for t in op.terms
+            ),
+            trunc, self.charge_shift, self.energy_shift, self.parity,
+            name=f"{self.name}+{other.name}", denom=denom,
         )
 
     def apply(self, state: FockState) -> FockState:
@@ -172,15 +195,13 @@ class OperatorExpr:
             else:
                 for k, label in reversed(term.creations):
                     cur = alpha_apply(-k, label, cur)
-                cur = cur.scale(term.coeff).shift_charge(term.charge_shift)
-                out = out + cur
+                cur = cur.scale(Fraction(term.coeff, self.denom))
+                out = out + cur.shift_charge(term.charge_shift)
         return out
 
 
 def identity_operator() -> OperatorExpr:
-    return OperatorExpr(
-        (NormalTerm(Fraction(1), 0, (), ()),), None, 0, 0, 0, name="id"
-    )
+    return OperatorExpr((NormalTerm(1, 0, (), ()),), None, 0, 0, 0, name="id")
 
 
 def heisenberg_mode(n: int, gamma: Union[CohClass, int, str]) -> OperatorExpr:
@@ -191,16 +212,19 @@ def heisenberg_mode(n: int, gamma: Union[CohClass, int, str]) -> OperatorExpr:
         gamma = CohClass.basis(gamma)
     if not gamma.is_homogeneous():
         raise ValueError("mode class must have a single parity")
+    support = gamma.support()
+    denom = lcm(*(comp.denominator for _, comp in support))
     terms = []
-    for i, comp in gamma.support():
+    for i, comp in support:
         mode = ((abs(n), i),)
+        coeff = comp.numerator * (denom // comp.denominator)
         if n < 0:
-            terms.append(NormalTerm(comp, 0, mode, ()))
+            terms.append(NormalTerm(coeff, 0, mode, ()))
         else:
-            terms.append(NormalTerm(comp, 0, (), mode))
+            terms.append(NormalTerm(coeff, 0, (), mode))
     parity = gamma.parity() if terms else 0
     return OperatorExpr(
-        tuple(terms), None, 0, -n, parity, name=f"alpha[{n}]"
+        tuple(terms), None, 0, -n, parity, name=f"alpha[{n}]", denom=denom
     )
 
 
@@ -223,50 +247,83 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _partition_coeff(parts: tuple[int, ...], slope: Fraction) -> Fraction:
-    """prod over distinct parts j with multiplicity r: (slope/j)^r / r!"""
-    coeff = Fraction(1)
-    mult: dict[int, int] = {}
-    for j in parts:
-        mult[j] = mult.get(j, 0) + 1
-    for j, r in mult.items():
-        coeff *= (slope / j) ** r
-        for i in range(2, r + 1):
-            coeff /= i
-    return coeff
+def _centralizer(parts: tuple[int, ...]) -> int:
+    """z_lambda: product over distinct parts j of multiplicity r of
+    j^r r!."""
+    z = 1
+    for j, r in Counter(parts).items():
+        z *= j**r * factorial(r)
+    return z
 
 
-def _gamma_terms(m: int, x: int, max_depth: int) -> list[NormalTerm]:
-    """Terms of the charged exponential field's z^{-x} mode at slope m,
-    with annihilation depth <= max_depth."""
-    if m == 0:
-        return [NormalTerm(Fraction(1), 0, (), ())] if x == 0 else []
-    slope = Fraction(m)
-    terms = []
-    for q in range(max(0, x), max_depth + 1):
-        p = q - x
-        annihilating = [
-            (tuple((j, COH_E) for j in mu), _partition_coeff(mu, -slope))
-            for mu in _partitions(q)
+def _coefficient_table(slope: int, depth: int) -> tuple[int, list[list]]:
+    """(base, levels): levels[p] lists (E-modes lam, base slope^l(lam) /
+    z_lam), the integer coefficients of exp(slope sum_j alpha_{+-j} / j)
+    over the lcm ``base`` of the z_lam, for the partitions lam of p <= depth."""
+    z = {lam: _centralizer(lam) for p in range(depth + 1) for lam in _partitions(p)}
+    base = lcm(*z.values())
+    return base, [
+        [
+            (tuple((j, COH_E) for j in lam), slope ** len(lam) * (base // z[lam]))
+            for lam in _partitions(p)
         ]
-        for lam in _partitions(p):
-            c_coeff = _partition_coeff(lam, slope)
-            creations = tuple((j, COH_E) for j in lam)
-            for annihilations, a_coeff in annihilating:
-                terms.append(
-                    NormalTerm(c_coeff * a_coeff, m, creations, annihilations)
-                )
-    return terms
+        for p in range(depth + 1)
+    ]
+
+
+class FieldTable:
+    """Integer coefficients of the slope-m charged exponential field
+    exp(m sum_j alpha_{-j} z^j / j) exp(-m sum_j alpha_j z^{-j} / j) for
+    one generator construction: the annihilation levels up to ann_depth
+    and the creation levels up to cre_depth (N and N - x for a z^{-x}
+    mode on the window N), over the product ``denom`` of their bases.
+    ``mode_terms`` memoizes the modes for the table's lifetime."""
+
+    __slots__ = ("m", "annihilate", "create", "denom", "_modes")
+
+    def __init__(self, m: int, ann_depth: int, cre_depth: int):
+        self.m = m
+        ann_base, self.annihilate = _coefficient_table(-m, ann_depth)
+        cre_base, self.create = _coefficient_table(m, cre_depth)
+        self.denom = ann_base * cre_base
+        self._modes: dict[tuple[int, int], list[NormalTerm]] = {}
+
+    def mode_terms(self, x: int, max_depth: int) -> list[NormalTerm]:
+        """Terms of the field's z^{-x} mode with annihilation depth
+        <= max_depth, coefficients over ``denom``."""
+        terms = self._modes.get((x, max_depth))
+        if terms is not None:
+            return terms
+        m = self.m
+        terms = self._modes[x, max_depth] = []
+        if m == 0:
+            if x == 0:
+                terms.append(NormalTerm(self.denom, 0, (), ()))
+            return terms
+        for q in range(max(0, x), max_depth + 1):
+            for creations, c_coeff in self.create[q - x]:
+                for annihilations, a_coeff in self.annihilate[q]:
+                    terms.append(
+                        NormalTerm(c_coeff * a_coeff, m, creations, annihilations)
+                    )
+        return terms
+
+
+def _charged_mode(m: int, n: int, N: int, over: int, name: str) -> OperatorExpr:
+    """The charged field's z^{-n} mode at slope m divided by ``over``."""
+    if N < 0:
+        raise ValueError("truncation must be >= 0")
+    table = FieldTable(m, N, N - n)
+    return OperatorExpr(
+        tuple(table.mode_terms(n, N)), N, m, -n, 0, name=name,
+        denom=table.denom * over,
+    )
 
 
 def vertex_mode(m: int, n: int, N: int) -> OperatorExpr:
     """z^{-n} mode of the charged exponential field at slope m: charge
     shift m, energy shift -n; exact on states of energy <= N."""
-    if N < 0:
-        raise ValueError("truncation must be >= 0")
-    return OperatorExpr(
-        tuple(_gamma_terms(m, n, N)), N, m, -n, 0, name=f"Gamma[{m};{n}]"
-    )
+    return _charged_mode(m, n, N, 1, f"Gamma[{m};{n}]")
 
 
 def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
@@ -284,78 +341,49 @@ def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
     return op
 
 
-def _merge_odd_mode(
-    base: list[NormalTerm], j: int, label: int, max_depth: int
-) -> list[NormalTerm]:
-    """Multiply each (all-even) term by a single odd mode alpha_j(label);
-    terms whose annihilation depth would exceed max_depth are dropped
-    (they cannot act on states inside the window)."""
-    out = []
-    for t in base:
-        if j < 0:
-            mode = (-j, label)
-            creations = tuple(
-                sorted(t.creations + (mode,), key=lambda m: (-m[0], m[1]))
-            )
-            out.append(
-                NormalTerm(t.coeff, t.charge_shift, creations, t.annihilations)
-            )
-        else:
-            depth = monomial_energy(t.annihilations) + j
-            if depth > max_depth:
-                continue
-            mode = (j, label)
-            annihilations = tuple(
-                sorted(t.annihilations + (mode,), key=lambda m: (-m[0], m[1]))
-            )
-            out.append(
-                NormalTerm(t.coeff, t.charge_shift, t.creations, annihilations)
-            )
-    return out
+def _merged(few: Monomial, mono: Monomial) -> Monomial:
+    """The canonical monomial holding the modes of both (no sign: callers
+    merge modes that cross no odd mode)."""
+    return tuple(sorted(few + mono, key=_mode_key)) if few else mono
 
 
 def _sigma_field_mode(m: int, b: int, label: int, N: int) -> OperatorExpr:
     """z^{-b} mode of the odd slope field: z * (odd current) * (charged
-    exponential), at slope m != 0."""
+    exponential), at slope m != 0.  The odd mode alpha_j(label) stands
+    left of the field's E-modes, so moving it into place crosses no odd
+    mode."""
+    table = FieldTable(m, N, N - b)
     terms: list[NormalTerm] = []
     for j in range(b - N, N + 1):
         if j == 0:
             continue
-        base = _gamma_terms(m, b - j, N - max(0, j))
-        terms.extend(_merge_odd_mode(base, j, label, N))
+        mode = ((abs(j), label),)
+        for t in table.mode_terms(b - j, N - max(0, j)):
+            if j < 0:
+                creations, annihilations = _merged(mode, t.creations), t.annihilations
+            else:
+                creations, annihilations = t.creations, _merged(mode, t.annihilations)
+            terms.append(NormalTerm(t.coeff, m, creations, annihilations))
     return OperatorExpr(
-        tuple(terms), N, m, -b, 1, name=f"w[{m},{b};{label}]"
+        tuple(terms), N, m, -b, 1, name=f"w[{m},{b};{label}]", denom=table.denom
     )
 
 
 def _weight_current_terms(u: int, N: int, b: int) -> list[NormalTerm]:
     """z^{-u} mode of the normal-ordered odd bilinear current
-    sum :alpha_j(sigma+) alpha_l(sigma-): over j + l = u."""
+    sum :alpha_j(sigma+) alpha_l(sigma-): over j + l = u.  Normal order
+    puts the creation modes left of the annihilation modes, each side
+    canonical; the sign is -1 when that swaps the two odd modes."""
     out: list[NormalTerm] = []
-    lo, hi = -(2 * N + abs(b) + 2), 2 * N + abs(b) + 2
-    for j in range(lo, hi + 1):
+    bound = 2 * N + abs(b) + 2
+    for j in range(-bound, bound + 1):
         l = u - j
-        if j == 0 or l == 0 or l < lo or l > hi:
+        if j == 0 or l == 0 or abs(l) > bound:
             continue
-        sign = Fraction(1)
-        if j > 0 and l < 0:
-            # normal order: move the creation mode left past one odd mode
-            sign = Fraction(-1)
-            creations: Monomial = ((-l, COH_SM),)
-            annihilations: Monomial = ((j, COH_SP),)
-        elif j < 0 and l > 0:
-            creations = ((-j, COH_SP),)
-            annihilations = ((l, COH_SM),)
-        elif j < 0 and l < 0:
-            pair = sorted(((-j, COH_SP), (-l, COH_SM)), key=lambda m: (-m[0], m[1]))
-            if tuple(pair) != ((-j, COH_SP), (-l, COH_SM)):
-                sign = -sign
-            creations, annihilations = tuple(pair), ()
-        else:
-            pair = sorted(((j, COH_SP), (l, COH_SM)), key=lambda m: (-m[0], m[1]))
-            if tuple(pair) != ((j, COH_SP), (l, COH_SM)):
-                sign = -sign
-            creations, annihilations = (), tuple(pair)
+        modes = (((abs(j), COH_SP), j), ((abs(l), COH_SM), l))
+        creations = tuple(sorted((md for md, n in modes if n < 0), key=_mode_key))
+        annihilations = tuple(sorted((md for md, n in modes if n > 0), key=_mode_key))
+        sign = 1 if (creations + annihilations)[0][1] == COH_SP else -1
         out.append(NormalTerm(sign, 0, creations, annihilations))
     return out
 
@@ -367,33 +395,28 @@ def _pt_field_mode(m: int, b: int, N: int, config: FockConfig) -> OperatorExpr:
     parts are built at the same effective index so the operator stays
     homogeneous."""
     x0 = b if config.derivative == "z_ddz" else b - 1
-    scale = Fraction(1, m)
-    terms = [t.scaled(scale * (-x0)) for t in _gamma_terms(m, x0, N)]
+    table = FieldTable(m, N, N - x0)
+    terms = [
+        NormalTerm(-x0 * t.coeff, m, t.creations, t.annihilations)
+        for t in table.mode_terms(x0, N)
+    ]
     if config.weight_field == "symplectic_fermion":
         window = N + abs(x0) + 2
         for u in range(-window, window + 1):
             for t in _weight_current_terms(u, N, x0):
                 depth_used = monomial_energy(t.annihilations)
-                for g in _gamma_terms(m, x0 - u, N - depth_used):
-                    creations = tuple(
-                        sorted(
-                            t.creations + g.creations,
-                            key=lambda mm: (-mm[0], mm[1]),
-                        )
-                    )
-                    annihilations = tuple(
-                        sorted(
-                            t.annihilations + g.annihilations,
-                            key=lambda mm: (-mm[0], mm[1]),
-                        )
-                    )
+                for g in table.mode_terms(x0 - u, N - depth_used):
                     terms.append(
                         NormalTerm(
-                            t.coeff * g.coeff * scale, m, creations, annihilations
+                            t.coeff * g.coeff,
+                            m,
+                            _merged(t.creations, g.creations),
+                            _merged(t.annihilations, g.annihilations),
                         )
                     )
     return OperatorExpr(
-        tuple(terms), N, m, -x0, 0, name=f"w[{m},{b};pt;{config.derivative}]"
+        tuple(terms), N, m, -x0, 0, name=f"w[{m},{b};pt;{config.derivative}]",
+        denom=table.denom * m,
     )
 
 
@@ -413,9 +436,7 @@ def w_general(
     if a == 0:
         return w_small(b, i)
     if i == COH_E:
-        op = vertex_mode(a, b, N).scale(Fraction(1, a))
-        op.name = f"w[{a},{b};E]"
-        return op
+        return _charged_mode(a, b, N, a, f"w[{a},{b};E]")
     if i in (COH_SP, COH_SM):
         return _sigma_field_mode(a, b, i, N)
     if config is None:

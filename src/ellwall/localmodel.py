@@ -272,16 +272,18 @@ def matrix_rank(mat: Matrix) -> int:
 
 
 def _mat_mul(x: Matrix, y: Matrix) -> Matrix:
-    inner = len(y)
+    """x y, skipping the zero entries of both factors."""
+    ncols = len(y[0])
+    zero = Cyclotomic(y[0][0].k, 0) if ncols else None
+    sparse_y = [[(j, v) for j, v in enumerate(row) if not v.is_zero()] for row in y]
     out = []
-    for i in range(len(x)):
-        row = []
-        for j in range(len(y[0])):
-            acc = x[i][0] * y[0][j]
-            for t in range(1, inner):
-                acc = acc + x[i][t] * y[t][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for x_row in x:
+        acc = [zero] * ncols
+        for a, y_row in zip(x_row, sparse_y):
+            if not a.is_zero():
+                for j, v in y_row:
+                    acc[j] = acc[j] + a * v
+        out.append(tuple(acc))
     return tuple(out)
 
 

@@ -2,10 +2,14 @@
 golden SVG, and byte-stable output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ellwall
 from ellwall.cli import RunConfig, main
 from ellwall.roots import build_elliptic
 
@@ -96,6 +100,25 @@ class TestWalls:
         assert "A-1" in err
 
 
+# a rescaled sigma pair, a central pair and a slope-zero pt pair
+BRACKET_GOLDENS = [
+    ("cli_bracket_sigma_rescaled.json",
+     ["--lhs=1,1,sigma+", "--rhs=-1,0,sigma-", "--truncation", "6"]),
+    ("cli_bracket_central.json",
+     ["--lhs=0,1,E", "--rhs=0,-1,pt", "--truncation", "6"]),
+    ("cli_bracket_pt_zero_slope.json",
+     ["--lhs=0,2,pt", "--rhs=0,-1,pt", "--truncation", "6"]),
+]
+MONODROMY_GOLDENS = [
+    ("cli_monodromy_s_sigma.json",
+     ["--modes", "3:E,2:sigma+,1:sigma-", "--truncation", "6"]),
+    ("cli_monodromy_s_pt.json",
+     ["--modes", "2:pt,1:E", "--truncation", "5"]),
+    ("cli_monodromy_s_pt_zero.json",
+     ["--modes", "2:pt,1:E", "--truncation", "5", "--weight-field", "zero"]),
+]
+
+
 class TestBracket:
     def test_central_pair(self, capsys):
         doc = run_json(capsys, "bracket", "--lhs", "0,1,E", "--rhs", "0,-1,pt")
@@ -135,6 +158,12 @@ class TestBracket:
         with pytest.raises(SystemExit) as exc:
             main(["bracket", "--lhs", "0,1", "--rhs", "0,1,E"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("golden,argv", BRACKET_GOLDENS)
+    def test_bracket_matches_golden(self, capsys, golden, argv):
+        rc, out, err = run(capsys, "bracket", *argv)
+        assert rc == 0, err
+        assert out == (DATA / golden).read_text()
 
     def test_empty_window_exits_2(self, capsys):
         rc, _, err = run(
@@ -217,17 +246,7 @@ class TestMonodromy:
         assert out == ""
         assert err.startswith("error: ") and "window 5" in err
 
-    @pytest.mark.parametrize(
-        "golden,argv",
-        [
-            ("cli_monodromy_s_sigma.json",
-             ["--modes", "3:E,2:sigma+,1:sigma-", "--truncation", "6"]),
-            ("cli_monodromy_s_pt.json",
-             ["--modes", "2:pt,1:E", "--truncation", "5"]),
-            ("cli_monodromy_s_pt_zero.json",
-             ["--modes", "2:pt,1:E", "--truncation", "5", "--weight-field", "zero"]),
-        ],
-    )
+    @pytest.mark.parametrize("golden,argv", MONODROMY_GOLDENS)
     def test_section_matches_golden(self, capsys, golden, argv):
         rc, out, err = run(capsys, "monodromy", "--generator", "s", *argv)
         assert rc == 0, err
@@ -396,3 +415,37 @@ class TestDeterminism:
         assert rc == rc2 == 0
         assert piped == ""
         assert target.read_text() == out
+
+
+class TestCrossProcess:
+    """The same query in fresh interpreters with different hash seeds
+    gives the same bytes: no output depends on set or dict order that
+    hashing could change."""
+
+    QUERIES = [["bracket", *argv] for _, argv in BRACKET_GOLDENS] + [
+        ["monodromy", "--generator", "s", *argv] for _, argv in MONODROMY_GOLDENS
+    ]
+    GOLDENS = [g for g, _ in BRACKET_GOLDENS + MONODROMY_GOLDENS]
+
+    @staticmethod
+    def run_fresh(argv, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        src = str(Path(ellwall.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "ellwall", *argv],
+            env=env, capture_output=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    @pytest.mark.parametrize(
+        "argv,golden", list(zip(QUERIES, GOLDENS)), ids=GOLDENS
+    )
+    def test_hash_seed_does_not_change_bytes(self, argv, golden):
+        first = self.run_fresh(argv, "1")
+        second = self.run_fresh(argv, "2718")
+        assert first == second
+        assert first == (DATA / golden).read_bytes()

@@ -9,7 +9,6 @@ from ellwall.fock.fastapply import (
     annihilation_chain,
     apply_to_monomial,
     creation_chain,
-    merge_even_creations,
     op_action_rows,
     op_denominator,
     single_mode_row,
@@ -332,19 +331,6 @@ class TestFastRows:
 
     def test_annihilation_chain_missing_partner(self):
         assert annihilation_chain(((1, COH_SP),), ((1, COH_E),)) is None
-
-    @given(
-        st.lists(st.integers(1, 4), min_size=0, max_size=3),
-        st.integers(0, 30),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_merge_even_matches_chain(self, parts, pick):
-        monos = basis_monomials(3)
-        mono = monos[pick % len(monos)]
-        lam = tuple(sorted(parts, reverse=True))
-        merged = merge_even_creations(mono, lam)
-        chained = creation_chain(mono, tuple((j, COH_E) for j in lam))
-        assert chained == (1, merged)
 
     def test_field_slices_match_vertex_modes(self):
         for m in (1, -1, 2):

@@ -3,11 +3,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellwall.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from ellwall.localmodel import (
+    _mat_mul,
     HH0_TABLE,
     PREPROJ_SIGN_CONVENTION,
     BimoduleParam,
@@ -267,6 +268,61 @@ class TestJordanOracle:
         m = ((z, one), (one, z * -1))
         # det = -z^2 - 1 = 1 - 1 ... zeta_4^2 = -1 so det = -z*z - 1 = 0
         assert matrix_rank(m) == 1
+
+
+def dense_mat_mul(x, y):
+    """Reference product: every entry of both factors, zeros included."""
+    inner = len(y)
+    return tuple(
+        tuple(
+            sum((x[i][t] * y[t][j] for t in range(1, inner)), x[i][0] * y[0][j])
+            for j in range(len(y[0]))
+        )
+        for i in range(len(x))
+    )
+
+
+@st.composite
+def sparse_product(draw):
+    """Two cyclotomic matrices with mostly zero entries (all-zero rows
+    included), shapes (r, t) and (t, c)."""
+    k = draw(st.integers(1, 12))
+    r, t, c = (draw(st.integers(1, 5)) for _ in range(3))
+    entry = st.one_of(
+        st.just(0),
+        st.just(0),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=cyc_degree(k)),
+    )
+
+    def matrix(rows, cols):
+        zero_rows = draw(st.sets(st.integers(0, rows - 1)))
+        return tuple(
+            tuple(
+                Cyclotomic(k, 0 if i in zero_rows else draw(entry))
+                for _ in range(cols)
+            )
+            for i in range(rows)
+        )
+
+    return matrix(r, t), matrix(t, c)
+
+
+class TestSparseProduct:
+    @given(sparse_product())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_product(self, pair):
+        x, y = pair
+        got = _mat_mul(x, y)
+        want = dense_mat_mul(x, y)
+        assert got == want
+        assert all(v.k == y[0][0].k for row in got for v in row)
+
+    def test_all_zero_factor(self):
+        zero = Cyclotomic(3, 0)
+        x = ((zero, zero), (zero, zero))
+        y = ((Cyclotomic.zeta(3), zero), (zero, Cyclotomic(3, 2)))
+        assert _mat_mul(x, y) == x
+        assert _mat_mul(y, x) == x
 
 
 class TestSplitting:
