@@ -3,18 +3,24 @@
 The one production representation of linear maps on the truncated Fock
 space.  Semantically identical to OperatorExpr.apply restricted to a
 single monomial (that path stays as the reference oracle), but organized
-for bulk work: terms are grouped by their annihilation part, so the
-(expensive) annihilation chain runs once per group instead of once per
-term, and results are plain dict rows keyed by the canonical
-creation-monomial tuples.  Only operators whose modes carry basis labels
-are supported (every mode then pairs against exactly one partner label),
-which covers every operator the verifiers build.
+for bulk work.  Rows come in two keyings:
 
-Every row is integer: operator rows (op_action_rows) are over the
-denominator the operator's construction fixed (``OperatorExpr.denom``),
-Heisenberg-mode rows need none, and the charged field (ChargedField)
-reads the integer table of operators.FieldTable, so bulk work never
-touches Fraction arithmetic.
+* operator rows (``op_action_rows``), keyed by canonical creation
+  monomials: terms are grouped by their annihilation part, so the
+  (expensive) annihilation chain runs once per group instead of once per
+  term.  Only operators whose modes carry basis labels are supported
+  (every mode then pairs against exactly one partner label), which
+  covers every operator the verifiers build;
+* index rows (IndexRow), keyed by the position of the monomial in a
+  ``BasisIndex``: the vertex-commutator sweep numbers its basis once and
+  runs on these, with every Heisenberg mode a pair of lookup lists
+  (``mode_tables``) and the charged field's slices (``ChargedField``)
+  built once per pt part.
+
+Every row is integer: operator rows are over the denominator the
+operator's construction fixed (``OperatorExpr.denom``), Heisenberg-mode
+rows need none, and the charged field reads the integer table of
+operators.FieldTable, so bulk work never touches Fraction arithmetic.
 ``add_scaled`` is the one row-accumulate primitive the engines share,
 and ``compose_rows`` the one row-composition primitive; a composition
 is over the product of its factors' denominators.
@@ -22,16 +28,24 @@ is over the product of its factors' denominators.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, pairing_scalar
 from .operators import FieldTable, OperatorExpr
-from .states import Monomial, _mode_key, insert_creation, monomial_energy
+from .states import (
+    Monomial,
+    _mode_key,
+    basis_monomials,
+    insert_creation,
+    monomial_energy,
+)
 
 # label paired nontrivially against each basis label
 _DUAL = (COH_PT, COH_SM, COH_SP, COH_E)
 
 IntRow = dict[Monomial, int]
+IndexRow = dict[int, int]
 
 
 def annihilation_chain(
@@ -213,84 +227,155 @@ def single_mode_row(mono: Monomial, n: int, label: int) -> IntRow:
     return {created: sign}
 
 
-def apply_single_mode(
-    row: IntRow, n: int, label: int, cache: dict[Monomial, IntRow]
-) -> IntRow:
-    """alpha_n(label) applied to an integer row.  ``cache`` memoizes this
-    one mode's single-monomial rows, for callers that apply it
-    repeatedly.  A single mode sends distinct monomials to distinct
-    monomials (it removes or inserts one fixed mode), so the images
-    never collide and need no accumulation."""
-    out: IntRow = {}
-    for mono, coeff in row.items():
-        hit = cache.get(mono)
-        if hit is None:
-            hit = cache[mono] = single_mode_row(mono, n, label)
-        for target, c in hit.items():
-            out[target] = coeff * c
-    return out
+
+
+class BasisIndex:
+    """The canonical monomials of energy <= ``depth``, numbered once in
+    basis_monomials order (energy, then monomial), so the monomials of
+    energy <= w are the indices ``range(count(w))``.  Index rows
+    (IndexRow) are keyed by these numbers: an int key hashes at once,
+    where a monomial key rehashes its nested tuples on every lookup."""
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        self.monos = tuple(basis_monomials(depth))
+        self.index = {m: i for i, m in enumerate(self.monos)}
+        self.energy = [monomial_energy(m) for m in self.monos]
+        # spectator monomial -> {image index: index with the spectators merged in}
+        self._merges: dict[Monomial, dict[int, int]] = {}
+
+    def count(self, w: int) -> int:
+        """The number of monomials of energy <= w."""
+        return bisect_right(self.energy, w)
+
+    def monomials(self, row: IndexRow) -> IntRow:
+        """The row keyed by monomials."""
+        monos = self.monos
+        return {monos[i]: c for i, c in row.items()}
+
+    def spread(self, row: IndexRow, spectators: Monomial) -> IndexRow:
+        """The row with the modes of ``spectators`` merged into every
+        image.  The images must hold no odd mode, so the merge has no
+        sign, and distinct images stay distinct."""
+        if not spectators:
+            return row
+        merges = self._merges.setdefault(spectators, {})
+        out: IndexRow = {}
+        for u, c in row.items():
+            j = merges.get(u)
+            if j is None:
+                merged = creation_chain(self.monos[u], spectators)[1]
+                j = merges[u] = self.index[merged]
+            out[j] = c
+        return out
+
+
+ModeTable = tuple[list[int], list[int]]
+
+
+def mode_tables(basis: BasisIndex, k_max: int) -> dict[tuple[int, int], ModeTable]:
+    """The Heisenberg modes alpha_n(label), 1 <= |n| <= k_max, on the
+    basis: alpha_n(label) sends monomial i to ``factor[i]`` times
+    monomial ``target[i]`` for the table (target, factor) of (n, label),
+    and to zero where ``factor[i]`` is 0.
+
+    A single mode is a weighted partial injection, so one pass fills
+    every table: for each distinct mode (k, l), k <= k_max, of monomial
+    j, with i the monomial j less one copy of (k, l), the creation
+    alpha_{-k}(l) sends i to j with the sign of the odd modes it crosses,
+    and the annihilation alpha_k(dual l) sends j to i times
+    k <dual l, l>, the multiplicity of (k, l) in j and the same sign.
+    A creation whose image lies above the basis depth reads as zero."""
+    size = len(basis.monos)
+    index = basis.index
+    tables = {
+        (n, label): ([0] * size, [0] * size)
+        for k in range(1, k_max + 1)
+        for n in (-k, k)
+        for label in range(4)
+    }
+    for j, mono in enumerate(basis.monos):
+        odd_before = 0
+        prev = None
+        for pos, mode in enumerate(mono):
+            k, label = mode
+            if k <= k_max and mode != prev:
+                i = index[mono[:pos] + mono[pos + 1 :]]
+                sign = -1 if LABEL_PARITY[label] and odd_before & 1 else 1
+                target, factor = tables[-k, label]
+                target[i], factor[i] = j, sign
+                dual = _DUAL[label]
+                target, factor = tables[k, dual]
+                target[j] = i
+                factor[j] = k * pairing_scalar(dual, label) * mono.count(mode) * sign
+            odd_before += LABEL_PARITY[label]
+            prev = mode
+    return tables
 
 
 class ChargedField:
     """The z^{-n} modes, n_lo <= n <= n_hi, of the slope-m charged
-    exponential field on the energy window ``depth``, as integer rows
-    over one common denominator.
+    exponential field on a basis index, as index rows over one common
+    denominator.
 
-    ``slices(mono)`` holds the row of every mode n in that range that
-    maps the monomial (energy e <= depth) into the window, i.e. with
-    e - n <= depth.  A term annihilating the E-modes mu and creating the
-    E-modes lam has coefficient m^l(lam) (-m)^l(mu) / (z_lam z_mu) times
-    an integer contraction factor, with |mu|, |lam| <= depth; the
-    coefficients come from a FieldTable of both depths, and ``denom`` is
-    its denominator: ``slices(mono)[n][u] / denom`` is the exact
-    coefficient of u.  Slices are cached per monomial."""
+    ``slices[i]``, for every monomial i of energy e <= ``top``, holds the
+    row of each mode n in that range that maps the monomial into the
+    basis, i.e. with e - n <= basis.depth.  A term annihilating the
+    E-modes mu and creating the E-modes lam has coefficient
+    m^l(lam) (-m)^l(mu) / (z_lam z_mu) times an integer contraction
+    factor; the coefficients come from a FieldTable of the basis depth,
+    and ``denom`` is its denominator: ``slices[i][n][u] / denom`` is the
+    exact coefficient of monomial u in mode n applied to monomial i.
 
-    def __init__(self, m: int, n_lo: int, n_hi: int, depth: int):
-        if depth < 0:
-            raise ValueError("depth must be >= 0")
+    The slices of a monomial depend on it only through its pt modes: the
+    E-annihilators contract pt modes alone, and the E-creations merge
+    into the other modes without a sign.  So the slices are built once
+    per pt part and spread to the monomials sharing it."""
+
+    def __init__(self, m: int, n_lo: int, n_hi: int, basis: BasisIndex, top: int):
+        depth = basis.depth
+        if not 0 <= top <= depth:
+            raise ValueError(f"top energy {top} outside the basis depth {depth}")
         self.m = m
         self.n_lo = n_lo
         self.n_hi = n_hi
-        self.depth = depth
+        self.basis = basis
+        self.top = top
         table = FieldTable(m, depth, depth)
-        self._create = table.create
-        self._annihilate = dict(pair for level in table.annihilate for pair in level)
         self.denom = table.denom
-        self._slices: dict[Monomial, dict[int, IntRow]] = {}
+        annihilate = dict(pair for level in table.annihilate for pair in level)
+        by_part: dict[Monomial, dict[int, IndexRow]] = {}
+        self.slices: list[dict[int, IndexRow]] = []
+        for i in range(basis.count(top)):
+            mono = basis.monos[i]
+            pt = tuple(md for md in mono if md[1] == COH_PT)
+            part = by_part.get(pt)
+            if part is None:
+                part = by_part[pt] = self._part_slices(pt, table.create, annihilate)
+            spectators = tuple(md for md in mono if md[1] != COH_PT)
+            lo = basis.energy[i] - depth
+            self.slices.append(
+                {n: basis.spread(row, spectators) for n, row in part.items() if n >= lo}
+            )
 
-    def slices(self, mono: Monomial) -> dict[int, IntRow]:
-        """Integer rows of the modes on one monomial (see the class
-        docstring for which).  Exact: the annihilation parts that act are
-        exactly the sub-partitions of the monomial's pt content, all of
-        which are enumerated."""
-        cached = self._slices.get(mono)
-        if cached is not None:
-            return cached
-        e = monomial_energy(mono)
-        if e > self.depth:
-            raise ValueError(f"monomial energy {e} above field depth {self.depth}")
-        create = self._create
-        n_lo = max(self.n_lo, e - self.depth)
-        slices: dict[int, IntRow] = {n: {} for n in range(n_lo, self.n_hi + 1)}
-        for sub in _sub_monomials(tuple(md for md in mono if md[1] == COH_PT)):
+    def _part_slices(self, pt: Monomial, create, annihilate) -> dict[int, IndexRow]:
+        """The slices of a monomial of pt modes alone.  Exact: the
+        annihilation parts that act are the sub-partitions of ``pt``, all
+        of which are enumerated."""
+        index = self.basis.index
+        n_lo = max(self.n_lo, monomial_energy(pt) - self.basis.depth)
+        slices: dict[int, IndexRow] = {n: {} for n in range(n_lo, self.n_hi + 1)}
+        for sub in _sub_monomials(pt):
             part = tuple((k, COH_E) for k, _ in sub)
-            ann = annihilation_chain(mono, part)
-            if ann is None:
-                continue
-            factor, reduced = ann
-            a_coeff = self._annihilate[part] * factor
+            factor, reduced = annihilation_chain(pt, part)
+            a_coeff = annihilate[part] * factor
             q = monomial_energy(part)
             for n in range(n_lo, min(self.n_hi, q) + 1):
                 row = slices[n]
                 for lam, c_coeff in create[q - n]:
-                    # even modes: no sign, and no repeat can vanish
-                    final = creation_chain(reduced, lam)[1]
                     val = c_coeff * a_coeff
-                    acc = row.get(final)
-                    total = val if acc is None else acc + val
-                    if total:
-                        row[final] = total
-                    elif acc is not None:
-                        del row[final]
-        self._slices[mono] = slices
+                    if val:
+                        # (sub, lam) is read off the image: no terms meet;
+                        # even modes: no sign, and no repeat can vanish
+                        row[index[creation_chain(reduced, lam)[1]]] = val
         return slices

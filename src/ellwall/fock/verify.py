@@ -17,7 +17,12 @@ asserted to be label-independent.
 Vertex-commutator verification: the Heisenberg mode alpha_k(g) commutes
 past the slope-m charged exponential field up to the pairing factor
 <g, mE> and a mode shift by k; checked state-by-state on every basis
-monomial of the valid window.
+monomial of the valid window.  The sweep numbers its basis once
+(fastapply.BasisIndex) and works on index rows: each Heisenberg mode is
+a pair of lookup lists filled in one pass over the basis, each field's
+slices are built once per pt part, and a check compares the mode's
+image of a slice against the expected row by dict equality, building
+the difference only for a failure witness.
 
 All engines work on sparse integer rows (see fastapply) so the full
 mandatory sweeps run in seconds rather than hours: one denominator per
@@ -36,11 +41,14 @@ from typing import Optional, Sequence, Union
 
 from ..serialize import frac_str
 from .fastapply import (
+    BasisIndex,
     ChargedField,
+    IndexRow,
     IntRow,
+    ModeTable,
     add_scaled,
-    apply_single_mode,
     compose_rows,
+    mode_tables,
     op_action_rows,
     op_denominator,
     single_mode_row,
@@ -404,41 +412,52 @@ def bracket_sweep(
 # vertex-field commutator with a single Heisenberg mode
 
 
-def _commutator_diff(
+def _check_modes(
     field: ChargedField,
+    table: ModeTable,
     k: int,
     gamma: int,
-    n: int,
-    ak_row: IntRow,
-    slices: dict[int, IntRow],
-    mode_cache: dict[Monomial, IntRow],
-) -> IntRow:
-    """[alpha_k(gamma), field-mode n] - <gamma, mE> field-mode n+k on one
-    monomial (``ak_row`` and ``slices`` are its alpha_k(gamma) row and
-    field slices), as an integer row over ``field.denom`` (empty iff the
-    identity holds there).  The field's depth must hold every image read
-    here, of energy up to e - min(n, n + k).  ``mode_cache`` memoizes
-    alpha_k(gamma) on single monomials."""
-    diff = apply_single_mode(slices[n], k, gamma, mode_cache)
-    for t, c in ak_row.items():
-        add_scaled(diff, field.slices(t)[n], -c)
+    i: int,
+    ns: Sequence[int],
+    failures: list[dict],
+) -> None:
+    """Check [alpha_k(gamma), field-mode n] = <gamma, mE> field-mode n+k
+    on basis monomial i for each n of ``ns``, with ``table`` the mode
+    table of alpha_k(gamma); append a witness for each n where it fails.
+    Both sides are index rows over ``field.denom``; the field's slices
+    must cover monomial i and its alpha_k(gamma) image at every mode
+    read, and the basis every image, of energy up to e - min(n, n + k)."""
+    slices = field.slices
+    own = slices[i]
+    target, factor = table
+    f = factor[i]
+    image = slices[target[i]] if f else None
     pair = pairing_scalar(gamma, COH_E) * field.m
-    if pair:
-        add_scaled(diff, slices[n + k], -pair)
-    return diff
+    for n in ns:
+        # a single mode sends distinct monomials to distinct monomials
+        got = {target[u]: c * factor[u] for u, c in own[n].items() if factor[u]}
+        want = {u: f * c for u, c in image[n].items()} if f else {}
+        if pair:
+            add_scaled(want, own[n + k], pair)
+        if got != want:
+            add_scaled(got, want, -1)
+            failures.append(_vertex_witness(field, k, gamma, n, i, got))
 
 
 def _vertex_witness(
-    field: ChargedField, k: int, gamma: int, n: int, mono: Monomial, diff: IntRow
+    field: ChargedField, k: int, gamma: int, n: int, i: int, diff: IndexRow
 ) -> dict:
     """Failure witness: the state and the exact rational difference."""
+    basis = field.basis
     return {
         "m": field.m,
         "k": k,
         "label": LABEL_NAMES[gamma],
         "mode": n,
-        "state": FockState.from_monomial(mono).to_json_dict(),
-        "difference": FockState(field.m, _unscale(diff, field.denom)).to_json_dict(),
+        "state": FockState.from_monomial(basis.monos[i]).to_json_dict(),
+        "difference": FockState(
+            field.m, _unscale(basis.monomials(diff), field.denom)
+        ).to_json_dict(),
     }
 
 
@@ -446,10 +465,26 @@ def vertex_commutator_check(
     field: ChargedField, k: int, gamma: int, n: int, mono: Monomial
 ) -> Optional[dict]:
     """Check [alpha_k(gamma), field-mode n] = <gamma, mE> field-mode n+k
-    on one monomial; returns None on success, a witness dict on failure."""
-    ak_row = single_mode_row(mono, k, gamma)
-    diff = _commutator_diff(field, k, gamma, n, ak_row, field.slices(mono), {})
-    return _vertex_witness(field, k, gamma, n, mono, diff) if diff else None
+    on one monomial; returns None on success, a witness dict on failure.
+    Every row read must lie in the field's windows."""
+    basis = field.basis
+    e = monomial_energy(mono)
+    lo, hi = min(n, n + k), max(n, n + k)
+    if (
+        k == 0
+        or max(e, e - k) > field.top
+        or lo < max(field.n_lo, e - basis.depth)
+        or hi > field.n_hi
+    ):
+        raise ValueError(
+            f"alpha_{k} past field-mode {n} on energy {e} reads outside the field"
+        )
+    failures: list[dict] = []
+    _check_modes(
+        field, mode_tables(basis, abs(k))[k, gamma], k, gamma,
+        basis.index[mono], (n,), failures,
+    )
+    return failures[0] if failures else None
 
 
 def vertex_commutator_sweep(
@@ -463,41 +498,28 @@ def vertex_commutator_sweep(
     """Mode-by-mode commutator sweep.  The pairing-coupled label (pt)
     runs over every basis monomial of the window N - (energy raised by
     the Heisenberg mode); the zero-pairing labels run over the smaller
-    window, where the statement is that the commutator vanishes.  All
-    arithmetic is on integer rows over each field's one denominator."""
-    monos = basis_monomials(N)
-    energies = {m: monomial_energy(m) for m in monos}
+    window, where the statement is that the commutator vanishes.  The
+    basis is numbered once, to the depth N + n_max that holds every image
+    read, and all arithmetic is on its index rows, over each field's one
+    denominator."""
+    basis = BasisIndex(N + n_max)
+    tables = mode_tables(basis, k_max)
     checked = 0
     failures: list[dict] = []
     ks = [k for k in range(-k_max, k_max + 1) if k != 0]
     ns = list(range(-n_max, n_max + 1))
     zero_idx = [label_index(g) for g in zero_labels]
-    # alpha_k(gamma) rows do not depend on the slope: shared by every field
-    mode_caches: dict[tuple[int, int], dict[Monomial, IntRow]] = {}
     for m in m_values:
-        # every row read below has energy <= N + n_max
-        field = ChargedField(m, -n_max - k_max, n_max + k_max, N + n_max)
+        # alpha_k(gamma) images of the window have energy <= N
+        field = ChargedField(m, -n_max - k_max, n_max + k_max, basis, N)
         for k in ks:
             window = N - max(0, -k)
-            small_cap = min(window, zero_window)
-            for mono in monos:
-                e = energies[mono]
-                if e > window:
-                    continue
-                slices = field.slices(mono)
-                labels = (COH_PT, *zero_idx) if e <= small_cap else (COH_PT,)
-                for gi in labels:
-                    cache = mode_caches.setdefault((k, gi), {})
-                    ak = apply_single_mode({mono: 1}, k, gi, cache)
-                    for n in ns:
-                        checked += 1
-                        diff = _commutator_diff(
-                            field, k, gi, n, ak, slices, cache
-                        )
-                        if diff:
-                            failures.append(
-                                _vertex_witness(field, k, gi, n, mono, diff)
-                            )
+            small = basis.count(min(window, zero_window))
+            for i in range(basis.count(window)):
+                for gi in (COH_PT, *zero_idx) if i < small else (COH_PT,):
+                    checked += len(ns)
+                    _check_modes(field, tables[k, gi], k, gi, i, ns, failures)
+        del field  # free one slope's slices before the next is built
     return {
         "truncation": N,
         "checked": checked,

@@ -565,8 +565,11 @@ def preproj_check(rep: PreprojRep, p: BimoduleParam) -> PreprojReport:
         if d == 0:
             residuals.append(_zeros(k, 0, 0))
             continue
-        back = _mat_mul(rep.ccw[(i - 1) % k], rep.cw[i])
-        forth = _mat_mul(rep.cw[(i + 1) % k], rep.ccw[i])
+        # the round trip through a zero-dimensional neighbour is zero
+        before, after = (i - 1) % k, (i + 1) % k
+        empty = _zeros(k, d, d)
+        back = _mat_mul(rep.ccw[before], rep.cw[i]) if rep.dims[before] else empty
+        forth = _mat_mul(rep.cw[after], rep.ccw[i]) if rep.dims[after] else empty
         res = _mat_sub(
             _mat_sub(back, forth), _mat_scale(_identity(k, d), rep.lam[i])
         )

@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ellwall.fock.fastapply import (
+    BasisIndex,
     ChargedField,
     annihilation_chain,
     apply_to_monomial,
@@ -333,15 +334,16 @@ class TestFastRows:
         assert annihilation_chain(((1, COH_SP),), ((1, COH_E),)) is None
 
     def test_field_slices_match_vertex_modes(self):
+        # depth 5 holds every image of energy <= 3 + 2
+        basis = BasisIndex(5)
         for m in (1, -1, 2):
-            # depth 5 holds every image of energy <= 3 + 2
-            field = ChargedField(m, -2, 2, 5)
-            for mono in basis_monomials(3):
-                slices = field.slices(mono)
+            field = ChargedField(m, -2, 2, basis, 3)
+            for i, mono in enumerate(basis_monomials(3)):
+                assert basis.monos[i] == mono
                 for n in range(-2, 3):
                     op = vertex_mode(m, n, 3)
                     want = op.apply(FockState.from_monomial(mono))
-                    got = slices[n]
+                    got = basis.monomials(field.slices[i][n])
                     assert set(got) == set(want.terms)
                     for t, c in got.items():
                         assert want.terms[t] == Fraction(c, field.denom)

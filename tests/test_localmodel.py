@@ -481,6 +481,16 @@ class TestPreproj:
         assert report.seminilpotent
         assert all(report.lambda_matches)
 
+    def test_zero_dimensional_neighbour(self):
+        # node 0 has dimension 1 and its only neighbour dimension 0: both
+        # round trips pass through the empty node and are zero
+        p = BimoduleParam(2, (Cyclotomic(2, 0), Cyclotomic(2, 0)))
+        rep = PreprojRep.make(2, (1, 0), cw=[(), ((),)], ccw=[(), ((),)], lam=[0, 0])
+        report = preproj_check(rep, p)
+        assert report.passes and report.relation_holds
+        assert report.seminilpotent
+        assert report.residuals == (((Cyclotomic(2, 0),),), ())
+
     def test_jet_module_split_case_passes(self):
         p = BimoduleParam.make(1, [0])
         for n in range(3):
