@@ -63,7 +63,7 @@ from .labels import (
     star_label,
 )
 from .operators import w_general
-from .states import FockState, Monomial, basis_monomials, monomial_energy
+from .states import FockState, Monomial, monomial_energy
 
 
 def _eval_window(N: int, b: int, d: int) -> int:
@@ -116,8 +116,7 @@ class _BracketEngine:
 
     def __init__(self, N: int):
         self.N = N
-        self.monos: tuple[Monomial, ...] = tuple(basis_monomials(N))
-        self._energy = {m: monomial_energy(m) for m in self.monos}
+        self.basis = BasisIndex(N)
         self._rows: dict[tuple[int, int, int], tuple[int, dict[Monomial, IntRow]]] = {}
 
     def rows(self, a: int, b: int, li: int) -> tuple[int, dict[Monomial, IntRow]]:
@@ -126,12 +125,12 @@ class _BracketEngine:
         if cached is None:
             op = w_general(a, b, li, self.N)
             cached = self._rows[key] = (
-                op_denominator(op), op_action_rows(op, self.monos)
+                op_denominator(op), op_action_rows(op, self.basis.monos)
             )
         return cached
 
-    def window_monos(self, w: int) -> list[Monomial]:
-        return [m for m in self.monos if self._energy[m] <= w]
+    def window_monos(self, w: int) -> Sequence[Monomial]:
+        return self.basis.monos[: self.basis.count(w)]
 
     def pair_reports(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
@@ -542,8 +541,7 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
     bare mode alpha_n(g), so it works on integer alpha rows and brings
     the factors in once per identity; a failure divides back to exact
     rationals."""
-    monos = basis_monomials(N)
-    energies = {m: monomial_energy(m) for m in monos}
+    basis = BasisIndex(N)
     failures: list[dict] = []
     checked = 0
     for n in range(1, n_max + 1):
@@ -552,7 +550,7 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
         # differ and the alpha row does not vanish
         for li, factor in ((COH_E, Fraction(1, n)), (COH_PT, Fraction(n))):
             same = _w_small_factor(n, li) == factor
-            for mono in monos:
+            for mono in basis.monos:
                 checked += 1
                 if not same and single_mode_row(mono, n, li):
                     failures.append(
@@ -573,10 +571,7 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
                 if want.denominator == 1:
                     want = want.numerator
                 eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
-                window = N - n
-                for mono in monos:
-                    if energies[mono] > window:
-                        continue
+                for mono in basis.monos[: basis.count(N - n)]:
                     checked += 1
                     diff = _combine(
                         _alpha_then(n, gi, -n, hi, mono),
