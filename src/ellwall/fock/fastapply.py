@@ -3,19 +3,17 @@
 The one production representation of linear maps on the truncated Fock
 space.  Semantically identical to OperatorExpr.apply restricted to a
 single monomial (that path stays as the reference oracle), but organized
-for bulk work.  Rows come in two keyings:
+for bulk work.  Every row is keyed by the position of a monomial in a
+``BasisIndex`` (IndexRow), and turns back into monomials only for a
+witness or an output state:
 
-* operator rows (``op_action_rows``), keyed by canonical creation
-  monomials: terms are grouped by their annihilation part, so the
-  (expensive) annihilation chain runs once per group instead of once per
-  term.  Only operators whose modes carry basis labels are supported
-  (every mode then pairs against exactly one partner label), which
-  covers every operator the verifiers build;
-* index rows (IndexRow), keyed by the position of the monomial in a
-  ``BasisIndex``: the vertex-commutator sweep numbers its basis once and
-  runs on these, with every Heisenberg mode a pair of lookup lists
-  (``mode_tables``) and the charged field's slices (``ChargedField``)
-  built once per pt part.
+* operator rows (``op_action_rows``): terms are grouped by their
+  annihilation part, so the (expensive) annihilation chain runs once
+  per group instead of once per term.  Only operators whose modes carry
+  basis labels are supported (every mode then pairs against exactly one
+  partner label), which covers every operator the verifiers build;
+* Heisenberg modes (``mode_tables``): a pair of lookup lists each;
+* the charged field's slices (``ChargedField``), built once per pt part.
 
 Every row is integer: operator rows are over the denominator the
 operator's construction fixed (``OperatorExpr.denom``), Heisenberg-mode
@@ -33,18 +31,11 @@ from typing import Optional
 
 from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, pairing_scalar
 from .operators import FieldTable, OperatorExpr
-from .states import (
-    Monomial,
-    _mode_key,
-    basis_monomials,
-    insert_creation,
-    monomial_energy,
-)
+from .states import Monomial, _mode_key, basis_monomials, monomial_energy
 
 # label paired nontrivially against each basis label
 _DUAL = (COH_PT, COH_SM, COH_SP, COH_E)
 
-IntRow = dict[Monomial, int]
 IndexRow = dict[int, int]
 
 
@@ -111,7 +102,7 @@ def creation_chain(
     return sign, tuple(out)
 
 
-def add_scaled(acc: IntRow, row: IntRow, c: int) -> None:
+def add_scaled(acc: IndexRow, row: IndexRow, c: int) -> None:
     """acc += c * row in place, dropping entries that cancel to zero."""
     get = acc.get
     for u, v in row.items():
@@ -122,19 +113,14 @@ def add_scaled(acc: IntRow, row: IntRow, c: int) -> None:
             del acc[u]
 
 
-def compose_rows(outer: dict[Monomial, IntRow], row: IntRow) -> IntRow:
+def compose_rows(outer: dict[int, IndexRow], row: IndexRow) -> IndexRow:
     """The row sum of c * outer[t] over the entries t: c of ``row``: an
     operator with action rows ``outer`` applied after the one that gave
     ``row``.  ``outer`` must hold a row for every monomial of ``row``."""
-    acc: IntRow = {}
+    acc: IndexRow = {}
     for t, c in row.items():
         add_scaled(acc, outer[t], c)
     return acc
-
-
-def op_denominator(op: OperatorExpr) -> int:
-    """The least common denominator of the operator's coefficients."""
-    return op.denom
 
 
 def _grouped_terms(op: OperatorExpr):
@@ -163,18 +149,20 @@ def _sub_monomials(mono: Monomial) -> list[Monomial]:
     return subs
 
 
-def apply_to_monomial(grouped, mono: Monomial) -> IntRow:
-    """Integer row of a grouped operator on one monomial, over its
+def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
+    """Integer row of a grouped operator on basis monomial i, over its
     denominator: the groups whose contracted modes the monomial holds
     act, in term order."""
     groups, contracted = grouped
+    mono = basis.monos[i]
     hits = [
         groups[sub]
         for sub in _sub_monomials(tuple(m for m in mono if m in contracted))
         if sub in groups
     ]
     hits.sort()
-    row: IntRow = {}
+    number = basis.number
+    row: IndexRow = {}
     for _, part, entries in hits:
         ann = annihilation_chain(mono, part)
         if ann is None:
@@ -185,70 +173,66 @@ def apply_to_monomial(grouped, mono: Monomial) -> IntRow:
             if cr is None:
                 continue
             sign, final = cr
+            u = number(final)
             val = coeff * (factor * sign)
-            acc = row.get(final)
+            acc = row.get(u)
             total = val if acc is None else acc + val
             if total:
-                row[final] = total
+                row[u] = total
             elif acc is not None:
-                del row[final]
+                del row[u]
     return row
 
 
-def op_action_rows(op: OperatorExpr, monos) -> dict[Monomial, IntRow]:
-    """Integer rows of ``op`` on every given monomial, over
-    ``op_denominator(op)``: ``rows[m][u] / op_denominator(op)`` is the
-    exact coefficient of u in op(m).  Exactness: the operator must
+def op_action_rows(op: OperatorExpr, basis: BasisIndex, indices) -> dict[int, IndexRow]:
+    """Integer rows of ``op`` on the basis monomials of the given
+    indices, over ``op.denom``: ``rows[i][u] / op.denom`` is the exact
+    coefficient of monomial u in op(monomial i).  Images above the basis
+    depth are numbered on first sight.  Exactness: the operator must
     include every term of annihilation depth up to the largest monomial
     energy supplied (OperatorExpr stores that bound as its truncation)."""
     if op.truncation is not None:
-        top = max((monomial_energy(m) for m in monos), default=0)
+        top = max((basis.energy[i] for i in indices), default=0)
         if top > op.truncation:
             raise ValueError(
                 f"operator window {op.truncation} below basis energy {top}"
             )
     grouped = _grouped_terms(op)
-    return {m: apply_to_monomial(grouped, m) for m in monos}
-
-
-def single_mode_row(mono: Monomial, n: int, label: int) -> IntRow:
-    """Row of the Heisenberg mode alpha_n(label) on one monomial; its
-    coefficients are integers."""
-    if n > 0:
-        hit = annihilation_chain(mono, ((n, label),))
-        if hit is None:
-            return {}
-        factor, reduced = hit
-        return {reduced: factor}
-    hit = insert_creation(mono, -n, label)
-    if hit is None:
-        return {}
-    sign, created = hit
-    return {created: sign}
-
-
+    return {i: apply_to_monomial(grouped, basis, i) for i in indices}
 
 
 class BasisIndex:
     """The canonical monomials of energy <= ``depth``, numbered once in
     basis_monomials order (energy, then monomial), so the monomials of
-    energy <= w are the indices ``range(count(w))``.  Index rows
-    (IndexRow) are keyed by these numbers: an int key hashes at once,
-    where a monomial key rehashes its nested tuples on every lookup."""
+    energy <= w are the indices ``range(count(w))``.  Index rows are
+    keyed by these numbers: an int key hashes at once, where a monomial
+    key rehashes its nested tuples on every lookup.  ``number`` numbers
+    a monomial above the depth after all of them, on first sight."""
 
     def __init__(self, depth: int):
         self.depth = depth
-        self.monos = tuple(basis_monomials(depth))
+        self.monos = basis_monomials(depth)
+        self.size = len(self.monos)
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.energy = [monomial_energy(m) for m in self.monos]
         # spectator monomial -> {image index: index with the spectators merged in}
         self._merges: dict[Monomial, dict[int, int]] = {}
 
     def count(self, w: int) -> int:
-        """The number of monomials of energy <= w."""
-        return bisect_right(self.energy, w)
+        """The number of enumerated monomials of energy <= w."""
+        return bisect_right(self.energy, w, 0, self.size)
 
-    def monomials(self, row: IndexRow) -> IntRow:
+    def number(self, mono: Monomial) -> int:
+        """The index of a canonical monomial, numbering it after the
+        last one when it is above the depth and not yet seen."""
+        i = self.index.get(mono)
+        if i is None:
+            i = self.index[mono] = len(self.monos)
+            self.monos.append(mono)
+            self.energy.append(monomial_energy(mono))
+        return i
+
+    def monomials(self, row: IndexRow) -> dict[Monomial, int]:
         """The row keyed by monomials."""
         monos = self.monos
         return {monos[i]: c for i, c in row.items()}
@@ -286,7 +270,7 @@ def mode_tables(basis: BasisIndex, k_max: int) -> dict[tuple[int, int], ModeTabl
     and the annihilation alpha_k(dual l) sends j to i times
     k <dual l, l>, the multiplicity of (k, l) in j and the same sign.
     A creation whose image lies above the basis depth reads as zero."""
-    size = len(basis.monos)
+    size = basis.size
     index = basis.index
     tables = {
         (n, label): ([0] * size, [0] * size)
@@ -294,7 +278,7 @@ def mode_tables(basis: BasisIndex, k_max: int) -> dict[tuple[int, int], ModeTabl
         for n in (-k, k)
         for label in range(4)
     }
-    for j, mono in enumerate(basis.monos):
+    for j, mono in enumerate(basis.monos[:size]):
         odd_before = 0
         prev = None
         for pos, mode in enumerate(mono):

@@ -5,8 +5,8 @@ vacuum charge through -n (n the weight); with that charge reading it is
 an involution on every weight space.  The section-type action replaces
 each creation mode by the corresponding slope-one generator, applied in
 the monomial's canonical order; it composes the generators' integer
-action rows (see fastapply) and divides back to exact rationals once per
-monomial.
+index rows (see fastapply) on a basis numbered as the images are
+reached, and divides back to exact rationals once per monomial.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .fastapply import IntRow, compose_rows, op_action_rows, op_denominator
+from .fastapply import BasisIndex, IndexRow, compose_rows, op_action_rows
 from .operators import FockConfig, OperatorExpr, w_general
 from .states import FockState, Monomial
 
@@ -53,28 +53,27 @@ def monodromy_s(
     leaves that window.  pt labels need the extended configuration."""
     if state.charge != 0:
         raise ValueError("the section-type action is defined on charge-0 states")
-    # per mode (k, label): the generator, its denominator and the rows
-    # built so far
-    tables: dict[
-        tuple[int, int], tuple[OperatorExpr, int, dict[Monomial, IntRow]]
-    ] = {}
+    # the vacuum is index 0; every other monomial is numbered on first sight
+    basis = BasisIndex(0)
+    # per mode (k, label): the generator and the rows built so far
+    tables: dict[tuple[int, int], tuple[OperatorExpr, dict[int, IndexRow]]] = {}
     out: dict[Monomial, Fraction] = {}
     charge = 0
     for mono, coeff in state.terms.items():
-        row: IntRow = {(): 1}
+        row: IndexRow = {0: 1}
         denom = 1
         shift = 0
         for mode in reversed(mono):
             table = tables.get(mode)
             if table is None:
                 op = w_general(1, -mode[0], mode[1], N, config)
-                table = tables[mode] = (op, op_denominator(op), {})
-            op, op_denom, rows = table
+                table = tables[mode] = (op, {})
+            op, rows = table
             missing = [t for t in row if t not in rows]
             if missing:
-                rows.update(op_action_rows(op, missing))
+                rows.update(op_action_rows(op, basis, missing))
             row = compose_rows(rows, row)
-            denom *= op_denom
+            denom *= op.denom
             shift += op.charge_shift
         if not row:
             continue
@@ -84,7 +83,7 @@ def monodromy_s(
             )
         charge = shift
         scale = coeff / denom
-        for u, v in row.items():
+        for u, v in basis.monomials(row).items():
             total = out.get(u, 0) + v * scale
             if total:
                 out[u] = total

@@ -24,13 +24,14 @@ slices are built once per pt part, and a check compares the mode's
 image of a slice against the expected row by dict equality, building
 the difference only for a failure witness.
 
-All engines work on sparse integer rows (see fastapply) so the full
-mandatory sweeps run in seconds rather than hours: one denominator per
-operator table for the bracket, per charged field for the vertex
-commutator, and bare Heisenberg-mode rows with the generator factors
-brought in once per identity for the slope-zero checks.  Rows are
-divided back to exact rationals only for the reported rescales and
-central scalars and when a failure witness is built.
+All engines work on sparse integer rows keyed by basis index (see
+fastapply) so the full mandatory sweeps run in seconds rather than
+hours: one denominator per operator table for the bracket, per charged
+field for the vertex commutator, and the bare mode tables for the
+slope-zero checks, where alpha_n(g) alpha_{-n}(h) is two table lookups
+and the generator factors come in once per identity.  Rows are divided
+back to exact rationals only for the reported rescales and central
+scalars and when a failure witness is built.
 """
 
 from __future__ import annotations
@@ -44,14 +45,11 @@ from .fastapply import (
     BasisIndex,
     ChargedField,
     IndexRow,
-    IntRow,
     ModeTable,
     add_scaled,
     compose_rows,
     mode_tables,
     op_action_rows,
-    op_denominator,
-    single_mode_row,
 )
 from .labels import (
     COH_E,
@@ -110,27 +108,25 @@ class _BracketEngine:
     """Shared per-truncation action tables for bracket verification.
 
     Each table is stored as (denominator, integer rows): the operator's
-    op_denominator and its op_action_rows.  A composition of two tables
-    is over the product of their denominators; exact rationals are built
-    only for the reported rescale and central scalar and for witnesses."""
+    denom and its op_action_rows on the engine's one BasisIndex.  A
+    composition of two tables is over the product of their denominators;
+    exact rationals are built only for the reported rescale and central
+    scalar and for witnesses."""
 
     def __init__(self, N: int):
         self.N = N
         self.basis = BasisIndex(N)
-        self._rows: dict[tuple[int, int, int], tuple[int, dict[Monomial, IntRow]]] = {}
+        self._rows: dict[tuple[int, int, int], tuple[int, dict[int, IndexRow]]] = {}
 
-    def rows(self, a: int, b: int, li: int) -> tuple[int, dict[Monomial, IntRow]]:
+    def rows(self, a: int, b: int, li: int) -> tuple[int, dict[int, IndexRow]]:
         key = (a, b, li)
         cached = self._rows.get(key)
         if cached is None:
             op = w_general(a, b, li, self.N)
             cached = self._rows[key] = (
-                op_denominator(op), op_action_rows(op, self.basis.monos)
+                op.denom, op_action_rows(op, self.basis, range(self.basis.size))
             )
         return cached
-
-    def window_monos(self, w: int) -> Sequence[Monomial]:
-        return self.basis.monos[: self.basis.count(w)]
 
     def pair_reports(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
@@ -141,24 +137,23 @@ class _BracketEngine:
             raise ValueError(
                 f"truncation {self.N} too small for modes {b}, {d}"
             )
-        monos = self.window_monos(w)
         denom_a, rows_a = self.rows(a, b, gi)
         denom_b, rows_b = self.rows(c, d, hi)
         # both orders are over denom_a * denom_b
         denom = denom_a * denom_b
         eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
-        lhs_fwd = {
-            m: _combine(
-                compose_rows(rows_a, rows_b[m]), compose_rows(rows_b, rows_a[m]), eps
+        lhs_fwd = [
+            _combine(
+                compose_rows(rows_a, rows_b[i]), compose_rows(rows_b, rows_a[i]), eps
             )
-            for m in monos
-        }
-        rep_fwd = self._evaluate(a, b, gi, c, d, hi, lhs_fwd, denom, monos)
+            for i in range(self.basis.count(w))
+        ]
+        rep_fwd = self._evaluate(a, b, gi, c, d, hi, lhs_fwd, denom)
         # BA + eps AB = eps (AB + eps BA), as eps = +-1
-        lhs_rev = lhs_fwd if eps == 1 else {
-            m: {u: -v for u, v in row.items()} for m, row in lhs_fwd.items()
-        }
-        rep_rev = self._evaluate(c, d, hi, a, b, gi, lhs_rev, denom, monos)
+        lhs_rev = lhs_fwd if eps == 1 else [
+            {u: -v for u, v in row.items()} for row in lhs_fwd
+        ]
+        rep_rev = self._evaluate(c, d, hi, a, b, gi, lhs_rev, denom)
         return rep_fwd, rep_rev
 
     def _evaluate(
@@ -169,37 +164,37 @@ class _BracketEngine:
         c: int,
         d: int,
         hi: int,
-        lhs: dict[Monomial, IntRow],
+        lhs: list[IndexRow],
         denom: int,
-        monos: Sequence[Monomial],
     ) -> BracketReport:
         """Compare the integer rows ``lhs`` (over ``denom``) of [A, B} on
-        each monomial against the target relation."""
+        each basis monomial i of the window, lhs[i], against the target
+        relation."""
         lp = (a, b, LABEL_NAMES[gi])
         rp = (c, d, LABEL_NAMES[hi])
+        basis = self.basis
 
-        def mismatch(m: Monomial, got: IntRow, expected) -> BracketReport:
+        def mismatch(i: int, got: IndexRow, expected) -> BracketReport:
             return BracketReport(
                 lp, rp, self.N, False, "mismatch",
                 witness={
-                    "state": FockState.from_monomial(m).to_json_dict(),
-                    "got": FockState(a + c, _unscale(got, denom)).to_json_dict(),
+                    "state": FockState.from_monomial(basis.monos[i]).to_json_dict(),
+                    "got": FockState(a + c, _unscale(basis, got, denom)).to_json_dict(),
                     "expected": expected,
                 },
             )
 
         if (a + c, b + d) == (0, 0):
             scalar: Optional[int] = None
-            for m in monos:
-                row = lhs[m]
-                val = row.get(m, 0) if len(row) <= 1 else None
-                if val is None or (row and m not in row):
-                    return mismatch(m, row, "scalar multiple of the state")
+            for i, row in enumerate(lhs):
+                val = row.get(i, 0) if len(row) <= 1 else None
+                if val is None or (row and i not in row):
+                    return mismatch(i, row, "scalar multiple of the state")
                 if scalar is None:
                     scalar = val
                 elif scalar != val:
                     return mismatch(
-                        m, row, f"uniform scalar {Fraction(scalar, denom)}"
+                        i, row, f"uniform scalar {Fraction(scalar, denom)}"
                     )
             return BracketReport(
                 lp, rp, self.N, True, "central",
@@ -208,48 +203,46 @@ class _BracketEngine:
         coef = Fraction(-(a * d - b * c))
         product = star_label(gi, hi)
         if coef == 0 or product is None:
-            for m in monos:
-                if lhs[m]:
-                    return mismatch(m, lhs[m], "0")
+            for i, row in enumerate(lhs):
+                if row:
+                    return mismatch(i, row, "0")
             return BracketReport(lp, rp, self.N, True, "exact", rescale=Fraction(1))
         lbl, sign = product
         denom_t, target_rows = self.rows(a + c, b + d, lbl)
         scale = coef * sign
+
+        def expected(want: IndexRow) -> dict:
+            """Witness form of ``scale`` times a target row."""
+            terms = {u: v * scale for u, v in _unscale(basis, want, denom_t).items()}
+            return FockState(a + c, terms).to_json_dict()
         # got = factor * scale * want as rationals; the integer ratio
         # gv / wv is then the same on every entry, compared as g0 / w0
         g0 = w0 = 0
-        for m in monos:
-            got = lhs[m]
-            want = target_rows[m]
+        for i, got in enumerate(lhs):
+            want = target_rows[i]
             if not got and not want:
                 continue
             if got.keys() != want.keys():
-                return mismatch(m, got, _expected(a + c, want, denom_t, scale))
+                return mismatch(i, got, expected(want))
             for u, gv in got.items():
                 wv = want[u]
                 if not w0:
                     g0, w0 = gv, wv
                 elif gv * w0 != g0 * wv:
-                    return mismatch(m, got, _expected(a + c, want, denom_t, scale))
+                    return mismatch(i, got, expected(want))
         factor = Fraction(g0 * denom_t, w0 * denom) / scale if w0 else Fraction(1)
         if factor == 1:
             return BracketReport(lp, rp, self.N, True, "exact", rescale=factor)
         return BracketReport(lp, rp, self.N, True, "rescaled", rescale=factor)
 
 
-def _unscale(row: IntRow, denom: int) -> dict[Monomial, Fraction]:
-    """The exact rational row an integer row over ``denom`` stands for."""
-    return {u: Fraction(v, denom) for u, v in row.items()}
+def _unscale(basis: BasisIndex, row: IndexRow, denom: int) -> dict[Monomial, Fraction]:
+    """The exact rational row, keyed by monomials, that an integer index
+    row over ``denom`` stands for."""
+    return {basis.monos[u]: Fraction(v, denom) for u, v in row.items()}
 
 
-def _expected(charge: int, want: IntRow, denom: int, scale: Fraction) -> dict:
-    """Witness form of ``scale`` times a target row over ``denom``."""
-    return FockState(
-        charge, {u: Fraction(v, denom) * scale for u, v in want.items()}
-    ).to_json_dict()
-
-
-def _combine(first: IntRow, second: IntRow, eps: int) -> IntRow:
+def _combine(first: IndexRow, second: IndexRow, eps: int) -> IndexRow:
     """first + eps * second."""
     out = dict(first)
     add_scaled(out, second, eps)
@@ -455,7 +448,7 @@ def _vertex_witness(
         "mode": n,
         "state": FockState.from_monomial(basis.monos[i]).to_json_dict(),
         "difference": FockState(
-            field.m, _unscale(basis.monomials(diff), field.denom)
+            field.m, _unscale(basis, diff, field.denom)
         ).to_json_dict(),
     }
 
@@ -538,10 +531,12 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
     ordered label pair and 1 <= n <= n_max.
 
     The sweep's generator w^{0,n}_g is _w_small_factor(n, g) times the
-    bare mode alpha_n(g), so it works on integer alpha rows and brings
-    the factors in once per identity; a failure divides back to exact
-    rationals."""
+    bare mode alpha_n(g), so it works on the integer mode tables of the
+    basis and brings the factors in once per identity; a failure divides
+    back to exact rationals."""
     basis = BasisIndex(N)
+    monos = basis.monos
+    tables = mode_tables(basis, n_max)
     failures: list[dict] = []
     checked = 0
     for n in range(1, n_max + 1):
@@ -550,9 +545,9 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
         # differ and the alpha row does not vanish
         for li, factor in ((COH_E, Fraction(1, n)), (COH_PT, Fraction(n))):
             same = _w_small_factor(n, li) == factor
-            for mono in basis.monos:
+            for mono, alpha in zip(monos, tables[n, li][1]):
                 checked += 1
-                if not same and single_mode_row(mono, n, li):
+                if not same and alpha:
                     failures.append(
                         {
                             "identity": f"w[0,{n}] normalization",
@@ -571,21 +566,20 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
                 if want.denominator == 1:
                     want = want.numerator
                 eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
-                for mono in basis.monos[: basis.count(N - n)]:
+                up, down = tables[n, gi], tables[-n, hi]
+                for i, mono in enumerate(monos[: basis.count(N - n)]):
                     checked += 1
                     diff = _combine(
-                        _alpha_then(n, gi, -n, hi, mono),
-                        _alpha_then(-n, hi, n, gi, mono),
-                        eps,
+                        _mode_pair(up, down, i), _mode_pair(down, up, i), eps
                     )
-                    if diff != ({mono: want} if want else {}):
+                    if diff != ({i: want} if want else {}):
                         failures.append(
                             {
                                 "identity": f"[w[0,{n}],w[0,{-n}]] central",
                                 "labels": [LABEL_NAMES[gi], LABEL_NAMES[hi]],
                                 "state": FockState.from_monomial(mono).to_json_dict(),
                                 "got": FockState(
-                                    0, {u: v * scale for u, v in diff.items()}
+                                    0, {monos[u]: v * scale for u, v in diff.items()}
                                 ).to_json_dict(),
                                 "expected": frac_str(expected),
                             }
@@ -602,10 +596,15 @@ def _w_small_factor(n: int, li: int) -> Fraction:
     return Fraction(1)
 
 
-def _alpha_then(n2: int, l2: int, n1: int, l1: int, mono: Monomial) -> IntRow:
-    """Row of alpha_{n2}(l2) alpha_{n1}(l1) on one monomial (right mode
-    first)."""
-    out: IntRow = {}
-    for t, c in single_mode_row(mono, n1, l1).items():
-        add_scaled(out, single_mode_row(t, n2, l2), c)
-    return out
+def _mode_pair(outer: ModeTable, inner: ModeTable, i: int) -> IndexRow:
+    """Row of the product of two single modes on basis monomial i, the
+    ``inner`` mode first.  Each mode sends a monomial to one monomial or
+    to zero, so the product does too."""
+    target, factor = inner
+    c = factor[i]
+    if not c:
+        return {}
+    j = target[i]
+    target, factor = outer
+    c *= factor[j]
+    return {target[j]: c} if c else {}

@@ -116,6 +116,9 @@ MONODROMY_GOLDENS = [
      ["--modes", "2:pt,1:E", "--truncation", "5"]),
     ("cli_monodromy_s_pt_zero.json",
      ["--modes", "2:pt,1:E", "--truncation", "5", "--weight-field", "zero"]),
+    # the last generator's images have energy 7, above the truncation
+    ("cli_monodromy_s_past_window.json",
+     ["--modes", "3:E,3:E,1:E", "--truncation", "5"]),
 ]
 
 

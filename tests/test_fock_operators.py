@@ -8,11 +8,9 @@ from ellwall.fock.fastapply import (
     BasisIndex,
     ChargedField,
     annihilation_chain,
-    apply_to_monomial,
     creation_chain,
+    mode_tables,
     op_action_rows,
-    op_denominator,
-    single_mode_row,
 )
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, pairing_scalar
 from ellwall.fock.operators import (
@@ -269,21 +267,22 @@ class TestFastRows:
     ]
 
     @staticmethod
-    def assert_rows_match(op, monos):
+    def assert_rows_match(op, basis, indices):
         """Integer rows divided by the operator's denominator equal the
-        reference application on every given monomial."""
-        rows = op_action_rows(op, monos)
-        denom = op_denominator(op)
-        for mono in monos:
-            want = op.apply(FockState.from_monomial(mono))
-            got = rows[mono]
+        reference application on every given basis monomial."""
+        rows = op_action_rows(op, basis, indices)
+        assert list(rows) == list(indices)
+        for i in indices:
+            want = op.apply(FockState.from_monomial(basis.monos[i]))
+            got = basis.monomials(rows[i])
             assert set(got) == set(want.terms)
             for target, coeff in got.items():
-                assert want.terms[target] == Fraction(coeff, denom)
+                assert want.terms[target] == Fraction(coeff, op.denom)
 
     @pytest.mark.parametrize("name,make", OPS, ids=[n for n, _ in OPS])
     def test_rows_match_operator_apply(self, name, make):
-        self.assert_rows_match(make(), basis_monomials(4))
+        basis = BasisIndex(4)
+        self.assert_rows_match(make(), basis, range(basis.size))
 
     @given(
         st.integers(-2, 2),
@@ -300,25 +299,48 @@ class TestFastRows:
         assume((a, b) != (0, 0))
         # the derivative convention matters only for pt at a != 0
         op = w_general(a, b, label, N, FockConfig(derivative=derivative))
-        monos = basis_monomials(N)
-        self.assert_rows_match(op, [monos[pick % len(monos)]])
+        basis = BasisIndex(N)
+        self.assert_rows_match(op, basis, [pick % basis.size])
 
     def test_rows_reject_undersized_window(self):
         op = vertex_mode(1, 0, 2)
-        with pytest.raises(ValueError):
-            op_action_rows(op, basis_monomials(3))
+        basis = BasisIndex(3)
+        with pytest.raises(ValueError, match="window 2"):
+            op_action_rows(op, basis, range(basis.size))
 
-    def test_single_mode_row_matches_alpha(self):
-        from ellwall.fock.states import alpha_apply
+    def test_rows_number_images_above_the_basis(self):
+        # w^{1,-2} raises the energy by 2: images of energy-3 monomials
+        # are numbered after the enumerated basis
+        op = w_general(1, -2, COH_E, 3)
+        basis = BasisIndex(3)
+        size = basis.size
+        self.assert_rows_match(op, basis, range(size))
+        assert len(basis.monos) > size
+        assert all(basis.energy[u] > 3 for u in range(size, len(basis.monos)))
 
-        for mono in basis_monomials(3):
-            for n in (-2, -1, 1, 2):
-                for label in range(4):
-                    got = single_mode_row(mono, n, label)
-                    want = alpha_apply(n, label, FockState.from_monomial(mono))
-                    assert set(got) == set(want.terms)
-                    for t, c in got.items():
-                        assert want.terms[t] == Fraction(c)
+    def test_basis_index_numbers_monomials_above_depth(self):
+        basis = BasisIndex(3)
+        size = basis.size
+        enumerated = list(basis.monos)
+        counts = [basis.count(w) for w in range(-1, 7)]
+        tables = mode_tables(basis, 2)
+        assert basis.number(((2, COH_PT), (1, COH_E))) == enumerated.index(
+            ((2, COH_PT), (1, COH_E))
+        )
+        high = ((3, COH_E), (2, COH_PT))
+        j = basis.number(high)
+        assert j == size and basis.number(high) == j
+        higher = ((4, COH_SP), (1, COH_SP))
+        assert basis.number(higher) == size + 1
+        assert basis.number(high) == j
+        # the enumerated basis, its counts and its mode tables stay put
+        assert [basis.count(w) for w in range(-1, 7)] == counts
+        assert basis.monos[: basis.count(basis.depth)] == enumerated
+        assert basis.size == size == len(enumerated)
+        assert mode_tables(basis, 2) == tables
+        assert basis.monomials({j: 7, 0: -1, size + 1: 2}) == {
+            high: 7, (): -1, higher: 2,
+        }
 
     def test_chains_compose(self):
         mono = ((2, COH_PT), (1, COH_SP), (1, COH_PT))

@@ -1,20 +1,25 @@
 import ellwall.fock.verify as verify
-from ellwall.fock.fastapply import single_mode_row
+from ellwall.fock.fastapply import BasisIndex, mode_tables
 from ellwall.fock.labels import COH_PT
 from ellwall.fock.operators import w_small
-from ellwall.fock.states import FockState, basis_monomials
+from ellwall.fock.states import FockState
 
 
 def test_sweep_rows_are_w_small():
     """The slope-zero sweep represents w^{0,n}_g as its factor table
-    times the bare Heisenberg mode; that must be operators.w_small."""
-    monos = basis_monomials(3)
+    times the bare Heisenberg mode's table; that must be
+    operators.w_small on every monomial of energy <= 3 (the basis is
+    numbered to depth 6, which holds every creation image)."""
+    basis = BasisIndex(6)
+    tables = mode_tables(basis, 3)
     for n in (-3, -2, -1, 1, 2, 3):
         for li in range(4):
             op = w_small(n, li)
             factor = verify._w_small_factor(n, li)
-            for mono in monos:
-                got = {t: factor * c for t, c in single_mode_row(mono, n, li).items()}
+            target, alpha = tables[n, li]
+            for i in range(basis.count(3)):
+                mono = basis.monos[i]
+                got = {basis.monos[target[i]]: factor * alpha[i]} if alpha[i] else {}
                 want = op.apply(FockState.from_monomial(mono))
                 assert FockState(0, got) == want, (n, li, mono)
 

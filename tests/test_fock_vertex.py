@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -8,13 +9,11 @@ import ellwall.fock.verify as verify
 from ellwall.fock.fastapply import (
     BasisIndex,
     ChargedField,
-    IntRow,
     _sub_monomials,
     add_scaled,
     annihilation_chain,
     creation_chain,
     mode_tables,
-    single_mode_row,
 )
 from ellwall.fock.labels import COH_E, COH_PT, LABEL_NAMES, label_index
 from ellwall.fock.operators import FieldTable, vertex_mode
@@ -29,8 +28,19 @@ from ellwall.verify import check_vertex_commutator
 
 DATA = Path(__file__).parent / "data"
 
+# a monomial-keyed integer row
+IntRow = dict[Monomial, int]
+
 # ---------------------------------------------------------------------------
 # reference oracle: the monomial-keyed engine the index engine replaced
+
+
+def alpha_row(mono: Monomial, n: int, label: int) -> IntRow:
+    """alpha_n(label) on one monomial by the reference path
+    (states.alpha_apply); its coefficients are integers."""
+    terms = alpha_apply(n, label, FockState.from_monomial(mono)).terms
+    assert all(c.denominator == 1 for c in terms.values())
+    return {t: int(c) for t, c in terms.items()}
 
 
 def apply_single_mode(
@@ -42,7 +52,7 @@ def apply_single_mode(
     for mono, coeff in row.items():
         hit = cache.get(mono)
         if hit is None:
-            hit = cache[mono] = single_mode_row(mono, n, label)
+            hit = cache[mono] = alpha_row(mono, n, label)
         for target, c in hit.items():
             out[target] = coeff * c
     return out
@@ -122,7 +132,11 @@ def oracle_sweep(N, m_values, k_max, n_max, zero_labels, zero_window) -> list[di
                                         mono
                                     ).to_json_dict(),
                                     "difference": FockState(
-                                        m, verify._unscale(diff, field.denom)
+                                        m,
+                                        {
+                                            u: Fraction(v, field.denom)
+                                            for u, v in diff.items()
+                                        },
                                     ).to_json_dict(),
                                 }
                             )
@@ -142,15 +156,19 @@ def corrupt_pairing(monkeypatch):
 # the index engine against the oracles
 
 
-def test_mode_tables_match_single_mode_row():
+def test_mode_tables_match_alpha_apply():
+    """Every table entry against the reference alpha_apply, exactly: the
+    image and its coefficient where the image lies in the basis, and a
+    zero factor otherwise."""
     basis = BasisIndex(8)
     tables = mode_tables(basis, 4)
     assert len(tables) == 32
     for (n, label), (target, factor) in tables.items():
+        assert len(target) == len(factor) == basis.size
         for i, mono in enumerate(basis.monos):
-            want = single_mode_row(mono, n, label)
+            want = alpha_apply(n, label, FockState.from_monomial(mono)).terms
             if want and monomial_energy(mono) - n <= basis.depth:
-                assert {basis.monos[target[i]]: factor[i]} == want
+                assert {basis.monos[target[i]]: Fraction(factor[i])} == want
             else:
                 assert factor[i] == 0
 
