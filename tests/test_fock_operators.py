@@ -302,6 +302,25 @@ class TestFastRows:
         basis = BasisIndex(N)
         self.assert_rows_match(op, basis, [pick % basis.size])
 
+    def test_single_mode_row_matches_alpha(self):
+        from ellwall.fock.states import alpha_apply
+
+        # depth 5 holds every image of an energy <= 3 monomial under
+        # |n| <= 2, so no row is cut by the basis and each one must equal
+        # alpha_apply in full, zero rows included
+        basis = BasisIndex(5)
+        tables = mode_tables(basis, 2)
+        for mono in basis_monomials(3):
+            i = basis.index[mono]
+            for n in (-2, -1, 1, 2):
+                for label in range(4):
+                    target, factor = tables[n, label]
+                    want = alpha_apply(n, label, FockState.from_monomial(mono))
+                    got = {basis.monos[target[i]]: factor[i]} if factor[i] else {}
+                    assert set(got) == set(want.terms)
+                    for t, c in got.items():
+                        assert want.terms[t] == Fraction(c)
+
     def test_rows_reject_undersized_window(self):
         op = vertex_mode(1, 0, 2)
         basis = BasisIndex(3)

@@ -156,10 +156,10 @@ def corrupt_pairing(monkeypatch):
 # the index engine against the oracles
 
 
-def test_mode_tables_match_alpha_apply():
-    """Every table entry against the reference alpha_apply, exactly: the
-    image and its coefficient where the image lies in the basis, and a
-    zero factor otherwise."""
+def test_mode_tables_match_single_mode_row():
+    """Every single-mode row of the tables against the reference
+    alpha_apply, exactly: the image and its coefficient where the image
+    lies in the basis, and a zero factor otherwise."""
     basis = BasisIndex(8)
     tables = mode_tables(basis, 4)
     assert len(tables) == 32
