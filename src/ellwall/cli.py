@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .fock.fastapply import creation_chain
 from .fock.labels import LABEL_NAMES, label_index
 from .fock.monodromy import monodromy_f, monodromy_s
 from .fock.operators import ExtendedModeError, FockConfig
-from .fock.states import FockState, insert_creation
+from .fock.states import FockState
 from .fock.verify import bracket_verify
 from .lattices import hilbert_vector, surface_lattice
 from .localmodel import (
@@ -138,7 +139,7 @@ def _state_from_modes(modes: list[tuple[int, int]], charge: int) -> FockState:
     mono: tuple = ()
     sign = 1
     for k, li in reversed(modes):
-        hit = insert_creation(mono, k, li)
+        hit = creation_chain(mono, ((k, li),))
         if hit is None:
             return FockState.zero(charge)
         s, mono = hit

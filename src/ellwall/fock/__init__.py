@@ -1,9 +1,10 @@
 """Exact Fock-space model over the four-class curve cohomology.
 
 Submodules: labels (basis classes, pairing, products), states (Nakajima
-monomial states), operators (Heisenberg/vertex modes and the doubly
-graded generators), monodromy (the two mapping-class actions), verify
-(bracket reports and sweeps).
+monomial states), operators (the doubly graded generators as
+normal-ordered term sums), fastapply (their integer action rows),
+monodromy (the two mapping-class actions), verify (bracket reports and
+sweeps).
 """
 
 from .labels import (
@@ -19,24 +20,8 @@ from .labels import (
     super_pairing,
 )
 from .monodromy import monodromy_f, monodromy_s
-from .operators import (
-    ExtendedModeError,
-    FockConfig,
-    OperatorExpr,
-    commutator_apply,
-    heisenberg_mode,
-    vertex_mode,
-    w_general,
-    w_small,
-)
-from .states import (
-    FockState,
-    TruncationError,
-    alpha_apply,
-    basis_monomials,
-    basis_states,
-    count_basis,
-)
+from .operators import ExtendedModeError, FockConfig, OperatorExpr, w_general, w_small
+from .states import FockState, basis_monomials
 from .verify import BracketReport, bracket_sweep, bracket_verify
 
 __all__ = [
@@ -55,17 +40,10 @@ __all__ = [
     "ExtendedModeError",
     "FockConfig",
     "OperatorExpr",
-    "TruncationError",
-    "commutator_apply",
-    "heisenberg_mode",
-    "vertex_mode",
     "w_general",
     "w_small",
     "FockState",
-    "alpha_apply",
     "basis_monomials",
-    "basis_states",
-    "count_basis",
     "BracketReport",
     "bracket_sweep",
     "bracket_verify",

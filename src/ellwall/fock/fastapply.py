@@ -1,9 +1,9 @@
 """Sparse-row application of normal-ordered operators to monomials.
 
-The one production representation of linear maps on the truncated Fock
-space.  Semantically identical to OperatorExpr.apply restricted to a
-single monomial (that path stays as the reference oracle), but organized
-for bulk work.  Every row is keyed by the position of a monomial in a
+The one representation of linear maps on the truncated Fock space.  A
+row holds an operator's image of one monomial, organized for bulk work;
+the Fraction reference oracle in ``tests/fock_reference.py`` computes
+the same images term by term, one Heisenberg mode at a time.  Every row is keyed by the position of a monomial in a
 ``BasisIndex`` (IndexRow), and turns back into monomials only for a
 witness or an output state:
 
@@ -43,8 +43,8 @@ def annihilation_chain(
     mono: Monomial, part: Monomial
 ) -> Optional[tuple[int, Monomial]]:
     """Apply the annihilation modes of ``part`` (stored canonically, k
-    descending; applied in reversed order, exactly as OperatorExpr.apply
-    does) to a single monomial.  Returns (integer factor, reduced
+    descending; applied in reversed order, exactly as the reference
+    ``apply`` in ``tests/fock_reference.py`` does) to a single monomial.  Returns (integer factor, reduced
     monomial) or None when the contraction vanishes."""
     factor = 1
     cur = mono
@@ -72,8 +72,8 @@ def creation_chain(
     mono: Monomial, part: Monomial
 ) -> Optional[tuple[int, Monomial]]:
     """Apply the creation modes of a canonical ``part`` (rightmost first,
-    as OperatorExpr.apply does) to a canonical monomial in one merge
-    pass: each odd mode of the part passes the odd modes of ``mono``
+    as the reference ``apply`` in ``tests/fock_reference.py`` does) to a
+    canonical monomial in one merge pass: each odd mode of the part passes the odd modes of ``mono``
     before it, a sign each.  Returns (sign, monomial), or None when an
     odd mode repeats, within the part or against the monomial."""
     out: list[tuple[int, int]] = []

@@ -1,4 +1,5 @@
-"""Operators: normal-ordered mode sums acting exactly on states.
+"""Operators: normal-ordered mode sums, built once and applied through
+the integer rows of ``fastapply``.
 
 Every operator is a finite sum of normal-ordered terms
 ``coeff * charge-shift * (creation modes) * (annihilation modes)``, with
@@ -21,30 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import NamedTuple, Optional, Union
 
-from .labels import (
-    COH_E,
-    COH_PT,
-    COH_SM,
-    COH_SP,
-    LABEL_PARITY,
-    CohClass,
-    label_index,
-)
-from .states import (
-    FockState,
-    Monomial,
-    TruncationError,
-    _mode_key,
-    alpha_apply,
-    monomial_energy,
-)
-
-Scalar = Union[int, Fraction]
+from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, label_index
+from .states import Monomial, _mode_key, monomial_energy
 
 
 class ExtendedModeError(ValueError):
@@ -136,96 +119,6 @@ class OperatorExpr:
             f"OperatorExpr({label}, {len(self.terms)} terms, "
             f"shift={self.energy_shift}, charge={self.charge_shift})"
         )
-
-    def scale(self, x: Scalar) -> "OperatorExpr":
-        x = Fraction(x)
-        if x == 0:
-            return OperatorExpr(
-                (), self.truncation, self.charge_shift, self.energy_shift,
-                self.parity, name=f"0*({self.name})",
-            )
-        return OperatorExpr(
-            tuple(t._replace(coeff=t.coeff * x.numerator) for t in self.terms),
-            self.truncation,
-            self.charge_shift,
-            self.energy_shift,
-            self.parity,
-            name=f"({x})*{self.name}" if self.name else "",
-            denom=self.denom * x.denominator,
-        )
-
-    def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        if (
-            self.charge_shift != other.charge_shift
-            or self.energy_shift != other.energy_shift
-            or self.parity != other.parity
-        ):
-            raise ValueError("can only add operators with matching gradings")
-        trunc = None
-        if self.truncation is not None or other.truncation is not None:
-            trunc = min(
-                t for t in (self.truncation, other.truncation) if t is not None
-            )
-        denom = lcm(self.denom, other.denom)
-        return OperatorExpr(
-            tuple(
-                t._replace(coeff=t.coeff * (denom // op.denom))
-                for op in (self, other)
-                for t in op.terms
-            ),
-            trunc, self.charge_shift, self.energy_shift, self.parity,
-            name=f"{self.name}+{other.name}", denom=denom,
-        )
-
-    def apply(self, state: FockState) -> FockState:
-        """Exact application; raises if the state's energy exceeds the
-        operator's validity window."""
-        if self.truncation is not None and state.max_energy() > self.truncation:
-            raise TruncationError(
-                f"state energy {state.max_energy()} exceeds operator window "
-                f"{self.truncation}"
-            )
-        out = FockState.zero(state.charge + self.charge_shift)
-        for term in self.terms:
-            cur = state
-            for k, label in reversed(term.annihilations):
-                cur = alpha_apply(k, label, cur)
-                if cur.is_zero():
-                    break
-            else:
-                for k, label in reversed(term.creations):
-                    cur = alpha_apply(-k, label, cur)
-                cur = cur.scale(Fraction(term.coeff, self.denom))
-                out = out + cur.shift_charge(term.charge_shift)
-        return out
-
-
-def identity_operator() -> OperatorExpr:
-    return OperatorExpr((NormalTerm(1, 0, (), ()),), None, 0, 0, 0, name="id")
-
-
-def heisenberg_mode(n: int, gamma: Union[CohClass, int, str]) -> OperatorExpr:
-    """Single Heisenberg mode alpha_n(gamma), exact at every energy."""
-    if n == 0:
-        raise ValueError("zero modes are excluded")
-    if not isinstance(gamma, CohClass):
-        gamma = CohClass.basis(gamma)
-    if not gamma.is_homogeneous():
-        raise ValueError("mode class must have a single parity")
-    support = gamma.support()
-    denom = lcm(*(comp.denominator for _, comp in support))
-    terms = []
-    for i, comp in support:
-        mode = ((abs(n), i),)
-        coeff = comp.numerator * (denom // comp.denominator)
-        if n < 0:
-            terms.append(NormalTerm(coeff, 0, mode, ()))
-        else:
-            terms.append(NormalTerm(coeff, 0, (), mode))
-    parity = gamma.parity() if terms else 0
-    return OperatorExpr(
-        tuple(terms), None, 0, -n, parity, name=f"alpha[{n}]", denom=denom
-    )
 
 
 @lru_cache(maxsize=None)
@@ -320,12 +213,6 @@ def _charged_mode(m: int, n: int, N: int, over: int, name: str) -> OperatorExpr:
     )
 
 
-def vertex_mode(m: int, n: int, N: int) -> OperatorExpr:
-    """z^{-n} mode of the charged exponential field at slope m: charge
-    shift m, energy shift -n; exact on states of energy <= N."""
-    return _charged_mode(m, n, N, 1, f"Gamma[{m};{n}]")
-
-
 def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
     """Slope-0 generator: the Heisenberg mode twisted by the degree-|n|
     pullback: E -> alpha_n(E)/|n|, sigma -> alpha_n(sigma),
@@ -333,12 +220,13 @@ def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
     if n == 0:
         raise ValueError("zero modes are excluded")
     i = label_index(label)
-    factor = {COH_E: Fraction(1, abs(n)), COH_PT: Fraction(abs(n))}.get(
-        i, Fraction(1)
+    k = abs(n)
+    coeff, denom = {COH_E: (1, k), COH_PT: (k, 1)}.get(i, (1, 1))
+    mode = ((k, i),)
+    term = NormalTerm(coeff, 0, mode, ()) if n < 0 else NormalTerm(coeff, 0, (), mode)
+    return OperatorExpr(
+        (term,), None, 0, -n, LABEL_PARITY[i], name=f"w[0,{n};{i}]", denom=denom
     )
-    op = heisenberg_mode(n, i).scale(factor)
-    op.name = f"w[0,{n};{i}]"
-    return op
 
 
 def _merged(few: Monomial, mono: Monomial) -> Monomial:
@@ -445,15 +333,3 @@ def w_general(
             "choosing the derivative and weight-field conventions"
         )
     return _pt_field_mode(a, b, N, config)
-
-
-def commutator_apply(
-    A: OperatorExpr, B: OperatorExpr, state: FockState
-) -> FockState:
-    """[A, B} applied to a state: anticommutator when both operators are
-    odd, commutator otherwise."""
-    first = A.apply(B.apply(state))
-    second = B.apply(A.apply(state))
-    if A.parity and B.parity:
-        return first + second
-    return first - second

@@ -6,9 +6,10 @@ Canonical order: k descending, then label ascending.  Odd labels
 (sigma+/sigma-) square to zero per mode index and anticommute; all
 reordering signs are absorbed into coefficients at insertion time.
 
-Coefficients are exact rationals (``Fraction``).  ``alpha_apply`` and
-``OperatorExpr.apply`` act on these states directly and serve as the
-reference oracle for the integer-row engine in ``fastapply``.
+Coefficients are exact rationals (``Fraction``).  ``FockState`` is the
+input and output value of the operators, which act through the integer
+rows of ``fastapply``; the Fraction reference oracle that applies them
+to states directly lives in ``tests/fock_reference.py``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ..serialize import frac_str
-from .labels import LABEL_NAMES, LABEL_PARITY, CohClass, pairing_scalar
+from .labels import LABEL_NAMES, LABEL_PARITY
 
 Monomial = tuple[tuple[int, int], ...]
 Scalar = Union[int, Fraction]
-
-
-class TruncationError(RuntimeError):
-    """An exact result would exceed the requested energy window."""
 
 
 def _as_fraction(x: Scalar) -> Fraction:
@@ -42,45 +39,6 @@ def monomial_energy(mono: Monomial) -> int:
 def _mode_key(mode: tuple[int, int]) -> tuple[int, int]:
     k, label = mode
     return (-k, label)
-
-
-def insert_creation(
-    mono: Monomial, k: int, label: int
-) -> Optional[tuple[int, Monomial]]:
-    """Multiply a canonical monomial on the left by a creation mode;
-    returns (sign, new monomial), or None if an odd mode repeats."""
-    new = (k, label)
-    odd = LABEL_PARITY[label]
-    key = _mode_key(new)
-    sign = 1
-    pos = 0
-    for i, mode in enumerate(mono):
-        if _mode_key(mode) < key:
-            if odd and LABEL_PARITY[mode[1]]:
-                sign = -sign
-            pos = i + 1
-        else:
-            break
-    if odd and pos < len(mono) and mono[pos] == new:
-        return None
-    return sign, mono[:pos] + (new,) + mono[pos:]
-
-
-def annihilate(mono: Monomial, k: int, label: int) -> list[tuple[int, Monomial]]:
-    """Contract an annihilation mode (index k >= 1) through a canonical
-    monomial: one term per matching creation mode, with coefficient
-    k * <label, partner> and the crossing sign."""
-    out: list[tuple[int, Monomial]] = []
-    odd = LABEL_PARITY[label]
-    sign = 1
-    for i, (ki, li) in enumerate(mono):
-        if ki == k:
-            p = pairing_scalar(label, li)
-            if p:
-                out.append((sign * k * p, mono[:i] + mono[i + 1 :]))
-        if odd and LABEL_PARITY[li]:
-            sign = -sign
-    return out
 
 
 class FockState:
@@ -117,37 +75,6 @@ class FockState:
     def copy(self) -> "FockState":
         return FockState(self.charge, dict(self.terms))
 
-    def __add__(self, other: "FockState") -> "FockState":
-        if other.is_zero():
-            return self.copy()
-        if self.is_zero():
-            return other.copy()
-        if self.charge != other.charge:
-            raise ValueError(
-                f"cannot add states of charges {self.charge} and {other.charge}"
-            )
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = out.get(mono)
-            total = coeff if acc is None else acc + coeff
-            if not total:
-                out.pop(mono, None)
-            else:
-                out[mono] = total
-        return FockState(self.charge, out)
-
-    def __sub__(self, other: "FockState") -> "FockState":
-        return self + other.scale(-1)
-
-    def scale(self, x: Scalar) -> "FockState":
-        x = _as_fraction(x)
-        if not x:
-            return FockState.zero(self.charge)
-        return FockState(self.charge, {m: c * x for m, c in self.terms.items()})
-
-    def shift_charge(self, delta: int) -> "FockState":
-        return FockState(self.charge + delta, dict(self.terms))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):
             return NotImplemented
@@ -160,9 +87,6 @@ class FockState:
 
     def energies(self) -> set[int]:
         return {monomial_energy(m) for m in self.terms}
-
-    def max_energy(self) -> int:
-        return max((monomial_energy(m) for m in self.terms), default=0)
 
     def is_homogeneous(self) -> bool:
         return len(self.energies()) <= 1
@@ -195,49 +119,6 @@ class FockState:
         }
 
 
-def alpha_apply(
-    n: int,
-    gamma: Union[CohClass, int, str],
-    state: FockState,
-    max_energy: Optional[int] = None,
-) -> FockState:
-    """Apply the Heisenberg mode of index n (n < 0 creates, n > 0
-    annihilates) for the class gamma; exact and linear.  If max_energy is
-    given, creation beyond that energy raises TruncationError."""
-    if n == 0:
-        raise ValueError("zero modes are excluded")
-    if not isinstance(gamma, CohClass):
-        gamma = CohClass.basis(gamma)
-    acc: dict[Monomial, Fraction] = {}
-    for i, comp in gamma.support():
-        for mono, coeff in state.terms.items():
-            if n < 0:
-                k = -n
-                if max_energy is not None and monomial_energy(mono) + k > max_energy:
-                    raise TruncationError(
-                        f"creation to energy {monomial_energy(mono) + k} exceeds "
-                        f"window {max_energy}"
-                    )
-                hit = insert_creation(mono, k, i)
-                if hit is None:
-                    continue
-                sign, new = hit
-                _accumulate(acc, new, coeff * (comp * sign))
-            else:
-                for scal, new in annihilate(mono, n, i):
-                    _accumulate(acc, new, coeff * (comp * scal))
-    return FockState(state.charge, acc)
-
-
-def _accumulate(acc: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
-    prev = acc.get(mono)
-    total = coeff if prev is None else prev + coeff
-    if not total:
-        acc.pop(mono, None)
-    else:
-        acc[mono] = total
-
-
 def basis_monomials(max_energy: int) -> list[Monomial]:
     """All canonical monomials of energy <= max_energy, deterministically
     ordered by (energy, monomial)."""
@@ -261,13 +142,3 @@ def basis_monomials(max_energy: int) -> list[Monomial]:
     walk([], max_energy, (-max_energy, 0))
     inner.sort(key=lambda m: (monomial_energy(m), m))
     return inner
-
-
-def basis_states(max_energy: int, charge: int = 0) -> list[FockState]:
-    return [
-        FockState.from_monomial(m, 1, charge) for m in basis_monomials(max_energy)
-    ]
-
-
-def count_basis(max_energy: int) -> int:
-    return len(basis_monomials(max_energy))

@@ -60,7 +60,7 @@ from .labels import (
     pairing_scalar,
     star_label,
 )
-from .operators import w_general
+from .operators import w_general, w_small
 from .states import FockState, Monomial, monomial_energy
 
 
@@ -530,21 +530,27 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
     the central pairing [w^{0,n}_g, w^{0,-n}_h} = n <g,h> for every
     ordered label pair and 1 <= n <= n_max.
 
-    The sweep's generator w^{0,n}_g is _w_small_factor(n, g) times the
-    bare mode alpha_n(g), so it works on the integer mode tables of the
-    basis and brings the factors in once per identity; a failure divides
-    back to exact rationals."""
+    The generator w^{0,n}_g is one term, a factor times the bare mode
+    alpha_n(g); the sweep reads that factor off ``w_small``, works on the
+    integer mode tables of the basis and brings the factors in once per
+    identity; a failure divides back to exact rationals."""
     basis = BasisIndex(N)
     monos = basis.monos
     tables = mode_tables(basis, n_max)
     failures: list[dict] = []
     checked = 0
     for n in range(1, n_max + 1):
+        factors = {}
+        for mode in (n, -n):
+            for li in range(4):
+                op = w_small(mode, li)
+                (term,) = op.terms
+                factors[mode, li] = Fraction(term.coeff, op.denom)
         # w^{0,n}_E = alpha_n(E)/n and w^{0,n}_pt = n alpha_n(pt); the
-        # sweep's row differs from the scaled mode only where the factors
-        # differ and the alpha row does not vanish
+        # generator's row differs from the scaled mode only where the
+        # factors differ and the alpha row does not vanish
         for li, factor in ((COH_E, Fraction(1, n)), (COH_PT, Fraction(n))):
-            same = _w_small_factor(n, li) == factor
+            same = factors[n, li] == factor
             for mono, alpha in zip(monos, tables[n, li][1]):
                 checked += 1
                 if not same and alpha:
@@ -559,9 +565,9 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
         for gi in range(4):
             for hi in range(4):
                 expected = Fraction(n * pairing_scalar(gi, hi))
-                # both orders carry f(n, g) f(n, h): the bare alpha
+                # both orders carry f(n, g) f(-n, h): the bare alpha
                 # commutator must be expected over that factor
-                scale = _w_small_factor(n, gi) * _w_small_factor(n, hi)
+                scale = factors[n, gi] * factors[-n, hi]
                 want = expected / scale
                 if want.denominator == 1:
                     want = want.numerator
@@ -585,15 +591,6 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
                             }
                         )
     return {"truncation": N, "checked": checked, "failures": failures, "ok": not failures}
-
-
-def _w_small_factor(n: int, li: int) -> Fraction:
-    """w^{0,n}_li = _w_small_factor(n, li) * alpha_n(li)."""
-    if li == COH_E:
-        return Fraction(1, abs(n))
-    if li == COH_PT:
-        return Fraction(abs(n))
-    return Fraction(1)
 
 
 def _mode_pair(outer: ModeTable, inner: ModeTable, i: int) -> IndexRow:

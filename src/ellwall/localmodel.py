@@ -106,14 +106,7 @@ def _orbit_count(points: Sequence[tuple[int, int]], rot, d: int) -> int:
 def hh0_summands(order: int) -> list[int]:
     """Naive summand dimensions [curve part, fixed-point counts of the
     nontrivial group elements] before taking group invariants."""
-    _check_order(order)
-    rot = _PLANE_ROTATION[order]
-    out = [2]
-    power = ((1, 0), (0, 1))
-    for _ in range(1, order):
-        power = _mat2_mul(power, rot)
-        out.append(len(_fixed_points(power)))
-    return out
+    return hh0_audit(order)["naive_summands"]
 
 
 def hh0_audit(order: int) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 DELIGNE_TYPES = ("A-1", "A0", "A1", "A2", "G2", "D4", "F4", "E6", "E7", "E8")
 
@@ -58,37 +58,6 @@ def cartan_matrix(type_name: str) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(2 * g[i][j] // g[j][j] for j in range(rank)) for i in range(rank)
     )
-
-
-@dataclass(frozen=True)
-class FiniteRootData:
-    cartan_type: str
-    cartan: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.simple_roots)
-
-
-@dataclass(frozen=True)
-class StarShapedData:
-    """Star diagram of an orbifold curve: arm lengths plus the hub weight."""
-
-    arm_lengths: tuple[int, ...]
-    central_multiplicity: int = 1
-
-    def __post_init__(self):
-        if any(a < 1 for a in self.arm_lengths):
-            raise ValueError("arm lengths must be >= 1")
-        if self.central_multiplicity < 1:
-            raise ValueError("central multiplicity must be >= 1")
-
-    @property
-    def node_count(self) -> int:
-        # hub + (length - 1) extra nodes per arm
-        return 1 + sum(a - 1 for a in self.arm_lengths)
 
 
 @dataclass(frozen=True, order=True)
@@ -154,15 +123,6 @@ class EllipticRootSystem:
         self.cartan = cartan_matrix(type_name)
         self.rank = len(self.gram)
         self.finite_roots = _close_under_reflections(self.gram)
-        self.finite_data = FiniteRootData(
-            cartan_type=type_name,
-            cartan=self.cartan,
-            gram=self.gram,
-            simple_roots=tuple(
-                tuple(1 if j == i else 0 for j in range(self.rank))
-                for i in range(self.rank)
-            ),
-        )
 
     # -- membership and classification --------------------------------
 
@@ -260,7 +220,3 @@ def roots_to_json(roots: list[EllipticRoot], system: EllipticRootSystem) -> list
         {**b.to_json_dict(), "real": system.is_real(b)}
         for b in roots
     ]
-
-
-def iter_finite_roots(system: EllipticRootSystem) -> Iterator[tuple[int, ...]]:
-    yield from sorted(system.finite_roots)

@@ -21,10 +21,6 @@ def frac_str(x: Fraction | int) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def cyclo_str(x: Cyclotomic) -> str:
     """Render a cyclotomic value: plain rational when rational, else the
     reduced polynomial in the root of unity."""

@@ -209,19 +209,6 @@ class ExtendedElement:
     def stabilizes_marking(self) -> bool:
         return self.gl2_part[1][0] == 0
 
-    def gl2_compose(self, other: "ExtendedElement") -> tuple[tuple[int, int], tuple[int, int]]:
-        a, b = self.gl2_part, other.gl2_part
-        return (
-            (
-                a[0][0] * b[0][0] + a[0][1] * b[1][0],
-                a[0][0] * b[0][1] + a[0][1] * b[1][1],
-            ),
-            (
-                a[1][0] * b[0][0] + a[1][1] * b[1][0],
-                a[1][0] * b[0][1] + a[1][1] * b[1][1],
-            ),
-        )
-
 
 def _delta_plane_element(
     system: EllipticRootSystem,

@@ -234,6 +234,18 @@ class TestMonodromy:
         assert doc["input"]["terms"] == []
         assert doc["output"]["terms"] == []
 
+    @pytest.mark.parametrize(
+        "modes,canonical,sign",
+        [
+            ("1:sigma-,1:sigma+", [[1, "sigma+"], [1, "sigma-"]], "-1"),
+            ("1:sigma+,1:sigma-", [[1, "sigma+"], [1, "sigma-"]], "1"),
+            ("2:sigma-,1:E,2:sigma+", [[2, "sigma+"], [2, "sigma-"], [1, "E"]], "-1"),
+        ],
+    )
+    def test_input_carries_the_odd_reordering_sign(self, capsys, modes, canonical, sign):
+        doc = run_json(capsys, "monodromy", "--generator", "f", "--modes", modes)
+        assert doc["input"]["terms"] == [{"modes": canonical, "coeff": sign}]
+
     def test_bad_mode_index_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["monodromy", "--generator", "f", "--modes", "0:E"])

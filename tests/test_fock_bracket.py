@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ellwall.fock.labels import COH_E, CohClass, label_index, star_product
-from ellwall.fock.operators import ExtendedModeError, commutator_apply, w_general
+from ellwall.fock.operators import ExtendedModeError, w_general
 from ellwall.fock.states import FockState, basis_monomials, monomial_energy
 from ellwall.fock.verify import (
     BracketReport,
@@ -12,6 +12,8 @@ from ellwall.fock.verify import (
     bracket_sweep,
     bracket_verify,
 )
+
+from fock_reference import add, apply, commutator_apply, scale
 
 
 class TestSingleInstances:
@@ -83,15 +85,15 @@ class TestAgainstDirectApplication:
             s = FockState.from_monomial(mono)
             lhs = commutator_apply(A, B, s)
             if (a + c, b + d) == (0, 0):
-                rhs = s.scale(rep.central_value)
+                rhs = scale(s, rep.central_value)
             else:
                 rhs = FockState.zero(a + c)
                 for lbl, comp in product.support():
-                    img = w_general(a + c, b + d, lbl, N).apply(s)
+                    img = apply(w_general(a + c, b + d, lbl, N), s)
                     scl = coef * comp
                     if rep.kind == "rescaled":
                         scl *= rep.rescale
-                    rhs = rhs + img.scale(scl) if not rhs.is_zero() else img.scale(scl)
+                    rhs = add(rhs, scale(img, scl))
             assert lhs == rhs, (mono, a, b, g, c, d, h)
 
     def test_exact_instance(self):
@@ -202,7 +204,7 @@ class TestMismatchWitness:
     def test_witness_is_exact(self, monkeypatch):
         """With the star product sending the pair to the wrong target
         label the instance fails; the witness must carry the exact
-        rational images of the reference path (OperatorExpr.apply), not
+        rational images of the reference path (fock_reference.apply), not
         the integer rows over the tables' denominators."""
         import ellwall.fock.verify as verify
 
@@ -219,8 +221,8 @@ class TestMismatchWitness:
         s = FockState.from_monomial(mono)
         A, B = w_general(a, b, g, N), w_general(c, d, h, N)
         got = commutator_apply(A, B, s)
-        target = w_general(a + c, b + d, "E", N).apply(s)
-        expected = target.scale(Fraction(-(a * d - b * c)))
+        target = apply(w_general(a + c, b + d, "E", N), s)
+        expected = scale(target, Fraction(-(a * d - b * c)))
         assert rep.witness["got"] == got.to_json_dict()
         assert rep.witness["expected"] == expected.to_json_dict()
         # the division back is exercised: both tables have denominators

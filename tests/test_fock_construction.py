@@ -4,7 +4,7 @@ The reference below builds every generator term by term with Fraction
 coefficients (the partition coefficients prod (slope/j)^r / r!, the
 charged-field modes, and the sigma and pt field assembly), and its
 action rows term by term with the Heisenberg contractions of
-``states``.  ``w_general`` must give the same terms, the least common
+``fock_reference``.  ``w_general`` must give the same terms, the least common
 denominator of the reference coefficients as ``denom``, and the same
 integer rows from ``op_action_rows``.  The one-pass creation merge is
 checked against the chain of single-mode insertions it replaces.
@@ -20,11 +20,9 @@ from hypothesis import strategies as st
 from ellwall.fock.fastapply import BasisIndex, creation_chain, op_action_rows
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY
 from ellwall.fock.operators import FockConfig, w_general
-from ellwall.fock.states import (
-    annihilate,
-    insert_creation,
-    monomial_energy,
-)
+from ellwall.fock.states import monomial_energy
+
+from fock_reference import annihilate, insert_creation
 
 
 def canonical(modes):
@@ -161,7 +159,7 @@ def ref_terms(a, b, label, N, config=None):
 
 def ref_rows(terms, monos):
     """Integer rows over the lcm of the reduced reference denominators,
-    term by term with states.annihilate and states.insert_creation (the
+    term by term with fock_reference.annihilate and insert_creation (the
     contraction of an annihilation part is shared by its terms)."""
     denom = lcm(*(c.denominator for c, *_ in terms))
     by_part = {}
@@ -234,7 +232,7 @@ def test_w_general_matches_fraction_reference(kind, N):
 
 def insertion_chain(mono, part):
     """The creation modes of ``part`` applied one at a time, rightmost
-    first, as OperatorExpr.apply does."""
+    first, as fock_reference.apply does."""
     sign = 1
     for k, label in reversed(part):
         hit = insert_creation(mono, k, label)

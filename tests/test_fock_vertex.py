@@ -16,15 +16,11 @@ from ellwall.fock.fastapply import (
     mode_tables,
 )
 from ellwall.fock.labels import COH_E, COH_PT, LABEL_NAMES, label_index
-from ellwall.fock.operators import FieldTable, vertex_mode
-from ellwall.fock.states import (
-    FockState,
-    Monomial,
-    alpha_apply,
-    basis_monomials,
-    monomial_energy,
-)
+from ellwall.fock.operators import FieldTable
+from ellwall.fock.states import FockState, Monomial, basis_monomials, monomial_energy
 from ellwall.verify import check_vertex_commutator
+
+from fock_reference import alpha_apply, apply, scale, sub, vertex_mode
 
 DATA = Path(__file__).parent / "data"
 
@@ -37,7 +33,7 @@ IntRow = dict[Monomial, int]
 
 def alpha_row(mono: Monomial, n: int, label: int) -> IntRow:
     """alpha_n(label) on one monomial by the reference path
-    (states.alpha_apply); its coefficients are integers."""
+    (fock_reference.alpha_apply); its coefficients are integers."""
     terms = alpha_apply(n, label, FockState.from_monomial(mono)).terms
     assert all(c.denominator == 1 for c in terms.values())
     return {t: int(c) for t, c in terms.items()}
@@ -214,7 +210,7 @@ def test_checked_count_at_truncation_4():
 def test_witness_difference_matches_reference(monkeypatch):
     """With the pairing off by one every pt check fails; each witness
     must carry the exact rational difference that the reference path
-    (OperatorExpr.apply / alpha_apply) gives for the patched identity."""
+    (fock_reference.apply / alpha_apply) gives for the patched identity."""
     true_pairing = corrupt_pairing(monkeypatch)
     N, n_max, k_max = 3, 2, 2
     result = verify.vertex_commutator_sweep(
@@ -233,10 +229,12 @@ def test_witness_difference_matches_reference(monkeypatch):
         mono = tuple((j, label_index(name)) for j, name in term["modes"])
         v = FockState.from_monomial(mono)
         pair = (true_pairing(gi, COH_E) + 1) * m
-        want = (
-            alpha_apply(k, gi, field(m, n).apply(v))
-            - field(m, n).apply(alpha_apply(k, gi, v))
-            - field(m, n + k).apply(v).scale(pair)
+        want = sub(
+            sub(
+                alpha_apply(k, gi, apply(field(m, n), v)),
+                apply(field(m, n), alpha_apply(k, gi, v)),
+            ),
+            scale(apply(field(m, n + k), v), pair),
         )
         assert w["difference"] == want.to_json_dict()
     # the unscaling is exercised: some coefficients are not integers
