@@ -7,9 +7,10 @@ representation, so equality and hashing are tuple compares.  Phi_k is
 monic with integer coefficients and divides x^k - 1, so each order keeps
 one integer table of x^j mod Phi_k for j < k, built on first use; powers
 of zeta are rows of it and products are reduced through it.  Division
-works for any nonzero element (extended Euclid against the modulus, over
-:class:`fractions.Fraction`), so Gaussian elimination over these fields is
-exact.
+works for any nonzero element: its inverse is the product of its other
+Galois conjugates (re-indexed rows of the same table) over its rational
+norm, so Gaussian elimination over these fields is exact and never leaves
+integer numerators.
 """
 
 from __future__ import annotations
@@ -24,74 +25,29 @@ Nums = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over Q (low-degree first, trailing zeros stripped)
-# ---------------------------------------------------------------------------
+@lru_cache(maxsize=32)
+def cyclotomic_polynomial(k: int) -> Nums:
+    """Integer coefficients of the k-th cyclotomic polynomial, low degree
+    first.
 
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return _trim(
-        [
-            (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_divmod(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b) and _trim(list(a)):
-        a = _trim(a)
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
-        factor = a[-1] * inv_lead
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a = _trim(a)
-    return _trim(q), _trim(list(a))
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(k: int) -> Coeffs:
-    """Coefficients of the k-th cyclotomic polynomial, low degree first.
-
-    Computed by dividing x^k - 1 by the cyclotomic polynomials of the
-    proper divisors of k.
+    Computed by exact division of x^k - 1 by the (monic) cyclotomic
+    polynomials of the proper divisors of k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    num: list[Fraction] = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
+    num = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            phi = cyclotomic_polynomial(d)
+            deg = len(phi) - 1
+            quo = [0] * (len(num) - deg)
+            for s in reversed(range(len(quo))):
+                c = quo[s] = num[s + deg]
+                if c:
+                    for i, p in enumerate(phi):
+                        num[s + i] -= c * p
+            assert not any(num)
+            num = quo
     return tuple(num)
 
 
@@ -103,7 +59,7 @@ def _power_table(k: int) -> tuple[Nums, ...]:
     previous one shifted up with its top coefficient folded back."""
     phi = cyclotomic_polynomial(k)
     deg = len(phi) - 1
-    low = [int(c) for c in phi[:deg]]
+    low = phi[:deg]
     row = [1] + [0] * (deg - 1)
     rows = []
     for _ in range(k):
@@ -234,21 +190,24 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via extended Euclid against the modulus."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        over the norm, x^-1 = prod_{sigma != 1} sigma(x) / N(x).
+
+        sigma_j (gcd(j, k) = 1) sends zeta to zeta^j, so sigma_j(x) reads
+        row i*j mod k of the power table for the numerator of zeta^i."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        phi = list(cyclotomic_polynomial(self.k))
-        # Bezout: s*nums + t*phi = gcd (a nonzero constant, since phi irreducible)
-        r0, r1 = _trim([Fraction(n) for n in self.nums]), phi
-        s0: list[Fraction] = [Fraction(1)]
-        s1: list[Fraction] = []
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(r0) == 1, "cyclotomic modulus not coprime to element?"
-        scale = self.den / r0[0]
-        return Cyclotomic(self.k, [c * scale for c in s0])
+        k, rows = self.k, _power_table(self.k)
+        prod = Cyclotomic(k, 1)
+        for j in range(2, k):
+            if gcd(j, k) == 1:
+                conj = [0] * len(self.nums)
+                for i, n in enumerate(self.nums):
+                    if n:
+                        for t, r in enumerate(rows[i * j % k]):
+                            conj[t] += n * r
+                prod = prod * _element(k, conj, self.den)
+        return prod / (self * prod).rational_value()
 
     def __truediv__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):

@@ -20,11 +20,10 @@ from fractions import Fraction
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial
 from .fock.labels import COH_E
 from .fock.monodromy import monodromy_f, monodromy_s
-from .fock.states import FockState, basis_monomials, monomial_energy
+from .fock.states import FockState, basis_monomials
 from .fock.verify import bracket_sweep, small_mode_sweep, vertex_commutator_sweep
 from .lattices import MukaiVector, hilbert_vector, mukai_pair, root_to_kclass, surface_lattice
 from .localmodel import (
-    HH0_TABLE,
     PREPROJ_SIGN_CONVENTION,
     BimoduleParam,
     char_value,
@@ -231,17 +230,16 @@ def check_wall_sets(n_max: int = 12) -> dict:
     ok = True
     prev: set[tuple[int, int]] = set()
     for n in range(1, n_max + 1):
-        walls = enumerate_v_walls(hilbert_vector(n, ns), "A-1")
-        got = {(w.root.n, w.root.m) for w in walls}
+        dec = chamber_decomposition(n)
+        got = {(w.root.n, w.root.m) for w in dec.walls}
         if got != _brute_force_wall_pairs(n, ns):
             ok = False
         if not prev <= got:
             ok = False
         prev = got
-        counts.append(len(walls))
-        dec = chamber_decomposition(n)
+        counts.append(len(dec.walls))
         chamber_counts.append(dec.chamber_count)
-        if dec.chamber_count != len(walls) + 1:
+        if dec.chamber_count != len(dec.walls) + 1:
             ok = False
     return {
         "criterion": "wall-root-sets",

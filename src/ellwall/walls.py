@@ -25,7 +25,6 @@ from .lattices import (
     BilinearLattice,
     MukaiVector,
     hilbert_vector,
-    mukai_pair,
     root_to_kclass,
     surface_lattice,
 )

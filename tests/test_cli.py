@@ -442,15 +442,26 @@ class TestCrossProcess:
     ]
     GOLDENS = [g for g, _ in BRACKET_GOLDENS + MONODROMY_GOLDENS]
 
+    # the exact-local criteria at their verify-all sizes, with fixed seeds
+    EXACT_LOCAL = (
+        "from ellwall import serialize, verify\n"
+        "print(serialize.to_json([\n"
+        "    verify.check_jet_splitting(500, 4, seed=11),\n"
+        "    verify.check_tensor_table(200, seed=12),\n"
+        "    verify.check_wall_sets(12),\n"
+        "    verify.check_wall_sign_flip(6, 100, seed=13),\n"
+        "]))\n"
+    )
+
     @staticmethod
-    def run_fresh(argv, hash_seed):
+    def run_fresh(argv, hash_seed, entry=("-m", "ellwall")):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         src = str(Path(ellwall.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
         done = subprocess.run(
-            [sys.executable, "-m", "ellwall", *argv],
+            [sys.executable, *entry, *argv],
             env=env, capture_output=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr.decode()
@@ -464,3 +475,13 @@ class TestCrossProcess:
         second = self.run_fresh(argv, "2718")
         assert first == second
         assert first == (DATA / golden).read_bytes()
+
+    def test_exact_local_checks_do_not_depend_on_hash_seed(self):
+        first = self.run_fresh([], "1", entry=("-c", self.EXACT_LOCAL))
+        second = self.run_fresh([], "2718", entry=("-c", self.EXACT_LOCAL))
+        assert first == second
+        reports = json.loads(first)
+        assert [r["criterion"] for r in reports] == [
+            "jet-splitting", "tensor-table", "wall-root-sets", "wall-sign-flip"
+        ]
+        assert all(r["pass"] for r in reports)

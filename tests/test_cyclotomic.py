@@ -1,18 +1,80 @@
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellwall.cyclotomic import (
-    Cyclotomic,
-    _poly_divmod,
-    _poly_mul,
-    _poly_sub,
-    cyclotomic_polynomial,
-)
+from ellwall.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from ellwall.serialize import cyclo_str
+
+# ---------------------------------------------------------------------------
+# reference model: dense polynomials over Q as Fraction lists (low degree
+# first, trailing zeros stripped), reduced mod Phi_k by long division
+# ---------------------------------------------------------------------------
+
+
+def _trim(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return _trim(
+        [
+            Fraction(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+            for i in range(n)
+        ]
+    )
+
+
+def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_divmod(
+    a: Sequence[Fraction], b: Sequence[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    a = [Fraction(c) for c in a]
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv_lead = 1 / Fraction(b[-1])
+    while len(a) >= len(b) and _trim(list(a)):
+        a = _trim(a)
+        if len(a) < len(b):
+            break
+        shift = len(a) - len(b)
+        factor = a[-1] * inv_lead
+        q[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a = _trim(a)
+    return _trim(q), _trim(list(a))
+
+
+@lru_cache(maxsize=None)
+def ref_cyclotomic(k):
+    """Phi_k by long division of x^k - 1 by Phi_d for each proper divisor d."""
+    num = [Fraction(-1)] + [Fraction(0)] * (k - 1) + [Fraction(1)]
+    for d in range(1, k):
+        if k % d == 0:
+            num, rem = _poly_divmod(num, ref_cyclotomic(d))
+            assert not rem
+    return tuple(num)
 
 
 def test_cyclotomic_polynomials_small():
@@ -94,15 +156,14 @@ def test_embedding_of_q_is_ring_hom(p, q):
 
 
 # ---------------------------------------------------------------------------
-# differential test against a reference model: Fraction coefficient lists
-# reduced mod Phi_k by polynomial long division
+# differential tests against the reference model
 # ---------------------------------------------------------------------------
 
 
 def ref_reduce(k, cs):
-    phi = list(cyclotomic_polynomial(k))
+    phi = ref_cyclotomic(k)
     deg = len(phi) - 1
-    _, rem = _poly_divmod([Fraction(c) for c in cs], phi)
+    _, rem = _poly_divmod(cs, phi)
     return tuple(rem) + (Fraction(0),) * (deg - len(rem))
 
 
@@ -218,7 +279,40 @@ def test_zeta_matches_reference(k, p):
 def test_equal_values_hash_equal(case):
     # the same residue written two ways: plus a multiple of Phi_k, and scaled
     k, (ca, extra) = case
-    shifted = _poly_sub(ca, _poly_mul(extra, cyclotomic_polynomial(k)))
+    shifted = _poly_sub(ca, _poly_mul(extra, ref_cyclotomic(k)))
     a, b = Cyclotomic(k, ca), Cyclotomic(k, shifted)
     assert a == b and hash(a) == hash(b)
     assert (a * 6) / 6 == a and hash((a * 6) / 6) == hash(a)
+
+
+def test_cyclotomic_polynomials_match_reference():
+    for k in range(1, 61):
+        phi = cyclotomic_polynomial(k)
+        assert phi == ref_cyclotomic(k), k
+        assert all(type(c) is int for c in phi), k
+        prod = [Fraction(1)]
+        for d in range(1, k + 1):
+            if k % d == 0:
+                prod = _poly_mul(prod, cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (k - 1) + [1], k
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_inverse_matches_reference(k):
+    rng = random.Random(k)
+    deg = len(ref_cyclotomic(k)) - 1
+    one = ref_reduce(k, [1])
+    for _ in range(6):
+        cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(deg)]
+        cs[rng.randrange(deg)] = Fraction(rng.randint(1, 5), rng.randint(1, 6))
+        x = Cyclotomic(k, cs)
+        inv = x.inverse()
+        assert ref_mul(k, inv.coeffs, ref_reduce(k, cs)) == one
+        check_matches(inv, k, inv.coeffs)
+        assert inv.inverse() == x
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_zeta_inverse_is_zeta_to_minus_power(k):
+    for j in range(k):
+        assert Cyclotomic.zeta(k, j).inverse() == Cyclotomic.zeta(k, -j)
