@@ -7,11 +7,13 @@ the same images term by term, one Heisenberg mode at a time.  Every row is keyed
 ``BasisIndex`` (IndexRow), and turns back into monomials only for a
 witness or an output state:
 
-* operator rows (``op_action_rows``): terms are grouped by their
-  annihilation part, so the (expensive) annihilation chain runs once
-  per group instead of once per term.  Only operators whose modes carry
-  basis labels are supported (every mode then pairs against exactly one
-  partner label), which covers every operator the verifiers build;
+* operator rows (``RowTable``): each row is built the first time it is
+  read, so an engine pays only for the monomials its compositions and
+  comparisons reach.  Terms are grouped by their annihilation part, so
+  the (expensive) annihilation chain runs once per group instead of once
+  per term.  Only operators whose modes carry basis labels are supported
+  (every mode then pairs against exactly one partner label), which
+  covers every operator the verifiers build;
 * Heisenberg modes (``mode_tables``): a pair of lookup lists each;
 * the charged field's slices (``ChargedField``), built once per pt part.
 
@@ -116,7 +118,8 @@ def add_scaled(acc: IndexRow, row: IndexRow, c: int) -> None:
 def compose_rows(outer: dict[int, IndexRow], row: IndexRow) -> IndexRow:
     """The row sum of c * outer[t] over the entries t: c of ``row``: an
     operator with action rows ``outer`` applied after the one that gave
-    ``row``.  ``outer`` must hold a row for every monomial of ``row``."""
+    ``row``.  ``outer`` must give a row for every monomial of ``row``; a
+    RowTable builds it on that read."""
     acc: IndexRow = {}
     for t, c in row.items():
         add_scaled(acc, outer[t], c)
@@ -184,21 +187,36 @@ def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
     return row
 
 
+class RowTable(dict):
+    """Integer rows of ``op`` on the monomials of ``basis``, each built
+    the first time it is read and kept: ``table[i][u] / op.denom`` is the
+    exact coefficient of monomial u in op(monomial i).  Images above the
+    basis depth are numbered on first sight.  Exactness: the operator
+    must include every term of annihilation depth up to the energy of
+    each monomial read (OperatorExpr stores that bound as its
+    truncation), so reading a row above it is a ValueError, never a
+    truncated row."""
+
+    def __init__(self, op: OperatorExpr, basis: BasisIndex):
+        super().__init__()
+        self.op = op
+        self.basis = basis
+        self._grouped = _grouped_terms(op)
+
+    def __missing__(self, i: int) -> IndexRow:
+        energy = self.basis.energy[i]
+        window = self.op.truncation
+        if window is not None and energy > window:
+            raise ValueError(f"operator window {window} below basis energy {energy}")
+        row = self[i] = apply_to_monomial(self._grouped, self.basis, i)
+        return row
+
+
 def op_action_rows(op: OperatorExpr, basis: BasisIndex, indices) -> dict[int, IndexRow]:
-    """Integer rows of ``op`` on the basis monomials of the given
-    indices, over ``op.denom``: ``rows[i][u] / op.denom`` is the exact
-    coefficient of monomial u in op(monomial i).  Images above the basis
-    depth are numbered on first sight.  Exactness: the operator must
-    include every term of annihilation depth up to the largest monomial
-    energy supplied (OperatorExpr stores that bound as its truncation)."""
-    if op.truncation is not None:
-        top = max((basis.energy[i] for i in indices), default=0)
-        if top > op.truncation:
-            raise ValueError(
-                f"operator window {op.truncation} below basis energy {top}"
-            )
-    grouped = _grouped_terms(op)
-    return {i: apply_to_monomial(grouped, basis, i) for i in indices}
+    """The rows of ``op`` on the given basis indices, read at once from
+    a RowTable."""
+    table = RowTable(op, basis)
+    return {i: table[i] for i in indices}
 
 
 class BasisIndex:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .fastapply import BasisIndex, IndexRow, compose_rows, op_action_rows
-from .operators import FockConfig, OperatorExpr, w_general
+from .fastapply import BasisIndex, IndexRow, RowTable, compose_rows
+from .operators import FockConfig, w_general
 from .states import FockState, Monomial
 
 NAKAJIMA_ORDER_NOTE = (
@@ -55,8 +55,8 @@ def monodromy_s(
         raise ValueError("the section-type action is defined on charge-0 states")
     # the vacuum is index 0; every other monomial is numbered on first sight
     basis = BasisIndex(0)
-    # per mode (k, label): the generator and the rows built so far
-    tables: dict[tuple[int, int], tuple[OperatorExpr, dict[int, IndexRow]]] = {}
+    # per mode (k, label): the generator's rows, built as they are read
+    tables: dict[tuple[int, int], RowTable] = {}
     out: dict[Monomial, Fraction] = {}
     charge = 0
     for mono, coeff in state.terms.items():
@@ -64,17 +64,14 @@ def monodromy_s(
         denom = 1
         shift = 0
         for mode in reversed(mono):
-            table = tables.get(mode)
-            if table is None:
-                op = w_general(1, -mode[0], mode[1], N, config)
-                table = tables[mode] = (op, {})
-            op, rows = table
-            missing = [t for t in row if t not in rows]
-            if missing:
-                rows.update(op_action_rows(op, basis, missing))
+            rows = tables.get(mode)
+            if rows is None:
+                rows = tables[mode] = RowTable(
+                    w_general(1, -mode[0], mode[1], N, config), basis
+                )
             row = compose_rows(rows, row)
-            denom *= op.denom
-            shift += op.charge_shift
+            denom *= rows.op.denom
+            shift += rows.op.charge_shift
         if not row:
             continue
         if out and shift != charge:

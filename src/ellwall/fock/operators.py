@@ -121,7 +121,7 @@ class OperatorExpr:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)

@@ -46,10 +46,10 @@ from .fastapply import (
     ChargedField,
     IndexRow,
     ModeTable,
+    RowTable,
     add_scaled,
     compose_rows,
     mode_tables,
-    op_action_rows,
 )
 from .labels import (
     COH_E,
@@ -105,10 +105,12 @@ class BracketReport:
 
 
 class _BracketEngine:
-    """Shared per-truncation action tables for bracket verification.
+    """Per-truncation action tables for bracket verification, shared by
+    the instances of one sweep or one stream of point queries.
 
     Each table is stored as (denominator, integer rows): the operator's
-    denom and its op_action_rows on the engine's one BasisIndex.  A
+    denom and its RowTable on the engine's one BasisIndex, so a row is
+    built only when a composition or the target comparison reads it.  A
     composition of two tables is over the product of their denominators;
     exact rationals are built only for the reported rescale and central
     scalar and for witnesses."""
@@ -116,16 +118,14 @@ class _BracketEngine:
     def __init__(self, N: int):
         self.N = N
         self.basis = BasisIndex(N)
-        self._rows: dict[tuple[int, int, int], tuple[int, dict[int, IndexRow]]] = {}
+        self._rows: dict[tuple[int, int, int], tuple[int, RowTable]] = {}
 
-    def rows(self, a: int, b: int, li: int) -> tuple[int, dict[int, IndexRow]]:
+    def rows(self, a: int, b: int, li: int) -> tuple[int, RowTable]:
         key = (a, b, li)
         cached = self._rows.get(key)
         if cached is None:
             op = w_general(a, b, li, self.N)
-            cached = self._rows[key] = (
-                op.denom, op_action_rows(op, self.basis, range(self.basis.size))
-            )
+            cached = self._rows[key] = (op.denom, RowTable(op, self.basis))
         return cached
 
     def pair_reports(
@@ -249,14 +249,9 @@ def _combine(first: IndexRow, second: IndexRow, eps: int) -> IndexRow:
     return out
 
 
-_ENGINES: dict[int, _BracketEngine] = {}
-
-
-def _get_engine(N: int) -> _BracketEngine:
-    engine = _ENGINES.get(N)
-    if engine is None:
-        engine = _ENGINES[N] = _BracketEngine(N)
-    return engine
+# The engine of the last truncation bracket_verify saw: a stream of point
+# queries at one truncation shares its tables, and at most one is held.
+_last_engine: Optional[_BracketEngine] = None
 
 
 def bracket_verify(
@@ -270,8 +265,11 @@ def bracket_verify(
 ) -> BracketReport:
     """Verify one bracket instance on the full basis of the evaluation
     window; see the module docstring for the comparison policy."""
+    global _last_engine
     gi, hi = label_index(gamma), label_index(eta)
-    report, _ = _get_engine(N).pair_reports(a, b, gi, c, d, hi)
+    if _last_engine is None or _last_engine.N != N:
+        _last_engine = _BracketEngine(N)
+    report, _ = _last_engine.pair_reports(a, b, gi, c, d, hi)
     return report
 
 
@@ -342,8 +340,9 @@ def bracket_sweep(
     |b|,|d| <= b_range, (a,b) != (0,0) != (c,d), over the given labels.
     The two orders of each unordered pair share their compositions.
     Rescale factors are recorded per root space and checked for
-    consistency; central scalars are solved per ordered label pair."""
-    engine = _get_engine(N)
+    consistency; central scalars are solved per ordered label pair.  The
+    sweep's engine is its own and is dropped when it returns."""
+    engine = _BracketEngine(N)
     slopes = [
         (a, b)
         for a in range(-a_range, a_range + 1)
@@ -362,8 +361,6 @@ def bracket_sweep(
             continue
         seen.add(key)
         pairs.append((x, y))
-    for a, b, li in operands:
-        engine.rows(a, b, li)
     by_job: dict[tuple[tuple, tuple], BracketReport] = {}
     for x, y in pairs:
         by_job[(x, y)], by_job[(y, x)] = engine.pair_reports(*x, *y)

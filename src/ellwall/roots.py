@@ -210,6 +210,8 @@ class EllipticRootSystem:
         return f"EllipticRootSystem({self.type_name!r})"
 
 
+# Keyed by the surface type: one of the ten DELIGNE_TYPES, since the
+# constructor rejects any other name and a raised call is not cached.
 @lru_cache(maxsize=None)
 def build_elliptic(type_name: str) -> EllipticRootSystem:
     return EllipticRootSystem(type_name)

@@ -485,3 +485,13 @@ class TestCrossProcess:
             "jet-splitting", "tensor-table", "wall-root-sets", "wall-sign-flip"
         ]
         assert all(r["pass"] for r in reports)
+
+    def test_verify_all_does_not_depend_on_hash_seed(self):
+        # the real verify-all sizes: two cold runs take about 8 s
+        argv = ["verify-all", "--seed", "42"]
+        first = self.run_fresh(argv, "1")
+        second = self.run_fresh(argv, "2718")
+        assert first == second
+        report = json.loads(first)
+        assert report["seed"] == 42 and report["all_pass"]
+        assert len(report["criteria"]) == 10

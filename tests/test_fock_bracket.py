@@ -211,7 +211,7 @@ class TestMismatchWitness:
         # pt * sigma+ = sigma+; send it to E instead
         monkeypatch.setattr(verify, "star_label", lambda i, j: (COH_E, 1))
         # a fresh engine, so no table built before the patch is reused
-        monkeypatch.setattr(verify, "_ENGINES", {})
+        monkeypatch.setattr(verify, "_last_engine", None)
         N = 3
         a, b, g, c, d, h = 1, -1, "sigma+", 0, -1, "pt"
         rep = verify.bracket_verify(a, b, g, c, d, h, N)
@@ -226,6 +226,45 @@ class TestMismatchWitness:
         assert rep.witness["got"] == got.to_json_dict()
         assert rep.witness["expected"] == expected.to_json_dict()
         # the division back is exercised: both tables have denominators
-        engine = verify._ENGINES[N]
+        engine = verify._last_engine
         assert engine.rows(a, b, label_index(g))[0] > 1
         assert engine.rows(a + c, b + d, label_index("E"))[0] > 1
+
+
+class TestEngineScope:
+    def test_rows_are_built_on_first_read_only(self, monkeypatch):
+        """One instance builds only the rows its compositions and target
+        comparison read, each of them once."""
+        import ellwall.fock.fastapply as fastapply
+        import ellwall.fock.verify as verify
+
+        built: dict[tuple[int, int], int] = {}
+        orig = fastapply.apply_to_monomial
+
+        def counting(grouped, basis, i):
+            key = (id(grouped), i)
+            built[key] = built.get(key, 0) + 1
+            return orig(grouped, basis, i)
+
+        monkeypatch.setattr(fastapply, "apply_to_monomial", counting)
+        monkeypatch.setattr(verify, "_last_engine", None)
+        # b = d = -1: the evaluation window is 4, below the truncation
+        rep = bracket_verify(1, -1, "sigma+", -1, -1, "sigma-", 6)
+        assert rep.match and rep.kind == "exact"
+        engine = verify._last_engine
+        tables = len(engine._rows)
+        assert tables == 3  # two operands and the target
+        assert 0 < sum(built.values()) < tables * engine.basis.size
+        assert set(built.values()) == {1}
+
+    def test_point_queries_share_one_engine_per_truncation(self, monkeypatch):
+        import ellwall.fock.verify as verify
+
+        monkeypatch.setattr(verify, "_last_engine", None)
+        bracket_verify(1, 0, "sigma+", 0, 1, "sigma-", 4)
+        first = verify._last_engine
+        bracket_verify(0, 1, "sigma-", 1, 0, "sigma+", 4)
+        assert verify._last_engine is first
+        bracket_verify(1, 0, "sigma+", 0, 1, "sigma-", 3)
+        assert verify._last_engine is not first
+        assert verify._last_engine.N == 3

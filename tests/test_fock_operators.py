@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ellwall.fock.fastapply import (
     BasisIndex,
     ChargedField,
+    RowTable,
     annihilation_chain,
     creation_chain,
     mode_tables,
@@ -237,6 +238,22 @@ class TestOperatorExpr:
             w_general(0, 0, COH_E, 4)
 
 
+def random_generators(test):
+    """Hypothesis inputs for a random generator w^{a,b}_label at
+    truncation N, with a derivative convention and a basis pick."""
+    test = settings(max_examples=80, deadline=None)(test)
+    test = example(2, -1, COH_PT, 4, "ddz", 40)(test)
+    test = example(-1, 2, COH_PT, 4, "z_ddz", 40)(test)
+    return given(
+        st.integers(-2, 2),
+        st.integers(-3, 3),
+        st.sampled_from(range(4)),
+        st.integers(0, 4),
+        st.sampled_from(("z_ddz", "ddz")),
+        st.integers(0, 10**4),
+    )(test)
+
+
 class TestFastRows:
     OPS = [
         ("sigma plus field", lambda: w_general(1, 1, COH_SP, 4)),
@@ -263,23 +280,28 @@ class TestFastRows:
         basis = BasisIndex(4)
         self.assert_rows_match(make(), basis, range(basis.size))
 
-    @given(
-        st.integers(-2, 2),
-        st.integers(-3, 3),
-        st.sampled_from(range(4)),
-        st.integers(0, 4),
-        st.sampled_from(("z_ddz", "ddz")),
-        st.integers(0, 10**4),
-    )
-    @example(-1, 2, COH_PT, 4, "z_ddz", 40)
-    @example(2, -1, COH_PT, 4, "ddz", 40)
-    @settings(max_examples=80, deadline=None)
+    @random_generators
     def test_rows_match_random_generators(self, a, b, label, N, derivative, pick):
         assume((a, b) != (0, 0))
         # the derivative convention matters only for pt at a != 0
         op = w_general(a, b, label, N, FockConfig(derivative=derivative))
         basis = BasisIndex(N)
         self.assert_rows_match(op, basis, [pick % basis.size])
+
+    @random_generators
+    def test_row_table_reads_match_random_generators(
+        self, a, b, label, N, derivative, pick
+    ):
+        assume((a, b) != (0, 0))
+        op = w_general(a, b, label, N, FockConfig(derivative=derivative))
+        basis = BasisIndex(N)
+        table = RowTable(op, basis)
+        i = pick % basis.size
+        want = apply(op, FockState.from_monomial(basis.monos[i]))
+        got = basis.monomials(table[i])
+        assert {t: Fraction(c, op.denom) for t, c in got.items()} == want.terms
+        # the row is kept: a second read returns the same object
+        assert list(table) == [i] and table[i] is table[i]
 
     def test_single_mode_row_matches_alpha(self):
         # depth 5 holds every image of an energy <= 3 monomial under
@@ -303,6 +325,17 @@ class TestFastRows:
         basis = BasisIndex(3)
         with pytest.raises(ValueError, match="window 2"):
             op_action_rows(op, basis, range(basis.size))
+
+    def test_row_table_rejects_a_row_above_the_window(self):
+        op = vertex_mode(1, 0, 2)
+        basis = BasisIndex(3)
+        table = RowTable(op, basis)
+        inside = basis.count(2)
+        assert all(isinstance(table[i], dict) for i in range(inside))
+        with pytest.raises(ValueError, match="window"):
+            table[inside]
+        # no truncated row is left behind
+        assert inside not in table and len(table) == inside
 
     def test_rows_number_images_above_the_basis(self):
         # w^{1,-2} raises the energy by 2: images of energy-3 monomials
