@@ -1,24 +1,13 @@
 """Exact Fock-space model over the four-class curve cohomology.
 
-Submodules: labels (basis classes, pairing, products), states (Nakajima
-monomial states), operators (the doubly graded generators as
+Submodules: labels (basis classes, pairing, star-product table), states
+(Nakajima monomial states), operators (the doubly graded generators as
 normal-ordered term sums), fastapply (their integer action rows),
 monodromy (the two mapping-class actions), verify (bracket reports and
 sweeps).
 """
 
-from .labels import (
-    COH_E,
-    COH_PT,
-    COH_SM,
-    COH_SP,
-    LABEL_NAMES,
-    CohClass,
-    cup_product,
-    sl2_label_action,
-    star_product,
-    super_pairing,
-)
+from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_NAMES
 from .monodromy import monodromy_f, monodromy_s
 from .operators import ExtendedModeError, FockConfig, OperatorExpr, w_general, w_small
 from .states import FockState, basis_monomials
@@ -30,11 +19,6 @@ __all__ = [
     "COH_SM",
     "COH_SP",
     "LABEL_NAMES",
-    "CohClass",
-    "cup_product",
-    "sl2_label_action",
-    "star_product",
-    "super_pairing",
     "monodromy_f",
     "monodromy_s",
     "ExtendedModeError",

@@ -212,13 +212,6 @@ class RowTable(dict):
         return row
 
 
-def op_action_rows(op: OperatorExpr, basis: BasisIndex, indices) -> dict[int, IndexRow]:
-    """The rows of ``op`` on the given basis indices, read at once from
-    a RowTable."""
-    table = RowTable(op, basis)
-    return {i: table[i] for i in indices}
-
-
 class BasisIndex:
     """The canonical monomials of energy <= ``depth``, numbered once in
     basis_monomials order (energy, then monomial), so the monomials of

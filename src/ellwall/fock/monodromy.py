@@ -18,22 +18,14 @@ from .fastapply import BasisIndex, IndexRow, RowTable, compose_rows
 from .operators import FockConfig, w_general
 from .states import FockState, Monomial
 
-NAKAJIMA_ORDER_NOTE = (
-    "slope-one generators are applied in canonical monomial order "
-    "(k descending, label ascending), rightmost factor first"
-)
-
-
-def monodromy_f(state: FockState, n: Optional[int] = None) -> FockState:
-    """Fiber-type action: sign (-1)^(k+1) per mode, charge c -> -n - c.
-    The state must be weight-homogeneous; pass n to assert the weight."""
+def monodromy_f(state: FockState) -> FockState:
+    """Fiber-type action: sign (-1)^(k+1) per mode, charge c -> -n - c
+    for a state of weight n.  The state must be weight-homogeneous."""
     if state.is_zero():
         return state.copy()
     if not state.is_homogeneous():
         raise ValueError("mixed-weight input: apply weight-by-weight")
     weight = state.weight()
-    if n is not None and n != weight:
-        raise ValueError(f"state has weight {weight}, not {n}")
     out: dict = {}
     for mono, coeff in state.terms.items():
         sign = 1

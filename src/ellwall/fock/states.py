@@ -56,10 +56,6 @@ class FockState:
                     self.terms[mono] = coeff
 
     @staticmethod
-    def vacuum(charge: int = 0) -> "FockState":
-        return FockState(charge, {(): 1})
-
-    @staticmethod
     def zero(charge: int = 0) -> "FockState":
         return FockState(charge)
 

@@ -61,7 +61,7 @@ from .labels import (
     star_label,
 )
 from .operators import w_general, w_small
-from .states import FockState, Monomial, monomial_energy
+from .states import FockState, Monomial
 
 
 def _eval_window(N: int, b: int, d: int) -> int:
@@ -448,32 +448,6 @@ def _vertex_witness(
             field.m, _unscale(basis, diff, field.denom)
         ).to_json_dict(),
     }
-
-
-def vertex_commutator_check(
-    field: ChargedField, k: int, gamma: int, n: int, mono: Monomial
-) -> Optional[dict]:
-    """Check [alpha_k(gamma), field-mode n] = <gamma, mE> field-mode n+k
-    on one monomial; returns None on success, a witness dict on failure.
-    Every row read must lie in the field's windows."""
-    basis = field.basis
-    e = monomial_energy(mono)
-    lo, hi = min(n, n + k), max(n, n + k)
-    if (
-        k == 0
-        or max(e, e - k) > field.top
-        or lo < max(field.n_lo, e - basis.depth)
-        or hi > field.n_hi
-    ):
-        raise ValueError(
-            f"alpha_{k} past field-mode {n} on energy {e} reads outside the field"
-        )
-    failures: list[dict] = []
-    _check_modes(
-        field, mode_tables(basis, abs(k))[k, gamma], k, gamma,
-        basis.index[mono], (n,), failures,
-    )
-    return failures[0] if failures else None
 
 
 def vertex_commutator_sweep(

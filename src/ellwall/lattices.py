@@ -1,5 +1,5 @@
-"""Numerical lattices: bilinear forms, Mukai-type vectors, Euler pairings,
-and the embedding of elliptic roots as K-classes of the surface.
+"""Numerical lattices: bilinear forms, Mukai-type vectors and their
+pairing, and the embedding of elliptic roots as K-classes of the surface.
 
 The two surface lattices in play:
 
@@ -155,46 +155,3 @@ def root_to_kclass(beta: EllipticRoot, type_name: str) -> MukaiVector:
         for i, coeff in enumerate(beta.finite):
             c1[ns.labels.index(f"C{i+1}")] = Fraction(coeff)
     return MukaiVector(0, tuple(c1), Fraction(beta.m))
-
-
-# ---------------------------------------------------------------------------
-# Euler pairing on split K-theory data of the base curve
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KoszulClass:
-    """A pair of curve K-classes (rank, degree) presenting an object."""
-
-    a_class: tuple[int, int]
-    b_class: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CurveData:
-    """Euler form on K0 of the base curve plus the twisting line bundle.
-
-    For a genus-1 curve chi((r,d),(r',d')) = r d' - d r' and the twist is
-    trivial (degree 0), which is the default.
-    """
-
-    twist_degree: int = 0
-
-    def euler(self, x: tuple[int, int], y: tuple[int, int]) -> int:
-        return x[0] * y[1] - x[1] * y[0]
-
-    def twist(self, x: tuple[int, int]) -> tuple[int, int]:
-        # tensoring by a line bundle of degree t shifts degree by r*t
-        return (x[0], x[1] + x[0] * self.twist_degree)
-
-
-def euler_pair_koszul(x: KoszulClass, y: KoszulClass, curve: CurveData) -> int:
-    """chi(a,c) + chi(b,d) - chi(a,d) - chi(a twisted, d)."""
-    a, b = x.a_class, x.b_class
-    c, d = y.a_class, y.b_class
-    return (
-        curve.euler(a, c)
-        + curve.euler(b, d)
-        - curve.euler(a, d)
-        - curve.euler(curve.twist(a), d)
-    )

@@ -11,9 +11,6 @@ Covers, in exact arithmetic over Q(zeta_k) with no floating point:
   oracle for nilpotent matrices;
 * tensor decomposition of the simple torsion sheaves against the
   bimodule (split pair versus indecomposable extension);
-* root-hyperplane functionals on the parameter space, indexed by
-  coefficient vectors on the cyclic-quiver simple roots and classified
-  through the Tits form;
 * the deformed-preprojective relation checker for cyclic-quiver
   representations, with per-node exact residuals.
 
@@ -103,12 +100,6 @@ def _orbit_count(points: Sequence[tuple[int, int]], rot, d: int) -> int:
     return orbits
 
 
-def hh0_summands(order: int) -> list[int]:
-    """Naive summand dimensions [curve part, fixed-point counts of the
-    nontrivial group elements] before taking group invariants."""
-    return hh0_audit(order)["naive_summands"]
-
-
 def hh0_audit(order: int) -> dict:
     """Recount each fixed-point summand as orbits under the full cyclic
     group (the invariant functions on a fixed set are spanned by its
@@ -170,21 +161,6 @@ class BimoduleParam:
     def make(cls, k: int, values: Sequence[Scalar]) -> "BimoduleParam":
         return cls(k, tuple(_coerce(k, v) for v in values))
 
-    @classmethod
-    def delta(cls, k: int, g: int = 0) -> "BimoduleParam":
-        """Indicator parameter of a single group element."""
-        return cls.make(k, [1 if i == g % k else 0 for i in range(k)])
-
-    def scale(self, c: Scalar) -> "BimoduleParam":
-        cc = _coerce(self.k, c)
-        return BimoduleParam(self.k, tuple(x * cc for x in self.a))
-
-
-@dataclass(frozen=True)
-class CharacterValue:
-    r: int
-    value: Cyclotomic
-
 
 def char_value(p: BimoduleParam, r: int) -> Cyclotomic:
     """A_r: the weight-r character evaluated on the parameter, i.e. the
@@ -193,10 +169,6 @@ def char_value(p: BimoduleParam, r: int) -> Cyclotomic:
     for g, coeff in enumerate(p.a):
         acc = acc + coeff * Cyclotomic.zeta(p.k, (r * g) % p.k)
     return acc
-
-
-def char_values(p: BimoduleParam) -> list[CharacterValue]:
-    return [CharacterValue(r, char_value(p, r)) for r in range(p.k)]
 
 
 # ---------------------------------------------------------------------------
@@ -358,67 +330,6 @@ def tensor_table(p: BimoduleParam) -> list[TensorDecomposition]:
 def tensor_table_rows(p: BimoduleParam) -> list[tuple[int, str, str]]:
     """CSV-ready rows (i, A_i, split|ext)."""
     return [(t.i, cyclo_str(t.value), t.tag) for t in tensor_table(p)]
-
-
-# ---------------------------------------------------------------------------
-# root hyperplanes on the parameter space
-# ---------------------------------------------------------------------------
-
-
-def _tits_form(coeffs: Sequence[int]) -> int:
-    k = len(coeffs)
-    sq = sum(m * m for m in coeffs)
-    adj = sum(coeffs[i] * coeffs[(i + 1) % k] for i in range(k))
-    return sq - adj
-
-
-@dataclass(frozen=True)
-class RootFunctional:
-    """Linear functional on bimodule parameters whose kernel is the
-    hyperplane of a root: the coefficient combination of the character
-    values A_i matching the root's simple-root coordinates.  The
-    delta-class functional equals k times the identity-component
-    coordinate (character orthogonality)."""
-
-    k: int
-    coeffs: tuple[int, ...]
-    kind: str  # "real" | "delta"
-
-    def evaluate(self, p: BimoduleParam) -> Cyclotomic:
-        if p.k != self.k:
-            raise ValueError("parameter and root live over different group orders")
-        acc = Cyclotomic(self.k, 0)
-        for i, m in enumerate(self.coeffs):
-            if m:
-                acc = acc + char_value(p, i) * m
-        return acc
-
-    def contains(self, p: BimoduleParam) -> bool:
-        return self.evaluate(p).is_zero()
-
-
-def root_hyperplane(k: int, coeffs: Sequence[int]) -> RootFunctional:
-    """Functional of the root with the given simple-root coefficients
-    over the k-node cyclic quiver.  Accepts real roots (Tits form 1)
-    and the two primitive radical classes +-(1,..,1), which carry the
-    regular torsion sheaf; other radical vectors and non-roots are
-    rejected."""
-    if len(coeffs) != k or k < 1:
-        raise ValueError(f"need {k} simple-root coefficients")
-    coeffs = tuple(int(m) for m in coeffs)
-    q = _tits_form(coeffs)
-    if q == 1:
-        return RootFunctional(k, coeffs, "real")
-    if q == 0:
-        if all(m == 1 for m in coeffs) or all(m == -1 for m in coeffs):
-            return RootFunctional(k, coeffs, "delta")
-        if any(coeffs):
-            raise ValueError(
-                "imaginary class with no torsion sheaf attached (only the "
-                "primitive radical vectors +-(1,..,1) carry one)"
-            )
-        raise ValueError("zero vector is not a root")
-    raise ValueError(f"not a root of the affinized cyclic system (norm {q})")
 
 
 # ---------------------------------------------------------------------------

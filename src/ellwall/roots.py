@@ -13,7 +13,6 @@ triality type, 240 for the largest) double as oracle values in tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -111,7 +110,7 @@ def _close_under_reflections(
 
 
 class EllipticRootSystem:
-    """Handle exposing pairing, classification and boxed enumeration."""
+    """Handle exposing membership, classification and boxed enumeration."""
 
     def __init__(self, type_name: str):
         if type_name not in DELIGNE_TYPES:
@@ -141,35 +140,10 @@ class EllipticRootSystem:
         self._require(beta)
         return not beta.is_delta_only()
 
-    def is_imaginary(self, beta: EllipticRoot) -> bool:
-        return not self.is_real(beta)
-
-    # -- pairing ------------------------------------------------------
-
-    def pairing(self, x: EllipticRoot, y: EllipticRoot) -> Fraction:
-        """Radical-degenerate pairing: the deltas pair to zero with everything."""
-        total = Fraction(0)
-        for i, xi in enumerate(x.finite):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y.finite):
-                if yj:
-                    total += xi * yj * self.gram[i][j]
-        return total
-
-    def length_sq(self, beta: EllipticRoot) -> Fraction:
-        return self.pairing(beta, beta)
-
     def simple_root(self, i: int, m: int = 0, n: int = 0) -> EllipticRoot:
         return EllipticRoot(
             tuple(1 if j == i else 0 for j in range(self.rank)), m, n
         )
-
-    def delta1(self) -> EllipticRoot:
-        return EllipticRoot((0,) * self.rank, 1, 0)
-
-    def delta2(self) -> EllipticRoot:
-        return EllipticRoot((0,) * self.rank, 0, 1)
 
     # -- enumeration --------------------------------------------------
 
@@ -200,11 +174,6 @@ class EllipticRootSystem:
                     out.append(EllipticRoot(f, m, n))
         out.sort(key=lambda b: (b.m, b.n, b.finite))
         return out
-
-    def affine_image(self, beta: EllipticRoot) -> tuple[tuple[int, ...], int]:
-        """Project out the marking direction delta2: (finite, m)."""
-        self._require(beta)
-        return (beta.finite, beta.m)
 
     def __repr__(self) -> str:
         return f"EllipticRootSystem({self.type_name!r})"

@@ -426,10 +426,12 @@ def check_weyl_relations(word_max: int = 6) -> dict:
 
     system = build_elliptic("A-1")
     shear, flip = marking_stabilizer_generators(system)
-    if not flip.weyl_part.compose(flip.weyl_part).is_identity():
+    if not (shear.stabilizes_marking() and flip.stabilizes_marking()):
         ok = False
+    flip_involution = flip.weyl_part.compose(flip.weyl_part).is_identity()
     ft = flip.weyl_part.compose(shear.weyl_part)
-    if not ft.compose(ft).is_identity():
+    dihedral_relation = ft.compose(ft).is_identity()
+    if not (flip_involution and dihedral_relation):
         ok = False
     t = shear.gl2_part
     nilp = ((t[0][0] - 1, t[0][1]), (t[1][0], t[1][1] - 1))
@@ -453,8 +455,8 @@ def check_weyl_relations(word_max: int = 6) -> dict:
         "word_max": word_max,
         "words_checked": words_checked,
         "stabilizer": {
-            "flip_involution": True,
-            "dihedral_relation": True,
+            "flip_involution": flip_involution,
+            "dihedral_relation": dihedral_relation,
             "infinite_order_certificate": "unipotent" if unipotent_cert else "failed",
         },
     }

@@ -4,8 +4,8 @@ Coordinates: the polarization is section + b*fiber and the twist divisor
 is c*section + d*fiber, so every wall locus is a polynomial in (b, c, d)
 with exact rational coefficients.  The locus is *computed* from the
 central charge (real/imaginary parts expanded symbolically) rather than
-typed in, so the phase-alignment property is true by construction and
-the printed closed form can be compared against it.
+typed in, so the phase-alignment property is true by construction; the
+tests compare the closed form as usually printed against it.
 
 Wall set for the rank-0 type: primitive pairs (r, s) with r >= 0,
 s >= 1 and depth r + s <= n (the point-contraction wall is (0, 1)).
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .lattices import (
     BilinearLattice,
@@ -141,20 +141,6 @@ class TriPoly:
         )
         return Fraction(total, den)
 
-    def primitive_form(self) -> "TriPoly":
-        """Scale to coprime integer coefficients with the lexicographically
-        first monomial positive; canonical representative of the zero set."""
-        if not self.terms:
-            return TriPoly()
-        denom = math.lcm(*(v.denominator for v in self.terms.values()))
-        nums = [v.numerator * denom // v.denominator for v in self.terms.values()]
-        g = math.gcd(*nums)
-        scale = Fraction(denom, g)
-        first = min(self.terms)
-        if self.terms[first] < 0:
-            scale = -scale
-        return TriPoly({k: v * scale for k, v in self.terms.items()})
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -236,15 +222,6 @@ def phase_equal_locus(v: MukaiVector, w: MukaiVector, ns: BilinearLattice) -> Tr
     re_v, im_v = central_charge_sym(v, ns)
     re_w, im_w = central_charge_sym(w, ns)
     return im_w * re_v - re_w * im_v
-
-
-def phase_equal_locus_printed(r: int, s: int, n: int) -> TriPoly:
-    """The closed-form wall equation as usually quoted for the rank-0 type:
-    s*d + b*c*s - r*b*c^2 - 2*c*d*r + b*r + n*r.  Agrees with the derived
-    locus exactly when r = 0; the general-r discrepancy is
-    2*r*(c*d - n - b), twice the real part of the charge of v."""
-    b, c, d = TriPoly.var("b"), TriPoly.var("c"), TriPoly.var("d")
-    return s * d + b * c * s - r * (b * (c * c)) - 2 * (c * d) * r + b * r + TriPoly.const(n * r)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +330,6 @@ def _positive_roots(type_name: str) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# nef-class evaluation
-# ---------------------------------------------------------------------------
-
-
-def bayer_macri_class(
-    H: Sequence[Scalar], B: Sequence[Scalar], v: MukaiVector, ns: BilinearLattice
-) -> tuple[Fraction, Fraction, tuple[Fraction, ...]]:
-    """The numerical divisor class of the stability condition at (H, B):
-    (B.H, -n B.H, -(B.H) B + (-n + (B^2 - H^2)/2) H)."""
-    n = _check_hilbert_shape(v)
-    bh = ns.pair(B, H)
-    b_sq, h_sq = ns.pair(B, B), ns.pair(H, H)
-    coef = Fraction(-n) + (b_sq - h_sq) / 2
-    c_part = tuple(-bh * Fraction(x) + coef * Fraction(y) for x, y in zip(B, H))
-    return (bh, -n * bh, c_part)
-
-
-# ---------------------------------------------------------------------------
 # chamber structure on the level-1 line
 # ---------------------------------------------------------------------------
 
@@ -389,7 +348,9 @@ class ChamberDecomposition:
 
     @property
     def chamber_count(self) -> int:
-        return len(self.walls) + 1
+        """The nonempty chambers: one more than the wall count exactly
+        when the wall positions are distinct and in increasing order."""
+        return sum(lo is None or hi is None or lo < hi for lo, hi in self.chambers())
 
     def chambers(self) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
         """Open intervals between consecutive wall positions, with None for
@@ -427,26 +388,22 @@ def chamber_decomposition(n: int, type_name: str = "A-1") -> ChamberDecompositio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    width: int = 640
-    height: int = 360
-    margin: int = 32
-    wall_color: str = "#B03A2E"
-    chamber_colors: tuple[str, str] = ("#FDF2E9", "#EBF5FB")
-    axis_color: str = "#1B2631"
-    font_size: int = 11
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 360, 32
+SVG_WALL_COLOR = "#B03A2E"
+SVG_CHAMBER_COLORS = ("#FDF2E9", "#EBF5FB")
+SVG_AXIS_COLOR = "#1B2631"
+SVG_FONT_SIZE = 11
 
 
 def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def emit_chamber_svg(dec: ChamberDecomposition, style: SvgStyle = SvgStyle()) -> str:
+def emit_chamber_svg(dec: ChamberDecomposition) -> str:
     """Deterministic SVG: wall rays fanned from the origin of the positive
     half-space, chambers shaded alternately, positions labeled.  Bit-stable
-    for a fixed (decomposition, style)."""
-    w, h, mg = style.width, style.height, style.margin
+    for a fixed decomposition."""
+    w, h, mg = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     cx, cy = w / 2.0, h - float(mg)
     radius = min(w / 2.0 - mg, h - 2.0 * mg)
     # ray angles: boundary at 0 and pi, walls mapped into (0, pi) by
@@ -467,7 +424,7 @@ def emit_chamber_svg(dec: ChamberDecomposition, style: SvgStyle = SvgStyle()) ->
     bounds = [math.pi] + [a for a, _ in sorted(rays, reverse=True)] + [0.0]
     for i in range(len(bounds) - 1):
         a0, a1 = bounds[i], bounds[i + 1]
-        color = style.chamber_colors[i % 2]
+        color = SVG_CHAMBER_COLORS[i % 2]
         x0 = cx + radius * math.cos(a0)
         y0 = cy - radius * math.sin(a0)
         x1 = cx + radius * math.cos(a1)
@@ -482,24 +439,24 @@ def emit_chamber_svg(dec: ChamberDecomposition, style: SvgStyle = SvgStyle()) ->
         y1 = cy - radius * math.sin(angle)
         lines.append(
             f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-            f'stroke="{style.wall_color}" stroke-width="1.5"/>'
+            f'stroke="{SVG_WALL_COLOR}" stroke-width="1.5"/>'
         )
         lx = cx + (radius + 10) * math.cos(angle)
         ly = cy - (radius + 10) * math.sin(angle)
         lines.append(
-            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="{style.font_size}" '
-            f'text-anchor="middle" fill="{style.axis_color}">{label}</text>'
+            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="{SVG_FONT_SIZE}" '
+            f'text-anchor="middle" fill="{SVG_AXIS_COLOR}">{label}</text>'
         )
     lines.append(
         f'<line x1="{_fmt(cx - radius)}" y1="{_fmt(cy)}" x2="{_fmt(cx + radius)}" '
-        f'y2="{_fmt(cy)}" stroke="{style.axis_color}" stroke-width="1.0"/>'
+        f'y2="{_fmt(cy)}" stroke="{SVG_AXIS_COLOR}" stroke-width="1.0"/>'
     )
     title = f"walls: type {dec.type_name}, n = {dec.n}"
     if dec.degenerate:
         title += " (degenerate)"
     lines.append(
         f'<text x="{_fmt(float(mg))}" y="{_fmt(float(mg))}" '
-        f'font-size="{style.font_size + 2}" fill="{style.axis_color}">{title}</text>'
+        f'font-size="{SVG_FONT_SIZE + 2}" fill="{SVG_AXIS_COLOR}">{title}</text>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

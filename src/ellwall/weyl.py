@@ -4,23 +4,20 @@ Elements act on F = h + Q*delta1 + Q*delta2 and are stored as integer
 matrices (optionally with the generating word for provenance): a
 reflection's coefficients 2<e_j,b>/<b,b> are Cartan integers, and the
 stabilizer generators lift GL(2,Z) blocks, so every product stays
-integral.  Only the translation vectors, solved through the Gram form,
-are rational.
+integral.
 Reflections exist for real roots only and fix the radical pointwise, so
 the induced action on the delta-plane is trivial for the reflection
 subgroup; the interesting delta-plane action comes from the
 marking-stabilizer generators, which act trivially on h instead.
 
 Matrix convention: vectors are columns over the ordered basis
-(simple roots of h, delta1, delta2); w.apply(x) = M @ x.
+(simple roots of h, delta1, delta2); w acts on x as M @ x.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .roots import EllipticRoot, EllipticRootSystem
 
@@ -34,10 +31,6 @@ def _identity(size: int) -> Matrix:
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def _mat_vec(a: Matrix, v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def full_gram(system: EllipticRootSystem) -> Matrix:
@@ -59,18 +52,6 @@ class WeylElement:
     @property
     def size(self) -> int:
         return len(self.matrix)
-
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        return _mat_vec(self.matrix, v)
-
-    def apply_root(self, system: EllipticRootSystem, beta: EllipticRoot) -> EllipticRoot:
-        img = self.apply(root_vector(system, beta))
-        finite = img[: system.rank]
-        if any(x.denominator != 1 for x in img):
-            raise ValueError("image is not an integral root vector")
-        return EllipticRoot(
-            tuple(int(x) for x in finite), int(img[system.rank]), int(img[system.rank + 1])
-        )
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(_mat_mul(self.matrix, other.matrix), self.word + other.word)
@@ -121,67 +102,6 @@ def reflect(system: EllipticRootSystem, beta: EllipticRoot) -> WeylElement:
     return WeylElement(matrix, (label,))
 
 
-def _solve_gram(system: EllipticRootSystem, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Solve G t = rhs on the finite part (G nondegenerate there)."""
-    r = system.rank
-    aug = [
-        [Fraction(system.gram[i][j]) for j in range(r)] + [Fraction(rhs[i])]
-        for i in range(r)
-    ]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(aug[i][r] for i in range(r))
-
-
-def finite_block(w: WeylElement, system: EllipticRootSystem) -> Matrix:
-    r = system.rank
-    return tuple(tuple(w.matrix[i][j] for j in range(r)) for i in range(r))
-
-
-def is_translation(w: WeylElement, system: EllipticRootSystem) -> bool:
-    """True when the action on h and on the delta-plane is the identity,
-    so only the two delta-valued functionals are nonzero."""
-    r = system.rank
-    ident = _identity(r + 2)
-    for i in range(r):
-        if w.matrix[i] != ident[i]:
-            return False
-    for i in (r, r + 1):
-        for j in (r, r + 1):
-            if w.matrix[i][j] != ident[i][j]:
-                return False
-    return True
-
-
-def translation_part(
-    w: WeylElement, system: EllipticRootSystem
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The two translation vectors of a reflection-group element.
-
-    Writing w(x) = u(x) + t_aff-functional(x) delta1 + t_ell-functional(x) delta2
-    for x in h, the functionals are the delta-rows of the matrix; they are
-    converted to vectors of h through the Gram form.  For pure translations
-    (finite block the identity) these are the translation vectors of the two
-    quotient descriptions; they add under composition of translations.
-    """
-    gram_f = full_gram(system)
-    if not w.preserves_form(gram_f):
-        raise ValueError("element does not preserve the bilinear form")
-    r = system.rank
-    row_aff = [w.matrix[r][j] for j in range(r)]
-    row_ell = [w.matrix[r + 1][j] for j in range(r)]
-    if r == 0:
-        return ((), ())
-    return (_solve_gram(system, row_aff), _solve_gram(system, row_ell))
-
-
 # ---------------------------------------------------------------------------
 # marking stabilizer
 # ---------------------------------------------------------------------------
@@ -214,22 +134,16 @@ def _delta_plane_element(
     system: EllipticRootSystem,
     gl2: tuple[tuple[int, int], tuple[int, int]],
     label: str,
-    marking: str,
 ) -> ExtendedElement:
     """Lift a delta-plane matrix to F, acting as the identity on h.
 
-    gl2 is over (marking, complement); on F the coordinates are stored as
-    (h..., delta1, delta2), so the embedding permutes accordingly.
+    gl2 is over (marking, complement) = (delta2, delta1); on F the
+    coordinates are stored as (h..., delta1, delta2), so the embedding
+    swaps the two.
     """
     r = system.rank
-    size = r + 2
-    m = [list(row) for row in _identity(size)]
-    if marking == "delta2":
-        idx = (r + 1, r)  # (marking, complement) -> storage rows
-    elif marking == "delta1":
-        idx = (r, r + 1)
-    else:
-        raise ValueError("marking must be 'delta1' or 'delta2'")
+    m = [list(row) for row in _identity(r + 2)]
+    idx = (r + 1, r)  # (marking, complement) -> storage rows
     for i in range(2):
         for j in range(2):
             m[idx[i]][idx[j]] = gl2[i][j]
@@ -238,10 +152,8 @@ def _delta_plane_element(
     )
 
 
-def marking_stabilizer_generators(
-    system: EllipticRootSystem, marking: str = "delta2"
-) -> list[ExtendedElement]:
-    """Generators of the subgroup preserving the marking line.
+def marking_stabilizer_generators(system: EllipticRootSystem) -> list[ExtendedElement]:
+    """Generators of the subgroup preserving the marking line delta2.
 
     The delta-plane part is generated by the unipotent shear and the
     orientation flip of the complementary direction (infinite dihedral);
@@ -251,8 +163,8 @@ def marking_stabilizer_generators(
     gens: list[ExtendedElement] = []
     shear = ((1, 1), (0, 1))
     flip = ((1, 0), (0, -1))
-    gens.append(_delta_plane_element(system, shear, "shear", marking))
-    gens.append(_delta_plane_element(system, flip, "flip", marking))
+    gens.append(_delta_plane_element(system, shear, "shear"))
+    gens.append(_delta_plane_element(system, flip, "flip"))
     ident2 = ((1, 0), (0, 1))
     for i in range(system.rank):
         for (dm, dn) in ((0, 0), (1, 0), (0, 1)):

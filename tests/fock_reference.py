@@ -5,15 +5,32 @@ index (``ellwall.fock.fastapply``).  This module applies them a second,
 independent way, over exact rationals on ``FockState`` values: term by
 term, one Heisenberg mode at a time, with a sign per odd mode crossed.
 The differential tests compare the two paths.
+
+It also holds the Fraction label layer: ``CohClass`` (an exact
+combination of the four basis classes), the super-pairing and the cup
+and star products.  The package reads the pairing and the star product
+on basis labels only (``pairing_scalar``, ``star_label``); the label
+tests check those against this layer, and the star product against the
+cup product through the duality swap E <-> pt.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from ellwall.fock.labels import LABEL_PARITY, CohClass, pairing_scalar
+from ellwall.fock.labels import (
+    _STAR_TABLE,
+    COH_E,
+    COH_PT,
+    COH_SM,
+    COH_SP,
+    LABEL_PARITY,
+    label_index,
+    pairing_scalar,
+)
 from ellwall.fock.operators import NormalTerm, OperatorExpr, _charged_mode
 from ellwall.fock.states import (
     FockState,
@@ -27,6 +44,104 @@ from ellwall.fock.states import (
 
 class TruncationError(RuntimeError):
     """An exact result would exceed the requested energy window."""
+
+
+# ---------------------------------------------------------------------------
+# label layer: exact classes, pairing and products
+
+
+@dataclass(frozen=True)
+class CohClass:
+    """Exact linear combination of the four basis classes."""
+
+    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+
+    def __post_init__(self):
+        if len(self.coeffs) != 4:
+            raise ValueError("a cohomology class has four coefficients")
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+
+    @staticmethod
+    def basis(label: Union[int, str]) -> "CohClass":
+        i = label_index(label)
+        return CohClass(tuple(Fraction(int(j == i)) for j in range(4)))
+
+    @staticmethod
+    def zero() -> "CohClass":
+        return CohClass((Fraction(0),) * 4)
+
+    def __add__(self, other: "CohClass") -> "CohClass":
+        return CohClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "CohClass") -> "CohClass":
+        return CohClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def scale(self, x: Scalar) -> "CohClass":
+        return CohClass(tuple(Fraction(x) * c for c in self.coeffs))
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def is_homogeneous(self) -> bool:
+        """Single parity: no mixing of odd and even basis classes."""
+        odd = any(self.coeffs[i] for i in (COH_SP, COH_SM))
+        even = any(self.coeffs[i] for i in (COH_E, COH_PT))
+        return not (odd and even)
+
+    def parity(self) -> int:
+        if not self.is_homogeneous():
+            raise ValueError("mixed-parity class has no parity")
+        return 1 if any(self.coeffs[i] for i in (COH_SP, COH_SM)) else 0
+
+    def support(self) -> list[tuple[int, Fraction]]:
+        return [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
+
+
+def super_pairing(u: CohClass, v: CohClass) -> Fraction:
+    total = Fraction(0)
+    for i, ci in u.support():
+        for j, cj in v.support():
+            p = pairing_scalar(i, j)
+            if p:
+                total += ci * cj * p
+    return total
+
+
+def _product_from_table(table: dict, u: CohClass, v: CohClass) -> CohClass:
+    out = [Fraction(0)] * 4
+    for i, ci in u.support():
+        for j, cj in v.support():
+            hit = table.get((i, j))
+            if hit is not None:
+                k, sign = hit
+                out[k] += ci * cj * sign
+    return CohClass(tuple(out))
+
+
+# (i, j) -> (result label, sign): unit E, s+ * s- = pt, pt * x = 0 for
+# x != E (multiplication graded by codimension)
+_CUP_TABLE = {
+    (COH_E, COH_E): (COH_E, 1),
+    (COH_E, COH_SP): (COH_SP, 1),
+    (COH_E, COH_SM): (COH_SM, 1),
+    (COH_E, COH_PT): (COH_PT, 1),
+    (COH_SP, COH_E): (COH_SP, 1),
+    (COH_SM, COH_E): (COH_SM, 1),
+    (COH_PT, COH_E): (COH_PT, 1),
+    (COH_SP, COH_SM): (COH_PT, 1),
+    (COH_SM, COH_SP): (COH_PT, -1),
+}
+
+
+def cup_product(u: CohClass, v: CohClass) -> CohClass:
+    """Reference multiplication with unit E; s+ * s- = pt."""
+    return _product_from_table(_CUP_TABLE, u, v)
+
+
+def star_product(u: CohClass, v: CohClass) -> CohClass:
+    """Multiplication with unit pt; s+ * s- = E.  This is the product the
+    generator bracket closes on."""
+    return _product_from_table(_STAR_TABLE, u, v)
 
 
 # ---------------------------------------------------------------------------

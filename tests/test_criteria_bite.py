@@ -1,0 +1,54 @@
+"""Criteria fail on a broken production path.
+
+Each test breaks one function the criterion reads, with ``monkeypatch``,
+and checks that the criterion's runner returns ``pass: False`` with a
+report that still serializes.
+"""
+
+import dataclasses
+
+from ellwall import verify, walls
+from ellwall.serialize import to_json
+
+
+def test_c06_fails_when_a_wall_is_listed_twice(monkeypatch):
+    real = walls.enumerate_v_walls
+
+    def doubled(v, type_name):
+        found = real(v, type_name)
+        return found[:1] + found
+
+    monkeypatch.setattr(walls, "enumerate_v_walls", doubled)
+    result = verify.check_wall_sets(3)
+    assert result["pass"] is False
+    # the repeated position bounds an empty chamber, which is not counted
+    assert result["chamber_counts"] == result["wall_counts"]
+    to_json(result)
+
+
+def test_c10_fails_when_the_flip_is_not_an_involution(monkeypatch):
+    real = verify.marking_stabilizer_generators
+
+    def shear_as_flip(system):
+        shear, flip = real(system)
+        return [shear, dataclasses.replace(flip, weyl_part=shear.weyl_part)]
+
+    monkeypatch.setattr(verify, "marking_stabilizer_generators", shear_as_flip)
+    result = verify.check_weyl_relations(2)
+    assert result["pass"] is False
+    assert result["stabilizer"]["flip_involution"] is False
+    assert '"flip_involution": false' in to_json(result)
+
+
+def test_c10_fails_when_a_generator_moves_the_marking(monkeypatch):
+    real = verify.marking_stabilizer_generators
+
+    def transposed_flip(system):
+        shear, flip = real(system)
+        return [shear, dataclasses.replace(flip, gl2_part=((1, 0), (1, -1)))]
+
+    monkeypatch.setattr(verify, "marking_stabilizer_generators", transposed_flip)
+    result = verify.check_weyl_relations(2)
+    assert result["pass"] is False
+    assert result["stabilizer"]["flip_involution"] is True
+    to_json(result)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellwall.fock.labels import COH_E, CohClass, label_index, star_product
+from ellwall.fock.labels import COH_E, label_index
 from ellwall.fock.operators import ExtendedModeError, w_general
 from ellwall.fock.states import FockState, basis_monomials, monomial_energy
 from ellwall.fock.verify import (
@@ -13,7 +13,7 @@ from ellwall.fock.verify import (
     bracket_verify,
 )
 
-from fock_reference import add, apply, commutator_apply, scale
+from fock_reference import CohClass, add, apply, commutator_apply, scale, star_product
 
 
 class TestSingleInstances:

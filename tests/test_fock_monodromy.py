@@ -42,12 +42,6 @@ class TestFiberAction:
                 s = FockState.from_monomial(mono, Fraction(3, 7), charge)
                 assert monodromy_f(monodromy_f(s)) == s
 
-    def test_weight_argument_checked(self):
-        s = state_of((2, COH_E))
-        assert monodromy_f(s, n=2) == monodromy_f(s)
-        with pytest.raises(ValueError):
-            monodromy_f(s, n=3)
-
     def test_mixed_weight_rejected(self):
         mixed = add(state_of((1, COH_E)), state_of((2, COH_E)))
         with pytest.raises(ValueError):
@@ -86,7 +80,7 @@ def poly_mul(
 
 class TestSectionAction:
     def test_vacuum_fixed(self):
-        assert monodromy_s(FockState.vacuum(0), 4) == FockState.vacuum(0)
+        assert monodromy_s(FockState(0, {(): 1}), 4) == FockState(0, {(): 1})
 
     def test_single_mode_golden(self):
         # the slope-one generator at mode -1 creates the linear mode
@@ -135,7 +129,7 @@ class TestSectionAction:
 
     def test_charged_input_rejected(self):
         with pytest.raises(ValueError):
-            monodromy_s(FockState.vacuum(1), 4)
+            monodromy_s(FockState(1, {(): 1}), 4)
 
     def test_linear_on_same_length_monomials(self):
         a = state_of((2, COH_E), (1, COH_E))
@@ -175,7 +169,7 @@ def test_section_action_matches_operator_chain(config):
     overflows = 0
     for mono in basis_monomials(N):
         state = FockState.from_monomial(mono)
-        want = FockState.vacuum(0)
+        want = FockState(0, {(): 1})
         try:
             for k, label in reversed(mono):
                 op = ops.get((k, label))

@@ -139,7 +139,7 @@ class TestAnnihilate:
 
 class TestFockState:
     def test_vacuum(self):
-        v = FockState.vacuum(3)
+        v = FockState(3, {(): 1})
         assert v.charge == 3 and not v.is_zero()
         assert v.weight() == 0
 
@@ -150,11 +150,11 @@ class TestFockState:
 
     def test_add_charge_mismatch(self):
         with pytest.raises(ValueError):
-            add(FockState.vacuum(0), FockState.vacuum(1))
+            add(FockState(0, {(): 1}), FockState(1, {(): 1}))
 
     def test_zero_states_equal_across_charges(self):
         assert FockState.zero(0) == FockState.zero(7)
-        assert add(FockState.zero(0), FockState.vacuum(4)) == FockState.vacuum(4)
+        assert add(FockState.zero(0), FockState(4, {(): 1})) == FockState(4, {(): 1})
 
     def test_cancellation_drops_monomial(self):
         a = FockState.from_monomial(((2, COH_E),), 1)
@@ -169,7 +169,7 @@ class TestFockState:
             mixed.weight()
 
     def test_shift_charge(self):
-        assert shift_charge(FockState.vacuum(1), -3).charge == -2
+        assert shift_charge(FockState(1, {(): 1}), -3).charge == -2
 
     def test_json_shape(self):
         s = FockState.from_monomial(
@@ -185,21 +185,21 @@ class TestFockState:
 
 class TestAlphaApply:
     def test_creation_then_annihilation(self):
-        v = FockState.vacuum(0)
+        v = FockState(0, {(): 1})
         up = alpha_apply(-1, COH_PT, v)
         assert up.terms == {((1, COH_PT),): Fraction(1)}
         down = alpha_apply(1, COH_E, up)
-        assert down == FockState.vacuum(0)
+        assert down == FockState(0, {(): 1})
 
     def test_commutation_value(self):
         # alpha_2 alpha_{-2} on vacuum picks up the factor 2<E,pt>
-        v = FockState.vacuum(0)
+        v = FockState(0, {(): 1})
         out = alpha_apply(2, COH_E, alpha_apply(-2, COH_PT, v))
         assert out.terms == {(): Fraction(2)}
 
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError):
-            alpha_apply(0, COH_E, FockState.vacuum(0))
+            alpha_apply(0, COH_E, FockState(0, {(): 1}))
 
     def test_truncation_guard(self):
         v = FockState.from_monomial(((3, COH_E),))
@@ -208,4 +208,4 @@ class TestAlphaApply:
 
     @given(st.integers(1, 3), st.sampled_from(range(4)))
     def test_annihilate_vacuum(self, n, label):
-        assert alpha_apply(n, label, FockState.vacuum(0)).is_zero()
+        assert alpha_apply(n, label, FockState(0, {(): 1})).is_zero()

@@ -3,8 +3,6 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-import pytest
-
 import ellwall.fock.verify as verify
 from ellwall.fock.fastapply import (
     BasisIndex,
@@ -241,27 +239,3 @@ def test_witness_difference_matches_reference(monkeypatch):
     assert any(
         "/" in t["coeff"] for w in failures for t in w["difference"]["terms"]
     )
-    # the single-instance check builds the same witness
-    w = failures[-1]
-    (term,) = w["state"]["terms"]
-    mono = tuple((j, label_index(name)) for j, name in term["modes"])
-    table = ChargedField(
-        w["m"], -n_max - k_max, n_max + k_max, BasisIndex(N + n_max), N
-    )
-    assert verify.vertex_commutator_check(
-        table, w["k"], label_index(w["label"]), w["mode"], mono
-    ) == w
-
-
-def test_single_check_rejects_reads_outside_the_field():
-    field = ChargedField(1, -2, 2, BasisIndex(4), 2)
-    mono = ((2, COH_E),)
-    assert verify.vertex_commutator_check(field, 1, COH_PT, 0, mono) is None
-    with pytest.raises(ValueError):
-        # alpha_{-1} raises the monomial above the field's top energy
-        verify.vertex_commutator_check(field, -1, COH_PT, 0, mono)
-    with pytest.raises(ValueError):
-        # field-mode 2 + 1 is outside n_hi = 2
-        verify.vertex_commutator_check(field, 1, COH_PT, 2, mono)
-    with pytest.raises(ValueError):
-        verify.vertex_commutator_check(field, 0, COH_PT, 0, mono)

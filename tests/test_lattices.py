@@ -2,15 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ellwall.lattices import (
     BilinearLattice,
-    CurveData,
-    KoszulClass,
     MukaiVector,
-    euler_pair_koszul,
     hilbert_vector,
     mukai_pair,
     root_to_kclass,
@@ -150,45 +145,6 @@ class TestRootToKClass:
                     beta = EllipticRoot((), s, r)  # m=s point-coeff, n=r fiber
                     val = mukai_pair(root_to_kclass(beta, "A-1"), v, ns)
                     assert val == -s
-
-
-class TestEulerKoszul:
-    curve = CurveData()
-
-    def test_zero_class(self):
-        z = KoszulClass((0, 0), (0, 0))
-        assert euler_pair_koszul(z, z, self.curve) == 0
-
-    def test_point_point(self):
-        pt = KoszulClass((0, 0), (0, 1))
-        assert euler_pair_koszul(pt, pt, self.curve) == 0
-
-    def test_mixed_golden(self):
-        x = KoszulClass((1, 0), (1, 0))
-        y = KoszulClass((0, 0), (0, 1))
-        # chi(a,c)=0, chi(b,d)=1, minus twice chi(a,d)=1 -> -1
-        assert euler_pair_koszul(x, y, self.curve) == -1
-
-    @settings(max_examples=60)
-    @given(st.tuples(*[st.integers(-5, 5)] * 8), st.tuples(*[st.integers(-5, 5)] * 8))
-    def test_bilinear(self, xs, ys):
-        x1 = KoszulClass((xs[0], xs[1]), (xs[2], xs[3]))
-        x2 = KoszulClass((xs[4], xs[5]), (xs[6], xs[7]))
-        y = KoszulClass((ys[0], ys[1]), (ys[2], ys[3]))
-        xsum = KoszulClass(
-            (xs[0] + xs[4], xs[1] + xs[5]), (xs[2] + xs[6], xs[3] + xs[7])
-        )
-        assert euler_pair_koszul(xsum, y, self.curve) == euler_pair_koszul(
-            x1, y, self.curve
-        ) + euler_pair_koszul(x2, y, self.curve)
-
-    def test_nontrivial_twist_changes_value(self):
-        x = KoszulClass((1, 0), (0, 0))
-        y = KoszulClass((0, 0), (1, 0))
-        # twist degree shifts the fourth term only when rank(a) != 0
-        assert euler_pair_koszul(x, y, CurveData(twist_degree=2)) != euler_pair_koszul(
-            x, y, CurveData()
-        )
 
 
 def test_lattice_validation():

@@ -1,6 +1,5 @@
 import random
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,16 +13,13 @@ from ellwall.localmodel import (
     BimoduleParam,
     PreprojRep,
     char_value,
-    char_values,
     hh0_audit,
     hh0_dim,
-    hh0_summands,
     jet_module_rep,
     jet_trace,
     matrix_rank,
     nilpotent_jordan_type,
     preproj_check,
-    root_hyperplane,
     splits,
     tensor_simple,
     tensor_table,
@@ -73,16 +69,14 @@ class TestHH0:
             with pytest.raises(UnsupportedTypeError):
                 hh0_dim(bad)
         with pytest.raises(UnsupportedTypeError):
-            hh0_summands(5)
-        with pytest.raises(UnsupportedTypeError):
             hh0_audit(5)
 
     def test_summand_breakdown(self):
-        assert hh0_summands(1) == [2]
-        assert hh0_summands(2) == [2, 4]
-        assert hh0_summands(3) == [2, 3, 3]
-        assert hh0_summands(4) == [2, 2, 4, 2]
-        assert hh0_summands(6) == [2, 1, 3, 4, 3, 1]
+        assert hh0_audit(1)["naive_summands"] == [2]
+        assert hh0_audit(2)["naive_summands"] == [2, 4]
+        assert hh0_audit(3)["naive_summands"] == [2, 3, 3]
+        assert hh0_audit(4)["naive_summands"] == [2, 2, 4, 2]
+        assert hh0_audit(6)["naive_summands"] == [2, 1, 3, 4, 3, 1]
 
     def test_audit_orbit_total_matches_table(self):
         for k, expected in HH0_TABLE.items():
@@ -108,14 +102,13 @@ class TestHH0:
 
 class TestCharValues:
     def test_identity_indicator(self):
-        p = BimoduleParam.delta(4, 0)
-        assert all(cv.value == Cyclotomic(4, 1) for cv in char_values(p))
+        p = BimoduleParam.make(4, [1, 0, 0, 0])
+        assert all(char_value(p, r) == Cyclotomic(4, 1) for r in range(4))
 
     def test_order_two_generator(self):
         p = BimoduleParam.make(2, [0, 1])
-        vals = char_values(p)
-        assert vals[0].value == Cyclotomic(2, 1)
-        assert vals[1].value == Cyclotomic(2, -1)
+        assert char_value(p, 0) == Cyclotomic(2, 1)
+        assert char_value(p, 1) == Cyclotomic(2, -1)
 
     def test_order_three_generator_against_cyclotomic_oracle(self):
         p = BimoduleParam.make(3, [0, 1, 0])
@@ -164,7 +157,7 @@ class TestTensorSimple:
         assert dec.extension is None
 
     def test_identity_indicator_never_splits(self):
-        p = BimoduleParam.delta(4, 0)
+        p = BimoduleParam.make(4, [1, 0, 0, 0])
         for i in range(4):
             dec = tensor_simple(i, p)
             assert not dec.split and dec.tag == "ext"
@@ -209,7 +202,7 @@ class TestJetMatrix:
         assert int_matrix(y_matrix(0, p)) == [[0, 0], [0, 0]]
 
     def test_order_one_identity_coupling(self):
-        p = BimoduleParam.delta(1, 0)
+        p = BimoduleParam.make(1, [1])
         assert int_matrix(y_matrix(1, p)) == [
             [0, 1, 1, 0],
             [0, 0, 0, 1],
@@ -236,7 +229,7 @@ class TestJetMatrix:
                     assert entry.is_zero()
 
     def test_jordan_block_grows_without_splitting(self):
-        p = BimoduleParam.delta(1, 0)
+        p = BimoduleParam.make(1, [1])
         jt = nilpotent_jordan_type(y_matrix(2, p))
         assert max(jt) >= 4
         assert jt == (4, 2)
@@ -332,7 +325,7 @@ class TestSplitting:
             assert splits(n, p)
 
     def test_identity_indicator_never_splits(self):
-        p = BimoduleParam.delta(2, 0)
+        p = BimoduleParam.make(2, [1, 0])
         for n in range(4):
             assert not splits(n, p)
             assert jet_trace(n, p) == Cyclotomic(2, n + 1)
@@ -371,69 +364,13 @@ class TestSplitting:
 
 
 class TestRootHyperplane:
-    def test_simple_root_functional_is_character(self):
-        rng = random.Random(5)
-        for k in (2, 3, 4):
-            p = random_param(rng, k)
-            for i in range(k):
-                coeffs = [0] * k
-                coeffs[i] = 1
-                f = root_hyperplane(k, coeffs)
-                assert f.kind == "real"
-                assert f.evaluate(p) == char_value(p, i)
-                assert f.contains(p) == char_value(p, i).is_zero()
-
-    def test_radical_class_reads_identity_component(self):
-        k = 3
-        f = root_hyperplane(k, (1, 1, 1))
-        assert f.kind == "delta"
-        rng = random.Random(6)
-        p = random_param(rng, k)
-        assert f.evaluate(p) == p.a[0] * k
-        # kernel = parameters with no identity component
-        assert f.contains(BimoduleParam.delta(k, 1))
-        assert f.contains(BimoduleParam.delta(k, 2))
-        assert not f.contains(BimoduleParam.delta(k, 0))
-
-    def test_negative_radical_class(self):
-        f = root_hyperplane(2, (-1, -1))
-        assert f.kind == "delta"
-        assert f.evaluate(BimoduleParam.delta(2, 0)) == Cyclotomic(2, -2)
-
-    def test_scaling_preserves_membership(self):
-        rng = random.Random(9)
-        f = root_hyperplane(4, (0, 0, 1, 0))
-        for _ in range(5):
-            p = random_param(rng, 4)
-            scaled = p.scale(Fraction(3, 2))
-            assert f.contains(p) == f.contains(scaled)
-
-    def test_nonsimple_real_root(self):
-        f = root_hyperplane(3, (1, 1, 0))
-        p = BimoduleParam.make(3, [2, -1, 1])
-        assert f.evaluate(p) == char_value(p, 0) + char_value(p, 1)
-
-    def test_rejects_bad_classes(self):
-        with pytest.raises(ValueError):
-            root_hyperplane(3, (2, 2, 2))  # imaginary, non-primitive
-        with pytest.raises(ValueError):
-            root_hyperplane(3, (0, 0, 0))
-        with pytest.raises(ValueError):
-            root_hyperplane(3, (1, -1, 0))  # norm 3, not a root
-        with pytest.raises(ValueError):
-            root_hyperplane(3, (1, 1))  # wrong length
-
-    def test_order_one_only_radical(self):
-        f = root_hyperplane(1, (1,))
-        assert f.kind == "delta"
-        with pytest.raises(ValueError):
-            root_hyperplane(1, (2,))
-
     def test_simple_functionals_independent(self):
+        """The simple-root functionals A_0, ..., A_{k-1} are independent."""
         k = 4
         mat = tuple(
             tuple(
-                char_value(BimoduleParam.delta(k, g), i) for g in range(k)
+                char_value(BimoduleParam.make(k, [int(j == g) for j in range(k)]), i)
+                for g in range(k)
             )
             for i in range(k)
         )
@@ -458,7 +395,7 @@ class TestPreproj:
         assert report.sign_convention == PREPROJ_SIGN_CONVENTION
 
     def test_one_node_nonzero_scalar_fails_with_trace_residual(self):
-        p = BimoduleParam.delta(1, 0)  # A_0 = 1
+        p = BimoduleParam.make(1, [1])  # A_0 = 1
         rep = PreprojRep.make(1, (1,), [[[0]]], [[[0]]], [1])
         report = preproj_check(rep, p)
         assert not report.passes and not report.relation_holds
@@ -498,7 +435,7 @@ class TestPreproj:
             assert report.passes and report.seminilpotent
 
     def test_jet_module_nonsplit_case_fails(self):
-        p = BimoduleParam.delta(1, 0)
+        p = BimoduleParam.make(1, [1])
         report = preproj_check(jet_module_rep(1, p), p)
         assert not report.passes
         minus_one = Cyclotomic(1, -1)
@@ -506,7 +443,7 @@ class TestPreproj:
         assert res[0][0] == minus_one and res[1][1] == minus_one
 
     def test_lambda_mismatch_flagged(self):
-        p = BimoduleParam.delta(1, 0)  # A_0 = 1
+        p = BimoduleParam.make(1, [1])  # A_0 = 1
         rep = PreprojRep.make(1, (1,), [[[0]]], [[[0]]], [0])
         report = preproj_check(rep, p)
         assert report.relation_holds
@@ -547,7 +484,7 @@ class TestPreproj:
             preproj_check(rep, BimoduleParam.make(2, [0, 0]))
 
     def test_report_json(self):
-        p = BimoduleParam.delta(1, 0)
+        p = BimoduleParam.make(1, [1])
         report = preproj_check(jet_module_rep(0, p), p)
         d = report.to_json_dict()
         assert d["passes"] is False

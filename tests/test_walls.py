@@ -18,19 +18,35 @@ from ellwall.lattices import (
 from ellwall.roots import EllipticRoot, build_elliptic
 from ellwall.walls import (
     ChamberDecomposition,
-    SvgStyle,
     TriPoly,
     UnsupportedTypeError,
-    bayer_macri_class,
     central_charge_sym,
     chamber_decomposition,
     emit_chamber_svg,
     enumerate_v_walls,
     phase_equal_locus,
-    phase_equal_locus_printed,
 )
 
 NS = surface_lattice("A-1")
+
+
+def phase_equal_locus_printed(r, s, n):
+    """The closed-form wall equation as usually quoted for the rank-0 type:
+    s*d + b*c*s - r*b*c^2 - 2*c*d*r + b*r + n*r.  Agrees with the derived
+    locus exactly when r = 0; the general-r discrepancy is
+    2*r*(c*d - n - b), twice the real part of the charge of v."""
+    b, c, d = TriPoly.var("b"), TriPoly.var("c"), TriPoly.var("d")
+    return s * d + b * c * s - r * (b * (c * c)) - 2 * (c * d) * r + b * r + TriPoly.const(n * r)
+
+
+def bayer_macri_class(H, B, v, ns):
+    """The numerical divisor class of the stability condition at (H, B)
+    for v = (1, 0, -n): (B.H, -n B.H, -(B.H) B + (-n + (B^2 - H^2)/2) H)."""
+    n = -v.ch2
+    bh = ns.pair(B, H)
+    coef = -n + (ns.pair(B, B) - ns.pair(H, H)) / 2
+    c_part = tuple(-bh * Fraction(x) + coef * Fraction(y) for x, y in zip(B, H))
+    return (bh, -n * bh, c_part)
 
 # wall counts for n = 1..12, frozen from the primitive-pair count
 # 1 + sum_{q=2}^{n} phi(q)
@@ -227,12 +243,6 @@ class TestTriPoly:
         assert p.evaluate(1, 2, 5) == (1 + 4) * (5 - 3)
         assert (p - p).is_zero()
 
-    def test_primitive_form_canonicalizes(self):
-        b, d = TriPoly.var("b"), TriPoly.var("d")
-        p = Fraction(2, 3) * b - Fraction(4, 3) * d
-        q = -5 * b + 10 * d
-        assert p.primitive_form() == q.primitive_form()
-
     def test_str_golden(self):
         b, c, d = (TriPoly.var(v) for v in "bcd")
         p = d + b * c - b * c * c - b + TriPoly.const(-2)
@@ -376,8 +386,3 @@ class TestSvg:
         golden = pathlib.Path(__file__).parent / "data" / "chambers_a-1_n4.svg"
         svg = emit_chamber_svg(chamber_decomposition(4))
         assert svg == golden.read_text()
-
-    def test_style_is_respected(self):
-        dec = chamber_decomposition(2)
-        svg = emit_chamber_svg(dec, SvgStyle(width=200, height=100))
-        assert 'width="200"' in svg and 'height="100"' in svg
