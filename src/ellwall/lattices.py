@@ -8,11 +8,18 @@ The two surface lattices in play:
   the four types that admit an equivariant surface model; the curve-class
   block is the negative of the Cartan matrix of the type together with
   its complementary type.
+
+Everything here is integral: basis vectors and divisor classes are
+``int`` tuples, the half-integral point part of a Mukai vector is stored
+doubled, and the pairing is one integer sum over the nonzero Gram
+entries, which each lattice lists once.  A ``Fraction`` appears only at
+the boundary: the point part ``ch2``, the Mukai pairing and the JSON
+form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -30,6 +37,10 @@ _COMPLEMENT = {"D4": "D4", "E6": "A2", "E7": "A1", "E8": None}
 class BilinearLattice:
     labels: tuple[str, ...]
     gram: tuple[tuple[int, ...], ...]
+    # (i, j, gram[i][j]) for every nonzero entry, listed once per lattice
+    entries: tuple[tuple[int, int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         r = len(self.labels)
@@ -41,26 +52,25 @@ class BilinearLattice:
             for j in range(r):
                 if self.gram[i][j] != self.gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
+        entries = tuple(
+            (i, j, g) for i, row in enumerate(self.gram) for j, g in enumerate(row) if g
+        )
+        object.__setattr__(self, "entries", entries)
 
     @property
     def rank(self) -> int:
         return len(self.labels)
 
-    def pair(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Fraction:
+    def pair(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+        """u . v as one sum over the nonzero Gram entries: an int for
+        integer vectors."""
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("vector length does not match lattice rank")
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj:
-                    total += Fraction(ui) * Fraction(vj) * self.gram[i][j]
-        return total
+        return sum(u[i] * v[j] * g for i, j, g in self.entries)
 
-    def basis_vector(self, label: str) -> tuple[Fraction, ...]:
+    def basis_vector(self, label: str) -> tuple[int, ...]:
         i = self.labels.index(label)
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.rank))
+        return tuple(int(j == i) for j in range(self.rank))
 
     def to_json_dict(self) -> dict:
         return {
@@ -69,27 +79,36 @@ class BilinearLattice:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MukaiVector:
-    """(rank, divisor class, point part); the point part may be half-integral."""
+    """(rank, divisor class, point part).  The divisor class is integral;
+    the point part may be half-integral, so it is stored doubled, as the
+    integer ``twice_ch2``."""
 
     rank: int
-    c1: tuple[Fraction, ...]
-    ch2: Fraction
+    c1: tuple[int, ...]
+    twice_ch2: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "c1", tuple(Fraction(c) for c in self.c1))
-        ch2 = Fraction(self.ch2)
-        if ch2.denominator not in (1, 2):
+    def __init__(self, rank: int, c1: Sequence[Scalar], ch2: Scalar):
+        if any(c.denominator != 1 for c in c1):
+            raise ValueError("divisor class must be integral")
+        num, den = ch2.numerator, ch2.denominator
+        if den not in (1, 2):
             raise ValueError(f"point part must be half-integral, got {ch2}")
-        object.__setattr__(self, "ch2", ch2)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "c1", tuple(c.numerator for c in c1))
+        object.__setattr__(self, "twice_ch2", num * (2 // den))
+
+    @property
+    def ch2(self) -> Fraction:
+        return Fraction(self.twice_ch2, 2)
 
     def to_json_dict(self) -> dict:
         from .serialize import frac_str
 
         return {
             "rank": self.rank,
-            "c1": [frac_str(c) for c in self.c1],
+            "c1": [str(c) for c in self.c1],
             "ch2": frac_str(self.ch2),
         }
 
@@ -98,12 +117,14 @@ def hilbert_vector(n: int, ns: BilinearLattice) -> MukaiVector:
     """The ideal-sheaf class (1, 0, -n) for n points."""
     if n < 1:
         raise ValueError("point count must be >= 1")
-    return MukaiVector(1, (Fraction(0),) * ns.rank, Fraction(-n))
+    return MukaiVector(1, (0,) * ns.rank, -n)
 
 
 def mukai_pair(v: MukaiVector, w: MukaiVector, ns: BilinearLattice) -> Fraction:
-    """c1.c1' - r s' - r' s; symmetric, bilinear."""
-    return ns.pair(v.c1, w.c1) - v.rank * w.ch2 - w.rank * v.ch2
+    """c1.c1' - r s' - r' s; symmetric, bilinear, half-integral when a
+    point part is."""
+    twice = 2 * ns.pair(v.c1, w.c1) - v.rank * w.twice_ch2 - w.rank * v.twice_ch2
+    return Fraction(twice, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +169,9 @@ def root_to_kclass(beta: EllipticRoot, type_name: str) -> MukaiVector:
     if not system.contains(beta):
         raise ValueError(f"{beta} is not a root of type {type_name}")
     ns = surface_lattice(type_name)
-    c1 = [Fraction(0)] * ns.rank
-    e_index = ns.labels.index("E")
-    c1[e_index] = Fraction(beta.n)
+    c1 = [0] * ns.rank
+    c1[ns.labels.index("E")] = beta.n
     if not beta.is_delta_only():
         for i, coeff in enumerate(beta.finite):
-            c1[ns.labels.index(f"C{i+1}")] = Fraction(coeff)
-    return MukaiVector(0, tuple(c1), Fraction(beta.m))
+            c1[ns.labels.index(f"C{i+1}")] = coeff
+    return MukaiVector(0, c1, beta.m)

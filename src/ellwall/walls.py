@@ -2,10 +2,12 @@
 
 Coordinates: the polarization is section + b*fiber and the twist divisor
 is c*section + d*fiber, so every wall locus is a polynomial in (b, c, d)
-with exact rational coefficients.  The locus is *computed* from the
-central charge (real/imaginary parts expanded symbolically) rather than
-typed in, so the phase-alignment property is true by construction; the
-tests compare the closed form as usually printed against it.
+with exact rational coefficients, held as integer numerators over one
+denominator (``TriPoly``).  The locus is *computed* from the central
+charge (real/imaginary parts expanded symbolically) rather than typed
+in, so the phase-alignment property is true by construction; the tests
+compare the closed form as usually printed against it.  The charge of
+v is expanded once per enumeration and crossed with each wall's.
 
 Wall set for the rank-0 type: primitive pairs (r, s) with r >= 0,
 s >= 1 and depth r + s <= n (the point-contraction wall is (0, 1)).
@@ -32,6 +34,7 @@ from .roots import EllipticRoot, build_elliptic
 from .serialize import frac_str
 
 Scalar = Union[int, Fraction]
+Key = tuple[int, int, int]
 
 WALL_TYPES = ("A-1", "D4", "E6", "E7", "E8")
 WILD_TYPES = ("A0", "A1", "A2")
@@ -53,40 +56,47 @@ class UnsupportedTypeError(ValueError):
 
 
 class TriPoly:
-    """Polynomial in three variables over Q, stored sparsely."""
+    """Polynomial in three variables over Q, stored sparsely as integer
+    numerators over one positive denominator, in lowest terms: every
+    polynomial has one representation, so equality is a dict compare."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
     VARS = ("b", "c", "d")
 
-    def __init__(self, terms: Optional[dict[tuple[int, int, int], Fraction]] = None):
-        self.terms: dict[tuple[int, int, int], Fraction] = {}
-        if terms:
-            for k, v in terms.items():
-                v = Fraction(v)
-                if v != 0:
-                    self.terms[k] = v
+    def __init__(self, nums: Optional[dict[Key, int]] = None, den: int = 1):
+        nums = {k: v for k, v in nums.items() if v} if nums else {}
+        g = math.gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {k: v // g for k, v in nums.items()}
+            den //= g
+        self.nums: dict[Key, int] = nums
+        self.den = den
 
     @staticmethod
     def const(x: Scalar) -> "TriPoly":
-        return TriPoly({(0, 0, 0): Fraction(x)})
+        return TriPoly({(0, 0, 0): x.numerator}, x.denominator)
 
     @staticmethod
     def var(name: str) -> "TriPoly":
         i = TriPoly.VARS.index(name)
         key = tuple(1 if j == i else 0 for j in range(3))
-        return TriPoly({key: Fraction(1)})
+        return TriPoly({key: 1})
 
     def __add__(self, other: Union["TriPoly", Scalar]) -> "TriPoly":
         other = _coerce(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return TriPoly(out)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        out = {k: v * fa for k, v in self.nums.items()}
+        for k, v in other.nums.items():
+            out[k] = out.get(k, 0) + v * fb
+        return TriPoly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TriPoly":
-        return TriPoly({k: -v for k, v in self.terms.items()})
+        return TriPoly({k: -v for k, v in self.nums.items()}, self.den)
 
     def __sub__(self, other: Union["TriPoly", Scalar]) -> "TriPoly":
         return self + (-_coerce(other))
@@ -96,70 +106,70 @@ class TriPoly:
 
     def __mul__(self, other: Union["TriPoly", Scalar]) -> "TriPoly":
         other = _coerce(other)
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                out[k] = out.get(k, Fraction(0)) + v1 * v2
-        return TriPoly(out)
+        out: dict[Key, int] = {}
+        for (i1, j1, k1), v1 in self.nums.items():
+            for (i2, j2, k2), v2 in other.nums.items():
+                k = (i1 + i2, j1 + j2, k1 + k2)
+                out[k] = out.get(k, 0) + v1 * v2
+        return TriPoly(out, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, k: int) -> "TriPoly":
+        if not k:
+            raise ZeroDivisionError("TriPoly division by zero")
+        return TriPoly(self.nums, self.den * k)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = TriPoly.const(other)
         if not isinstance(other, TriPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def evaluate(self, b: Scalar, c: Scalar, d: Scalar) -> Fraction:
         """Value at a rational point, as one integer sum over the common
-        denominator: the lcm of the coefficient denominators times each
-        coordinate's denominator raised to the top degree in it."""
-        terms = self.terms
-        if not terms:
+        denominator: the polynomial's denominator times each coordinate's
+        denominator raised to the top degree in it."""
+        nums = self.nums
+        if not nums:
             return Fraction(0)
-        coeff_den = math.lcm(*(v.denominator for v in terms.values()))
-        den = coeff_den
+        den = self.den
         # scaled[axis][e] = p^e * q^(top - e) for the coordinate p/q
         scaled = []
-        for axis, x in enumerate((b, c, d)):
-            top = max(key[axis] for key in terms)
+        for top, x in zip(map(max, zip(*nums)), (b, c, d)):
             p, q = x.numerator, x.denominator
             scaled.append([p**e * q ** (top - e) for e in range(top + 1)])
             den *= q**top
         sb, sc, sd = scaled
-        total = sum(
-            v.numerator * (coeff_den // v.denominator) * sb[i] * sc[j] * sd[k]
-            for (i, j, k), v in terms.items()
-        )
+        total = sum(v * sb[i] * sc[j] * sd[k] for (i, j, k), v in nums.items())
         return Fraction(total, den)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
+        for key in sorted(self.nums):
+            num = self.nums[key]
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self.VARS, key)
                 if e
             )
             if not mono:
-                parts.append(frac_str(coeff))
-            elif coeff == 1:
+                parts.append(frac_str(Fraction(num, self.den)))
+            elif num == self.den:
                 parts.append(mono)
-            elif coeff == -1:
+            elif num == -self.den:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{frac_str(coeff)}*{mono}")
+                parts.append(f"{frac_str(Fraction(num, self.den))}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
@@ -190,7 +200,7 @@ def central_charge_sym(
     s2 = ns.pair(svec, svec)
     gs = ns.pair(x.c1, svec)
     ge = ns.pair(x.c1, evec)
-    r, t = x.rank, x.ch2
+    r = x.rank
     b, c, d = TriPoly.var("b"), TriPoly.var("c"), TriPoly.var("d")
     # B.gamma, H.gamma, B^2, H^2, H.B with H = S + bE, B = cS + dE
     b_dot_g = c * gs + d * ge
@@ -198,28 +208,29 @@ def central_charge_sym(
     b_sq = c * c * s2 + 2 * c * d
     h_sq = TriPoly.const(s2) + 2 * b
     h_dot_b = c * s2 + d + b * c
-    re = TriPoly.const(t) - b_dot_g + Fraction(r, 2) * (b_sq - h_sq)
+    re = (x.twice_ch2 + r * (b_sq - h_sq)) / 2 - b_dot_g
     im = h_dot_g - r * h_dot_b
     return re, im
 
 
 def _check_hilbert_shape(v: MukaiVector) -> int:
-    if v.rank != 1 or any(c != 0 for c in v.c1) or v.ch2 >= 0:
+    if v.rank != 1 or any(v.c1) or v.twice_ch2 >= 0:
         raise ValueError(
             "expected a point-count vector (1, 0, -n); normalize v first"
         )
-    n = -v.ch2
-    if n.denominator != 1:
+    if v.twice_ch2 % 2:
         raise ValueError("point count must be integral")
-    return int(n)
+    return -v.twice_ch2 // 2
 
 
-def phase_equal_locus(v: MukaiVector, w: MukaiVector, ns: BilinearLattice) -> TriPoly:
-    """Phase-alignment locus of v and w: Im(w)Re(v) - Re(w)Im(v) expanded
-    from the symbolic central charges.  Vanishes exactly where the two
-    phases coincide."""
-    _check_hilbert_shape(v)
-    re_v, im_v = central_charge_sym(v, ns)
+def phase_equal_locus(
+    charge_v: tuple[TriPoly, TriPoly], w: MukaiVector, ns: BilinearLattice
+) -> TriPoly:
+    """Phase-alignment locus of v and w, given v's charge
+    ``central_charge_sym(v, ns)``: Im(w)Re(v) - Re(w)Im(v) expanded from
+    the symbolic central charges.  Vanishes exactly where the two phases
+    coincide."""
+    re_v, im_v = charge_v
     re_w, im_w = central_charge_sym(w, ns)
     return im_w * re_v - re_w * im_v
 
@@ -283,12 +294,13 @@ def enumerate_v_walls(v: MukaiVector, type_name: str) -> list[WallSpec]:
     check_wall_type(type_name)
     ns = surface_lattice(type_name)
     n = _check_hilbert_shape(v)
+    charge_v = central_charge_sym(v, ns)
     walls: list[WallSpec] = []
     if type_name == "A-1":
         for r, s in _wall_pairs(n):
             beta = EllipticRoot((), s, r)  # point coefficient s, fiber coefficient r
             kc = root_to_kclass(beta, "A-1")
-            locus = phase_equal_locus(v, kc, ns)
+            locus = phase_equal_locus(charge_v, kc, ns)
             ray = _primitive_ray(s, (1 - n * n) * r)
             walls.append(
                 WallSpec(beta, kc, locus, ray, Fraction(r, s))
@@ -310,7 +322,7 @@ def enumerate_v_walls(v: MukaiVector, type_name: str) -> list[WallSpec]:
                     candidates.append(EllipticRoot(f, m, nf))
     for beta in candidates:
         kc = root_to_kclass(beta, type_name)
-        locus = phase_equal_locus(v, kc, ns)
+        locus = phase_equal_locus(charge_v, kc, ns)
         degenerate = beta.m == 0 and beta.n == 0
         ray = None if degenerate else _primitive_ray(beta.m, (1 - n * n) * beta.n)
         pos = None if degenerate else Fraction(beta.n, beta.m) if beta.m else None

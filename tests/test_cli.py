@@ -1,5 +1,5 @@
 """Command-line surface: exit codes, document shapes, metadata echo,
-golden SVG, and byte-stable output."""
+golden documents, and byte-stable output."""
 
 import json
 import os
@@ -40,7 +40,20 @@ class TestRunConfig:
         assert set(meta) == {"tool_version", "conventions"}
 
 
+WALL_GOLDENS = [
+    ("cli_walls_a-1_n4.json", ["--type", "A-1", "--n", "4"]),
+    ("cli_walls_d4_n2.csv", ["--type", "D4", "--n", "2", "--format", "csv"]),
+]
+
+
 class TestWalls:
+    @pytest.mark.parametrize("golden,argv", WALL_GOLDENS, ids=[g for g, _ in WALL_GOLDENS])
+    def test_document_matches_golden(self, capsys, golden, argv):
+        # pins the kclass and locus strings as well as the layout
+        rc, out, _ = run(capsys, "walls", *argv)
+        assert rc == 0
+        assert out == (DATA / golden).read_text()
+
     def test_json_document(self, capsys):
         doc = run_json(capsys, "walls", "--type", "A-1", "--n", "4")
         assert doc["metadata"]["tool_version"]

@@ -7,7 +7,7 @@ report that still serializes.
 
 import dataclasses
 
-from ellwall import verify, walls
+from ellwall import lattices, verify, walls
 from ellwall.serialize import to_json
 
 
@@ -23,6 +23,32 @@ def test_c06_fails_when_a_wall_is_listed_twice(monkeypatch):
     assert result["pass"] is False
     # the repeated position bounds an empty chamber, which is not counted
     assert result["chamber_counts"] == result["wall_counts"]
+    to_json(result)
+
+
+def test_c06_fails_when_the_lattice_pairing_is_doubled(monkeypatch):
+    real = lattices.BilinearLattice.pair
+    monkeypatch.setattr(
+        lattices.BilinearLattice, "pair", lambda self, u, v: 2 * real(self, u, v)
+    )
+    result = verify.check_wall_sets(3)
+    assert result["pass"] is False
+    to_json(result)
+
+
+def test_c07_fails_when_the_real_charge_is_shifted(monkeypatch):
+    # the shift reaches the wall loci through ``walls``; c07's own cross
+    # product reads the charge it imported, so every side test disagrees
+    real = walls.central_charge_sym
+
+    def shifted(x, ns):
+        re, im = real(x, ns)
+        return re + walls.TriPoly.var("d"), im
+
+    monkeypatch.setattr(walls, "central_charge_sym", shifted)
+    result = verify.check_wall_sign_flip(4, 10, seed=3)
+    assert result["pass"] is False
+    assert result["failures"] == 130
     to_json(result)
 
 

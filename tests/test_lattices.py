@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellwall.lattices import (
+    SURFACE_TYPES,
     BilinearLattice,
     MukaiVector,
     hilbert_vector,
@@ -12,6 +15,8 @@ from ellwall.lattices import (
     surface_lattice,
 )
 from ellwall.roots import EllipticRoot, build_elliptic
+
+from lattice_reference import frac_mukai_pair, frac_pair
 
 
 def vec(ns, **parts):
@@ -70,6 +75,42 @@ def test_half_integer_point_part():
     with pytest.raises(ValueError):
         MukaiVector(1, (Fraction(0), Fraction(0)), Fraction(1, 3))
     assert MukaiVector(1, (0, 0), Fraction(3, 2)).ch2 == Fraction(3, 2)
+
+
+def test_integral_divisor_class():
+    with pytest.raises(ValueError):
+        MukaiVector(0, (Fraction(1, 2), Fraction(0)), 0)
+    v = MukaiVector(0, (Fraction(3), -2), Fraction(-4, 2))
+    assert v.c1 == (3, -2) and all(type(c) is int for c in v.c1)
+    assert v.twice_ch2 == -4 and v.ch2 == -2
+
+
+INTS = st.integers(min_value=-6, max_value=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SURFACE_TYPES), st.data())
+def test_pair_matches_reference(tname, data):
+    ns = surface_lattice(tname)
+    vecs = st.lists(INTS, min_size=ns.rank, max_size=ns.rank)
+    u, v = data.draw(vecs), data.draw(vecs)
+    got = ns.pair(u, v)
+    assert type(got) is int
+    assert got == frac_pair(ns.gram, u, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SURFACE_TYPES), st.data())
+def test_mukai_pair_matches_reference(tname, data):
+    ns = surface_lattice(tname)
+    triple = st.tuples(
+        INTS,
+        st.lists(INTS, min_size=ns.rank, max_size=ns.rank),
+        st.builds(Fraction, st.integers(min_value=-13, max_value=13), st.sampled_from([1, 2])),
+    )
+    v, w = data.draw(triple), data.draw(triple)
+    got = mukai_pair(MukaiVector(*v), MukaiVector(*w), ns)
+    assert got == frac_mukai_pair(v, w, ns.gram)
 
 
 def test_mukai_pair_symmetric_bilinear_random():

@@ -27,6 +27,8 @@ from ellwall.walls import (
     phase_equal_locus,
 )
 
+from lattice_reference import FracTriPoly, rational_terms, to_tripoly
+
 NS = surface_lattice("A-1")
 
 
@@ -177,7 +179,7 @@ class TestLoci:
         for n in (1, 2, 7):
             v = hilbert_vector(n, NS)
             kc = root_to_kclass(EllipticRoot((), 1, 0), "A-1")
-            locus = phase_equal_locus(v, kc, NS)
+            locus = phase_equal_locus(central_charge_sym(v, NS), kc, NS)
             b, c, d = TriPoly.var("b"), TriPoly.var("c"), TriPoly.var("d")
             assert locus == d + b * c
 
@@ -187,7 +189,7 @@ class TestLoci:
         for n, r, s in [(3, 0, 2), (2, 1, 1), (5, 2, 3), (4, 3, 1)]:
             v = hilbert_vector(n, NS)
             kc = root_to_kclass(EllipticRoot((), s, r), "A-1")
-            locus = phase_equal_locus(v, kc, NS)
+            locus = phase_equal_locus(central_charge_sym(v, NS), kc, NS)
             expected = s * d + s * b * c - r * (TriPoly.const(n) + b + b * c * c)
             assert locus == expected
 
@@ -196,12 +198,12 @@ class TestLoci:
         for n, s in [(2, 1), (4, 3)]:
             v = hilbert_vector(n, NS)
             kc = root_to_kclass(EllipticRoot((), s, 0), "A-1")
-            assert phase_equal_locus(v, kc, NS) == phase_equal_locus_printed(0, s, n)
+            assert phase_equal_locus(central_charge_sym(v, NS), kc, NS) == phase_equal_locus_printed(0, s, n)
         # for r != 0 the two differ by twice r times the real part of Z(v)
         for n, r, s in [(2, 1, 1), (5, 2, 3)]:
             v = hilbert_vector(n, NS)
             kc = root_to_kclass(EllipticRoot((), s, r), "A-1")
-            derived = phase_equal_locus(v, kc, NS)
+            derived = phase_equal_locus(central_charge_sym(v, NS), kc, NS)
             printed = phase_equal_locus_printed(r, s, n)
             re_v = c * d - TriPoly.const(n) - b
             assert printed == derived - 2 * r * re_v
@@ -258,24 +260,89 @@ class TestTriPoly:
         RATIONALS,
     )
     def test_evaluate_matches_naive_sum(self, terms, b, c, d):
-        p = TriPoly(terms)
-        naive = sum(
-            (v * b**i * c**j * d**k for (i, j, k), v in terms.items()), Fraction(0)
-        )
+        p, naive = to_tripoly(terms), FracTriPoly(terms)
         value = p.evaluate(b, c, d)
         assert type(value) is Fraction
-        assert value == naive
-        assert p.evaluate(b.numerator, c.numerator, d.numerator) == sum(
-            (
-                v * b.numerator**i * c.numerator**j * d.numerator**k
-                for (i, j, k), v in terms.items()
-            ),
-            Fraction(0),
-        )
+        assert value == naive.evaluate(b, c, d)
+        ints = (b.numerator, c.numerator, d.numerator)
+        assert p.evaluate(*ints) == naive.evaluate(*ints)
 
     def test_evaluate_empty_polynomial(self):
         assert TriPoly().evaluate(Fraction(-3, 4), 2, Fraction(5, 7)) == 0
         assert type(TriPoly().evaluate(1, 2, 3)) is Fraction
+
+
+POLY_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3), RATIONALS, max_size=6
+)
+SCALARS = st.one_of(st.integers(min_value=-20, max_value=20), RATIONALS)
+
+
+def assert_matches(got, want):
+    """The integer polynomial has the reference's coefficients and text,
+    in lowest terms over a positive denominator."""
+    assert isinstance(got, TriPoly)
+    assert rational_terms(got) == want.terms
+    assert str(got) == str(want)
+    assert got.den > 0 and math.gcd(got.den, *got.nums.values()) == 1
+    assert all(got.nums.values())
+
+
+class TestTriPolyReference:
+    """Integer TriPoly against the Fraction reference model."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(POLY_TERMS, POLY_TERMS)
+    def test_binary_ops(self, p_terms, q_terms):
+        p, q = to_tripoly(p_terms), to_tripoly(q_terms)
+        fp, fq = FracTriPoly(p_terms), FracTriPoly(q_terms)
+        assert_matches(p + q, fp + fq)
+        assert_matches(p - q, fp - fq)
+        assert_matches(p * q, fp * fq)
+        assert_matches(-p, -fp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(POLY_TERMS, SCALARS)
+    def test_scalar_ops(self, p_terms, x):
+        p, fp = to_tripoly(p_terms), FracTriPoly(p_terms)
+        assert_matches(p + x, fp + x)
+        assert_matches(x + p, x + fp)
+        assert_matches(p - x, fp - x)
+        assert_matches(x - p, x - fp)
+        assert_matches(p * x, fp * x)
+        assert_matches(x * p, x * fp)
+        assert_matches(TriPoly.const(x), FracTriPoly.const(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(POLY_TERMS, POLY_TERMS, SCALARS)
+    def test_equality(self, p_terms, q_terms, x):
+        p, q = to_tripoly(p_terms), to_tripoly(q_terms)
+        fp, fq = FracTriPoly(p_terms), FracTriPoly(q_terms)
+        assert (p == q) == (fp == fq)
+        assert (p == x) == (fp == x)
+        # the same polynomial reached two ways is one representation
+        same = (p + q) - q
+        assert same == p and hash(same) == hash(p)
+        assert (p * 6) / 6 == p
+        assert p * x == x * p and hash(p * x) == hash(x * p)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            TriPoly.var("b") / 0
+
+    def test_charge_and_loci_match_reference(self):
+        # the wall loci built on integers equal the same products built on
+        # the Fraction model from the same charge data
+        fb, fc, fd = (FracTriPoly.var(v) for v in "bcd")
+        for n in range(1, 7):
+            v = hilbert_vector(n, NS)
+            re_v, im_v = central_charge_sym(v, NS)
+            assert_matches(re_v, fc * fd - n - fb)
+            assert_matches(im_v, -(fd + fb * fc))
+            for spec in enumerate_v_walls(v, "A-1"):
+                r, s = spec.root.n, spec.root.m
+                want = s * fd + s * fb * fc - r * (FracTriPoly.const(n) + fb + fb * fc * fc)
+                assert_matches(spec.locus, want)
 
 
 class TestNefClassEvaluation:
