@@ -318,6 +318,13 @@ class TestFastRows:
                     for t, c in got.items():
                         assert want.terms[t] == Fraction(c)
 
+    def test_rows_reject_undersized_window(self):
+        op = vertex_mode(1, 0, 2)
+        basis = BasisIndex(3)
+        table = RowTable(op, basis)
+        with pytest.raises(ValueError, match="window 2"):
+            [table[i] for i in range(basis.size)]
+
     def test_row_table_rejects_a_row_above_the_window(self):
         op = vertex_mode(1, 0, 2)
         basis = BasisIndex(3)
