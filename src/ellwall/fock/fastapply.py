@@ -21,9 +21,11 @@ Every row is integer: operator rows are over the denominator the
 operator's construction fixed (``OperatorExpr.denom``), Heisenberg-mode
 rows need none, and the charged field reads the integer table of
 operators.FieldTable, so bulk work never touches Fraction arithmetic.
-``add_scaled`` is the one row-accumulate primitive the engines share,
-and ``compose_rows`` the one row-composition primitive; a composition
-is over the product of its factors' denominators.
+``add_scaled`` is the row-accumulate primitive the engines share.  Two
+kernels compose rows: ``commutator_rows`` gives the rows of A B + eps B A
+on a window in one pass, for the bracket engine, and ``compose_rows`` one
+row of a product, for ``monodromy_s``.  A composition is over the product
+of its factors' denominators.
 """
 
 from __future__ import annotations
@@ -124,6 +126,42 @@ def compose_rows(outer: dict[int, IndexRow], row: IndexRow) -> IndexRow:
     for t, c in row.items():
         add_scaled(acc, outer[t], c)
     return acc
+
+
+def commutator_rows(
+    rows_a: dict[int, IndexRow], rows_b: dict[int, IndexRow], n: int, eps: int
+) -> list[IndexRow]:
+    """The rows of A B + eps B A on the monomials i < n, for operators A
+    and B with action rows ``rows_a`` and ``rows_b``: row i sums
+    c * rows_a[t] over the entries t: c of rows_b[i], and eps * c *
+    rows_b[t] over those of rows_a[i], over the product of the two
+    denominators.  Both tables must give a row for every monomial read;
+    a RowTable builds it on that read.
+
+    One dict per row takes every product, and its zeros are dropped once
+    at the end, so no Python function is called per entry or per inner
+    row: in a bracket sweep most inner rows are empty and most commutator
+    rows cancel to zero, so a call per row or entry would cost more than
+    the arithmetic."""
+    out: list[IndexRow] = []
+    for i in range(n):
+        acc: IndexRow = {}
+        get = acc.get
+        for t, c in rows_b[i].items():
+            inner = rows_a[t]
+            if inner:
+                for u, v in inner.items():
+                    acc[u] = get(u, 0) + c * v
+        for t, c in rows_a[i].items():
+            inner = rows_b[t]
+            if inner:
+                c *= eps
+                for u, v in inner.items():
+                    acc[u] = get(u, 0) + c * v
+        if 0 in acc.values():
+            acc = {u: v for u, v in acc.items() if v}
+        out.append(acc)
+    return out
 
 
 def _grouped_terms(op: OperatorExpr):

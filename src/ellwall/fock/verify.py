@@ -48,7 +48,7 @@ from .fastapply import (
     ModeTable,
     RowTable,
     add_scaled,
-    compose_rows,
+    commutator_rows,
     mode_tables,
 )
 from .labels import (
@@ -111,7 +111,8 @@ class _BracketEngine:
     Each table is stored as (denominator, integer rows): the operator's
     denom and its RowTable on the engine's one BasisIndex, so a row is
     built only when a composition or the target comparison reads it.  A
-    composition of two tables is over the product of their denominators;
+    pair's commutator rows come from one fastapply.commutator_rows pass
+    over the window and are over the product of the two denominators;
     exact rationals are built only for the reported rescale and central
     scalar and for witnesses."""
 
@@ -131,7 +132,9 @@ class _BracketEngine:
     def pair_reports(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
     ) -> tuple[BracketReport, BracketReport]:
-        """Reports for [A, B} and [B, A} from one pair of compositions."""
+        """Reports for [A, B} and [B, A} from one commutator pass: the
+        rows of [A, B} over the denominator D serve [B, A} = eps [A, B}
+        over eps * D."""
         w = _eval_window(self.N, b, d)
         if w < 0:
             raise ValueError(
@@ -139,21 +142,12 @@ class _BracketEngine:
             )
         denom_a, rows_a = self.rows(a, b, gi)
         denom_b, rows_b = self.rows(c, d, hi)
-        # both orders are over denom_a * denom_b
         denom = denom_a * denom_b
         eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
-        lhs_fwd = [
-            _combine(
-                compose_rows(rows_a, rows_b[i]), compose_rows(rows_b, rows_a[i]), eps
-            )
-            for i in range(self.basis.count(w))
-        ]
-        rep_fwd = self._evaluate(a, b, gi, c, d, hi, lhs_fwd, denom)
-        # BA + eps AB = eps (AB + eps BA), as eps = +-1
-        lhs_rev = lhs_fwd if eps == 1 else [
-            {u: -v for u, v in row.items()} for row in lhs_fwd
-        ]
-        rep_rev = self._evaluate(c, d, hi, a, b, gi, lhs_rev, denom)
+        lhs = commutator_rows(rows_a, rows_b, self.basis.count(w), eps)
+        rep_fwd = self._evaluate(a, b, gi, c, d, hi, lhs, denom)
+        # exact: _evaluate divides by the denominator only through Fraction
+        rep_rev = self._evaluate(c, d, hi, a, b, gi, lhs, eps * denom)
         return rep_fwd, rep_rev
 
     def _evaluate(

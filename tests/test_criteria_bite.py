@@ -8,7 +8,35 @@ report that still serializes.
 import dataclasses
 
 from ellwall import lattices, verify, walls
+from ellwall.fock import verify as fock_verify
 from ellwall.serialize import to_json
+
+
+def test_c04_fails_when_the_target_label_is_shifted(monkeypatch):
+    # truncation 4 is the least the sweep's modes |b|, |d| <= 2 allow
+    real = fock_verify.star_label
+
+    def shifted(i, j):
+        product = real(i, j)
+        return None if product is None else ((product[0] + 1) % 4, product[1])
+
+    monkeypatch.setattr(fock_verify, "star_label", shifted)
+    result = verify.check_bracket_table(4)
+    assert result["pass"] is False
+    assert len(result["mismatches"]) == 320
+    to_json(result)
+
+
+def test_c04_fails_when_odd_pairs_take_the_commutator(monkeypatch):
+    # every label even: the engine's eps is -1 for sigma x sigma pairs too
+    monkeypatch.setattr(fock_verify, "LABEL_PARITY", (0, 0, 0, 0))
+    result = verify.check_bracket_table(4)
+    assert result["pass"] is False and result["mismatches"]
+    odd = {"sigma+", "sigma-"}
+    for report in result["mismatches"]:
+        assert {report["lhs_params"]["label"], report["rhs_params"]["label"]} <= odd
+        assert "witness" in report
+    to_json(result)
 
 
 def test_c06_fails_when_a_wall_is_listed_twice(monkeypatch):

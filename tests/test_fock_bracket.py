@@ -230,6 +230,30 @@ class TestMismatchWitness:
         assert engine.rows(a, b, label_index(g))[0] > 1
         assert engine.rows(a + c, b + d, label_index("E"))[0] > 1
 
+    def test_reverse_witness_is_exact(self, monkeypatch):
+        """The reverse order [B, A} of a mixed-parity pair (eps = -1)
+        reads the forward rows over the negated denominator; its witness
+        must still carry the exact images of [B, A} itself."""
+        import ellwall.fock.verify as verify
+
+        monkeypatch.setattr(verify, "star_label", lambda i, j: (COH_E, 1))
+        N = 3
+        a, b, g, c, d, h = 1, -1, "sigma+", 0, -1, "pt"
+        engine = verify._BracketEngine(N)
+        fwd, rev = engine.pair_reports(a, b, label_index(g), c, d, label_index(h))
+        assert not fwd.match and not rev.match and rev.kind == "mismatch"
+        assert rev.lhs_params == (c, d, h) and rev.rhs_params == (a, b, g)
+        (term,) = rev.witness["state"]["terms"]
+        mono = tuple((j, label_index(name)) for j, name in term["modes"])
+        s = FockState.from_monomial(mono)
+        A, B = w_general(a, b, g, N), w_general(c, d, h, N)
+        got = commutator_apply(B, A, s)
+        assert got.terms
+        target = apply(w_general(a + c, b + d, "E", N), s)
+        expected = scale(target, Fraction(-(c * b - d * a)))
+        assert rev.witness["got"] == got.to_json_dict()
+        assert rev.witness["expected"] == expected.to_json_dict()
+
 
 class TestEngineScope:
     def test_rows_are_built_on_first_read_only(self, monkeypatch):

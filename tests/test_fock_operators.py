@@ -8,7 +8,10 @@ from ellwall.fock.fastapply import (
     BasisIndex,
     ChargedField,
     RowTable,
+    add_scaled,
     annihilation_chain,
+    commutator_rows,
+    compose_rows,
     creation_chain,
     mode_tables,
 )
@@ -369,6 +372,28 @@ class TestFastRows:
         assert basis.monomials({j: 7, 0: -1, size + 1: 2}) == {
             high: 7, (): -1, higher: 2,
         }
+
+    # a few indices and small coefficients, so products collide and cancel
+    _row = st.dictionaries(
+        st.integers(0, 5), st.integers(-2, 2).filter(bool), max_size=4
+    )
+    _table = st.lists(_row, min_size=6, max_size=6).map(
+        lambda rows: dict(enumerate(rows))
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_table, _table, st.integers(0, 6), st.sampled_from((1, -1)))
+    def test_commutator_rows_match_row_by_row(self, rows_a, rows_b, n, eps):
+        got = commutator_rows(rows_a, rows_b, n, eps)
+        want = []
+        for i in range(n):
+            row = compose_rows(rows_a, rows_b[i])
+            add_scaled(row, compose_rows(rows_b, rows_a[i]), eps)
+            want.append(row)
+        assert got == want
+        assert all(v for row in got for v in row.values())
+        # A A - A A cancels on every row
+        assert commutator_rows(rows_a, rows_a, n, -1) == [{}] * n
 
     def test_chains_compose(self):
         mono = ((2, COH_PT), (1, COH_SP), (1, COH_PT))
