@@ -19,6 +19,7 @@ import io
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .fock.fastapply import creation_chain
@@ -134,7 +135,7 @@ def _parse_fractions(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {exc}")
 
 
-def _state_from_modes(modes: list[tuple[int, int]], charge: int) -> FockState:
+def _state_from_modes(modes: Sequence[tuple[int, int]], charge: int) -> FockState:
     """Build the normal-ordered monomial state, tracking crossing signs."""
     mono: tuple = ()
     sign = 1
@@ -354,7 +355,10 @@ def cmd_verify_all(cfg: RunConfig, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so a
+    stream of ``main`` calls shares it."""
     parser = argparse.ArgumentParser(
         prog="ellwall",
         description="Exact wall, bracket, monodromy and local-orbifold tables.",
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--modes",
         type=_parse_modes,
-        default=[],
+        default=(),
         metavar="k:label,...",
         help=f"creation modes, labels from {LABEL_NAMES} (omit for the vacuum)",
     )

@@ -6,7 +6,11 @@ an involution on every weight space.  The section-type action replaces
 each creation mode by the corresponding slope-one generator, applied in
 the monomial's canonical order; it composes the generators' integer
 index rows (see fastapply) on a basis numbered as the images are
-reached, and divides back to exact rationals once per monomial.
+reached, and divides back to exact rationals once per monomial.  The
+generators act right to left from the vacuum, so each one's input has
+a single energy e, the sum of the energy shifts applied before it; the
+generator is built at window e (capped at the truncation), which holds
+every term that acts on that input.
 """
 
 from __future__ import annotations
@@ -41,29 +45,36 @@ def monodromy_s(
 ) -> FockState:
     """Section-type action: each creation mode alpha_{-k}(gamma) is
     replaced by the slope-one generator w^{1,-k}_gamma; linear; exact on
-    states of energy <= N, and a ValueError when an intermediate image
-    leaves that window.  pt labels need the extended configuration."""
+    states of energy <= N, and a ValueError when a nonzero intermediate
+    image leaves that window.  pt labels need the extended configuration.
+
+    Each generator is built at the window min(e, N), e the energy of the
+    image it acts on: exact there, and at e > N its RowTable refuses the
+    read of a nonzero image with the window-N error."""
     if state.charge != 0:
         raise ValueError("the section-type action is defined on charge-0 states")
     # the vacuum is index 0; every other monomial is numbered on first sight
     basis = BasisIndex(0)
-    # per mode (k, label): the generator's rows, built as they are read
-    tables: dict[tuple[int, int], RowTable] = {}
+    # per (mode (k, label), window): the generator's rows, built as read
+    tables: dict[tuple[tuple[int, int], int], RowTable] = {}
     out: dict[Monomial, Fraction] = {}
     charge = 0
     for mono, coeff in state.terms.items():
         row: IndexRow = {0: 1}
         denom = 1
         shift = 0
+        energy = 0
         for mode in reversed(mono):
-            rows = tables.get(mode)
+            window = min(energy, N)
+            rows = tables.get((mode, window))
             if rows is None:
-                rows = tables[mode] = RowTable(
-                    w_general(1, -mode[0], mode[1], N, config), basis
+                rows = tables[mode, window] = RowTable(
+                    w_general(1, -mode[0], mode[1], window, config), basis
                 )
             row = compose_rows(rows, row)
             denom *= rows.op.denom
             shift += rows.op.charge_shift
+            energy += rows.op.energy_shift
         if not row:
             continue
         if out and shift != charge:

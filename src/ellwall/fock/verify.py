@@ -114,7 +114,13 @@ class _BracketEngine:
     pair's commutator rows come from one fastapply.commutator_rows pass
     over the window and are over the product of the two denominators;
     exact rationals are built only for the reported rescale and central
-    scalar and for witnesses."""
+    scalar and for witnesses.
+
+    The generator w^{a,b} is built at the window N - max(0, -b): it
+    raises the energy by -b, and every row read from it (an operand or
+    target on the evaluation window, or an operand on an intermediate
+    image) is on a monomial whose image stays within N.  A read above
+    that window is a RowTable error, never a truncated row."""
 
     def __init__(self, N: int):
         self.N = N
@@ -125,7 +131,7 @@ class _BracketEngine:
         key = (a, b, li)
         cached = self._rows.get(key)
         if cached is None:
-            op = w_general(a, b, li, self.N)
+            op = w_general(a, b, li, self.N - max(0, -b))
             cached = self._rows[key] = (op.denom, RowTable(op, self.basis))
         return cached
 

@@ -132,23 +132,34 @@ def mukai_pair(v: MukaiVector, w: MukaiVector, ns: BilinearLattice) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def surface_lattice(type_name: str) -> BilinearLattice:
+def surface_labels(type_name: str) -> tuple[str, ...]:
+    """The basis labels of ``surface_lattice(type_name)``, without its
+    Gram matrix."""
     if type_name == "A-1":
-        return BilinearLattice(labels=("E", "P"), gram=((0, 1), (1, 0)))
+        return ("E", "P")
     if type_name not in SURFACE_TYPES:
         raise ValueError(
             f"no surface lattice for type {type_name!r}; supported: {SURFACE_TYPES}"
         )
     comp = _COMPLEMENT[type_name]
-    g_main = finite_gram(type_name)
-    g_comp = finite_gram(comp) if comp else ()
-    r_main, r_comp = len(g_main), len(g_comp)
-    rank = 2 + r_main + r_comp
-    labels = (
+    r_main = len(finite_gram(type_name))
+    r_comp = len(finite_gram(comp)) if comp else 0
+    return (
         ("Theta", "E")
         + tuple(f"C{i+1}" for i in range(r_main))
         + tuple(f"C'{i+1}" for i in range(r_comp))
     )
+
+
+def surface_lattice(type_name: str) -> BilinearLattice:
+    labels = surface_labels(type_name)
+    if type_name == "A-1":
+        return BilinearLattice(labels=labels, gram=((0, 1), (1, 0)))
+    comp = _COMPLEMENT[type_name]
+    g_main = finite_gram(type_name)
+    g_comp = finite_gram(comp) if comp else ()
+    r_main, r_comp = len(g_main), len(g_comp)
+    rank = len(labels)
     gram = [[0] * rank for _ in range(rank)]
     gram[0][0] = -1
     gram[0][1] = gram[1][0] = 1
@@ -168,10 +179,10 @@ def root_to_kclass(beta: EllipticRoot, type_name: str) -> MukaiVector:
     system = build_elliptic(type_name)
     if not system.contains(beta):
         raise ValueError(f"{beta} is not a root of type {type_name}")
-    ns = surface_lattice(type_name)
-    c1 = [0] * ns.rank
-    c1[ns.labels.index("E")] = beta.n
+    labels = surface_labels(type_name)
+    c1 = [0] * len(labels)
+    c1[labels.index("E")] = beta.n
     if not beta.is_delta_only():
         for i, coeff in enumerate(beta.finite):
-            c1[ns.labels.index(f"C{i+1}")] = coeff
+            c1[labels.index(f"C{i+1}")] = coeff
     return MukaiVector(0, c1, beta.m)

@@ -269,11 +269,12 @@ def check_wall_sign_flip(
                 b = Fraction(rng.randint(1, 40), rng.randint(1, 9))
                 c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
                 lin = spec.locus
-                coef = lin.evaluate(b, c, 1) - lin.evaluate(b, c, 0)
+                at0 = lin.evaluate(b, c, 0)
+                coef = lin.evaluate(b, c, 1) - at0
                 if coef == 0:
                     failures += 1
                     continue
-                d0 = -lin.evaluate(b, c, 0) / coef
+                d0 = -at0 / coef
                 left = cross.evaluate(b, c, d0 - eps)
                 right = cross.evaluate(b, c, d0 + eps)
                 checked += 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ellwall
-from ellwall.cli import RunConfig, main
+from ellwall.cli import RunConfig, build_parser, main
 from ellwall.roots import build_elliptic
 
 DATA = Path(__file__).parent / "data"
@@ -279,6 +279,26 @@ class TestMonodromy:
         rc, out, err = run(capsys, "monodromy", "--generator", "s", *argv)
         assert rc == 0, err
         assert out == (DATA / golden).read_text()
+
+
+class TestQueryStream:
+    def test_calls_in_one_process_match_single_runs(self, capsys):
+        """A stream of ``main`` calls shares one parser: a usage error
+        between two valid queries still exits 2, and each valid query
+        prints the bytes of its golden, a run of that query alone."""
+        bracket_golden, bracket_argv = BRACKET_GOLDENS[0]
+        rc, out, err = run(capsys, "bracket", *bracket_argv)
+        assert rc == 0, err
+        assert out == (DATA / bracket_golden).read_text()
+        with pytest.raises(SystemExit) as exc:
+            main(["bracket", "--lhs=0,1,E", "--rhs=0,-1,E", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        monodromy_golden, monodromy_argv = MONODROMY_GOLDENS[1]
+        rc, out, err = run(capsys, "monodromy", "--generator", "s", *monodromy_argv)
+        assert rc == 0, err
+        assert out == (DATA / monodromy_golden).read_text()
+        assert build_parser() is build_parser()
 
 
 class TestLocal:

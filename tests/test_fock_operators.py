@@ -15,7 +15,10 @@ from ellwall.fock.fastapply import (
     creation_chain,
     mode_tables,
 )
-from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, pairing_scalar
+from ellwall.fock import verify as fock_verify
+from ellwall.fock.labels import (
+    COH_E, COH_PT, COH_SM, COH_SP, LABEL_NAMES, pairing_scalar,
+)
 from ellwall.fock.operators import ExtendedModeError, FockConfig, w_general, w_small
 from ellwall.fock.states import FockState, basis_monomials
 
@@ -422,3 +425,55 @@ class TestFastRows:
                     assert set(got) == set(want.terms)
                     for t, c in got.items():
                         assert want.terms[t] == Fraction(c, field.denom)
+
+
+WINDOW_CONFIGS = [
+    FockConfig(weight_field=w, derivative=d)
+    for w in ("symplectic_fermion", "zero")
+    for d in ("z_ddz", "ddz")
+]
+WINDOW_CASES = [(label, None) for label in (COH_E, COH_SP, COH_SM)] + [
+    (COH_PT, config) for config in WINDOW_CONFIGS
+]
+
+
+class TestGeneratorWindows:
+    """A generator built at a window w below the truncation holds every
+    term that acts on a state of energy <= w: ``monodromy_s`` builds each
+    generator at the energy of its input and the bracket engine at the
+    truncation less the energy the generator raises."""
+
+    TOP = 6
+
+    @pytest.mark.parametrize(
+        "label,config",
+        WINDOW_CASES,
+        ids=[
+            LABEL_NAMES[label] + (f"-{c.weight_field}-{c.derivative}" if c else "")
+            for label, c in WINDOW_CASES
+        ],
+    )
+    def test_rows_below_the_window_match_window_six(self, label, config):
+        basis = BasisIndex(self.TOP)
+        for a in (-2, -1, 1, 2):
+            for b in range(-3, 4):
+                full = RowTable(w_general(a, b, label, self.TOP, config), basis)
+                for w in range(self.TOP):
+                    small = RowTable(w_general(a, b, label, w, config), basis)
+                    assert small.op.truncation == w
+                    d_full, d_small = full.op.denom, small.op.denom
+                    for i in range(basis.count(w)):
+                        got, want = small[i], full[i]
+                        # got / d_small == want / d_full, entry by entry
+                        assert got.keys() == want.keys(), (a, b, w, basis.monos[i])
+                        assert all(
+                            v * d_full == want[u] * d_small for u, v in got.items()
+                        ), (a, b, w, basis.monos[i])
+
+    def test_bracket_engine_builds_below_the_truncation(self):
+        engine = fock_verify._BracketEngine(self.TOP)
+        for a in (-2, -1, 1, 2):
+            for b in range(-3, 4):
+                for label in (COH_E, COH_SP, COH_SM):
+                    _, rows = engine.rows(a, b, label)
+                    assert rows.op.truncation == self.TOP - max(0, -b)
