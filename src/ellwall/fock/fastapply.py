@@ -3,19 +3,28 @@
 The one representation of linear maps on the truncated Fock space.  A
 row holds an operator's image of one monomial, organized for bulk work;
 the Fraction reference oracle in ``tests/fock_reference.py`` computes
-the same images term by term, one Heisenberg mode at a time.  Every row is keyed by the position of a monomial in a
-``BasisIndex`` (IndexRow), and turns back into monomials only for a
-witness or an output state:
+the same images term by term, one Heisenberg mode at a time.  Every row
+is keyed by the position of a monomial in a ``BasisIndex`` (IndexRow),
+and turns back into monomials only for a witness or an output state:
 
 * operator rows (``RowTable``): each row is built the first time it is
   read, so an engine pays only for the monomials its compositions and
   comparisons reach.  Terms are grouped by their annihilation part, so
   the (expensive) annihilation chain runs once per group instead of once
-  per term.  Only operators whose modes carry basis labels are supported
+  per term, and only the rows of active parts (below) are built from the
+  terms.  Only operators whose modes carry basis labels are supported
   (every mode then pairs against exactly one partner label), which
   covers every operator the verifiers build;
 * Heisenberg modes (``mode_tables``): a pair of lookup lists each;
 * the charged field's slices (``ChargedField``), built once per pt part.
+
+Spectators: a mode that no annihilation group of an operator contracts
+super-commutes with the operator, so the operator's row on a monomial is
+its row on the monomial's contracted modes (its active part) with the
+other modes merged into every image, one reordering sign each
+(``BasisIndex.spread``).  Rows are built once per active part and
+spread, and the bracket engine checks a relation only on the monomials
+whose every mode one of its operators contracts (``BasisIndex.within``).
 
 Every row is integer: operator rows are over the denominator the
 operator's construction fixed (``OperatorExpr.denom``), Heisenberg-mode
@@ -31,7 +40,8 @@ of its factors' denominators.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional
+from collections import defaultdict
+from typing import Optional, Sequence
 
 from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, pairing_scalar
 from .operators import FieldTable, OperatorExpr
@@ -129,14 +139,17 @@ def compose_rows(outer: dict[int, IndexRow], row: IndexRow) -> IndexRow:
 
 
 def commutator_rows(
-    rows_a: dict[int, IndexRow], rows_b: dict[int, IndexRow], n: int, eps: int
+    rows_a: dict[int, IndexRow],
+    rows_b: dict[int, IndexRow],
+    indices: Sequence[int],
+    eps: int,
 ) -> list[IndexRow]:
-    """The rows of A B + eps B A on the monomials i < n, for operators A
-    and B with action rows ``rows_a`` and ``rows_b``: row i sums
-    c * rows_a[t] over the entries t: c of rows_b[i], and eps * c *
-    rows_b[t] over those of rows_a[i], over the product of the two
-    denominators.  Both tables must give a row for every monomial read;
-    a RowTable builds it on that read.
+    """The rows of A B + eps B A on the monomials of ``indices``, in that
+    order, for operators A and B with action rows ``rows_a`` and
+    ``rows_b``: the row of i sums c * rows_a[t] over the entries t: c of
+    rows_b[i], and eps * c * rows_b[t] over those of rows_a[i], over the
+    product of the two denominators.  Both tables must give a row for
+    every monomial read; a RowTable builds it on that read.
 
     One dict per row takes every product, and its zeros are dropped once
     at the end, so no Python function is called per entry or per inner
@@ -144,7 +157,7 @@ def commutator_rows(
     rows cancel to zero, so a call per row or entry would cost more than
     the arithmetic."""
     out: list[IndexRow] = []
-    for i in range(n):
+    for i in indices:
         acc: IndexRow = {}
         get = acc.get
         for t, c in rows_b[i].items():
@@ -233,20 +246,52 @@ class RowTable(dict):
     must include every term of annihilation depth up to the energy of
     each monomial read (OperatorExpr stores that bound as its
     truncation), so reading a row above it is a ValueError, never a
-    truncated row."""
+    truncated row.
+
+    Spectators: a mode that no annihilation group of ``op`` contracts
+    (not in ``contracted``) super-commutes with ``op``.  A monomial m is
+    sigma * S act, with act its contracted modes (its active part), S
+    the rest and sigma the sign of merging S into act, so
+    op(m) = sigma (-1)^(parity(op) #odd(S)) S op(act).  So only an
+    active part's row is built from the terms, once, and kept in a side
+    table; the row of every monomial with that part is it spread with S
+    (``BasisIndex.spread``).  The table's keys stay the rows read."""
 
     def __init__(self, op: OperatorExpr, basis: BasisIndex):
         super().__init__()
         self.op = op
         self.basis = basis
         self._grouped = _grouped_terms(op)
+        self.contracted: set[tuple[int, int]] = self._grouped[1]
+        # active part index -> its row, built from the terms
+        self._active: dict[int, IndexRow] = {}
 
     def __missing__(self, i: int) -> IndexRow:
-        energy = self.basis.energy[i]
+        basis = self.basis
+        energy = basis.energy[i]
         window = self.op.truncation
         if window is not None and energy > window:
             raise ValueError(f"operator window {window} below basis energy {energy}")
-        row = self[i] = apply_to_monomial(self._grouped, self.basis, i)
+        mono = basis.monos[i]
+        contracted = self.contracted
+        act = tuple(md for md in mono if md in contracted)
+        if len(act) == len(mono):
+            row = self._active_row(i)
+        else:
+            spectators = tuple(md for md in mono if md not in contracted)
+            a = basis.number(act)
+            sign = 1 if basis.merge(a, spectators) >= 0 else -1
+            if self.op.parity and sum(LABEL_PARITY[l] for _, l in spectators) & 1:
+                sign = -sign
+            row = basis.spread(self._active_row(a), spectators, sign)
+        self[i] = row
+        return row
+
+    def _active_row(self, a: int) -> IndexRow:
+        """The row of the all-contracted monomial a, built on first use."""
+        row = self._active.get(a)
+        if row is None:
+            row = self._active[a] = apply_to_monomial(self._grouped, self.basis, a)
         return row
 
 
@@ -256,7 +301,10 @@ class BasisIndex:
     energy <= w are the indices ``range(count(w))``.  Index rows are
     keyed by these numbers: an int key hashes at once, where a monomial
     key rehashes its nested tuples on every lookup.  ``number`` numbers
-    a monomial above the depth after all of them, on first sight."""
+    a monomial above the depth after all of them, on first sight.
+
+    Both caches live as long as the basis: the merges of each spectator
+    monomial (``merge``) and the index lists of ``within``."""
 
     def __init__(self, depth: int):
         self.depth = depth
@@ -264,8 +312,12 @@ class BasisIndex:
         self.size = len(self.monos)
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.energy = [monomial_energy(m) for m in self.monos]
-        # spectator monomial -> {image index: index with the spectators merged in}
-        self._merges: dict[Monomial, dict[int, int]] = {}
+        # spectator monomial -> {index u: merged index, see merge}
+        self._merges: dict[Monomial, dict[int, Optional[int]]] = defaultdict(dict)
+        # bit of each mode of the enumerated monomials, and each one's mask
+        self._bits: dict[tuple[int, int], int] = {}
+        self._masks: list[int] = []
+        self._within: dict[tuple[int, int], list[int]] = {}
 
     def count(self, w: int) -> int:
         """The number of enumerated monomials of energy <= w."""
@@ -286,21 +338,75 @@ class BasisIndex:
         monos = self.monos
         return {monos[i]: c for i, c in row.items()}
 
-    def spread(self, row: IndexRow, spectators: Monomial) -> IndexRow:
-        """The row with the modes of ``spectators`` merged into every
-        image.  The images must hold no odd mode, so the merge has no
-        sign, and distinct images stay distinct."""
-        if not spectators:
+    def merge(self, u: int, spectators: Monomial) -> Optional[int]:
+        """The creation modes of the canonical ``spectators`` applied to
+        monomial u (creation_chain), cached: j when they give monomial j,
+        ~j when they give minus monomial j, None when an odd mode
+        repeats.  A positive merge holds the basis's own int for j, so a
+        cache of even merges costs no int of its own."""
+        merges = self._merges[spectators]
+        if u in merges:
+            return merges[u]
+        cr = creation_chain(self.monos[u], spectators)
+        if cr is None:
+            j = None
+        else:
+            j = self.number(cr[1])
+            if cr[0] < 0:
+                j = ~j
+        merges[u] = j
+        return j
+
+    def spread(self, row: IndexRow, spectators: Monomial, sign: int = 1) -> IndexRow:
+        """``sign`` times the row with the creation modes of
+        ``spectators`` applied to every image, each with its merge sign
+        (``merge``).  Modes S that an operator does not contract
+        super-commute with it, so its row on S act is the spread of its
+        row on act, with the sign RowTable works out.  Distinct images
+        stay distinct, and an image that already holds an odd mode of S
+        drops out."""
+        if not spectators and sign == 1:
             return row
-        merges = self._merges.setdefault(spectators, {})
+        merges = self._merges[spectators]
         out: IndexRow = {}
         for u, c in row.items():
             j = merges.get(u)
             if j is None:
-                merged = creation_chain(self.monos[u], spectators)[1]
-                j = merges[u] = self.index[merged]
-            out[j] = c
+                j = self.merge(u, spectators)
+                if j is None:
+                    continue
+            if j < 0:
+                j = ~j
+                c = -c
+            out[j] = c if sign == 1 else -c
         return out
+
+    def within(self, w: int, modes: set[tuple[int, int]]) -> list[int]:
+        """The indices, ascending, of the monomials of energy <= w whose
+        modes all lie in ``modes``: a distinct-mode bitmask per monomial,
+        kept with the result per (w, allowed bits)."""
+        bits = self._bits
+        if not self._masks:
+            for mono in self.monos[: self.size]:
+                mask = 0
+                for mode in mono:
+                    bit = bits.get(mode)
+                    if bit is None:
+                        bit = bits[mode] = 1 << len(bits)
+                    mask |= bit
+                self._masks.append(mask)
+        allowed = 0
+        for mode in modes:
+            allowed |= bits.get(mode, 0)
+        key = (w, allowed)
+        hit = self._within.get(key)
+        if hit is None:
+            outside = ~allowed
+            masks = self._masks
+            hit = self._within[key] = [
+                i for i in range(self.count(w)) if not masks[i] & outside
+            ]
+        return hit
 
 
 ModeTable = tuple[list[int], list[int]]
@@ -361,9 +467,10 @@ class ChargedField:
     exact coefficient of monomial u in mode n applied to monomial i.
 
     The slices of a monomial depend on it only through its pt modes: the
-    E-annihilators contract pt modes alone, and the E-creations merge
-    into the other modes without a sign.  So the slices are built once
-    per pt part and spread to the monomials sharing it."""
+    E-annihilators contract pt modes alone, so the other modes are
+    spectators, and the images hold no odd mode, so every merge sign is
+    1.  So the slices are built once per pt part and spread
+    (``BasisIndex.spread``) to the monomials sharing it."""
 
     def __init__(self, m: int, n_lo: int, n_hi: int, basis: BasisIndex, top: int):
         depth = basis.depth

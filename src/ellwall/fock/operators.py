@@ -230,9 +230,26 @@ def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
 
 
 def _merged(few: Monomial, mono: Monomial) -> Monomial:
-    """The canonical monomial holding the modes of both (no sign: callers
-    merge modes that cross no odd mode)."""
-    return tuple(sorted(few + mono, key=_mode_key)) if few else mono
+    """The canonical monomial holding the modes of two canonical ones, in
+    one linear merge (no sign: callers merge modes that cross no odd
+    mode)."""
+    if not few:
+        return mono
+    out = []
+    j = 0
+    size = len(mono)
+    for mode in few:
+        k, label = mode
+        while j < size:
+            cur = mono[j]
+            if cur[0] > k or (cur[0] == k and cur[1] < label):
+                out.append(cur)
+                j += 1
+            else:
+                break
+        out.append(mode)
+    out.extend(mono[j:])
+    return tuple(out)
 
 
 def _sigma_field_mode(m: int, b: int, label: int, N: int) -> OperatorExpr:

@@ -6,13 +6,14 @@ Bracket verification: the target relation is
                              + delta_{a+c,0} delta_{b+d,0} (a c_s + b c_t)
 
 with the star product (unit pt) on labels.  Each instance is checked on
-the full monomial basis of the evaluation window (truncation minus the
-worst intermediate energy raise), per the comparison policy: exact
-match, match up to one recorded nonzero rational rescale per root space
-((a+c, b+d), target label), or mismatch with a witness state.  Central
-scalars are solved per ordered label pair from the sweep's central
-instances and reported with their label dependence; they are never
-asserted to be label-independent.
+every monomial of the evaluation window (truncation minus the worst
+intermediate energy raise), through the monomials whose modes the
+operands or the target contract (see _BracketEngine), per the
+comparison policy: exact match, match up to one recorded nonzero
+rational rescale per root space ((a+c, b+d), target label), or mismatch
+with a witness state.  Central scalars are solved per ordered label
+pair from the sweep's central instances and reported with their label
+dependence; they are never asserted to be label-independent.
 
 Vertex-commutator verification: the Heisenberg mode alpha_k(g) commutes
 past the slope-m charged exponential field up to the pairing factor
@@ -116,6 +117,21 @@ class _BracketEngine:
     exact rationals are built only for the reported rescale and central
     scalar and for witnesses.
 
+    Spectator reduction: let U be the modes that A, B or the target of
+    either order contracts (``RowTable.contracted``).  A window monomial
+    m = sigma S act, with act its modes in U and S the rest, is acted on
+    by A, B, [A, B} and the target through act alone: each one's row on
+    m is its row on act spread with S, times a sign set by S, act and
+    the operator's parity (``fastapply.RowTable``).  Spreading keeps
+    equal image sets equal and unequal ones unequal, and two operators
+    whose rows on act share an image have the same parity, so the same
+    sign.  So when the relation fails on m it fails on act, which has a
+    lower energy and so a smaller index, and the commutator pass and the
+    comparison run only on the monomials within U (``BasisIndex.within``):
+    the first failing monomial, its witness, the first nonzero ratio, the
+    rescale and the central scalar are those of a pass over the whole
+    window.
+
     The generator w^{a,b} is built at the window N - max(0, -b): it
     raises the energy by -b, and every row read from it (an operand or
     target on the evaluation window, or an operand on an intermediate
@@ -140,7 +156,9 @@ class _BracketEngine:
     ) -> tuple[BracketReport, BracketReport]:
         """Reports for [A, B} and [B, A} from one commutator pass: the
         rows of [A, B} over the denominator D serve [B, A} = eps [A, B}
-        over eps * D."""
+        over eps * D.  The pass and the comparisons run on the window
+        monomials whose modes A, B or a target contracts; see the class
+        docstring."""
         w = _eval_window(self.N, b, d)
         if w < 0:
             raise ValueError(
@@ -150,11 +168,36 @@ class _BracketEngine:
         denom_b, rows_b = self.rows(c, d, hi)
         denom = denom_a * denom_b
         eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
-        lhs = commutator_rows(rows_a, rows_b, self.basis.count(w), eps)
-        rep_fwd = self._evaluate(a, b, gi, c, d, hi, lhs, denom)
+        target_fwd = self._target(a, b, gi, c, d, hi)
+        target_rev = self._target(c, d, hi, a, b, gi)
+        modes = rows_a.contracted | rows_b.contracted
+        for target in (target_fwd, target_rev):
+            if target is not None:
+                modes = modes | target[2].contracted
+        indices = self.basis.within(w, modes)
+        lhs = commutator_rows(rows_a, rows_b, indices, eps)
+        rep_fwd = self._evaluate(a, b, gi, c, d, hi, target_fwd, indices, lhs, denom)
         # exact: _evaluate divides by the denominator only through Fraction
-        rep_rev = self._evaluate(c, d, hi, a, b, gi, lhs, eps * denom)
+        rep_rev = self._evaluate(
+            c, d, hi, a, b, gi, target_rev, indices, lhs, eps * denom
+        )
         return rep_fwd, rep_rev
+
+    def _target(
+        self, a: int, b: int, gi: int, c: int, d: int, hi: int
+    ) -> Optional[tuple[Fraction, int, RowTable]]:
+        """(scale, denominator, rows) of the relation's generator term
+        scale * w^{a+c,b+d}_{g*h} for [A, B}, or None when it has none: a
+        central pair, a zero coefficient or a vanishing star product."""
+        if (a + c, b + d) == (0, 0):
+            return None
+        coef = -(a * d - b * c)
+        product = star_label(gi, hi)
+        if coef == 0 or product is None:
+            return None
+        lbl, sign = product
+        denom_t, target_rows = self.rows(a + c, b + d, lbl)
+        return Fraction(coef * sign), denom_t, target_rows
 
     def _evaluate(
         self,
@@ -164,12 +207,14 @@ class _BracketEngine:
         c: int,
         d: int,
         hi: int,
+        target: Optional[tuple[Fraction, int, RowTable]],
+        indices: Sequence[int],
         lhs: list[IndexRow],
         denom: int,
     ) -> BracketReport:
         """Compare the integer rows ``lhs`` (over ``denom``) of [A, B} on
-        each basis monomial i of the window, lhs[i], against the target
-        relation."""
+        the basis monomials ``indices``, in order, against the target
+        relation, whose generator term is ``target`` (``_target``)."""
         lp = (a, b, LABEL_NAMES[gi])
         rp = (c, d, LABEL_NAMES[hi])
         basis = self.basis
@@ -186,7 +231,7 @@ class _BracketEngine:
 
         if (a + c, b + d) == (0, 0):
             scalar: Optional[int] = None
-            for i, row in enumerate(lhs):
+            for i, row in zip(indices, lhs):
                 val = row.get(i, 0) if len(row) <= 1 else None
                 if val is None or (row and i not in row):
                     return mismatch(i, row, "scalar multiple of the state")
@@ -200,16 +245,12 @@ class _BracketEngine:
                 lp, rp, self.N, True, "central",
                 central_value=Fraction(scalar or 0, denom),
             )
-        coef = Fraction(-(a * d - b * c))
-        product = star_label(gi, hi)
-        if coef == 0 or product is None:
-            for i, row in enumerate(lhs):
+        if target is None:
+            for i, row in zip(indices, lhs):
                 if row:
                     return mismatch(i, row, "0")
             return BracketReport(lp, rp, self.N, True, "exact", rescale=Fraction(1))
-        lbl, sign = product
-        denom_t, target_rows = self.rows(a + c, b + d, lbl)
-        scale = coef * sign
+        scale, denom_t, target_rows = target
 
         def expected(want: IndexRow) -> dict:
             """Witness form of ``scale`` times a target row."""
@@ -218,7 +259,7 @@ class _BracketEngine:
         # got = factor * scale * want as rationals; the integer ratio
         # gv / wv is then the same on every entry, compared as g0 / w0
         g0 = w0 = 0
-        for i, got in enumerate(lhs):
+        for i, got in zip(indices, lhs):
             want = target_rows[i]
             if not got and not want:
                 continue
@@ -263,8 +304,8 @@ def bracket_verify(
     eta: Union[int, str],
     N: int,
 ) -> BracketReport:
-    """Verify one bracket instance on the full basis of the evaluation
-    window; see the module docstring for the comparison policy."""
+    """Verify one bracket instance on the evaluation window; see the
+    module docstring for the comparison policy."""
     global _last_engine
     gi, hi = label_index(gamma), label_index(eta)
     if _last_engine is None or _last_engine.N != N:

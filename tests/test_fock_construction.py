@@ -7,7 +7,8 @@ action rows term by term with the Heisenberg contractions of
 ``fock_reference``.  ``w_general`` must give the same terms, the least common
 denominator of the reference coefficients as ``denom``, and the same
 integer rows from a ``RowTable``.  The one-pass creation merge is
-checked against the chain of single-mode insertions it replaces.
+checked against the chain of single-mode insertions it replaces, and
+the linear merge of two canonical monomials against a sort.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from ellwall.fock.fastapply import BasisIndex, RowTable, creation_chain
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY
-from ellwall.fock.operators import FockConfig, w_general
+from ellwall.fock.operators import FockConfig, _merged, w_general
 from ellwall.fock.states import monomial_energy
 
 from fock_reference import annihilate, insert_creation
@@ -268,3 +269,13 @@ PARTS = st.lists(MODES, max_size=5).map(canonical)
 @settings(max_examples=400, deadline=None)
 def test_creation_merge_matches_insertion_chain(mono, part):
     assert creation_chain(mono, part) == insertion_chain(mono, part)
+
+
+@given(PARTS, PARTS)
+@example((), ((2, COH_E), (1, COH_PT)))
+@example(((2, COH_SP),), ())
+@example(((1, COH_E), (1, COH_E)), ((3, COH_PT), (1, COH_E), (1, COH_SM)))  # ties
+@example(((3, COH_SM), (1, COH_PT)), ((3, COH_E), (3, COH_SP), (1, COH_SM)))
+@settings(max_examples=400, deadline=None)
+def test_linear_merge_matches_sort(few, mono):
+    assert _merged(few, mono) == canonical(few + mono)

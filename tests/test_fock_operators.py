@@ -387,7 +387,7 @@ class TestFastRows:
     @settings(max_examples=200, deadline=None)
     @given(_table, _table, st.integers(0, 6), st.sampled_from((1, -1)))
     def test_commutator_rows_match_row_by_row(self, rows_a, rows_b, n, eps):
-        got = commutator_rows(rows_a, rows_b, n, eps)
+        got = commutator_rows(rows_a, rows_b, range(n), eps)
         want = []
         for i in range(n):
             row = compose_rows(rows_a, rows_b[i])
@@ -396,7 +396,21 @@ class TestFastRows:
         assert got == want
         assert all(v for row in got for v in row.values())
         # A A - A A cancels on every row
-        assert commutator_rows(rows_a, rows_a, n, -1) == [{}] * n
+        assert commutator_rows(rows_a, rows_a, range(n), -1) == [{}] * n
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _table,
+        _table,
+        st.lists(st.integers(0, 5), max_size=6, unique=True).map(sorted),
+        st.sampled_from((1, -1)),
+    )
+    def test_commutator_rows_on_sparse_indices(self, rows_a, rows_b, indices, eps):
+        """A sparse index list gives the full pass's rows at those
+        indices, in order."""
+        full = commutator_rows(rows_a, rows_b, range(6), eps)
+        got = commutator_rows(rows_a, rows_b, indices, eps)
+        assert got == [full[i] for i in indices]
 
     def test_chains_compose(self):
         mono = ((2, COH_PT), (1, COH_SP), (1, COH_PT))
