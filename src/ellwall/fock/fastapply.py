@@ -16,7 +16,10 @@ and turns back into monomials only for a witness or an output state:
   (every mode then pairs against exactly one partner label), which
   covers every operator the verifiers build;
 * Heisenberg modes (``mode_tables``): a pair of lookup lists each;
-* the charged field's slices (``ChargedField``), built once per pt part.
+* the charged field's slices (``ChargedField``): a monomial's slices are
+  built the first time they are read, from the table for a pt-only
+  monomial and as its pt part's slices spread with its other modes
+  otherwise.
 
 Spectators: a mode that no annihilation group of an operator contracts
 super-commutes with the operator, so the operator's row on a monomial is
@@ -452,27 +455,33 @@ def mode_tables(basis: BasisIndex, k_max: int) -> dict[tuple[int, int], ModeTabl
     return tables
 
 
-class ChargedField:
+class ChargedField(dict):
     """The z^{-n} modes, n_lo <= n <= n_hi, of the slope-m charged
     exponential field on a basis index, as index rows over one common
     denominator.
 
-    ``slices[i]``, for every monomial i of energy e <= ``top``, holds the
-    row of each mode n in that range that maps the monomial into the
-    basis, i.e. with e - n <= basis.depth.  A term annihilating the
-    E-modes mu and creating the E-modes lam has coefficient
-    m^l(lam) (-m)^l(mu) / (z_lam z_mu) times an integer contraction
-    factor; the coefficients come from a FieldTable of the basis depth,
-    and ``denom`` is its denominator: ``slices[i][n][u] / denom`` is the
-    exact coefficient of monomial u in mode n applied to monomial i.
+    ``field[i]``, for a monomial i of energy e <= ``top``, holds the row
+    of each mode n in that range that maps the monomial into the basis,
+    i.e. with e - n <= basis.depth; it is built the first time it is read
+    and kept, and reading a monomial above ``top`` is a ValueError.  A
+    term annihilating the E-modes mu and creating the E-modes lam has
+    coefficient m^l(lam) (-m)^l(mu) / (z_lam z_mu) times an integer
+    contraction factor; the coefficients come from a FieldTable of the
+    basis depth, and ``denom`` is its denominator: ``field[i][n][u] /
+    denom`` is the exact coefficient of monomial u in mode n applied to
+    monomial i.
 
     The slices of a monomial depend on it only through its pt modes: the
     E-annihilators contract pt modes alone, so the other modes are
     spectators, and the images hold no odd mode, so every merge sign is
-    1.  So the slices are built once per pt part and spread
-    (``BasisIndex.spread``) to the monomials sharing it."""
+    1.  So only a pt-only monomial's slices are built from the table;
+    any other monomial's are those of its pt part, read from the field
+    (so built once), spread (``BasisIndex.spread``) with its other
+    modes.  The field refers to nothing that refers back to it, so
+    dropping the last reference frees its slices at once."""
 
     def __init__(self, m: int, n_lo: int, n_hi: int, basis: BasisIndex, top: int):
+        super().__init__()
         depth = basis.depth
         if not 0 <= top <= depth:
             raise ValueError(f"top energy {top} outside the basis depth {depth}")
@@ -483,32 +492,41 @@ class ChargedField:
         self.top = top
         table = FieldTable(m, depth, depth)
         self.denom = table.denom
-        annihilate = dict(pair for level in table.annihilate for pair in level)
-        by_part: dict[Monomial, dict[int, IndexRow]] = {}
-        self.slices: list[dict[int, IndexRow]] = []
-        for i in range(basis.count(top)):
-            mono = basis.monos[i]
-            pt = tuple(md for md in mono if md[1] == COH_PT)
-            part = by_part.get(pt)
-            if part is None:
-                part = by_part[pt] = self._part_slices(pt, table.create, annihilate)
-            spectators = tuple(md for md in mono if md[1] != COH_PT)
-            lo = basis.energy[i] - depth
-            self.slices.append(
-                {n: basis.spread(row, spectators) for n, row in part.items() if n >= lo}
-            )
+        self._create = table.create
+        self._annihilate = dict(pair for level in table.annihilate for pair in level)
 
-    def _part_slices(self, pt: Monomial, create, annihilate) -> dict[int, IndexRow]:
+    def __missing__(self, i: int) -> dict[int, IndexRow]:
+        basis = self.basis
+        energy = basis.energy[i]
+        if energy > self.top:
+            raise ValueError(f"field top {self.top} below basis energy {energy}")
+        mono = basis.monos[i]
+        pt = tuple(md for md in mono if md[1] == COH_PT)
+        if len(pt) == len(mono):
+            slices = self._pt_slices(mono)
+        else:
+            spectators = tuple(md for md in mono if md[1] != COH_PT)
+            lo = energy - basis.depth
+            slices = {
+                n: basis.spread(row, spectators)
+                for n, row in self[basis.index[pt]].items()
+                if n >= lo
+            }
+        self[i] = slices
+        return slices
+
+    def _pt_slices(self, pt: Monomial) -> dict[int, IndexRow]:
         """The slices of a monomial of pt modes alone.  Exact: the
         annihilation parts that act are the sub-partitions of ``pt``, all
         of which are enumerated."""
         index = self.basis.index
+        create = self._create
         n_lo = max(self.n_lo, monomial_energy(pt) - self.basis.depth)
         slices: dict[int, IndexRow] = {n: {} for n in range(n_lo, self.n_hi + 1)}
         for sub in _sub_monomials(pt):
             part = tuple((k, COH_E) for k, _ in sub)
             factor, reduced = annihilation_chain(pt, part)
-            a_coeff = annihilate[part] * factor
+            a_coeff = self._annihilate[part] * factor
             q = monomial_energy(part)
             for n in range(n_lo, min(self.n_hi, q) + 1):
                 row = slices[n]

@@ -17,13 +17,20 @@ dependence; they are never asserted to be label-independent.
 
 Vertex-commutator verification: the Heisenberg mode alpha_k(g) commutes
 past the slope-m charged exponential field up to the pairing factor
-<g, mE> and a mode shift by k; checked state-by-state on every basis
-monomial of the valid window.  The sweep numbers its basis once
-(fastapply.BasisIndex) and works on index rows: each Heisenberg mode is
-a pair of lookup lists filled in one pass over the basis, each field's
-slices are built once per pt part, and a check compares the mode's
-image of a slice against the expected row by dict equality, building
-the difference only for a failure witness.
+<g, mE> and a mode shift by k; it holds on every basis monomial of the
+valid window.  A monomial's modes other than pt commute with the field
+(it is even, contracts pt alone and creates only E modes), so the
+identity on a monomial follows from the identity on its pt part
+whenever the sign of passing the Heisenberg mode over those modes is 1
+or the pairing factor is 0: the sweep checks state-by-state every
+pt-only monomial, and any other one only where its pt part failed or
+that guard does not hold (see vertex_commutator_sweep).  It numbers its
+basis once (fastapply.BasisIndex) and works on index rows: each
+Heisenberg mode is a pair of lookup lists filled in one pass over the
+basis, each field builds a monomial's slices the first time a check
+reads them, and a check compares the mode's image of a slice against
+the expected row by dict equality, building the difference only for a
+failure witness.
 
 All engines work on sparse integer rows keyed by basis index (see
 fastapply) so the full mandatory sweeps run in seconds rather than
@@ -454,14 +461,14 @@ def _check_modes(
     """Check [alpha_k(gamma), field-mode n] = <gamma, mE> field-mode n+k
     on basis monomial i for each n of ``ns``, with ``table`` the mode
     table of alpha_k(gamma); append a witness for each n where it fails.
-    Both sides are index rows over ``field.denom``; the field's slices
-    must cover monomial i and its alpha_k(gamma) image at every mode
-    read, and the basis every image, of energy up to e - min(n, n + k)."""
-    slices = field.slices
-    own = slices[i]
+    Both sides are index rows over ``field.denom``; the field's top must
+    reach monomial i and its alpha_k(gamma) image, whose slices it builds
+    on this read, and the basis every image, of energy up to
+    e - min(n, n + k)."""
+    own = field[i]
     target, factor = table
     f = factor[i]
-    image = slices[target[i]] if f else None
+    image = field[target[i]] if f else None
     pair = pairing_scalar(gamma, COH_E) * field.m
     for n in ns:
         # a single mode sends distinct monomials to distinct monomials
@@ -505,9 +512,36 @@ def vertex_commutator_sweep(
     window, where the statement is that the commutator vanishes.  The
     basis is numbered once, to the depth N + n_max that holds every image
     read, and all arithmetic is on its index rows, over each field's one
-    denominator."""
+    denominator.
+
+    Pt-part reduction: a window monomial is m = sigma S act, with act its
+    pt modes and S the rest, non-pt creation modes.  The field F is even,
+    its annihilators contract pt alone and it creates only E modes, so S
+    commutes with F_n; [alpha_k(gamma), S} is a number times a non-pt
+    monomial, so it commutes with F_n too.  With
+    rho = (-1)^(parity(gamma) #odd(S)), the difference
+    D = [alpha_k(gamma), F_n] - pair F_{n+k}, pair = <gamma, mE>, is
+
+        D(m) = sigma S (rho [alpha_k(gamma), F_n](act) - pair F_{n+k}(act)),
+
+    which is sigma rho S D(act) when rho = 1 or pair = 0: the identity then
+    holds on m whenever it holds on act.  act has a lower energy than m,
+    so a smaller index, and is checked first.  So every check runs on
+    each pt-only monomial, and on any other monomial only when its act
+    failed for that (k, gamma) or rho = -1 and pair != 0; the failures
+    are those of a check on every monomial, in the same order.
+    ``checked`` counts every (monomial, label, mode) instance of the
+    window, skipped or not.  Each field builds only the slices that the
+    checks read (``ChargedField``)."""
     basis = BasisIndex(N + n_max)
     tables = mode_tables(basis, k_max)
+    # per window monomial: the index of its pt part, and whether its
+    # other modes hold an odd number of odd modes (pt modes are even)
+    acts: list[int] = []
+    odd: list[int] = []
+    for mono in basis.monos[: basis.count(N)]:
+        acts.append(basis.index[tuple(md for md in mono if md[1] == COH_PT)])
+        odd.append(sum(LABEL_PARITY[label] for _, label in mono) & 1)
     checked = 0
     failures: list[dict] = []
     ks = [k for k in range(-k_max, k_max + 1) if k != 0]
@@ -516,13 +550,30 @@ def vertex_commutator_sweep(
     for m in m_values:
         # alpha_k(gamma) images of the window have energy <= N
         field = ChargedField(m, -n_max - k_max, n_max + k_max, basis, N)
+        # labels whose rho = -1 on an odd S meets a nonzero pairing
+        unguarded = {
+            gi
+            for gi in (COH_PT, *zero_idx)
+            if LABEL_PARITY[gi] and pairing_scalar(gi, COH_E) * m
+        }
         for k in ks:
             window = N - max(0, -k)
             small = basis.count(min(window, zero_window))
+            failed: set[tuple[int, int]] = set()
             for i in range(basis.count(window)):
+                act = acts[i]
                 for gi in (COH_PT, *zero_idx) if i < small else (COH_PT,):
                     checked += len(ns)
+                    if (
+                        act != i
+                        and (act, gi) not in failed
+                        and not (odd[i] and gi in unguarded)
+                    ):
+                        continue
+                    before = len(failures)
                     _check_modes(field, tables[k, gi], k, gi, i, ns, failures)
+                    if len(failures) > before:
+                        failed.add((i, gi))
         del field  # free one slope's slices before the next is built
     return {
         "truncation": N,

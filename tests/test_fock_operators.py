@@ -435,7 +435,7 @@ class TestFastRows:
                 for n in range(-2, 3):
                     op = vertex_mode(m, n, 3)
                     want = apply(op, FockState.from_monomial(mono))
-                    got = basis.monomials(field.slices[i][n])
+                    got = basis.monomials(field[i][n])
                     assert set(got) == set(want.terms)
                     for t, c in got.items():
                         assert want.terms[t] == Fraction(c, field.denom)

@@ -1,7 +1,11 @@
+import gc
 import json
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+
+import pytest
 
 import ellwall.fock.verify as verify
 from ellwall.fock.fastapply import (
@@ -13,7 +17,14 @@ from ellwall.fock.fastapply import (
     creation_chain,
     mode_tables,
 )
-from ellwall.fock.labels import COH_E, COH_PT, LABEL_NAMES, label_index
+from ellwall.fock.labels import (
+    COH_E,
+    COH_PT,
+    COH_SP,
+    LABEL_NAMES,
+    LABEL_PARITY,
+    label_index,
+)
 from ellwall.fock.operators import FieldTable
 from ellwall.fock.states import FockState, Monomial, basis_monomials, monomial_energy
 from ellwall.verify import check_vertex_commutator
@@ -174,10 +185,40 @@ def test_index_slices_match_monomial_oracle():
     for m in (-2, -1, 1, 2):
         field = ChargedField(m, -4, 4, basis, 5)
         oracle = MonomialField(m, -4, 4, 7)
-        assert field.denom == oracle.denom and len(field.slices) == top
+        assert field.denom == oracle.denom
         for i in range(top):
-            got = {n: basis.monomials(row) for n, row in field.slices[i].items()}
+            got = {n: basis.monomials(row) for n, row in field[i].items()}
             assert got == oracle.slices(basis.monos[i])
+        # every read, the pt parts' included, stays below the top
+        assert sorted(field) == list(range(top))
+
+
+def test_field_read_above_top_raises():
+    basis = BasisIndex(7)
+    field = ChargedField(1, -4, 4, basis, 5)
+    top = basis.count(5)
+    assert field[top - 1]
+    with pytest.raises(ValueError, match="field top 5 below basis energy 6"):
+        field[top]
+    assert top not in field
+
+
+def test_field_holds_no_reference_cycle():
+    """Dropping the last reference frees a field and its slices at once,
+    with the cycle collector off."""
+    basis = BasisIndex(6)
+    field = ChargedField(2, -4, 4, basis, 4)
+    # a pt-only monomial and one with spectators, built through its pt part
+    pt_only = basis.index[((1, COH_PT),)]
+    mixed = basis.index[((2, COH_E), (1, COH_SP), (1, COH_PT))]
+    assert field[pt_only] and field[mixed] and len(field) == 2
+    ref = weakref.ref(field)
+    gc.disable()
+    try:
+        del field
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_sweep_matches_monomial_oracle(monkeypatch):
@@ -186,6 +227,81 @@ def test_sweep_matches_monomial_oracle(monkeypatch):
     result = verify.vertex_commutator_sweep(*args)
     assert result["failures"] == oracle_sweep(*args)
     assert len(result["failures"]) > 100
+
+
+def _state_monomial(state: dict) -> Monomial:
+    """The monomial of a one-term witness state."""
+    (term,) = state["terms"]
+    return tuple((j, label_index(name)) for j, name in term["modes"])
+
+
+def _recorded_checks(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """Record (m, k, label, monomial index) of every _check_modes call."""
+    calls = []
+    check = verify._check_modes
+
+    def recording(field, table, k, gamma, i, ns, failures):
+        calls.append((field.m, k, gamma, i))
+        check(field, table, k, gamma, i, ns, failures)
+
+    monkeypatch.setattr(verify, "_check_modes", recording)
+    return calls
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_reduced_sweep_matches_oracle_on_every_zero_label(monkeypatch, N):
+    """The pt-part reduction reports the full pass's witnesses, in order,
+    with every zero label on the whole window, so that monomials with an
+    odd number of odd spectators meet both fallbacks: a pt part that
+    failed, and a sigma label whose corrupted pairing is nonzero."""
+    corrupt_pairing(monkeypatch)
+    calls = _recorded_checks(monkeypatch)
+    args = (N, (1, -2), 4, 2, ("E", "sigma+", "sigma-"), N)
+    result = verify.vertex_commutator_sweep(*args)
+    assert result["failures"] == oracle_sweep(*args)
+    failed = {
+        (w["m"], w["k"], label_index(w["label"]), _state_monomial(w["state"]))
+        for w in result["failures"]
+    }
+    basis = BasisIndex(N + 2)
+    by_fallback = {"act failed": 0, "odd spectators": 0}
+    for m, k, gi, i in calls:
+        mono = basis.monos[i]
+        pt = tuple(md for md in mono if md[1] == COH_PT)
+        if pt == mono:
+            continue
+        if (m, k, gi, pt) in failed:
+            by_fallback["act failed"] += 1
+        else:
+            # only a sigma label on an odd spectator count is unguarded
+            assert LABEL_PARITY[gi] and sum(LABEL_PARITY[l] for _, l in mono) % 2
+            by_fallback["odd spectators"] += 1
+    assert all(by_fallback.values()), by_fallback
+
+
+def test_passing_sweep_checks_only_pt_only_monomials(monkeypatch):
+    """On a passing sweep every check runs on a pt-only monomial, each
+    such (monomial, label, k, m) instance once, and ``checked`` still
+    counts every instance of the window."""
+    calls = _recorded_checks(monkeypatch)
+    result = verify.vertex_commutator_sweep(4)
+    assert result["ok"] and result["checked"] == 82368
+    basis = BasisIndex(8)
+    pt_only = [
+        i for i in range(basis.count(4))
+        if all(l == COH_PT for _, l in basis.monos[i])
+    ]
+    assert len(pt_only) == 12
+    # the zero window is the truncation: every label runs on the window
+    want = [
+        (m, k, gi, i)
+        for m in (-2, -1, 1, 2)
+        for k in (-4, -3, -2, -1, 1, 2, 3, 4)
+        for i in pt_only
+        if basis.energy[i] <= 4 - max(0, -k)
+        for gi in (COH_PT, 0, 1, 2)
+    ]
+    assert calls == want
 
 
 def test_corrupted_pairing_witnesses_match_golden(monkeypatch):
