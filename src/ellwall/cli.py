@@ -7,6 +7,11 @@ normalization conventions in force, including any override flags), and
 identical invocations produce byte-identical output.  Randomized sweeps
 take an explicit seed which is echoed on stderr and in the report.
 
+Each command imports only the modules it runs: at import this module
+loads the serializer and the Fock stack, which the ``bracket`` and
+``monodromy`` queries need, and every other command imports its own
+modules in its handler.
+
 Exit codes: 0 success, 1 failed verification, 2 usage error or
 unsupported request.
 """
@@ -14,10 +19,8 @@ unsupported request.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -28,40 +31,30 @@ from .fock.monodromy import monodromy_f, monodromy_s
 from .fock.operators import ExtendedModeError, FockConfig
 from .fock.states import FockState
 from .fock.verify import bracket_verify
-from .lattices import hilbert_vector, surface_lattice
-from .localmodel import (
-    SUPPORTED_ORDERS,
-    BimoduleParam,
-    hh0_audit,
-    jet_trace,
-    splits,
-    tensor_table_rows,
-)
-from .roots import build_elliptic, roots_to_json
-from .serialize import cyclo_str, frac_str, metadata, to_json
-from .verify import CONVENTIONS, DEFAULT_SEED, verify_all
-from .walls import (
-    UnsupportedTypeError,
-    WALL_TYPES,
-    chamber_decomposition,
-    check_wall_type,
-    emit_chamber_svg,
-    enumerate_v_walls,
-)
+from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, cyclo_str, frac_str, metadata, to_json
 
 
-@dataclass
 class RunConfig:
     """Parsed invocation: one command plus its knobs.  Convention
     overrides are always echoed into the output metadata block."""
 
-    command: str
-    type_name: str = "A-1"
-    n: int = 1
-    truncation: int = 6
-    fmt: str = "json"
-    seed: int = DEFAULT_SEED
-    overrides: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        command: str,
+        type_name: str = "A-1",
+        n: int = 1,
+        truncation: int = 6,
+        fmt: str = "json",
+        seed: int = DEFAULT_SEED,
+        overrides: Optional[dict] = None,
+    ):
+        self.command = command
+        self.type_name = type_name
+        self.n = n
+        self.truncation = truncation
+        self.fmt = fmt
+        self.seed = seed
+        self.overrides = {} if overrides is None else overrides
 
     def conventions(self) -> dict:
         merged = dict(CONVENTIONS)
@@ -154,6 +147,8 @@ def _state_from_modes(modes: Sequence[tuple[int, int]], charge: int) -> FockStat
 
 
 def _csv_text(meta: dict, header: list[str], rows: list[list]) -> str:
+    import csv
+
     buf = io.StringIO()
     buf.write(f"# tool_version: {meta['tool_version']}\n")
     for key in sorted(meta["conventions"]):
@@ -189,6 +184,15 @@ def _fail(message: str) -> int:
 
 
 def cmd_walls(cfg: RunConfig, out: Optional[str]) -> int:
+    from .lattices import hilbert_vector, surface_lattice
+    from .walls import (
+        UnsupportedTypeError,
+        chamber_decomposition,
+        check_wall_type,
+        emit_chamber_svg,
+        enumerate_v_walls,
+    )
+
     try:
         check_wall_type(cfg.type_name)
         if cfg.fmt == "svg" or cfg.type_name == "A-1":
@@ -271,6 +275,8 @@ def cmd_monodromy(cfg: RunConfig, generator: str, modes, charge: int, out) -> in
 
 
 def cmd_local(cfg: RunConfig, k: int, a: Optional[list[Fraction]], n, out) -> int:
+    from .localmodel import BimoduleParam, jet_trace, splits, tensor_table_rows
+
     if a is None:
         a = [Fraction(0)] * k
     if len(a) != k:
@@ -299,6 +305,9 @@ def cmd_local(cfg: RunConfig, k: int, a: Optional[list[Fraction]], n, out) -> in
 
 
 def cmd_hh0(cfg: RunConfig, order: Optional[int], out) -> int:
+    from .localmodel import SUPPORTED_ORDERS, hh0_audit
+    from .walls import UnsupportedTypeError
+
     orders = [order] if order is not None else list(SUPPORTED_ORDERS)
     try:
         audits = [hh0_audit(k) for k in orders]
@@ -313,6 +322,8 @@ def cmd_hh0(cfg: RunConfig, order: Optional[int], out) -> int:
 
 
 def cmd_roots(cfg: RunConfig, m_max: int, n_max: int, height, out) -> int:
+    from .roots import build_elliptic, roots_to_json
+
     try:
         system = build_elliptic(cfg.type_name)
     except ValueError as exc:
@@ -339,6 +350,8 @@ def cmd_roots(cfg: RunConfig, m_max: int, n_max: int, height, out) -> int:
 
 
 def cmd_verify_all(cfg: RunConfig, out) -> int:
+    from .verify import verify_all
+
     print(f"seed: {cfg.seed}", file=sys.stderr)
     report, timings = verify_all(cfg.seed)
     for entry in report["criteria"]:

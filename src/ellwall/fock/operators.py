@@ -21,7 +21,6 @@ integer coefficient table (``FieldTable``), built once per generator.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import NamedTuple, Optional, Union
@@ -34,18 +33,18 @@ class ExtendedModeError(ValueError):
     """A pt-label slope field was requested without extended configuration."""
 
 
-@dataclass(frozen=True)
 class FockConfig:
     """Conventions for the extended (pt-label) slope field."""
 
-    weight_field: str = "symplectic_fermion"
-    derivative: str = "z_ddz"
+    __slots__ = ("weight_field", "derivative")
 
-    def __post_init__(self):
-        if self.weight_field not in ("symplectic_fermion", "zero"):
-            raise ValueError(f"unknown weight_field {self.weight_field!r}")
-        if self.derivative not in ("z_ddz", "ddz"):
-            raise ValueError(f"unknown derivative {self.derivative!r}")
+    def __init__(self, weight_field: str = "symplectic_fermion", derivative: str = "z_ddz"):
+        if weight_field not in ("symplectic_fermion", "zero"):
+            raise ValueError(f"unknown weight_field {weight_field!r}")
+        if derivative not in ("z_ddz", "ddz"):
+            raise ValueError(f"unknown derivative {derivative!r}")
+        self.weight_field = weight_field
+        self.derivative = derivative
 
 
 class NormalTerm(NamedTuple):

@@ -44,9 +44,8 @@ scalars and when a failure witness is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from ..serialize import frac_str
 from .fastapply import (
@@ -78,8 +77,7 @@ def _eval_window(N: int, b: int, d: int) -> int:
     return N - slack
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     lhs_params: tuple[int, int, str]
     rhs_params: tuple[int, int, str]
     truncation: int
@@ -321,15 +319,15 @@ def bracket_verify(
     return report
 
 
-@dataclass
 class SweepSummary:
-    truncation: int
-    instances: int = 0
-    matches: int = 0
-    mismatches: list[BracketReport] = field(default_factory=list)
-    rescales: dict[tuple[int, int, str], Fraction] = field(default_factory=dict)
-    central: dict[tuple[str, str], dict] = field(default_factory=dict)
-    rescale_conflicts: list[str] = field(default_factory=list)
+    def __init__(self, truncation: int):
+        self.truncation = truncation
+        self.instances = 0
+        self.matches = 0
+        self.mismatches: list[BracketReport] = []
+        self.rescales: dict[tuple[int, int, str], Fraction] = {}
+        self.central: dict[tuple[str, str], dict] = {}
+        self.rescale_conflicts: list[str] = []
 
     def to_json_dict(self) -> dict:
         return {

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cyclotomic import Cyclotomic
-from .serialize import cyclo_str
+from .serialize import PREPROJ_SIGN_CONVENTION, cyclo_str
 from .walls import UnsupportedTypeError
 
 Scalar = Union[int, Fraction, Cyclotomic]
@@ -335,10 +335,6 @@ def tensor_table_rows(p: BimoduleParam) -> list[tuple[int, str, str]]:
 # ---------------------------------------------------------------------------
 # deformed-preprojective relation checker
 # ---------------------------------------------------------------------------
-
-#: the one global sign choice in the relation, surfaced in every report
-PREPROJ_SIGN_CONVENTION = "ccw.cw - cw.ccw = lambda_i . id at node i"
-
 
 @dataclass(frozen=True)
 class PreprojRep:

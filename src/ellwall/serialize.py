@@ -1,19 +1,41 @@
-"""JSON/CSV-friendly encoding of exact values.
+"""JSON/CSV-friendly encoding of exact values, and the metadata block
+every emitted document carries.
 
 Rationals travel as strings ("3/4", "-2", "0") so round-trips are exact;
 cyclotomic values are rendered the same way when rational and as a
-reduced polynomial in the root of unity otherwise.
+reduced polynomial in the root of unity otherwise.  The constants the
+command line echoes are defined here, so it reads them without loading
+the modules that use them.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .cyclotomic import Cyclotomic
+if TYPE_CHECKING:
+    from .cyclotomic import Cyclotomic
 
 TOOL_VERSION = "0.1.0"
+
+DEFAULT_SEED = 20260823
+
+#: the one global sign choice in the preprojective relation
+PREPROJ_SIGN_CONVENTION = "ccw.cw - cw.ccw = lambda_i . id at node i"
+
+#: normalization choices in force, echoed into every CLI document
+CONVENTIONS = {
+    "pairing": "fiber and point classes form the even dual pair; the odd pair is antisymmetric",
+    "small_mode_normalization": "slope-0 generators carry 1/|n| on the fiber label and |n| on the point label",
+    "degree_axis_rescale": "positive-degree fiber root spaces compare after a recorded rescale of -1",
+    "preproj_sign": PREPROJ_SIGN_CONVENTION,
+    "wall_locus": "derived phase-alignment locus in the (b, c, d) chart",
+    "wall_normalization": "wall representatives in the quadrant r >= 0, s >= 1 with depth bound r + s <= n",
+    "section_monodromy_order": "replacement generators applied in canonical monomial order",
+}
+
+WALL_TYPES = ("A-1", "D4", "E6", "E7", "E8")
 
 
 def frac_str(x: Fraction | int) -> str:

@@ -24,7 +24,6 @@ from .fock.states import FockState, basis_monomials
 from .fock.verify import bracket_sweep, small_mode_sweep, vertex_commutator_sweep
 from .lattices import MukaiVector, hilbert_vector, mukai_pair, root_to_kclass, surface_lattice
 from .localmodel import (
-    PREPROJ_SIGN_CONVENTION,
     BimoduleParam,
     char_value,
     hh0_audit,
@@ -36,6 +35,7 @@ from .localmodel import (
     y_matrix,
 )
 from .roots import EllipticRoot, build_elliptic
+from .serialize import DEFAULT_SEED
 from .walls import (
     UnsupportedTypeError,
     central_charge_sym,
@@ -43,19 +43,6 @@ from .walls import (
     enumerate_v_walls,
 )
 from .weyl import full_gram, identity_element, marking_stabilizer_generators, reflect
-
-DEFAULT_SEED = 20260823
-
-#: normalization choices in force, echoed into every CLI document
-CONVENTIONS = {
-    "pairing": "fiber and point classes form the even dual pair; the odd pair is antisymmetric",
-    "small_mode_normalization": "slope-0 generators carry 1/|n| on the fiber label and |n| on the point label",
-    "degree_axis_rescale": "positive-degree fiber root spaces compare after a recorded rescale of -1",
-    "preproj_sign": PREPROJ_SIGN_CONVENTION,
-    "wall_locus": "derived phase-alignment locus in the (b, c, d) chart",
-    "wall_normalization": "wall representatives in the quadrant r >= 0, s >= 1 with depth bound r + s <= n",
-    "section_monodromy_order": "replacement generators applied in canonical monomial order",
-}
 
 
 # ---------------------------------------------------------------------------

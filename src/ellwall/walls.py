@@ -31,12 +31,11 @@ from .lattices import (
     surface_lattice,
 )
 from .roots import EllipticRoot, build_elliptic
-from .serialize import frac_str
+from .serialize import WALL_TYPES, frac_str
 
 Scalar = Union[int, Fraction]
 Key = tuple[int, int, int]
 
-WALL_TYPES = ("A-1", "D4", "E6", "E7", "E8")
 WILD_TYPES = ("A0", "A1", "A2")
 
 ASSUMPTIONS = (

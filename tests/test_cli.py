@@ -301,6 +301,24 @@ class TestQueryStream:
         assert build_parser() is build_parser()
 
 
+# a period-12 parameter: A_r vanishes unless 5 | r, and the other values
+# are non-rational elements of Q(zeta_60)
+PERIOD_12 = ["2", "-1", "0", "1/2", "0", "0", "-3", "0", "1", "0", "0", "1/3"]
+LOCAL_GOLDENS = [
+    ("cli_local_k60.json",
+     ["--k", "60", "--a=" + ",".join(PERIOD_12[g % 12] for g in range(60)), "--n", "5"]),
+]
+HH0_GOLDENS = [
+    ("cli_hh0.json", []),
+    ("cli_hh0.csv", ["--format", "csv"]),
+]
+ROOTS_GOLDENS = [
+    ("cli_roots_a2_m1_n1.json", ["--type", "A2", "--m-max", "1", "--n-max", "1"]),
+    ("cli_roots_a2_m1_n1.csv",
+     ["--type", "A2", "--m-max", "1", "--n-max", "1", "--format", "csv"]),
+]
+
+
 class TestLocal:
     def test_jet_split_case(self, capsys):
         doc = run_json(capsys, "local", "--k", "2", "--a", "0,1", "--n", "1")
@@ -338,13 +356,10 @@ class TestLocal:
         assert doc["a"] == ["1/2", "-3"]
 
     def test_order_sixty_matches_golden(self, capsys):
-        # a period-12 parameter: A_r vanishes unless 5 | r, and the other
-        # values are non-rational elements of Q(zeta_60)
-        period = ["2", "-1", "0", "1/2", "0", "0", "-3", "0", "1", "0", "0", "1/3"]
-        a = ",".join(period[g % 12] for g in range(60))
-        rc, out, err = run(capsys, "local", "--k", "60", f"--a={a}", "--n", "5")
+        golden, argv = LOCAL_GOLDENS[0]
+        rc, out, err = run(capsys, "local", *argv)
         assert rc == 0, err
-        assert out == (DATA / "cli_local_k60.json").read_text()
+        assert out == (DATA / golden).read_text()
 
     def test_order_210_character_table(self, capsys):
         # the indicator of the generator: A_r = zeta^r, all distinct
@@ -384,6 +399,13 @@ class TestHH0:
         assert rc == 2
         assert "order" in err
 
+    @pytest.mark.parametrize("golden,argv", HH0_GOLDENS, ids=[g for g, _ in HH0_GOLDENS])
+    def test_document_matches_golden(self, capsys, golden, argv):
+        # pins the metadata block: every convention string and its key
+        rc, out, err = run(capsys, "hh0", *argv)
+        assert rc == 0, err
+        assert out == (DATA / golden).read_text()
+
 
 class TestRoots:
     def test_box_document(self, capsys):
@@ -398,6 +420,12 @@ class TestRoots:
         rc, _, err = run(capsys, "roots", "--type", "X9")
         assert rc == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("golden,argv", ROOTS_GOLDENS, ids=[g for g, _ in ROOTS_GOLDENS])
+    def test_document_matches_golden(self, capsys, golden, argv):
+        rc, out, err = run(capsys, "roots", *argv)
+        assert rc == 0, err
+        assert out == (DATA / golden).read_text()
 
 
 class TestVerifyAllPlumbing:
@@ -417,9 +445,9 @@ class TestVerifyAllPlumbing:
         return fake
 
     def test_pass_exit_code_and_seed_echo(self, capsys, monkeypatch):
-        import ellwall.cli as cli
+        import ellwall.verify as verify
 
-        monkeypatch.setattr(cli, "verify_all", self._stub(True))
+        monkeypatch.setattr(verify, "verify_all", self._stub(True))
         rc, out, err = run(capsys, "verify-all", "--seed", "11")
         assert rc == 0
         assert "seed: 11" in err
@@ -429,9 +457,9 @@ class TestVerifyAllPlumbing:
         assert doc["metadata"]["tool_version"]
 
     def test_fail_exit_code(self, capsys, monkeypatch):
-        import ellwall.cli as cli
+        import ellwall.verify as verify
 
-        monkeypatch.setattr(cli, "verify_all", self._stub(False))
+        monkeypatch.setattr(verify, "verify_all", self._stub(False))
         rc, _, err = run(capsys, "verify-all")
         assert rc == 1
         assert "[FAIL] stub" in err
@@ -468,12 +496,21 @@ class TestDeterminism:
 class TestCrossProcess:
     """The same query in fresh interpreters with different hash seeds
     gives the same bytes: no output depends on set or dict order that
-    hashing could change."""
+    hashing could change.  A fresh interpreter also runs each command's
+    own imports with nothing loaded before them."""
 
-    QUERIES = [["bracket", *argv] for _, argv in BRACKET_GOLDENS] + [
-        ["monodromy", "--generator", "s", *argv] for _, argv in MONODROMY_GOLDENS
+    QUERIES = (
+        [["bracket", *argv] for _, argv in BRACKET_GOLDENS]
+        + [["monodromy", "--generator", "s", *argv] for _, argv in MONODROMY_GOLDENS]
+        + [["walls", *argv] for _, argv in WALL_GOLDENS]
+        + [["local", *argv] for _, argv in LOCAL_GOLDENS]
+        + [["hh0", *argv] for _, argv in HH0_GOLDENS]
+        + [["roots", *argv] for _, argv in ROOTS_GOLDENS]
+    )
+    GOLDENS = [
+        g for g, _ in BRACKET_GOLDENS + MONODROMY_GOLDENS + WALL_GOLDENS
+        + LOCAL_GOLDENS + HH0_GOLDENS + ROOTS_GOLDENS
     ]
-    GOLDENS = [g for g, _ in BRACKET_GOLDENS + MONODROMY_GOLDENS]
 
     # the exact-local criteria at their verify-all sizes, with fixed seeds
     EXACT_LOCAL = (
@@ -528,3 +565,39 @@ class TestCrossProcess:
         report = json.loads(first)
         assert report["seed"] == 42 and report["all_pass"]
         assert len(report["criteria"]) == 10
+
+
+class TestImportBoundary:
+    """``import ellwall.cli`` and the bracket and monodromy queries load
+    the Fock stack and the serializer alone: the other commands import
+    their modules when they run, so a query process neither loads nor
+    compiles them."""
+
+    QUERY_PATH = {"ellwall", "ellwall.cli", "ellwall.serialize", "ellwall.fock"} | {
+        f"ellwall.fock.{m}"
+        for m in ("labels", "states", "operators", "fastapply", "monodromy", "verify")
+    }
+
+    PROBE = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return {\n"
+        "        'ellwall': sorted(m for m in sys.modules if m.split('.')[0] == 'ellwall'),\n"
+        "        'unused': [m for m in ('dataclasses', 'inspect', 'csv') if m in sys.modules],\n"
+        "    }\n"
+        "import ellwall.cli as cli\n"
+        "after_import = loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [\n"
+        "        cli.main(['bracket', '--lhs=1,1,sigma+', '--rhs=-1,0,sigma-', '--truncation', '4']),\n"
+        "        cli.main(['monodromy', '--generator', 's', '--modes', '2:pt,1:E', '--truncation', '4']),\n"
+        "    ]\n"
+        "print(json.dumps({'after_import': after_import, 'codes': codes, 'after_queries': loaded()}))\n"
+    )
+
+    def test_query_process_loads_only_the_fock_stack(self):
+        out = json.loads(TestCrossProcess.run_fresh([], "1", entry=("-c", self.PROBE)))
+        assert out["codes"] == [0, 0]
+        for stage in ("after_import", "after_queries"):
+            assert set(out[stage]["ellwall"]) == self.QUERY_PATH, stage
+            assert out[stage]["unused"] == [], stage
