@@ -288,13 +288,6 @@ def _unscale(basis: BasisIndex, row: IndexRow, denom: int) -> dict[Monomial, Fra
     return {basis.monos[u]: Fraction(v, denom) for u, v in row.items()}
 
 
-def _combine(first: IndexRow, second: IndexRow, eps: int) -> IndexRow:
-    """first + eps * second."""
-    out = dict(first)
-    add_scaled(out, second, eps)
-    return out
-
-
 # The engine of the last truncation bracket_verify saw: a stream of point
 # queries at one truncation shares its tables, and at most one is held.
 _last_engine: Optional[_BracketEngine] = None
@@ -636,9 +629,8 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
                 up, down = tables[n, gi], tables[-n, hi]
                 for i, mono in enumerate(monos[: basis.count(N - n)]):
                     checked += 1
-                    diff = _combine(
-                        _mode_pair(up, down, i), _mode_pair(down, up, i), eps
-                    )
+                    diff = _mode_pair(up, down, i)
+                    add_scaled(diff, _mode_pair(down, up, i), eps)
                     if diff != ({i: want} if want else {}):
                         failures.append(
                             {

@@ -10,9 +10,7 @@ Covers, in exact arithmetic over Q(zeta_k) with no floating point:
   extension, the trace splitting criterion, and an exact Jordan-type
   oracle for nilpotent matrices;
 * tensor decomposition of the simple torsion sheaves against the
-  bimodule (split pair versus indecomposable extension);
-* the deformed-preprojective relation checker for cyclic-quiver
-  representations, with per-node exact residuals.
+  bimodule (split pair versus indecomposable extension).
 
 Matrix conventions: matrices are tuples of row tuples; the jet action
 matrix is written against the column of basis symbols, so the nilpotent
@@ -27,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .cyclotomic import Cyclotomic
-from .serialize import PREPROJ_SIGN_CONVENTION, cyclo_str
+from .serialize import cyclo_str
 from .walls import UnsupportedTypeError
 
 Scalar = Union[int, Fraction, Cyclotomic]
@@ -330,185 +328,3 @@ def tensor_table(p: BimoduleParam) -> list[TensorDecomposition]:
 def tensor_table_rows(p: BimoduleParam) -> list[tuple[int, str, str]]:
     """CSV-ready rows (i, A_i, split|ext)."""
     return [(t.i, cyclo_str(t.value), t.tag) for t in tensor_table(p)]
-
-
-# ---------------------------------------------------------------------------
-# deformed-preprojective relation checker
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PreprojRep:
-    """Cyclic-quiver representation data: per-node dimensions, the
-    clockwise arrow maps cw[i]: node i -> node i-1, the counterclockwise
-    maps ccw[i]: node i -> node i+1 (indices mod k), and the node
-    scalars of the deformed relation."""
-
-    k: int
-    dims: tuple[int, ...]
-    cw: tuple[Matrix, ...]
-    ccw: tuple[Matrix, ...]
-    lam: tuple[Cyclotomic, ...]
-
-    @classmethod
-    def make(cls, k, dims, cw, ccw, lam) -> "PreprojRep":
-        def conv(mat):
-            return tuple(tuple(_coerce(k, x) for x in row) for row in mat)
-
-        return cls(
-            k,
-            tuple(dims),
-            tuple(conv(m) for m in cw),
-            tuple(conv(m) for m in ccw),
-            tuple(_coerce(k, x) for x in lam),
-        )
-
-
-@dataclass(frozen=True)
-class PreprojReport:
-    passes: bool
-    relation_holds: bool
-    lambda_matches: tuple[bool, ...]
-    seminilpotent: bool
-    residuals: tuple[Matrix, ...]
-    sign_convention: str = PREPROJ_SIGN_CONVENTION
-
-    def to_json_dict(self) -> dict:
-        return {
-            "passes": self.passes,
-            "relation_holds": self.relation_holds,
-            "lambda_matches": list(self.lambda_matches),
-            "seminilpotent": self.seminilpotent,
-            "sign_convention": self.sign_convention,
-            "residuals": [
-                [[cyclo_str(x) for x in row] for row in mat]
-                for mat in self.residuals
-            ],
-        }
-
-
-def _shape_ok(mat: Matrix, rows: int, cols: int) -> bool:
-    return len(mat) == rows and all(len(r) == cols for r in mat)
-
-
-def _identity(k: int, n: int) -> Matrix:
-    one, zero = Cyclotomic(k, 1), Cyclotomic(k, 0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def _zeros(k: int, rows: int, cols: int) -> Matrix:
-    zero = Cyclotomic(k, 0)
-    return tuple(tuple(zero for _ in range(cols)) for _ in range(rows))
-
-
-def _mat_sub(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(
-        tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(x, y)
-    )
-
-
-def _mat_scale(mat: Matrix, c: Cyclotomic) -> Matrix:
-    return tuple(tuple(x * c for x in row) for row in mat)
-
-
-def _mat_is_zero(mat: Matrix) -> bool:
-    return all(x.is_zero() for row in mat for x in row)
-
-
-def _cw_nilpotent(rep: PreprojRep) -> bool:
-    """Nilpotency of the total clockwise endomorphism of the node sum."""
-    total = sum(rep.dims)
-    if total == 0:
-        return True
-    k = rep.k
-    zero = Cyclotomic(k, 0)
-    offsets = [sum(rep.dims[:i]) for i in range(rep.k)]
-    big = [[zero] * total for _ in range(total)]
-    for i in range(rep.k):
-        tgt = (i - 1) % rep.k
-        mat = rep.cw[i]
-        for r in range(rep.dims[tgt]):
-            for c in range(rep.dims[i]):
-                big[offsets[tgt] + r][offsets[i] + c] = mat[r][c]
-    power: Matrix = tuple(tuple(row) for row in big)
-    base = power
-    for _ in range(total):
-        if _mat_is_zero(power):
-            return True
-        power = _mat_mul(power, base)
-    return _mat_is_zero(power)
-
-
-def preproj_check(rep: PreprojRep, p: BimoduleParam) -> PreprojReport:
-    """Check the deformed relation at every node (exact residual
-    matrices, sign per PREPROJ_SIGN_CONVENTION), that the node scalars
-    equal the character values of the parameter, and that the clockwise
-    maps are nilpotent."""
-    k = rep.k
-    if p.k != k:
-        raise ValueError("representation and parameter have different orders")
-    if not (
-        len(rep.dims) == k and len(rep.cw) == k and len(rep.ccw) == k
-        and len(rep.lam) == k
-    ):
-        raise ValueError("per-node data must have one entry per node")
-    for i in range(k):
-        if not _shape_ok(rep.cw[i], rep.dims[(i - 1) % k], rep.dims[i]):
-            raise ValueError(f"clockwise map at node {i}: dimension mismatch")
-        if not _shape_ok(rep.ccw[i], rep.dims[(i + 1) % k], rep.dims[i]):
-            raise ValueError(f"counterclockwise map at node {i}: dimension mismatch")
-    residuals = []
-    relation_holds = True
-    for i in range(k):
-        d = rep.dims[i]
-        if d == 0:
-            residuals.append(_zeros(k, 0, 0))
-            continue
-        # the round trip through a zero-dimensional neighbour is zero
-        before, after = (i - 1) % k, (i + 1) % k
-        empty = _zeros(k, d, d)
-        back = _mat_mul(rep.ccw[before], rep.cw[i]) if rep.dims[before] else empty
-        forth = _mat_mul(rep.cw[after], rep.ccw[i]) if rep.dims[after] else empty
-        res = _mat_sub(
-            _mat_sub(back, forth), _mat_scale(_identity(k, d), rep.lam[i])
-        )
-        residuals.append(res)
-        if not _mat_is_zero(res):
-            relation_holds = False
-    lambda_matches = tuple(
-        rep.lam[i] == char_value(p, i) for i in range(k)
-    )
-    seminilpotent = _cw_nilpotent(rep)
-    passes = relation_holds and all(lambda_matches)
-    return PreprojReport(
-        passes=passes,
-        relation_holds=relation_holds,
-        lambda_matches=lambda_matches,
-        seminilpotent=seminilpotent,
-        residuals=tuple(residuals),
-    )
-
-
-def jet_module_rep(n: int, p: BimoduleParam) -> PreprojRep:
-    """The one-node representation carried by the order-n jet sheaf
-    (group order 1 only): the coordinate acts by the nilpotent Jordan
-    block, the returning map is zero, and the node scalar is A_0.  The
-    relation then holds exactly when A_0 = 0 (for nonzero A_0 no
-    finite-dimensional representation exists: the commutator is
-    traceless while lambda.id is not)."""
-    if p.k != 1:
-        raise ValueError("jet module construction is given for group order 1")
-    size = n + 1
-    zero, one = Cyclotomic(1, 0), Cyclotomic(1, 1)
-    jordan = tuple(
-        tuple(one if j == i + 1 else zero for j in range(size))
-        for i in range(size)
-    )
-    return PreprojRep(
-        1,
-        (size,),
-        (jordan,),
-        (_zeros(1, size, size),),
-        (char_value(p, 0),),
-    )

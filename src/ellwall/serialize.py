@@ -21,7 +21,9 @@ TOOL_VERSION = "0.1.0"
 
 DEFAULT_SEED = 20260823
 
-#: the one global sign choice in the preprojective relation
+#: the one global sign choice in the deformed preprojective relation;
+#: no code checks that relation, but it is kept because every CLI
+#: document's metadata echoes it as ``preproj_sign``
 PREPROJ_SIGN_CONVENTION = "ccw.cw - cw.ccw = lambda_i . id at node i"
 
 #: normalization choices in force, echoed into every CLI document

@@ -24,7 +24,6 @@ from ellwall.fock.states import FockState, basis_monomials
 
 from fock_reference import (
     TruncationError,
-    alpha_apply,
     apply,
     commutator_apply,
     heisenberg_mode,
@@ -306,30 +305,6 @@ class TestFastRows:
         assert {t: Fraction(c, op.denom) for t, c in got.items()} == want.terms
         # the row is kept: a second read returns the same object
         assert list(table) == [i] and table[i] is table[i]
-
-    def test_single_mode_row_matches_alpha(self):
-        # depth 5 holds every image of an energy <= 3 monomial under
-        # |n| <= 2, so no row is cut by the basis and each one must equal
-        # alpha_apply in full, zero rows included
-        basis = BasisIndex(5)
-        tables = mode_tables(basis, 2)
-        for mono in basis_monomials(3):
-            i = basis.index[mono]
-            for n in (-2, -1, 1, 2):
-                for label in range(4):
-                    target, factor = tables[n, label]
-                    want = alpha_apply(n, label, FockState.from_monomial(mono))
-                    got = {basis.monos[target[i]]: factor[i]} if factor[i] else {}
-                    assert set(got) == set(want.terms)
-                    for t, c in got.items():
-                        assert want.terms[t] == Fraction(c)
-
-    def test_rows_reject_undersized_window(self):
-        op = vertex_mode(1, 0, 2)
-        basis = BasisIndex(3)
-        table = RowTable(op, basis)
-        with pytest.raises(ValueError, match="window 2"):
-            [table[i] for i in range(basis.size)]
 
     def test_row_table_rejects_a_row_above_the_window(self):
         op = vertex_mode(1, 0, 2)

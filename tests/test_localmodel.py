@@ -9,17 +9,13 @@ from ellwall.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from ellwall.localmodel import (
     _mat_mul,
     HH0_TABLE,
-    PREPROJ_SIGN_CONVENTION,
     BimoduleParam,
-    PreprojRep,
     char_value,
     hh0_audit,
     hh0_dim,
-    jet_module_rep,
     jet_trace,
     matrix_rank,
     nilpotent_jordan_type,
-    preproj_check,
     splits,
     tensor_simple,
     tensor_table,
@@ -376,117 +372,3 @@ class TestRootHyperplane:
         )
         assert matrix_rank(mat) == k
 
-
-class TestPreproj:
-    def test_zero_representation_passes(self):
-        k = 3
-        p = BimoduleParam.make(k, [0, 0, 0])
-        rep = PreprojRep.make(
-            k,
-            (1, 1, 1),
-            [[[0]]] * k,
-            [[[0]]] * k,
-            [0, 0, 0],
-        )
-        report = preproj_check(rep, p)
-        assert report.passes and report.relation_holds
-        assert report.seminilpotent
-        assert all(report.lambda_matches)
-        assert report.sign_convention == PREPROJ_SIGN_CONVENTION
-
-    def test_one_node_nonzero_scalar_fails_with_trace_residual(self):
-        p = BimoduleParam.make(1, [1])  # A_0 = 1
-        rep = PreprojRep.make(1, (1,), [[[0]]], [[[0]]], [1])
-        report = preproj_check(rep, p)
-        assert not report.passes and not report.relation_holds
-        assert all(report.lambda_matches)
-        assert report.residuals[0][0][0] == Cyclotomic(1, -1)
-
-    def test_two_node_point_module_passes(self):
-        # p with A = (1, -1): the one-dimensional node pair carries the
-        # relation with cw = (1, 0), ccw = (0, 1)
-        p = BimoduleParam.make(2, [0, 1])
-        rep = PreprojRep.make(
-            2,
-            (1, 1),
-            [[[1]], [[0]]],
-            [[[0]], [[1]]],
-            [1, -1],
-        )
-        report = preproj_check(rep, p)
-        assert report.passes and report.relation_holds
-        assert report.seminilpotent
-        assert all(report.lambda_matches)
-
-    def test_zero_dimensional_neighbour(self):
-        # node 0 has dimension 1 and its only neighbour dimension 0: both
-        # round trips pass through the empty node and are zero
-        p = BimoduleParam(2, (Cyclotomic(2, 0), Cyclotomic(2, 0)))
-        rep = PreprojRep.make(2, (1, 0), cw=[(), ((),)], ccw=[(), ((),)], lam=[0, 0])
-        report = preproj_check(rep, p)
-        assert report.passes and report.relation_holds
-        assert report.seminilpotent
-        assert report.residuals == (((Cyclotomic(2, 0),),), ())
-
-    def test_jet_module_split_case_passes(self):
-        p = BimoduleParam.make(1, [0])
-        for n in range(3):
-            report = preproj_check(jet_module_rep(n, p), p)
-            assert report.passes and report.seminilpotent
-
-    def test_jet_module_nonsplit_case_fails(self):
-        p = BimoduleParam.make(1, [1])
-        report = preproj_check(jet_module_rep(1, p), p)
-        assert not report.passes
-        minus_one = Cyclotomic(1, -1)
-        res = report.residuals[0]
-        assert res[0][0] == minus_one and res[1][1] == minus_one
-
-    def test_lambda_mismatch_flagged(self):
-        p = BimoduleParam.make(1, [1])  # A_0 = 1
-        rep = PreprojRep.make(1, (1,), [[[0]]], [[[0]]], [0])
-        report = preproj_check(rep, p)
-        assert report.relation_holds
-        assert report.lambda_matches == (False,)
-        assert not report.passes
-
-    def test_non_nilpotent_clockwise_flagged(self):
-        p = BimoduleParam.make(1, [0])
-        rep = PreprojRep.make(1, (1,), [[[1]]], [[[0]]], [0])
-        report = preproj_check(rep, p)
-        assert report.relation_holds  # loops commute in dimension one
-        assert not report.seminilpotent
-
-    def test_dimension_mismatch_rejected(self):
-        p = BimoduleParam.make(2, [0, 0])
-        rep = PreprojRep.make(
-            2,
-            (1, 2),
-            [[[0], [0]], [[0, 0]]],
-            [[[0], [0]], [[0, 0]]],
-            [0, 0],
-        )
-        # sanity: that one is consistent; now break one arrow shape
-        preproj_check(rep, p)
-        bad = PreprojRep.make(
-            2,
-            (1, 2),
-            [[[0]], [[0, 0]]],
-            [[[0], [0]], [[0, 0]]],
-            [0, 0],
-        )
-        with pytest.raises(ValueError):
-            preproj_check(bad, p)
-
-    def test_order_mismatch_rejected(self):
-        rep = PreprojRep.make(1, (1,), [[[0]]], [[[0]]], [0])
-        with pytest.raises(ValueError):
-            preproj_check(rep, BimoduleParam.make(2, [0, 0]))
-
-    def test_report_json(self):
-        p = BimoduleParam.make(1, [1])
-        report = preproj_check(jet_module_rep(0, p), p)
-        d = report.to_json_dict()
-        assert d["passes"] is False
-        assert d["residuals"] == [[["-1"]]]
-        assert d["sign_convention"] == PREPROJ_SIGN_CONVENTION

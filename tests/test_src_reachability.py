@@ -11,8 +11,8 @@ unreached too.  A plain name resolves through its module's definitions
 and ``from`` imports; an attribute matches every definition of that name.
 
 The criteria and the CLI commands are reached from ``cli.main``, which
-``__main__`` reads at module level; so a definition outside the allowlist
-below that no criterion, command or script reaches fails the test.
+``__main__`` reads at module level; so a definition that no criterion,
+command or script reaches fails the test.
 """
 
 from __future__ import annotations
@@ -22,28 +22,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-
-# The deformed-preprojective relation checker is kept whole although no
-# criterion runs it yet: wiring it into one changes the report bytes, so
-# that is a change of its own.  Its sign convention is echoed in every
-# CLI document, so PREPROJ_SIGN_CONVENTION is reached and not listed.
-ALLOWED_UNREACHED = {
-    "ellwall.localmodel:" + name
-    for name in (
-        "PreprojRep",
-        "PreprojReport",
-        "preproj_check",
-        "jet_module_rep",
-        "_cw_nilpotent",
-        "_shape_ok",
-        "_identity",
-        "_zeros",
-        "_mat_sub",
-        "_mat_scale",
-        "_mat_is_zero",
-    )
-}
-
 
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
@@ -187,7 +165,7 @@ def unread_imports() -> list[str]:
 
 
 def test_every_definition_is_reached():
-    assert sorted(unreached_definitions()) == sorted(ALLOWED_UNREACHED)
+    assert sorted(unreached_definitions()) == []
 
 
 def test_every_import_is_read():
