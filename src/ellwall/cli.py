@@ -12,8 +12,12 @@ loads the serializer and the Fock stack, which the ``bracket`` and
 ``monodromy`` queries need, and every other command imports its own
 modules in its handler.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error or
-unsupported request.
+argparse is the one config and dispatch layer: each subcommand's
+handler reads the parsed namespace and returns its document text and
+exit code, and ``main`` alone writes the text to ``--out`` or stdout.
+
+Exit codes: 0 success, 1 failed verification, 2 usage error,
+unsupported request, or an ``--out`` path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -28,41 +32,15 @@ from typing import Optional, Sequence
 from .fock.fastapply import creation_chain
 from .fock.labels import LABEL_NAMES, label_index
 from .fock.monodromy import monodromy_f, monodromy_s
-from .fock.operators import ExtendedModeError, FockConfig
+from .fock.operators import FockConfig
 from .fock.states import FockState
 from .fock.verify import bracket_verify
 from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, cyclo_str, frac_str, metadata, to_json
 
 
-class RunConfig:
-    """Parsed invocation: one command plus its knobs.  Convention
-    overrides are always echoed into the output metadata block."""
-
-    def __init__(
-        self,
-        command: str,
-        type_name: str = "A-1",
-        n: int = 1,
-        truncation: int = 6,
-        fmt: str = "json",
-        seed: int = DEFAULT_SEED,
-        overrides: Optional[dict] = None,
-    ):
-        self.command = command
-        self.type_name = type_name
-        self.n = n
-        self.truncation = truncation
-        self.fmt = fmt
-        self.seed = seed
-        self.overrides = {} if overrides is None else overrides
-
-    def conventions(self) -> dict:
-        merged = dict(CONVENTIONS)
-        merged.update(self.overrides)
-        return merged
-
-    def metadata(self) -> dict:
-        return metadata(self.conventions())
+class UnsupportedRequest(Exception):
+    """A request the parser accepts but the command cannot serve:
+    ``main`` prints ``error: <message>`` and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +120,27 @@ def _state_from_modes(modes: Sequence[tuple[int, int]], charge: int) -> FockStat
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# documents
 # ---------------------------------------------------------------------------
 
 
-def _csv_text(meta: dict, header: list[str], rows: list[list]) -> str:
+def _metadata(args: argparse.Namespace) -> dict:
+    """The metadata block: the conventions in force, with ``monodromy``'s
+    extended-mode overrides."""
+    conventions = dict(CONVENTIONS)
+    if args.command == "monodromy":
+        conventions["extended_weight_field"] = args.weight_field
+        conventions["extended_derivative"] = args.derivative
+    return metadata(conventions)
+
+
+def _document(args: argparse.Namespace, body: dict, header=(), rows=()) -> str:
+    """``body`` under the metadata block as JSON or, for ``--format csv``,
+    the metadata as comment lines above ``header`` and ``rows``; ``rows``
+    may be a generator, read only for CSV."""
+    meta = _metadata(args)
+    if getattr(args, "format", "json") != "csv":
+        return to_json({"metadata": meta, **body})
     import csv
 
     buf = io.StringIO()
@@ -159,34 +153,14 @@ def _csv_text(meta: dict, header: list[str], rows: list[list]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _svg_with_metadata(svg: str, meta: dict) -> str:
-    head, _, tail = svg.partition("\n")
-    block = f"<metadata>{to_json(meta)}</metadata>"
-    return f"{head}\n{block}\n{tail}"
-
-
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its document text and exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_walls(cfg: RunConfig, out: Optional[str]) -> int:
+def cmd_walls(args: argparse.Namespace) -> tuple[str, int]:
     from .lattices import hilbert_vector, surface_lattice
     from .walls import (
-        UnsupportedTypeError,
         chamber_decomposition,
         check_wall_type,
         emit_chamber_svg,
@@ -194,26 +168,26 @@ def cmd_walls(cfg: RunConfig, out: Optional[str]) -> int:
     )
 
     try:
-        check_wall_type(cfg.type_name)
-        if cfg.fmt == "svg" or cfg.type_name == "A-1":
-            dec = chamber_decomposition(cfg.n, cfg.type_name)
-            walls = list(dec.walls)
-            doc = {"metadata": cfg.metadata(), **dec.to_json_dict()}
+        check_wall_type(args.type)
+        if args.format == "svg" or args.type == "A-1":
+            dec = chamber_decomposition(args.n, args.type)
+            walls = dec.walls
+            body = dec.to_json_dict()
         else:
-            ns = surface_lattice(cfg.type_name)
-            walls = enumerate_v_walls(hilbert_vector(cfg.n, ns), cfg.type_name)
-            doc = {
-                "metadata": cfg.metadata(),
-                "type": cfg.type_name,
-                "n": cfg.n,
+            ns = surface_lattice(args.type)
+            walls = enumerate_v_walls(hilbert_vector(args.n, ns), args.type)
+            body = {
+                "type": args.type,
+                "n": args.n,
                 "walls": [w.to_json_dict() for w in walls],
             }
-    except (UnsupportedTypeError, ValueError) as exc:
-        return _fail(str(exc))
-    if cfg.fmt == "svg":
-        _emit(_svg_with_metadata(emit_chamber_svg(dec), cfg.metadata()), out)
-    elif cfg.fmt == "csv":
-        rows = [
+    except ValueError as exc:
+        raise UnsupportedRequest(str(exc)) from exc
+    if args.format == "svg":
+        head, _, tail = emit_chamber_svg(dec).partition("\n")
+        text = f"{head}\n<metadata>{to_json(_metadata(args))}</metadata>\n{tail}"
+    else:
+        rows = (
             [
                 ";".join(map(str, w.root.finite)),
                 w.root.m,
@@ -222,145 +196,115 @@ def cmd_walls(cfg: RunConfig, out: Optional[str]) -> int:
                 str(w.locus),
             ]
             for w in walls
-        ]
-        _emit(
-            _csv_text(
-                cfg.metadata(),
-                ["root_finite", "root_m", "root_n", "level1_pos", "locus"],
-                rows,
-            ),
-            out,
         )
-    else:
-        _emit(to_json(doc), out)
-    return 0
+        header = ["root_finite", "root_m", "root_n", "level1_pos", "locus"]
+        text = _document(args, body, header, rows)
+    return text, 0
 
 
-def cmd_bracket(cfg: RunConfig, lhs, rhs, out: Optional[str]) -> int:
-    a, b, gamma = lhs
-    c, d, eta = rhs
+def cmd_bracket(args: argparse.Namespace) -> tuple[str, int]:
+    a, b, gamma = args.lhs
+    c, d, eta = args.rhs
     try:
-        report = bracket_verify(a, b, gamma, c, d, eta, cfg.truncation)
-    except (ExtendedModeError, ValueError) as exc:
-        return _fail(str(exc))
-    doc = {"metadata": cfg.metadata(), **report.to_json_dict()}
-    _emit(to_json(doc), out)
-    return 0
+        report = bracket_verify(a, b, gamma, c, d, eta, args.truncation)
+    except ValueError as exc:
+        raise UnsupportedRequest(str(exc)) from exc
+    return _document(args, report.to_json_dict()), 0
 
 
-def cmd_monodromy(cfg: RunConfig, generator: str, modes, charge: int, out) -> int:
-    state = _state_from_modes(modes, charge)
-    config = FockConfig(
-        weight_field=cfg.overrides["extended_weight_field"],
-        derivative=cfg.overrides["extended_derivative"],
-    )
+def cmd_monodromy(args: argparse.Namespace) -> tuple[str, int]:
+    state = _state_from_modes(args.modes, args.charge)
+    config = FockConfig(weight_field=args.weight_field, derivative=args.derivative)
     try:
-        if generator == "f":
+        if args.generator == "f":
             image = monodromy_f(state)
-        elif generator == "ff":
+        elif args.generator == "ff":
             image = monodromy_f(monodromy_f(state))
         else:
-            image = monodromy_s(state, cfg.truncation, config)
-    except (ExtendedModeError, ValueError) as exc:
-        return _fail(str(exc))
-    doc = {
-        "metadata": cfg.metadata(),
-        "generator": generator,
-        "truncation": cfg.truncation,
+            image = monodromy_s(state, args.truncation, config)
+    except ValueError as exc:
+        raise UnsupportedRequest(str(exc)) from exc
+    body = {
+        "generator": args.generator,
+        "truncation": args.truncation,
         "input": state.to_json_dict(),
         "output": image.to_json_dict(),
     }
-    _emit(to_json(doc), out)
-    return 0
+    return _document(args, body), 0
 
 
-def cmd_local(cfg: RunConfig, k: int, a: Optional[list[Fraction]], n, out) -> int:
+def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     from .localmodel import BimoduleParam, jet_trace, splits, tensor_table_rows
 
-    if a is None:
-        a = [Fraction(0)] * k
+    k = args.k
+    a = [Fraction(0)] * k if args.a is None else args.a
     if len(a) != k:
-        return _fail(f"need {k} coefficients for order {k}, got {len(a)}")
+        raise UnsupportedRequest(f"need {k} coefficients for order {k}, got {len(a)}")
     p = BimoduleParam.make(k, a)
     rows = tensor_table_rows(p)
-    if cfg.fmt == "csv":
-        _emit(_csv_text(cfg.metadata(), ["i", "A_i", "case"], [list(r) for r in rows]), out)
-        return 0
-    doc = {
-        "metadata": cfg.metadata(),
+    body = {
         "k": k,
         "a": [frac_str(x) for x in a],
         "character_table": [
             {"i": i, "A_i": value, "case": case} for i, value, case in rows
         ],
     }
-    if n is not None:
-        doc["jet"] = {
-            "n": n,
-            "trace": cyclo_str(jet_trace(n, p)),
-            "splits": splits(n, p),
+    # the CSV document is the character table alone
+    if args.n is not None and args.format == "json":
+        body["jet"] = {
+            "n": args.n,
+            "trace": cyclo_str(jet_trace(args.n, p)),
+            "splits": splits(args.n, p),
         }
-    _emit(to_json(doc), out)
-    return 0
+    return _document(args, body, ["i", "A_i", "case"], rows), 0
 
 
-def cmd_hh0(cfg: RunConfig, order: Optional[int], out) -> int:
+def cmd_hh0(args: argparse.Namespace) -> tuple[str, int]:
     from .localmodel import SUPPORTED_ORDERS, hh0_audit
     from .walls import UnsupportedTypeError
 
-    orders = [order] if order is not None else list(SUPPORTED_ORDERS)
+    orders = [args.order] if args.order is not None else list(SUPPORTED_ORDERS)
     try:
         audits = [hh0_audit(k) for k in orders]
     except UnsupportedTypeError as exc:
-        return _fail(str(exc))
-    if cfg.fmt == "csv":
-        rows = [[a["order"], a["table_value"]] for a in audits]
-        _emit(_csv_text(cfg.metadata(), ["order", "dimension"], rows), out)
-    else:
-        _emit(to_json({"metadata": cfg.metadata(), "orders": audits}), out)
-    return 0
+        raise UnsupportedRequest(str(exc)) from exc
+    rows = ([a["order"], a["table_value"]] for a in audits)
+    return _document(args, {"orders": audits}, ["order", "dimension"], rows), 0
 
 
-def cmd_roots(cfg: RunConfig, m_max: int, n_max: int, height, out) -> int:
+def cmd_roots(args: argparse.Namespace) -> tuple[str, int]:
     from .roots import build_elliptic, roots_to_json
 
     try:
-        system = build_elliptic(cfg.type_name)
+        system = build_elliptic(args.type)
     except ValueError as exc:
-        return _fail(str(exc))
-    roots = system.roots_in_box(m_max, n_max, height)
-    doc = {
-        "metadata": cfg.metadata(),
-        "type": cfg.type_name,
-        "m_max": m_max,
-        "n_max": n_max,
-        "finite_height_max": height,
+        raise UnsupportedRequest(str(exc)) from exc
+    roots = system.roots_in_box(args.m_max, args.n_max, args.height)
+    body = {
+        "type": args.type,
+        "m_max": args.m_max,
+        "n_max": args.n_max,
+        "finite_height_max": args.height,
         "count": len(roots),
         "roots": roots_to_json(roots, system),
     }
-    if cfg.fmt == "csv":
-        rows = [
-            ["+".join(map(str, r.finite)) or "0", r.m, r.n, system.is_real(r)]
-            for r in roots
-        ]
-        _emit(_csv_text(cfg.metadata(), ["finite", "m", "n", "real"], rows), out)
-    else:
-        _emit(to_json(doc), out)
-    return 0
+    rows = (
+        ["+".join(map(str, r.finite)) or "0", r.m, r.n, system.is_real(r)]
+        for r in roots
+    )
+    return _document(args, body, ["finite", "m", "n", "real"], rows), 0
 
 
-def cmd_verify_all(cfg: RunConfig, out) -> int:
+def cmd_verify_all(args: argparse.Namespace) -> tuple[str, int]:
     from .verify import verify_all
 
-    print(f"seed: {cfg.seed}", file=sys.stderr)
-    report, timings = verify_all(cfg.seed)
+    print(f"seed: {args.seed}", file=sys.stderr)
+    report, timings = verify_all(args.seed)
     for entry in report["criteria"]:
         name = entry["criterion"]
         tag = "PASS" if entry["pass"] else "FAIL"
         print(f"[{tag}] {name} ({timings[name]:.2f}s)", file=sys.stderr)
-    doc = {"metadata": cfg.metadata(), **report}
-    _emit(to_json(doc), out)
-    return 0 if report["all_pass"] else 1
+    return _document(args, report), 0 if report["all_pass"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -378,20 +322,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
+    def finish(p, handler):
+        # every command takes --out last and runs its handler
         p.add_argument("--out", help="write the document here instead of stdout")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("walls", help="numerical walls and chambers for n points")
     p.add_argument("--type", default="A-1", help=f"surface type, one of {WALL_TYPES}")
     p.add_argument("--n", type=_positive_int, required=True, help="number of points")
     p.add_argument("--format", default="json", choices=("json", "csv", "svg"))
-    add_out(p)
+    finish(p, cmd_walls)
 
     p = sub.add_parser("bracket", help="verify one generator bracket on the basis")
     p.add_argument("--lhs", type=_parse_operand, required=True, metavar="a,b,label")
     p.add_argument("--rhs", type=_parse_operand, required=True, metavar="c,d,label")
     p.add_argument("--truncation", type=_positive_int, default=6)
-    add_out(p)
+    finish(p, cmd_bracket)
 
     p = sub.add_parser("monodromy", help="apply a mapping-class generator to a state")
     p.add_argument("--generator", required=True, choices=("f", "s", "ff"))
@@ -416,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("z_ddz", "ddz"),
         help="extended-mode convention override, echoed in metadata",
     )
-    add_out(p)
+    finish(p, cmd_monodromy)
 
     p = sub.add_parser("local", help="cyclic-orbifold character and jet tables")
     p.add_argument("--k", type=_positive_int, required=True, help="group order")
@@ -429,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=_nonneg_int, default=None, help="jet order")
     p.add_argument("--format", default="json", choices=("json", "csv"))
-    add_out(p)
+    finish(p, cmd_local)
 
     p = sub.add_parser("hh0", help="invariant-dimension table with orbit audit")
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--format", default="json", choices=("json", "csv"))
-    add_out(p)
+    finish(p, cmd_hh0)
 
     p = sub.add_parser("roots", help="roots of the elliptic system in a box")
     p.add_argument("--type", default="A1")
@@ -442,45 +388,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_nonneg_int, default=2)
     p.add_argument("--height", type=_nonneg_int, default=None)
     p.add_argument("--format", default="json", choices=("json", "csv"))
-    add_out(p)
+    finish(p, cmd_roots)
 
     p = sub.add_parser("verify-all", help="run every acceptance check")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_out(p)
+    finish(p, cmd_verify_all)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command)
-    if hasattr(args, "format"):
-        cfg.fmt = args.format
-    if hasattr(args, "truncation"):
-        cfg.truncation = args.truncation
-    if hasattr(args, "seed"):
-        cfg.seed = args.seed
-    if hasattr(args, "type"):
-        cfg.type_name = args.type
-    if hasattr(args, "n") and args.n is not None:
-        cfg.n = args.n
-
-    if args.command == "walls":
-        return cmd_walls(cfg, args.out)
-    if args.command == "bracket":
-        return cmd_bracket(cfg, args.lhs, args.rhs, args.out)
-    if args.command == "monodromy":
-        cfg.overrides = {
-            "extended_weight_field": args.weight_field,
-            "extended_derivative": args.derivative,
-        }
-        return cmd_monodromy(cfg, args.generator, args.modes, args.charge, args.out)
-    if args.command == "local":
-        return cmd_local(cfg, args.k, args.a, args.n, args.out)
-    if args.command == "hh0":
-        return cmd_hh0(cfg, args.order, args.out)
-    if args.command == "roots":
-        return cmd_roots(cfg, args.m_max, args.n_max, args.height, args.out)
-    if args.command == "verify-all":
-        return cmd_verify_all(cfg, args.out)
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
+    try:
+        text, code = args.handler(args)
+    except UnsupportedRequest as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if not args.out:
+        sys.stdout.write(text + "\n")
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return code

@@ -42,7 +42,7 @@ from .walls import (
     chamber_decomposition,
     enumerate_v_walls,
 )
-from .weyl import full_gram, identity_element, marking_stabilizer_generators, reflect
+from .weyl import _mat_mul, full_gram, identity_element, marking_stabilizer_generators, reflect
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,8 @@ def check_weyl_relations(word_max: int = 6) -> dict:
     infinite-order certificate)."""
     ok = True
     words_checked = 0
-    order_table = {0: 2, -1: 3, -2: 4, -3: 6}
+    # the order of s_i s_j from the Cartan product a_ij a_ji
+    order_table = {0: 2, 1: 3, 2: 4, 3: 6}
     for tname in ("A1", "A2", "D4"):
         system = build_elliptic(tname)
         gram = full_gram(system)
@@ -385,11 +386,7 @@ def check_weyl_relations(word_max: int = 6) -> dict:
             if not g.compose(g).is_identity():
                 ok = False
         for i, j in itertools.combinations(range(system.rank), 2):
-            m = order_table[
-                system.cartan[i][j] * system.cartan[j][i] * -1
-                if system.cartan[i][j]
-                else 0
-            ]
+            m = order_table[system.cartan[i][j] * system.cartan[j][i]]
             prod = gens[i].compose(gens[j])
             acc = identity_element(system)
             for _ in range(m):
@@ -423,17 +420,8 @@ def check_weyl_relations(word_max: int = 6) -> dict:
         ok = False
     t = shear.gl2_part
     nilp = ((t[0][0] - 1, t[0][1]), (t[1][0], t[1][1] - 1))
-    nilp_sq = (
-        (
-            nilp[0][0] * nilp[0][0] + nilp[0][1] * nilp[1][0],
-            nilp[0][0] * nilp[0][1] + nilp[0][1] * nilp[1][1],
-        ),
-        (
-            nilp[1][0] * nilp[0][0] + nilp[1][1] * nilp[1][0],
-            nilp[1][0] * nilp[0][1] + nilp[1][1] * nilp[1][1],
-        ),
-    )
-    unipotent_cert = nilp != ((0, 0), (0, 0)) and nilp_sq == ((0, 0), (0, 0))
+    zero = ((0, 0), (0, 0))
+    unipotent_cert = nilp != zero and _mat_mul(nilp, nilp) == zero
     if not unipotent_cert:
         ok = False
     return {

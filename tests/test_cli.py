@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ellwall
-from ellwall.cli import RunConfig, build_parser, main
+from ellwall.cli import build_parser, main
 from ellwall.roots import build_elliptic
 
 DATA = Path(__file__).parent / "data"
@@ -28,21 +28,11 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-class TestRunConfig:
-    def test_overrides_merge_into_conventions(self):
-        cfg = RunConfig(command="x", overrides={"extended_derivative": "ddz"})
-        conv = cfg.conventions()
-        assert conv["extended_derivative"] == "ddz"
-        assert "pairing" in conv
-
-    def test_metadata_block(self):
-        meta = RunConfig(command="x").metadata()
-        assert set(meta) == {"tool_version", "conventions"}
-
-
 WALL_GOLDENS = [
     ("cli_walls_a-1_n4.json", ["--type", "A-1", "--n", "4"]),
     ("cli_walls_d4_n2.csv", ["--type", "D4", "--n", "2", "--format", "csv"]),
+    # the chamber path of CSV
+    ("cli_walls_a-1_n3.csv", ["--type", "A-1", "--n", "3", "--format", "csv"]),
 ]
 
 
@@ -56,6 +46,7 @@ class TestWalls:
 
     def test_json_document(self, capsys):
         doc = run_json(capsys, "walls", "--type", "A-1", "--n", "4")
+        assert set(doc["metadata"]) == {"tool_version", "conventions"}
         assert doc["metadata"]["tool_version"]
         assert doc["n"] == 4
         assert len(doc["walls"]) == 6
@@ -307,6 +298,9 @@ PERIOD_12 = ["2", "-1", "0", "1/2", "0", "0", "-3", "0", "1", "0", "0", "1/3"]
 LOCAL_GOLDENS = [
     ("cli_local_k60.json",
      ["--k", "60", "--a=" + ",".join(PERIOD_12[g % 12] for g in range(60)), "--n", "5"]),
+    # CSV carries the character table alone, without the jet block
+    ("cli_local_k6_n2.csv",
+     ["--k", "6", "--a", "1,1,0,0,0,0", "--n", "2", "--format", "csv"]),
 ]
 HH0_GOLDENS = [
     ("cli_hh0.json", []),
@@ -357,6 +351,12 @@ class TestLocal:
 
     def test_order_sixty_matches_golden(self, capsys):
         golden, argv = LOCAL_GOLDENS[0]
+        rc, out, err = run(capsys, "local", *argv)
+        assert rc == 0, err
+        assert out == (DATA / golden).read_text()
+
+    def test_csv_leaves_out_the_jet(self, capsys):
+        golden, argv = LOCAL_GOLDENS[1]
         rc, out, err = run(capsys, "local", *argv)
         assert rc == 0, err
         assert out == (DATA / golden).read_text()
@@ -464,6 +464,17 @@ class TestVerifyAllPlumbing:
         assert rc == 1
         assert "[FAIL] stub" in err
 
+    @pytest.mark.parametrize("all_pass", [True, False])
+    def test_unopenable_out_exits_2(self, capsys, monkeypatch, tmp_path, all_pass):
+        import ellwall.verify as verify
+
+        monkeypatch.setattr(verify, "verify_all", self._stub(all_pass))
+        target = tmp_path / "missing" / "report.json"
+        rc, out, err = run(capsys, "verify-all", "--out", str(target))
+        assert rc == 2
+        assert out == ""
+        assert err.endswith(f"error: cannot write {target}: No such file or directory\n")
+
 
 class TestDeterminism:
     CASES = [
@@ -491,6 +502,32 @@ class TestDeterminism:
         assert rc == rc2 == 0
         assert piped == ""
         assert target.read_text() == out
+
+    def test_unopenable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "doc.json"
+        rc, out, err = run(capsys, "hh0", "--out", str(target))
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+
+HELP_COMMANDS = ["walls", "bracket", "monodromy", "local", "hh0", "roots", "verify-all"]
+
+
+class TestHelp:
+    """The help texts are pinned at 80 columns, since argparse wraps help
+    to the terminal width that ``COLUMNS`` sets."""
+
+    @pytest.mark.parametrize("command", [None, *HELP_COMMANDS])
+    def test_help_matches_golden(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        golden = f"cli_help_{command}.txt" if command else "cli_help.txt"
+        assert capsys.readouterr().out == (DATA / golden).read_text()
 
 
 class TestCrossProcess:
