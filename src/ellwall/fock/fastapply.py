@@ -15,11 +15,16 @@ and turns back into monomials only for a witness or an output state:
   terms.  Only operators whose modes carry basis labels are supported
   (every mode then pairs against exactly one partner label), which
   covers every operator the verifiers build;
-* Heisenberg modes (``mode_tables``): a pair of lookup lists each;
+* Heisenberg modes: a pair of lookups each, target and factor.
+  ``mode_tables`` fills every table on the enumerated basis in one pass,
+  for a check that reads every entry; ``mode_table`` fills one table's
+  entries per monomial on first read, numbering images above the basis
+  depth, for a check that reads few;
 * the charged field's slices (``ChargedField``): a monomial's slices are
   built the first time they are read, from the table for a pt-only
   monomial and as its pt part's slices spread with its other modes
-  otherwise.
+  otherwise.  Every image comes from a cached ``BasisIndex.merge``, so
+  the fields of one basis share their image merges.
 
 Spectators: a mode that no annihilation group of an operator contracts
 super-commutes with the operator, so the operator's row on a monomial is
@@ -412,7 +417,9 @@ class BasisIndex:
         return hit
 
 
-ModeTable = tuple[list[int], list[int]]
+# (target, factor), lists from mode_tables or dicts from mode_table; a
+# reader looks up the target only where the factor is nonzero
+ModeTable = tuple[list[int] | dict[int, int], list[int] | dict[int, int]]
 
 
 def mode_tables(basis: BasisIndex, k_max: int) -> dict[tuple[int, int], ModeTable]:
@@ -455,42 +462,81 @@ def mode_tables(basis: BasisIndex, k_max: int) -> dict[tuple[int, int], ModeTabl
     return tables
 
 
+class _ModeFactors(dict):
+    """The factor side of one ``mode_table``: the entry of monomial i is
+    the single-mode chain on i, filled on first read together with the
+    image's index in ``target``."""
+
+    def __init__(self, basis: BasisIndex, n: int, label: int):
+        super().__init__()
+        self.basis = basis
+        self.part = ((abs(n), label),)
+        self.chain = creation_chain if n < 0 else annihilation_chain
+        self.target: dict[int, int] = {}
+
+    def __missing__(self, i: int) -> int:
+        basis = self.basis
+        hit = self.chain(basis.monos[i], self.part)
+        factor = 0
+        if hit is not None:
+            factor, image = hit
+            self.target[i] = basis.number(image)
+        self[i] = factor
+        return factor
+
+
+def mode_table(basis: BasisIndex, n: int, label: int) -> ModeTable:
+    """The Heisenberg mode alpha_n(label), n != 0, on the basis as a
+    (target, factor) pair read like a table of ``mode_tables``, with
+    each entry filled the first time its factor is read: the creation or
+    annihilation chain of the one mode, as a ``RowTable`` applies it.
+    Any monomial the basis numbers may be read, and a creation image
+    above the basis depth is numbered, not read as zero."""
+    factor = _ModeFactors(basis, n, label)
+    return factor.target, factor
+
+
 class ChargedField(dict):
     """The z^{-n} modes, n_lo <= n <= n_hi, of the slope-m charged
     exponential field on a basis index, as index rows over one common
     denominator.
 
     ``field[i]``, for a monomial i of energy e <= ``top``, holds the row
-    of each mode n in that range that maps the monomial into the basis,
-    i.e. with e - n <= basis.depth; it is built the first time it is read
-    and kept, and reading a monomial above ``top`` is a ValueError.  A
-    term annihilating the E-modes mu and creating the E-modes lam has
+    of each mode n in that range whose images lie within the image bound
+    ``bound``, i.e. with e - n <= bound; it is built the first time it is
+    read and kept, and reading a monomial above ``top`` is a ValueError.
+    Images above the basis depth are numbered on first sight.  A term
+    annihilating the E-modes mu and creating the E-modes lam has
     coefficient m^l(lam) (-m)^l(mu) / (z_lam z_mu) times an integer
-    contraction factor; the coefficients come from a FieldTable of the
-    basis depth, and ``denom`` is its denominator: ``field[i][n][u] /
+    contraction factor; the coefficients come from a FieldTable of depth
+    ``bound``, and ``denom`` is its denominator: ``field[i][n][u] /
     denom`` is the exact coefficient of monomial u in mode n applied to
     monomial i.
 
     The slices of a monomial depend on it only through its pt modes: the
     E-annihilators contract pt modes alone, so the other modes are
     spectators, and the images hold no odd mode, so every merge sign is
-    1.  So only a pt-only monomial's slices are built from the table;
-    any other monomial's are those of its pt part, read from the field
-    (so built once), spread (``BasisIndex.spread``) with its other
+    1.  So only a pt-only monomial's slices are built from the table,
+    each image as the cached merge (``BasisIndex.merge``) of its created
+    E-modes into the contracted pt part, which the fields of one basis
+    share; any other monomial's are those of its pt part, read from the
+    field (so built once), spread (``BasisIndex.spread``) with its other
     modes.  The field refers to nothing that refers back to it, so
     dropping the last reference frees its slices at once."""
 
-    def __init__(self, m: int, n_lo: int, n_hi: int, basis: BasisIndex, top: int):
+    def __init__(
+        self, m: int, n_lo: int, n_hi: int, basis: BasisIndex, top: int, bound: int
+    ):
         super().__init__()
-        depth = basis.depth
-        if not 0 <= top <= depth:
-            raise ValueError(f"top energy {top} outside the basis depth {depth}")
+        if not 0 <= top <= bound:
+            raise ValueError(f"top energy {top} outside the image bound {bound}")
         self.m = m
         self.n_lo = n_lo
         self.n_hi = n_hi
         self.basis = basis
         self.top = top
-        table = FieldTable(m, depth, depth)
+        self.bound = bound
+        table = FieldTable(m, bound, bound)
         self.denom = table.denom
         self._create = table.create
         self._annihilate = dict(pair for level in table.annihilate for pair in level)
@@ -506,10 +552,10 @@ class ChargedField(dict):
             slices = self._pt_slices(mono)
         else:
             spectators = tuple(md for md in mono if md[1] != COH_PT)
-            lo = energy - basis.depth
+            lo = energy - self.bound
             slices = {
                 n: basis.spread(row, spectators)
-                for n, row in self[basis.index[pt]].items()
+                for n, row in self[basis.number(pt)].items()
                 if n >= lo
             }
         self[i] = slices
@@ -519,21 +565,22 @@ class ChargedField(dict):
         """The slices of a monomial of pt modes alone.  Exact: the
         annihilation parts that act are the sub-partitions of ``pt``, all
         of which are enumerated."""
-        index = self.basis.index
+        basis = self.basis
         create = self._create
-        n_lo = max(self.n_lo, monomial_energy(pt) - self.basis.depth)
+        n_lo = max(self.n_lo, monomial_energy(pt) - self.bound)
         slices: dict[int, IndexRow] = {n: {} for n in range(n_lo, self.n_hi + 1)}
         for sub in _sub_monomials(pt):
             part = tuple((k, COH_E) for k, _ in sub)
             factor, reduced = annihilation_chain(pt, part)
             a_coeff = self._annihilate[part] * factor
             q = monomial_energy(part)
+            u = basis.number(reduced)
             for n in range(n_lo, min(self.n_hi, q) + 1):
                 row = slices[n]
                 for lam, c_coeff in create[q - n]:
                     val = c_coeff * a_coeff
                     if val:
                         # (sub, lam) is read off the image: no terms meet;
-                        # even modes: no sign, and no repeat can vanish
-                        row[index[creation_chain(reduced, lam)[1]]] = val
+                        # even modes: merge sign 1, and no repeat vanishes
+                        row[basis.merge(u, lam)] = val
         return slices

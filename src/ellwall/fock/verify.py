@@ -24,13 +24,13 @@ identity on a monomial follows from the identity on its pt part
 whenever the sign of passing the Heisenberg mode over those modes is 1
 or the pairing factor is 0: the sweep checks state-by-state every
 pt-only monomial, and any other one only where its pt part failed or
-that guard does not hold (see vertex_commutator_sweep).  It numbers its
-basis once (fastapply.BasisIndex) and works on index rows: each
-Heisenberg mode is a pair of lookup lists filled in one pass over the
-basis, each field builds a monomial's slices the first time a check
-reads them, and a check compares the mode's image of a slice against
-the expected row by dict equality, building the difference only for a
-failure witness.
+that guard does not hold (see vertex_commutator_sweep).  It numbers the
+window (fastapply.BasisIndex) and every image on first sight, and works
+on index rows: each Heisenberg mode fills its entries per monomial on
+first read (fastapply.mode_table), each field builds a monomial's
+slices the first time a check reads them, and a check compares the
+mode's image of a slice against the expected row by dict equality,
+building the difference only for a failure witness.
 
 All engines work on sparse integer rows keyed by basis index (see
 fastapply) so the full mandatory sweeps run in seconds rather than
@@ -56,6 +56,7 @@ from .fastapply import (
     RowTable,
     add_scaled,
     commutator_rows,
+    mode_table,
     mode_tables,
 )
 from .labels import (
@@ -454,7 +455,7 @@ def _check_modes(
     table of alpha_k(gamma); append a witness for each n where it fails.
     Both sides are index rows over ``field.denom``; the field's top must
     reach monomial i and its alpha_k(gamma) image, whose slices it builds
-    on this read, and the basis every image, of energy up to
+    on this read, and its image bound every image, of energy up to
     e - min(n, n + k)."""
     own = field[i]
     target, factor = table
@@ -501,9 +502,12 @@ def vertex_commutator_sweep(
     runs over every basis monomial of the window N - (energy raised by
     the Heisenberg mode); the zero-pairing labels run over the smaller
     window, where the statement is that the commutator vanishes.  The
-    basis is numbered once, to the depth N + n_max that holds every image
-    read, and all arithmetic is on its index rows, over each field's one
-    denominator.
+    basis enumerates the window, to the depth N, and numbers each image
+    above it, of energy up to the field's image bound N + n_max, on first
+    sight; all arithmetic is on its index rows, over each field's one
+    denominator.  The Heisenberg modes fill their entries per monomial
+    as read (``mode_table``), and the four slopes' fields share the
+    basis's image merges.
 
     Pt-part reduction: a window monomial is m = sigma S act, with act its
     pt modes and S the rest, non-pt creation modes.  The field F is even,
@@ -524,8 +528,7 @@ def vertex_commutator_sweep(
     ``checked`` counts every (monomial, label, mode) instance of the
     window, skipped or not.  Each field builds only the slices that the
     checks read (``ChargedField``)."""
-    basis = BasisIndex(N + n_max)
-    tables = mode_tables(basis, k_max)
+    basis = BasisIndex(N)
     # per window monomial: the index of its pt part, and whether its
     # other modes hold an odd number of odd modes (pt modes are even)
     acts: list[int] = []
@@ -538,9 +541,12 @@ def vertex_commutator_sweep(
     ks = [k for k in range(-k_max, k_max + 1) if k != 0]
     ns = list(range(-n_max, n_max + 1))
     zero_idx = [label_index(g) for g in zero_labels]
+    tables = {
+        (k, gi): mode_table(basis, k, gi) for k in ks for gi in (COH_PT, *zero_idx)
+    }
     for m in m_values:
         # alpha_k(gamma) images of the window have energy <= N
-        field = ChargedField(m, -n_max - k_max, n_max + k_max, basis, N)
+        field = ChargedField(m, -n_max - k_max, n_max + k_max, basis, N, N + n_max)
         # labels whose rho = -1 on an odd S meets a nonzero pairing
         unguarded = {
             gi

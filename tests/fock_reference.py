@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Optional, Union
 
@@ -59,10 +60,19 @@ class CohClass:
     def __post_init__(self):
         if len(self.coeffs) != 4:
             raise ValueError("a cohomology class has four coefficients")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        # kept with the class, which is immutable: read on every product
+        # and every single-mode application
+        object.__setattr__(
+            self, "_support", tuple((i, c) for i, c in enumerate(coeffs) if c != 0)
+        )
 
     @staticmethod
+    @cache
     def basis(label: Union[int, str]) -> "CohClass":
+        # one instance per label: a class is immutable, and the oracle
+        # asks for a basis class on every single-mode application
         i = label_index(label)
         return CohClass(tuple(Fraction(int(j == i)) for j in range(4)))
 
@@ -94,7 +104,7 @@ class CohClass:
         return 1 if any(self.coeffs[i] for i in (COH_SP, COH_SM)) else 0
 
     def support(self) -> list[tuple[int, Fraction]]:
-        return [(i, c) for i, c in enumerate(self.coeffs) if c != 0]
+        return list(self._support)
 
 
 def super_pairing(u: CohClass, v: CohClass) -> Fraction:

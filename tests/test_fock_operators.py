@@ -401,10 +401,10 @@ class TestFastRows:
         assert annihilation_chain(((1, COH_SP),), ((1, COH_E),)) is None
 
     def test_field_slices_match_vertex_modes(self):
-        # depth 5 holds every image of energy <= 3 + 2
+        # the image bound 5 holds every image of energy <= 3 + 2
         basis = BasisIndex(5)
         for m in (1, -1, 2):
-            field = ChargedField(m, -2, 2, basis, 3)
+            field = ChargedField(m, -2, 2, basis, 3, 5)
             for i, mono in enumerate(basis_monomials(3)):
                 assert basis.monos[i] == mono
                 for n in range(-2, 3):

@@ -127,6 +127,30 @@ def test_reduced_witnesses_match_full_window_pass(monkeypatch):
         assert got[key] == reports, key
 
 
+def test_targets_contracting_modes_outside_the_operands(monkeypatch):
+    """With every target sent to the sigma+ label, many pairs have a
+    target that contracts a window mode neither operand contracts, so the
+    first failing monomial can hold that mode.  The reduced pass must
+    still find the full pass's witnesses, which it does only when the
+    targets' modes belong to the monomial set it checks."""
+    monkeypatch.setattr(verify, "star_label", lambda i, j: (COH_SP, 1))
+    N = 3
+    engine = verify._BracketEngine(N)
+    outside = 0
+    for x, y in PAIRS:
+        if verify._eval_window(N, x[1], y[1]) < 0:
+            continue
+        target = engine._target(*x, *y)
+        operands = engine.rows(*x)[1].contracted | engine.rows(*y)[1].contracted
+        outside += target is not None and not target[2].contracted <= operands
+    assert outside > 100
+    got = report_bytes(engine, N)
+    want = report_bytes(FullWindowEngine(N), N)
+    assert sum('"mismatch"' in r for reports in want.values() for r in reports) > 100
+    for key, reports in want.items():
+        assert got[key] == reports, key
+
+
 SPREAD_OPS = [
     (a, b, li) for li in (COH_SP, COH_SM, COH_E) for a in (-1, 1) for b in (-1, 0, 2)
 ]

@@ -15,6 +15,7 @@ from ellwall.fock.fastapply import (
     add_scaled,
     annihilation_chain,
     creation_chain,
+    mode_table,
     mode_tables,
 )
 from ellwall.fock.labels import (
@@ -178,12 +179,91 @@ def test_mode_tables_match_single_mode_row():
                 assert factor[i] == 0
 
 
+def _mode_entry(basis: BasisIndex, table, i: int) -> dict[Monomial, Fraction]:
+    """The image of monomial i under a (target, factor) mode table."""
+    target, factor = table
+    f = factor[i]
+    return {basis.monos[target[i]]: Fraction(f)} if f else {}
+
+
+def _lazy_tables(basis: BasisIndex) -> dict:
+    """Every per-monomial mode table with |n| <= 4 on the basis."""
+    return {
+        (n, label): mode_table(basis, n, label)
+        for k in range(1, 5)
+        for n in (-k, k)
+        for label in range(4)
+    }
+
+
+def test_mode_table_matches_mode_tables():
+    """Every per-monomial table with |n| <= 4 on every monomial of the
+    depth-8 basis against ``mode_tables``; where that reads zero because
+    a creation image lies above the depth, against the reference
+    alpha_apply."""
+    basis = BasisIndex(8)
+    bulk = mode_tables(basis, 4)
+    lazy = _lazy_tables(basis)
+    assert lazy.keys() == bulk.keys()
+    above = 0
+    for (n, label), table in lazy.items():
+        target, factor = bulk[n, label]
+        for i, mono in enumerate(basis.monos[: basis.size]):
+            if factor[i] or basis.energy[i] - n <= basis.depth:
+                assert table[1][i] == factor[i]
+                assert not factor[i] or table[0][i] == target[i]
+            else:
+                want = alpha_apply(n, label, FockState.from_monomial(mono)).terms
+                assert _mode_entry(basis, table, i) == want
+                above += 1
+    assert above > 1000
+
+
+def test_mode_table_above_the_depth_matches_reference():
+    """The monomials that the reads of every enumerated entry number
+    above the depth (creation images), each read on every table with
+    |n| <= 4, against the reference alpha_apply."""
+    basis = BasisIndex(6)
+    lazy = _lazy_tables(basis)
+    for _, factor in lazy.values():
+        for i in range(basis.size):
+            factor[i]
+    numbered = range(basis.size, len(basis.monos))
+    assert len(numbered) > 1000 and min(basis.energy[i] for i in numbered) == 7
+    for i in numbered:
+        state = FockState.from_monomial(basis.monos[i])
+        for (n, label), table in lazy.items():
+            want = alpha_apply(n, label, state).terms
+            assert _mode_entry(basis, table, i) == want
+
+
+def test_sweep_numbers_the_window_and_the_images_it_reads(monkeypatch):
+    """The sweep enumerates its window alone, calls no bulk mode_tables,
+    and numbers fewer monomials than the image bound's basis holds."""
+    made = []
+
+    class Recording(BasisIndex):
+        def __init__(self, depth):
+            super().__init__(depth)
+            made.append(self)
+
+    def bulk(*args):
+        raise AssertionError("mode_tables called")
+
+    monkeypatch.setattr(verify, "BasisIndex", Recording)
+    monkeypatch.setattr(verify, "mode_tables", bulk)
+    assert verify.vertex_commutator_sweep(4)["ok"]
+    (basis,) = made
+    assert basis.depth == 4
+    assert basis.size < len(basis.monos) < BasisIndex(8).size
+
+
 def test_index_slices_match_monomial_oracle():
     # the sweep's shape at truncation 5 with n_max = k_max = 2
     basis = BasisIndex(7)
     top = basis.count(5)
     for m in (-2, -1, 1, 2):
-        field = ChargedField(m, -4, 4, basis, 5)
+        field = ChargedField(m, -4, 4, basis, 5, 7)
         oracle = MonomialField(m, -4, 4, 7)
         assert field.denom == oracle.denom
         for i in range(top):
@@ -195,7 +275,7 @@ def test_index_slices_match_monomial_oracle():
 
 def test_field_read_above_top_raises():
     basis = BasisIndex(7)
-    field = ChargedField(1, -4, 4, basis, 5)
+    field = ChargedField(1, -4, 4, basis, 5, 7)
     top = basis.count(5)
     assert field[top - 1]
     with pytest.raises(ValueError, match="field top 5 below basis energy 6"):
@@ -207,7 +287,7 @@ def test_field_holds_no_reference_cycle():
     """Dropping the last reference frees a field and its slices at once,
     with the cycle collector off."""
     basis = BasisIndex(6)
-    field = ChargedField(2, -4, 4, basis, 4)
+    field = ChargedField(2, -4, 4, basis, 4, 6)
     # a pt-only monomial and one with spectators, built through its pt part
     pt_only = basis.index[((1, COH_PT),)]
     mixed = basis.index[((2, COH_E), (1, COH_SP), (1, COH_PT))]
@@ -277,6 +357,72 @@ def test_reduced_sweep_matches_oracle_on_every_zero_label(monkeypatch, N):
             assert LABEL_PARITY[gi] and sum(LABEL_PARITY[l] for _, l in mono) % 2
             by_fallback["odd spectators"] += 1
     assert all(by_fallback.values()), by_fallback
+
+
+def _full_pass(N, m_values, k_max, n_max, zero_labels, zero_window) -> list[dict]:
+    """The sweep's checks on every monomial of its window, with no pt-part
+    reduction, in the sweep's order; it reads the tables that
+    ``verify.mode_table`` gives and the pairing of ``verify``."""
+    basis = BasisIndex(N)
+    ks = [k for k in range(-k_max, k_max + 1) if k != 0]
+    ns = range(-n_max, n_max + 1)
+    labels = (COH_PT, *(label_index(g) for g in zero_labels))
+    tables = {(k, gi): verify.mode_table(basis, k, gi) for k in ks for gi in labels}
+    failures: list[dict] = []
+    for m in m_values:
+        field = ChargedField(m, -n_max - k_max, n_max + k_max, basis, N, N + n_max)
+        for k in ks:
+            window = N - max(0, -k)
+            small = basis.count(min(window, zero_window))
+            for i in range(basis.count(window)):
+                for gi in labels if i < small else (COH_PT,):
+                    verify._check_modes(field, tables[k, gi], k, gi, i, ns, failures)
+    return failures
+
+
+def test_rho_guard_checks_odd_spectators_of_an_odd_mode(monkeypatch):
+    """The rho guard is the only reason for a check under this mutation:
+    the sigma+ mode is replaced by a copy of the pt mode signed by the
+    parity of the odd modes of the monomial it acts on (a Klein factor),
+    and sigma+ pairs with E as pt does.  The copy passes every odd mode
+    with a sign, as an odd mode does, and commutes with the field up to
+    the pt pairing, so the identity holds on every pt-only monomial and
+    on every monomial with an even number of odd modes, and fails where
+    the copy passes an odd number of odd spectators, rho = -1.  No pt
+    part fails, so only the guard sends the sweep to those monomials;
+    it must report the full pass's witnesses."""
+    true_table = verify.mode_table
+    true_pairing = verify.pairing_scalar
+
+    def klein_pt_copy(basis, n, label):
+        if label != COH_SP:
+            return true_table(basis, n, label)
+        target, factor = true_table(basis, n, COH_PT)
+
+        class Signed(dict):
+            def __missing__(self, i):
+                f = factor[i]
+                if sum(LABEL_PARITY[l] for _, l in basis.monos[i]) & 1:
+                    f = -f
+                self[i] = f
+                return f
+
+        return target, Signed()
+
+    monkeypatch.setattr(verify, "mode_table", klein_pt_copy)
+    monkeypatch.setattr(
+        verify,
+        "pairing_scalar",
+        lambda i, j: true_pairing(COH_PT if i == COH_SP else i, j),
+    )
+    args = (3, (1, -2), 2, 2, ("E", "sigma+"), 3)
+    result = verify.vertex_commutator_sweep(*args)
+    want = _full_pass(*args)
+    assert result["failures"] == want and len(want) > 20
+    for w in want:
+        mono = _state_monomial(w["state"])
+        assert w["label"] == "sigma+"
+        assert sum(LABEL_PARITY[l] for _, l in mono) % 2
 
 
 def test_passing_sweep_checks_only_pt_only_monomials(monkeypatch):
