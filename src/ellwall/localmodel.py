@@ -5,7 +5,9 @@ Covers, in exact arithmetic over Q(zeta_k) with no floating point:
 * zeroth-Hochschild dimensions of the orbifold elliptic curve for the
   cyclic symmetry orders 1, 2, 3, 4, 6, with an independent audit that
   recounts the fixed-point summands as orbits under the full group;
-* character values A_r of a bimodule parameter (a_g)_g;
+* character values A_r of a bimodule parameter (a_g)_g, all k of them
+  computed once per parameter in one integer pass and read from its
+  table;
 * the action matrix of the local coordinate on a rank-2(n+1) jet
   extension, the trace splitting criterion, and an exact Jordan-type
   oracle for nilpotent matrices;
@@ -20,11 +22,13 @@ and traces are invariant under that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
-from .cyclotomic import Cyclotomic
+from . import weyl
+from .cyclotomic import Cyclotomic, _element, _power_table
 from .serialize import cyclo_str
 from .walls import UnsupportedTypeError
 
@@ -58,13 +62,6 @@ def hh0_dim(order: int) -> int:
     orbifold curve; constant-time table lookup."""
     _check_order(order)
     return HH0_TABLE[order]
-
-
-def _mat2_mul(x, y):
-    return tuple(
-        tuple(sum(x[i][t] * y[t][j] for t in range(2)) for j in range(2))
-        for i in range(2)
-    )
 
 
 def _fixed_points(power) -> list[tuple[int, int]]:
@@ -109,7 +106,7 @@ def hh0_audit(order: int) -> dict:
     orbit = [2]
     power = ((1, 0), (0, 1))
     for _ in range(1, order):
-        power = _mat2_mul(power, rot)
+        power = weyl._mat_mul(power, rot)
         pts = _fixed_points(power)
         d = len(pts)
         naive.append(d)
@@ -141,10 +138,14 @@ def _coerce(k: int, x: Scalar) -> Cyclotomic:
 class BimoduleParam:
     """An extension parameter: one coefficient per group element of the
     order-k cyclic group, indexed 0..k-1 by the exponent of the chosen
-    generator; coefficients live in Q(zeta_k)."""
+    generator; coefficients live in Q(zeta_k).
+
+    ``chars`` holds A_0..A_{k-1} (see ``char_value``), computed once from
+    the coefficients; it takes no part in equality, hashing or repr."""
 
     k: int
     a: tuple[Cyclotomic, ...]
+    chars: tuple[Cyclotomic, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -154,19 +155,49 @@ class BimoduleParam:
         for x in self.a:
             if not isinstance(x, Cyclotomic) or x.k != self.k:
                 raise ValueError("coefficients must be order-k cyclotomic values")
+        object.__setattr__(self, "chars", _char_table(self.k, self.a))
 
     @classmethod
     def make(cls, k: int, values: Sequence[Scalar]) -> "BimoduleParam":
         return cls(k, tuple(_coerce(k, v) for v in values))
 
 
+def _char_table(k: int, a: Sequence[Cyclotomic]) -> tuple[Cyclotomic, ...]:
+    """A_0..A_{k-1} in one integer pass over the numerators of the a_g,
+    taken over their common denominator: the term n zeta^i of a_g adds n
+    to the coefficient of zeta^((i + r g) mod k) in A_r, and each power
+    of zeta at or above deg Phi_k is then folded back through its row of
+    the power table."""
+    rows = _power_table(k)
+    deg = len(rows[0])
+    den = lcm(*(x.den for x in a))
+    terms = [
+        (i, g, n * (den // x.den))
+        for g, x in enumerate(a)
+        for i, n in enumerate(x.nums)
+        if n
+    ]
+    chars = []
+    for r in range(k):
+        powers = [0] * k
+        for i, g, n in terms:
+            powers[(i + r * g) % k] += n
+        nums = powers[:deg]
+        for e in range(deg, k):
+            c = powers[e]
+            if c:
+                for t, v in enumerate(rows[e]):
+                    nums[t] += c * v
+        chars.append(_element(k, nums, den))
+    return tuple(chars)
+
+
 def char_value(p: BimoduleParam, r: int) -> Cyclotomic:
-    """A_r: the weight-r character evaluated on the parameter, i.e. the
-    trace of the parameter acting through the r-th isotypic line."""
-    acc = Cyclotomic(p.k, 0)
-    for g, coeff in enumerate(p.a):
-        acc = acc + coeff * Cyclotomic.zeta(p.k, (r * g) % p.k)
-    return acc
+    """A_r = sum_g a_g zeta^(r g), with the weight r read mod k: the
+    weight-r character evaluated on the parameter, i.e. the trace of the
+    parameter acting through the r-th isotypic line.  Read from the
+    parameter's table."""
+    return p.chars[r % p.k]
 
 
 # ---------------------------------------------------------------------------

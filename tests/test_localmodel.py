@@ -1,10 +1,12 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellwall import localmodel
 from ellwall.cyclotomic import Cyclotomic, cyclotomic_polynomial
 from ellwall.localmodel import (
     _mat_mul,
@@ -142,6 +144,140 @@ class TestCharValues:
     def test_rejects_wrong_field_order(self):
         with pytest.raises(ValueError):
             BimoduleParam(2, (Cyclotomic(3, 1), Cyclotomic(3, 0)))
+
+
+def regular_rep_image(p: BimoduleParam, r: int):
+    """Oracle for A_r by linear algebra over Q(zeta_k); it reads neither
+    ``char_value`` nor ``p.chars``.  The circulant C = sum_g a_g T^g
+    acts on the regular representation (T e_h = e_(h+1), so C[h][j] is
+    a_(h-j)), and v_r = sum_h zeta^(-r h) e_h spans the weight-r line:
+    T v_r = zeta^r v_r, so C v_r = A_r v_r.  Returns (C v_r, v_r)."""
+    k = p.k
+    zero = Cyclotomic(k, 0)
+    v = [Cyclotomic.zeta(k, -r * h) for h in range(k)]
+    circulant = [[p.a[(h - j) % k] for j in range(k)] for h in range(k)]
+    image = [sum((c * x for c, x in zip(row, v)), zero) for row in circulant]
+    return image, v
+
+
+def table_matches_oracle(p: BimoduleParam) -> bool:
+    for r in range(p.k):
+        image, v = regular_rep_image(p, r)
+        if image != [p.chars[r] * x for x in v]:
+            return False
+    return True
+
+
+def random_rational_param(rng: random.Random, k: int) -> BimoduleParam:
+    """Coefficients with mixed denominators, a fifth of them zero."""
+    deg = cyc_degree(k)
+
+    def coeff():
+        if rng.random() < 0.2:
+            return Cyclotomic(k, 0)
+        return Cyclotomic(
+            k, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(deg)]
+        )
+
+    return BimoduleParam(k, tuple(coeff() for _ in range(k)))
+
+
+def param_with_characters(k: int, chars) -> BimoduleParam:
+    """The parameter whose A_r are the given values, by the inverse
+    transform a_g = (1/k) sum_r A_r zeta^(-r g)."""
+    zero = Cyclotomic(k, 0)
+    return BimoduleParam(
+        k,
+        tuple(
+            sum((c * Cyclotomic.zeta(k, -r * g) for r, c in enumerate(chars)), zero) / k
+            for g in range(k)
+        ),
+    )
+
+
+# each mutation rewrites the table as a wrong table rule would build it
+_TRUE_TABLE = localmodel._char_table
+TABLE_MUTATIONS = {
+    # the g = 0 term dropped from the sum
+    "identity-term-dropped": lambda k, a: tuple(x - a[0] for x in _TRUE_TABLE(k, a)),
+    # zeta^((r+1) g) in place of zeta^(r g): A_r reads A_(r+1)
+    "exponent-shifted": lambda k, a: _TRUE_TABLE(k, a)[1:] + _TRUE_TABLE(k, a)[:1],
+    # every A_r times the unit zeta, which keeps the vanishing set
+    "unit-multiple": lambda k, a: tuple(x * Cyclotomic.zeta(k) for x in _TRUE_TABLE(k, a)),
+}
+
+
+class TestCharTableOracle:
+    """``p.chars`` against the regular-representation oracle."""
+
+    def test_oracle_on_the_generator_indicator(self):
+        for k in (1, 2, 3, 4, 5, 6):
+            p = BimoduleParam.make(k, [int(g == 1 % k) for g in range(k)])
+            for r in range(k):
+                image, v = regular_rep_image(p, r)
+                assert image == [Cyclotomic.zeta(k, r) * x for x in v]
+
+    def test_random_parameters_against_oracle(self):
+        rng = random.Random(2207)
+        for k in range(1, 13):
+            for _ in range(50 if k <= 6 else 8):
+                p = random_rational_param(rng, k)
+                assert table_matches_oracle(p), (k, p)
+
+    def test_vanishing_characters_against_oracle(self):
+        # parameters built from prescribed characters, about a third zero,
+        # so the split cases of the tensor table are sampled too
+        rng = random.Random(2208)
+        for k in range(1, 7):
+            for _ in range(20):
+                chars = tuple(
+                    Cyclotomic(k, 0) if rng.random() < 0.35 else x
+                    for x in random_rational_param(rng, k).a
+                )
+                p = param_with_characters(k, chars)
+                assert p.chars == chars
+                assert table_matches_oracle(p)
+                assert [t.split for t in tensor_table(p)] == [x.is_zero() for x in chars]
+
+    @pytest.mark.parametrize("mutation", sorted(TABLE_MUTATIONS))
+    def test_oracle_catches_table_mutation(self, monkeypatch, mutation):
+        monkeypatch.setattr(localmodel, "_char_table", TABLE_MUTATIONS[mutation])
+        rng = random.Random(2209)
+        for k in range(2, 7):
+            params = [random_rational_param(rng, k) for _ in range(10)]
+            assert not all(table_matches_oracle(p) for p in params), (mutation, k)
+
+    def test_readers_multiply_no_field_elements(self, monkeypatch):
+        rng = random.Random(2210)
+        params = [random_rational_param(rng, k) for k in (1, 2, 3, 4, 5, 6)]
+
+        def refuse(*args):
+            raise AssertionError("the table readers must not multiply")
+
+        monkeypatch.setattr(Cyclotomic, "zeta", staticmethod(refuse))
+        monkeypatch.setattr(Cyclotomic, "__mul__", refuse)
+        for p in params + [BimoduleParam.make(6, [1, 1, 0, 0, 0, 0])]:
+            for n in range(3):
+                y_matrix(n, p)
+                splits(n, p)
+            tensor_table(p)
+            char_value(p, 7)
+
+
+class TestCharTableIsInvisible:
+    """The table takes no part in equality, hashing or repr."""
+
+    def test_equality_hash_and_repr_ignore_the_table(self):
+        rng = random.Random(2211)
+        for k in (1, 2, 3, 5, 6):
+            p = random_rational_param(rng, k)
+            q = BimoduleParam(k, p.a)
+            object.__setattr__(q, "chars", (Cyclotomic(k, 99),) * k)
+            assert q.chars != p.chars
+            assert p == q
+            assert hash(p) == hash(q)
+            assert repr(p) == repr(q) == f"BimoduleParam(k={k}, a={p.a!r})"
+            assert len({p, q}) == 1
 
 
 class TestTensorSimple:
