@@ -240,7 +240,9 @@ def splits(n: int, p: BimoduleParam) -> bool:
 
 
 def matrix_rank(mat: Matrix) -> int:
-    """Exact rank by Gaussian elimination over the cyclotomic field."""
+    """Exact rank by Gaussian elimination over the cyclotomic field.  Each
+    pivot clears its column from the rows below it, and only the pivot
+    row's nonzero entries right of the pivot enter the products."""
     rows = [list(r) for r in mat]
     if not rows:
         return 0
@@ -253,12 +255,16 @@ def matrix_rank(mat: Matrix) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        prow = rows[rank]
+        inv = prow[col].inverse()
+        tail = [
+            (j, y) for j, y in enumerate(prow[col + 1 :], col + 1) if not y.is_zero()
+        ]
+        for row in rows[rank + 1 :]:
+            if not row[col].is_zero():
+                f = row[col] * inv
+                for j, y in tail:
+                    row[j] = row[j] - f * y
         rank += 1
         if rank == len(rows):
             break

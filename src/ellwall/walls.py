@@ -6,8 +6,10 @@ with exact rational coefficients, held as integer numerators over one
 denominator (``TriPoly``).  The locus is *computed* from the central
 charge (real/imaginary parts expanded symbolically) rather than typed
 in, so the phase-alignment property is true by construction; the tests
-compare the closed form as usually printed against it.  The charge of
-v is expanded once per enumeration and crossed with each wall's.
+compare the closed form as usually printed against it.  The locus is
+linear in the wall's class w, so ``enumerate_v_walls`` expands it once
+per point count, against each coordinate Mukai vector, and builds every
+wall's locus as one integer combination of those coordinate loci.
 
 Wall set for the rank-0 type: primitive pairs (r, s) with r >= 0,
 s >= 1 and depth r + s <= n (the point-contraction wall is (0, 1)).
@@ -57,9 +59,11 @@ class UnsupportedTypeError(ValueError):
 class TriPoly:
     """Polynomial in three variables over Q, stored sparsely as integer
     numerators over one positive denominator, in lowest terms: every
-    polynomial has one representation, so equality is a dict compare."""
+    polynomial has one representation, so equality is a dict compare.
+    ``nums`` is never mutated after construction: ``evaluate`` keeps a
+    term table built from it on the polynomial."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "_table")
     VARS = ("b", "c", "d")
 
     def __init__(self, nums: Optional[dict[Key, int]] = None, den: int = 1):
@@ -72,6 +76,7 @@ class TriPoly:
             den //= g
         self.nums: dict[Key, int] = nums
         self.den = den
+        self._table = None
 
     @staticmethod
     def const(x: Scalar) -> "TriPoly":
@@ -133,22 +138,31 @@ class TriPoly:
         return not self.nums
 
     def evaluate(self, b: Scalar, c: Scalar, d: Scalar) -> Fraction:
-        """Value at a rational point, as one integer sum over the common
-        denominator: the polynomial's denominator times each coordinate's
-        denominator raised to the top degree in it."""
-        nums = self.nums
-        if not nums:
-            return Fraction(0)
-        den = self.den
-        # scaled[axis][e] = p^e * q^(top - e) for the coordinate p/q
-        scaled = []
-        for top, x in zip(map(max, zip(*nums)), (b, c, d)):
-            p, q = x.numerator, x.denominator
-            scaled.append([p**e * q ** (top - e) for e in range(top + 1)])
-            den *= q**top
-        sb, sc, sd = scaled
-        total = sum(v * sb[i] * sc[j] * sd[k] for (i, j, k), v in nums.items())
-        return Fraction(total, den)
+        """Value at a rational point, as one integer pass over the terms:
+        the sum is taken over the polynomial's denominator times each
+        coordinate's denominator raised to the top degree in it.  The
+        terms (i, j, k, numerator) and the top degree per axis are read
+        from ``nums`` once, on the first evaluation, and kept with the
+        polynomial; they take no part in equality, hashing or printing."""
+        table = self._table
+        if table is None:
+            nums = self.nums
+            table = self._table = (
+                tuple((i, j, k, v) for (i, j, k), v in nums.items()),
+                tuple(max((key[a] for key in nums), default=0) for a in range(3)),
+            )
+        terms, (tb, tc, td) = table
+        # sb[e] = pb^e * qb^(tb - e) for b = pb/qb (so sb[0] = qb^tb), and so on
+        pb, qb = b.numerator, b.denominator
+        pc, qc = c.numerator, c.denominator
+        pd, qd = d.numerator, d.denominator
+        sb = [pb**e * qb ** (tb - e) for e in range(tb + 1)]
+        sc = [pc**e * qc ** (tc - e) for e in range(tc + 1)]
+        sd = [pd**e * qd ** (td - e) for e in range(td + 1)]
+        total = 0
+        for i, j, k, v in terms:
+            total += v * sb[i] * sc[j] * sd[k]
+        return Fraction(total, self.den * sb[0] * sc[0] * sd[0])
 
     def __str__(self) -> str:
         if not self.nums:
@@ -286,6 +300,34 @@ def check_wall_type(type_name: str) -> None:
         )
 
 
+def _coordinate_loci(v: MukaiVector, ns: BilinearLattice) -> tuple[TriPoly, ...]:
+    """Phase-alignment loci of v against the rank + 2 coordinate Mukai
+    vectors (1, 0, 0), (0, e_i, 0) for each basis label, and (0, 0, 1/2),
+    in the order ``(rank, *c1, twice_ch2)`` of a vector's coordinates."""
+    charge_v = central_charge_sym(v, ns)
+    zero = (0,) * ns.rank
+    units = [MukaiVector(1, zero, 0)]
+    units += [MukaiVector(0, ns.basis_vector(label), 0) for label in ns.labels]
+    units.append(MukaiVector(0, zero, Fraction(1, 2)))
+    return tuple(phase_equal_locus(charge_v, u, ns) for u in units)
+
+
+def _combined_locus(loci: tuple[TriPoly, ...], w: MukaiVector) -> TriPoly:
+    """``phase_equal_locus(charge_v, w, ns)`` from v's coordinate loci: the
+    locus is linear in w, so it is the integer combination of the loci by
+    w's coordinates, summed in one pass over their common denominator."""
+    terms = [
+        (x, p) for x, p in zip((w.rank, *w.c1, w.twice_ch2), loci) if x and p.nums
+    ]
+    den = math.lcm(*(p.den for _, p in terms))
+    out: dict[Key, int] = {}
+    for x, p in terms:
+        f = x * (den // p.den)
+        for key, num in p.nums.items():
+            out[key] = out.get(key, 0) + f * num
+    return TriPoly(out, den)
+
+
 def enumerate_v_walls(v: MukaiVector, type_name: str) -> list[WallSpec]:
     """One wall per root class satisfying the depth bound, deduplicated to
     normalized representatives; deterministic order (by position for the
@@ -293,18 +335,29 @@ def enumerate_v_walls(v: MukaiVector, type_name: str) -> list[WallSpec]:
     check_wall_type(type_name)
     ns = surface_lattice(type_name)
     n = _check_hilbert_shape(v)
-    charge_v = central_charge_sym(v, ns)
-    walls: list[WallSpec] = []
     if type_name == "A-1":
-        for r, s in _wall_pairs(n):
-            beta = EllipticRoot((), s, r)  # point coefficient s, fiber coefficient r
-            kc = root_to_kclass(beta, "A-1")
-            locus = phase_equal_locus(charge_v, kc, ns)
-            ray = _primitive_ray(s, (1 - n * n) * r)
-            walls.append(
-                WallSpec(beta, kc, locus, ray, Fraction(r, s))
-            )
-        return walls
+        # point coefficient s, fiber coefficient r
+        candidates = [EllipticRoot((), s, r) for r, s in _wall_pairs(n)]
+    else:
+        candidates = _root_candidates(type_name, n)
+    loci = _coordinate_loci(v, ns)
+    walls: list[WallSpec] = []
+    for beta in candidates:
+        kc = root_to_kclass(beta, type_name)
+        locus = _combined_locus(loci, kc)
+        degenerate = beta.m == 0 and beta.n == 0
+        ray = None if degenerate else _primitive_ray(beta.m, (1 - n * n) * beta.n)
+        pos = None if degenerate else Fraction(beta.n, beta.m) if beta.m else None
+        walls.append(WallSpec(beta, kc, locus, ray, pos))
+    if type_name != "A-1":
+        walls.sort(key=lambda w: (w.root.m, w.root.n, w.root.finite))
+    return walls
+
+
+def _root_candidates(type_name: str, n: int) -> list[EllipticRoot]:
+    """Roots of layers (point m, fiber nf) with m + nf <= n: the positive
+    finite roots at layer (0, 0), every finite root above it, and the pure
+    imaginary class where m >= 1."""
     system = build_elliptic(type_name)
     zero = (0,) * system.rank
     positives = _positive_roots(type_name)
@@ -319,15 +372,7 @@ def enumerate_v_walls(v: MukaiVector, type_name: str) -> list[WallSpec]:
                     candidates.append(EllipticRoot(zero, m, nf))
                 for f in sorted(system.finite_roots):
                     candidates.append(EllipticRoot(f, m, nf))
-    for beta in candidates:
-        kc = root_to_kclass(beta, type_name)
-        locus = phase_equal_locus(charge_v, kc, ns)
-        degenerate = beta.m == 0 and beta.n == 0
-        ray = None if degenerate else _primitive_ray(beta.m, (1 - n * n) * beta.n)
-        pos = None if degenerate else Fraction(beta.n, beta.m) if beta.m else None
-        walls.append(WallSpec(beta, kc, locus, ray, pos))
-    walls.sort(key=lambda w: (w.root.m, w.root.n, w.root.finite))
-    return walls
+    return candidates
 
 
 def _primitive_ray(y: int, x: int) -> tuple[int, int]:

@@ -395,6 +395,70 @@ class TestJordanOracle:
         assert matrix_rank(m) == 1
 
 
+def fraction_rank(rows):
+    """Reference rank over Q: full Gauss-Jordan elimination on Fractions,
+    every entry of every row, zeros included."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+class TestRankAgainstFractions:
+    """``matrix_rank`` eliminates over the pivot row's nonzero entries
+    only; for k in {1, 2} the field Q(zeta_k) is Q, so its rank must be
+    the Fraction rank."""
+
+    @staticmethod
+    def random_rows(rng, rows, cols, density):
+        return [
+            [
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if rng.random() < density
+                else 0
+                for _ in range(cols)
+            ]
+            for _ in range(rows)
+        ]
+
+    @staticmethod
+    def low_rank_rows(rng, rows, cols, inner, density):
+        """A (rows x inner) times (inner x cols) product: rank <= inner."""
+        x = TestRankAgainstFractions.random_rows(rng, rows, inner, density)
+        y = TestRankAgainstFractions.random_rows(rng, inner, cols, density)
+        return [
+            [sum(x[i][t] * y[t][j] for t in range(inner)) for j in range(cols)]
+            for i in range(rows)
+        ]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("density", [0.15, 0.4, 1.0])
+    def test_matches_fraction_rank(self, k, density):
+        rng = random.Random(f"rank/{k}/{density}")
+        deficient = 0
+        for _ in range(60):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            if rng.random() < 0.5:
+                entries = self.random_rows(rng, rows, cols, density)
+            else:
+                inner = rng.randint(1, min(rows, cols))
+                entries = self.low_rank_rows(rng, rows, cols, inner, density)
+            mat = tuple(tuple(Cyclotomic(k, x) for x in row) for row in entries)
+            want = fraction_rank(entries)
+            assert matrix_rank(mat) == want, entries
+            deficient += want < min(rows, cols)
+        assert deficient >= 10
+
+
 def dense_mat_mul(x, y):
     """Reference product: every entry of both factors, zeros included."""
     inner = len(y)

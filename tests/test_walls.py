@@ -1,13 +1,18 @@
 """Wall enumeration, loci, nef-class evaluation, chamber structure."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellwall import walls as walls_module
 from ellwall.lattices import (
     MukaiVector,
     hilbert_vector,
@@ -30,6 +35,8 @@ from ellwall.walls import (
 from lattice_reference import FracTriPoly, rational_terms, to_tripoly
 
 NS = surface_lattice("A-1")
+ROOT = Path(__file__).resolve().parents[1]
+DATA = Path(__file__).parent / "data"
 
 
 def phase_equal_locus_printed(r, s, n):
@@ -171,6 +178,44 @@ class TestGeneralTypeWalls:
                 assert w.n1_ray is None and w.level1_pos is None
             else:
                 assert w.n1_ray is not None
+
+
+class TestComposedLoci:
+    """Each wall's locus is composed from the loci of the coordinate Mukai
+    vectors; it must equal the direct expansion of both charges."""
+
+    CASES = [("A-1", n) for n in range(1, 13)] + [
+        (t, n) for t in ("D4", "E6", "E8") for n in (1, 2)
+    ]
+
+    @pytest.mark.parametrize("type_name,n", CASES)
+    def test_locus_equals_direct_expansion(self, type_name, n):
+        ns = surface_lattice(type_name)
+        v = hilbert_vector(n, ns)
+        charge_v = central_charge_sym(v, ns)
+        walls = enumerate_v_walls(v, type_name)
+        assert walls
+        for spec in walls:
+            assert spec.locus == phase_equal_locus(charge_v, spec.kclass, ns)
+
+    @pytest.mark.parametrize("type_name,n", [("A-1", 12), ("D4", 2), ("E8", 3)])
+    def test_charge_expanded_per_coordinate_not_per_wall(
+        self, monkeypatch, type_name, n
+    ):
+        ns = surface_lattice(type_name)
+        v = hilbert_vector(n, ns)
+        calls = []
+        expand = walls_module.central_charge_sym
+
+        def counted(x, lattice):
+            calls.append(x)
+            return expand(x, lattice)
+
+        monkeypatch.setattr(walls_module, "central_charge_sym", counted)
+        walls = enumerate_v_walls(v, type_name)
+        # at most v itself, (1, 0, 0), (0, e_i, 0) per basis label and (0, 0, 1/2)
+        assert len(calls) <= ns.rank + 3
+        assert len(calls) < len(walls)
 
 
 class TestLoci:
@@ -345,6 +390,39 @@ class TestTriPolyReference:
                 assert_matches(spec.locus, want)
 
 
+POINTS = st.tuples(*[st.one_of(st.integers(min_value=-9, max_value=9), RATIONALS)] * 3)
+# zero, and Fractions with negative numerators, on every draw
+FIXED_POINTS = [(0, 0, 0), (Fraction(-7, 3), -2, Fraction(-1, 5))]
+
+
+class TestEvaluationTableIsInvisible:
+    """``evaluate`` keeps a term table on its polynomial; reusing it must
+    give the reference value every time, and nothing else may see it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(POLY_TERMS, st.lists(POINTS, min_size=1, max_size=12), SCALARS)
+    def test_repeated_evaluation_and_arithmetic(self, terms, points, x):
+        p, fresh, ref = to_tripoly(terms), to_tripoly(terms), FracTriPoly(terms)
+        for point in [*FIXED_POINTS, *points, *FIXED_POINTS, *points]:
+            value = p.evaluate(*point)
+            assert type(value) is Fraction
+            assert value == ref.evaluate(*point)
+        assert p == fresh and hash(p) == hash(fresh)
+        assert str(p) == str(fresh) and repr(p) == repr(fresh)
+        q = to_tripoly({(1, 0, 2): Fraction(-3, 4), (0, 1, 0): 2})
+        for got, want in [
+            (p + q, fresh + q),
+            (q - p, q - fresh),
+            (p * q, fresh * q),
+            (-p, -fresh),
+            (p * x, fresh * x),
+            (p / 3, fresh / 3),
+        ]:
+            assert got == want and hash(got) == hash(want) and str(got) == str(want)
+            for point in points:
+                assert got.evaluate(*point) == want.evaluate(*point)
+
+
 class TestNefClassEvaluation:
     def test_zero_twist_golden(self):
         v = hilbert_vector(3, NS)
@@ -453,3 +531,41 @@ class TestSvg:
         golden = pathlib.Path(__file__).parent / "data" / "chambers_a-1_n4.svg"
         svg = emit_chamber_svg(chamber_decomposition(4))
         assert svg == golden.read_text()
+
+
+class TestWallGalleryScript:
+    """``scripts/render_wall_gallery.py`` writes one SVG per point count
+    and a CSV index of the wall and chamber counts."""
+
+    def test_gallery_up_to_four_points(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [
+                sys.executable,
+                str(ROOT / "scripts" / "render_wall_gallery.py"),
+                "--n-max", "4",
+                "--outdir", str(tmp_path),
+            ],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "chambers_n01.svg",
+            "chambers_n02.svg",
+            "chambers_n03.svg",
+            "chambers_n04.svg",
+            "index.csv",
+        ]
+        svg = (tmp_path / "chambers_n04.svg").read_text()
+        assert svg == (DATA / "chambers_a-1_n4.svg").read_text()
+        rows = [
+            f"{n},{w},{w + 1},{n == 1}"
+            for n, w in zip(range(1, 5), EXPECTED_WALL_COUNTS)
+        ]
+        assert (tmp_path / "index.csv").read_text().splitlines() == [
+            "n,walls,chambers,degenerate",
+            *rows,
+        ]
