@@ -9,12 +9,11 @@ and turns back into monomials only for a witness or an output state:
 
 * operator rows (``RowTable``): each row is built the first time it is
   read, so an engine pays only for the monomials its compositions and
-  comparisons reach.  Terms are grouped by their annihilation part, so
-  the (expensive) annihilation chain runs once per group instead of once
-  per term, and only the rows of active parts (below) are built from the
-  terms.  Only operators whose modes carry basis labels are supported
-  (every mode then pairs against exactly one partner label), which
-  covers every operator the verifiers build;
+  comparisons reach.  Terms are grouped by their annihilation part, and
+  only the rows of active parts (below) are built from the terms.  Only
+  operators whose modes carry basis labels are supported (every mode
+  then pairs against exactly one partner label), which covers every
+  operator the verifiers build;
 * Heisenberg modes: a pair of lookups each, target and factor.
   ``mode_tables`` fills every table on the enumerated basis in one pass,
   for a check that reads every entry; ``mode_table`` fills one table's
@@ -23,8 +22,13 @@ and turns back into monomials only for a witness or an output state:
 * the charged field's slices (``ChargedField``): a monomial's slices are
   built the first time they are read, from the table for a pt-only
   monomial and as its pt part's slices spread with its other modes
-  otherwise.  Every image comes from a cached ``BasisIndex.merge``, so
-  the fields of one basis share their image merges.
+  otherwise.
+
+The basis owns the contraction work: it caches each annihilation chain
+per (monomial, part) (``BasisIndex.contract``), each creation merge per
+(monomial, creation part) (``merge``) and each split into active part
+and spectators per contracted mode set (``split``), for every table and
+field on it, so an engine runs each chain once.
 
 Spectators: a mode that no annihilation group of an operator contracts
 super-commutes with the operator, so the operator's row on a monomial is
@@ -199,7 +203,7 @@ def _grouped_terms(op: OperatorExpr):
             sorted(((k, _DUAL[label]) for k, label in part), key=_mode_key)
         )
         groups[need] = (index, part, entries)
-    return groups, {mode for need in groups for mode in need}
+    return groups, frozenset(mode for need in groups for mode in need)
 
 
 def _sub_monomials(mono: Monomial) -> list[Monomial]:
@@ -214,7 +218,7 @@ def _sub_monomials(mono: Monomial) -> list[Monomial]:
 def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
     """Integer row of a grouped operator on basis monomial i, over its
     denominator: the groups whose contracted modes the monomial holds
-    act, in term order."""
+    act, in term order, through the basis's cached chains."""
     groups, contracted = grouped
     mono = basis.monos[i]
     hits = [
@@ -223,20 +227,23 @@ def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
         if sub in groups
     ]
     hits.sort()
-    number = basis.number
+    contract = basis.contract
+    merges = basis._merges
     row: IndexRow = {}
     for _, part, entries in hits:
-        ann = annihilation_chain(mono, part)
+        ann = contract(i, part)
         if ann is None:
             continue
-        factor, reduced = ann
+        factor, r = ann
         for creations, coeff in entries:
-            cr = creation_chain(reduced, creations)
-            if cr is None:
+            cached = merges[creations]
+            u = cached[r] if r in cached else basis.merge(r, creations)
+            if u is None:
                 continue
-            sign, final = cr
-            u = number(final)
-            val = coeff * (factor * sign)
+            val = coeff * factor
+            if u < 0:
+                u = ~u
+                val = -val
             acc = row.get(u)
             total = val if acc is None else acc + val
             if total:
@@ -263,14 +270,16 @@ class RowTable(dict):
     op(m) = sigma (-1)^(parity(op) #odd(S)) S op(act).  So only an
     active part's row is built from the terms, once, and kept in a side
     table; the row of every monomial with that part is it spread with S
-    (``BasisIndex.spread``).  The table's keys stay the rows read."""
+    (``BasisIndex.spread``).  The table's keys stay the rows read; the
+    splits and chains are the basis's, shared by its tables."""
 
     def __init__(self, op: OperatorExpr, basis: BasisIndex):
         super().__init__()
         self.op = op
         self.basis = basis
         self._grouped = _grouped_terms(op)
-        self.contracted: set[tuple[int, int]] = self._grouped[1]
+        self.contracted: frozenset[tuple[int, int]] = self._grouped[1]
+        self._splits = basis._splits[self.contracted]
         # active part index -> its row, built from the terms
         self._active: dict[int, IndexRow] = {}
 
@@ -280,18 +289,15 @@ class RowTable(dict):
         window = self.op.truncation
         if window is not None and energy > window:
             raise ValueError(f"operator window {window} below basis energy {energy}")
-        mono = basis.monos[i]
-        contracted = self.contracted
-        act = tuple(md for md in mono if md in contracted)
-        if len(act) == len(mono):
-            row = self._active_row(i)
-        else:
-            spectators = tuple(md for md in mono if md not in contracted)
-            a = basis.number(act)
-            sign = 1 if basis.merge(a, spectators) >= 0 else -1
-            if self.op.parity and sum(LABEL_PARITY[l] for _, l in spectators) & 1:
+        split = self._splits.get(i)
+        if split is None:
+            split = basis.split(i, self.contracted)
+        a, spectators, sign, odd = split
+        row = self._active_row(a)
+        if spectators:
+            if odd and self.op.parity:
                 sign = -sign
-            row = basis.spread(self._active_row(a), spectators, sign)
+            row = basis.spread(row, spectators, sign)
         self[i] = row
         return row
 
@@ -311,8 +317,8 @@ class BasisIndex:
     key rehashes its nested tuples on every lookup.  ``number`` numbers
     a monomial above the depth after all of them, on first sight.
 
-    Both caches live as long as the basis: the merges of each spectator
-    monomial (``merge``) and the index lists of ``within``."""
+    Its caches live as long as the basis, one entry per monomial and key
+    read: ``contract``, ``merge``, ``split`` and ``within``."""
 
     def __init__(self, depth: int):
         self.depth = depth
@@ -320,8 +326,12 @@ class BasisIndex:
         self.size = len(self.monos)
         self.index = {m: i for i, m in enumerate(self.monos)}
         self.energy = [monomial_energy(m) for m in self.monos]
-        # spectator monomial -> {index u: merged index, see merge}
+        # creation part -> {index u: merged index, see merge}
         self._merges: dict[Monomial, dict[int, Optional[int]]] = defaultdict(dict)
+        # annihilation part -> {index i: see contract}
+        self._contractions: dict[Monomial, dict] = defaultdict(dict)
+        # contracted mode set -> {index i: see split}
+        self._splits: dict[frozenset, dict] = defaultdict(dict)
         # bit of each mode of the enumerated monomials, and each one's mask
         self._bits: dict[tuple[int, int], int] = {}
         self._masks: list[int] = []
@@ -345,6 +355,34 @@ class BasisIndex:
         """The row keyed by monomials."""
         monos = self.monos
         return {monos[i]: c for i, c in row.items()}
+
+    def contract(self, i: int, part: Monomial) -> Optional[tuple[int, int]]:
+        """annihilation_chain of monomial i and ``part``, cached, with the
+        reduced monomial's index."""
+        hits = self._contractions[part]
+        if i in hits:
+            return hits[i]
+        ann = annihilation_chain(self.monos[i], part)
+        if ann is not None:
+            ann = (ann[0], self.number(ann[1]))
+        hits[i] = ann
+        return ann
+
+    def split(self, i: int, contracted: frozenset) -> tuple[int, Monomial, int, int]:
+        """Monomial i as sigma S act (see RowTable), cached per contracted
+        set: (index of act, S, sigma, parity of S's odd-mode count)."""
+        mono = self.monos[i]
+        act = tuple(md for md in mono if md in contracted)
+        if len(act) == len(mono):
+            split = (i, (), 1, 0)
+        else:
+            spectators = tuple(md for md in mono if md not in contracted)
+            a = self.number(act)
+            sign = 1 if self.merge(a, spectators) >= 0 else -1
+            odd = sum(LABEL_PARITY[l] for _, l in spectators) & 1
+            split = (a, spectators, sign, odd)
+        self._splits[contracted][i] = split
+        return split
 
     def merge(self, u: int, spectators: Monomial) -> Optional[int]:
         """The creation modes of the canonical ``spectators`` applied to
@@ -549,7 +587,7 @@ class ChargedField(dict):
         mono = basis.monos[i]
         pt = tuple(md for md in mono if md[1] == COH_PT)
         if len(pt) == len(mono):
-            slices = self._pt_slices(mono)
+            slices = self._pt_slices(i)
         else:
             spectators = tuple(md for md in mono if md[1] != COH_PT)
             lo = energy - self.bound
@@ -561,20 +599,20 @@ class ChargedField(dict):
         self[i] = slices
         return slices
 
-    def _pt_slices(self, pt: Monomial) -> dict[int, IndexRow]:
-        """The slices of a monomial of pt modes alone.  Exact: the
-        annihilation parts that act are the sub-partitions of ``pt``, all
-        of which are enumerated."""
+    def _pt_slices(self, i: int) -> dict[int, IndexRow]:
+        """The slices of monomial i, of pt modes alone.  Exact: the
+        annihilation parts that act are the sub-partitions of its modes,
+        all of which are enumerated."""
         basis = self.basis
         create = self._create
-        n_lo = max(self.n_lo, monomial_energy(pt) - self.bound)
+        pt = basis.monos[i]
+        n_lo = max(self.n_lo, basis.energy[i] - self.bound)
         slices: dict[int, IndexRow] = {n: {} for n in range(n_lo, self.n_hi + 1)}
         for sub in _sub_monomials(pt):
             part = tuple((k, COH_E) for k, _ in sub)
-            factor, reduced = annihilation_chain(pt, part)
+            factor, u = basis.contract(i, part)
             a_coeff = self._annihilate[part] * factor
             q = monomial_energy(part)
-            u = basis.number(reduced)
             for n in range(n_lo, min(self.n_hi, q) + 1):
                 row = slices[n]
                 for lam, c_coeff in create[q - n]:

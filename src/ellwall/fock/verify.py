@@ -117,7 +117,8 @@ class _BracketEngine:
 
     Each table is stored as (denominator, integer rows): the operator's
     denom and its RowTable on the engine's one BasisIndex, so a row is
-    built only when a composition or the target comparison reads it.  A
+    built only when a composition or the target comparison reads it, and
+    the tables share the basis's cached contractions and merges.  A
     pair's commutator rows come from one fastapply.commutator_rows pass
     over the window and are over the product of the two denominators;
     exact rationals are built only for the reported rescale and central

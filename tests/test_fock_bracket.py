@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +199,16 @@ class TestSmallSweep:
         assert d["rescale_conflicts"] == []
         assert "sigma+,sigma-" in d["central"]
         assert d["central"]["sigma+,sigma-"]["c_t"] == "1"
+
+
+def test_bracket_table_report_matches_golden():
+    """The c04 report at truncation 4, byte for byte: every instance
+    count, rescale and central scalar of the full sweep."""
+    from ellwall.serialize import to_json
+    from ellwall.verify import check_bracket_table
+
+    golden = Path(__file__).parent / "data" / "c04_bracket_table_n4.json"
+    assert to_json(check_bracket_table(4)) + "\n" == golden.read_text()
 
 
 class TestMismatchWitness:
