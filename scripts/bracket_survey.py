@@ -17,6 +17,11 @@ def main() -> None:
     ap.add_argument("--b-range", type=int, default=2, help="degree window |b|,|d| <= this")
     ap.add_argument("--json", help="dump the full summary document here")
     args = ap.parse_args()
+    if args.a_range < 0 or args.b_range < 0:
+        ap.error("--a-range and --b-range must be >= 0")
+    if args.truncation < max(0, 2 * args.b_range):
+        # a bracket of two degree -b_range operands lowers the energy by 2 b_range
+        ap.error(f"--truncation must be >= 0 and >= 2 * --b-range, got {args.truncation}")
 
     start = time.perf_counter()
     summary = bracket_sweep(args.truncation, a_range=args.a_range, b_range=args.b_range)

@@ -9,8 +9,9 @@ and turns back into monomials only for a witness or an output state:
 
 * operator rows (``RowTable``): each row is built the first time it is
   read, so an engine pays only for the monomials its compositions and
-  comparisons reach.  Terms are grouped by their annihilation part, and
-  only the rows of active parts (below) are built from the terms.  Only
+  comparisons reach.  A table reads the terms as the operator grouped
+  them by annihilation part when it was built (``OperatorExpr.groups``),
+  and only the rows of active parts (below) are built from them.  Only
   operators whose modes carry basis labels are supported (every mode
   then pairs against exactly one partner label), which covers every
   operator the verifiers build;
@@ -190,19 +191,16 @@ def commutator_rows(
 
 
 def _grouped_terms(op: OperatorExpr):
-    """(groups, contracted modes): the terms grouped by annihilation part,
-    keyed by the monomial modes the part contracts (one partner label
-    per label), as (index of first appearance, part, [(creations, integer
-    coeff)])."""
-    by_part: dict[Monomial, list[tuple[Monomial, int]]] = {}
-    for t in op.terms:
-        by_part.setdefault(t.annihilations, []).append((t.creations, t.coeff))
+    """(groups, contracted modes): the operator's groups
+    (``OperatorExpr.groups``, its terms by annihilation part) keyed by
+    the monomial modes the part contracts (one partner label per label),
+    as (index of first appearance, part, terms)."""
     groups = {}
-    for index, (part, entries) in enumerate(by_part.items()):
+    for index, (part, terms) in enumerate(op.groups.items()):
         need = tuple(
             sorted(((k, _DUAL[label]) for k, label in part), key=_mode_key)
         )
-        groups[need] = (index, part, entries)
+        groups[need] = (index, part, terms)
     return groups, frozenset(mode for need in groups for mode in need)
 
 
@@ -230,12 +228,12 @@ def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
     contract = basis.contract
     merges = basis._merges
     row: IndexRow = {}
-    for _, part, entries in hits:
+    for _, part, terms in hits:
         ann = contract(i, part)
         if ann is None:
             continue
         factor, r = ann
-        for creations, coeff in entries:
+        for coeff, _, creations, _ in terms:
             cached = merges[creations]
             u = cached[r] if r in cached else basis.merge(r, creations)
             if u is None:
@@ -262,6 +260,10 @@ class RowTable(dict):
     each monomial read (OperatorExpr stores that bound as its
     truncation), so reading a row above it is a ValueError, never a
     truncated row.
+
+    The terms are read as the operator's construction grouped them
+    (``op.groups``), keyed by the modes each annihilation part contracts
+    (``_grouped_terms``).
 
     Spectators: a mode that no annihilation group of ``op`` contracts
     (not in ``contracted``) super-commutes with ``op``.  A monomial m is
@@ -371,15 +373,21 @@ class BasisIndex:
     def split(self, i: int, contracted: frozenset) -> tuple[int, Monomial, int, int]:
         """Monomial i as sigma S act (see RowTable), cached per contracted
         set: (index of act, S, sigma, parity of S's odd-mode count)."""
-        mono = self.monos[i]
-        act = tuple(md for md in mono if md in contracted)
-        if len(act) == len(mono):
+        act = []
+        spectators = []
+        odd = 0
+        for md in self.monos[i]:
+            if md in contracted:
+                act.append(md)
+            else:
+                spectators.append(md)
+                odd ^= LABEL_PARITY[md[1]]
+        if not spectators:
             split = (i, (), 1, 0)
         else:
-            spectators = tuple(md for md in mono if md not in contracted)
-            a = self.number(act)
+            spectators = tuple(spectators)
+            a = self.number(tuple(act))
             sign = 1 if self.merge(a, spectators) >= 0 else -1
-            odd = sum(LABEL_PARITY[l] for _, l in spectators) & 1
             split = (a, spectators, sign, odd)
         self._splits[contracted][i] = split
         return split

@@ -10,6 +10,14 @@ depth at most the truncation ``N``; since each mode is homogeneous of a
 fixed energy shift, application to any state of energy <= N is exact,
 not approximate.
 
+Constructors hand ``OperatorExpr`` plain ``(coeff, creations,
+annihilations)`` triples, all at the operator's charge shift.  It builds
+each ``NormalTerm`` once, in one pass that also checks the term's grade
+and records it under its annihilation part: ``terms`` keeps the
+construction order, the order the Fraction oracle in
+``tests/fock_reference.py`` applies, and ``groups`` is the grouping by
+annihilation part that the action rows of ``fastapply`` read.
+
 Slope fields: the E-label field at slope m is the charged exponential
 field scaled by 1/m; the odd-label fields multiply it by the odd
 current; the pt-label field (extended mode, excluded from mandatory
@@ -23,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, label_index
 from .states import Monomial, _mode_key, monomial_energy
@@ -57,22 +65,41 @@ class NormalTerm(NamedTuple):
     annihilations: Monomial
 
 
+# a term as constructors hand it to OperatorExpr: (coeff, creations,
+# annihilations), the charge shift being the operator's
+Term = tuple[int, Monomial, Monomial]
+
+
 def _grade(mono: Monomial) -> tuple[int, int]:
-    return monomial_energy(mono), sum(LABEL_PARITY[l] for _, l in mono)
+    """(energy, parity of the odd-mode count) of a monomial."""
+    energy = odd = 0
+    for k, label in mono:
+        energy += k
+        odd ^= LABEL_PARITY[label]
+    return energy, odd
 
 
 class OperatorExpr:
-    """Finite normal-ordered sum with uniform gradings.  Construction
-    divides the integer coefficients and ``denom`` by their gcd (sign
-    included), so ``denom`` > 0 is their least common denominator."""
+    """Finite normal-ordered sum with uniform gradings, built from
+    ``(coeff, creations, annihilations)`` triples with integer
+    coefficients over ``denom``; every term carries the operator's charge
+    shift.  Construction divides the coefficients and ``denom`` by their
+    gcd (sign included), so ``denom`` > 0 is their least common
+    denominator, and checks each term's (energy, odd-mode count) grade
+    against the operator's in the same pass that builds its
+    ``NormalTerm``.  ``terms`` keeps the construction order, the order the
+    Fraction oracle applies them in; ``groups`` holds the same terms by
+    annihilation part, parts in order of first appearance, as the action
+    rows of ``fastapply`` read them."""
 
     __slots__ = (
-        "terms", "truncation", "charge_shift", "energy_shift", "parity", "name", "denom"
+        "terms", "groups", "truncation", "charge_shift", "energy_shift", "parity",
+        "name", "denom",
     )
 
     def __init__(
         self,
-        terms: tuple[NormalTerm, ...],
+        terms: Sequence[Term],
         truncation: Optional[int],
         charge_shift: int,
         energy_shift: int,
@@ -82,35 +109,39 @@ class OperatorExpr:
     ):
         if not denom:
             raise ValueError("the denominator must be nonzero")
-        # (energy, odd-mode count) of each monomial, which repeat across terms
-        grades: dict[Monomial, tuple[int, int]] = {}
-        for t in terms:
-            if t.charge_shift != charge_shift:
-                raise ValueError("terms must share the charge shift")
-            cre = grades.get(t.creations) or grades.setdefault(
-                t.creations, _grade(t.creations))
-            ann = grades.get(t.annihilations) or grades.setdefault(
-                t.annihilations, _grade(t.annihilations))
-            if cre[0] - ann[0] != energy_shift:
-                raise ValueError("terms must share the energy shift")
-            if (cre[1] + ann[1]) % 2 != parity:
-                raise ValueError("terms must share parity")
-        g = gcd(denom, *(t.coeff for t in terms))
+        g = gcd(denom, *(t[0] for t in terms))
         if denom < 0:
             g = -g
-        if g != 1:
-            terms = tuple(
-                NormalTerm(t.coeff // g, charge_shift, t.creations, t.annihilations)
-                for t in terms
-            )
-            denom //= g
-        self.terms = terms
+        # creation monomial -> its grade; annihilation part -> the grade
+        # its creations need, and its terms
+        grades: dict[Monomial, tuple[int, int]] = {}
+        needs: dict[Monomial, tuple[int, int]] = {}
+        groups: dict[Monomial, list[NormalTerm]] = {}
+        out = []
+        for coeff, cre, ann in terms:
+            need = needs.get(ann)
+            if need is None:
+                energy, odd = _grade(ann)
+                need = needs[ann] = (energy + energy_shift, odd ^ parity)
+                groups[ann] = []
+            grade = grades.get(cre)
+            if grade is None:
+                grade = grades[cre] = _grade(cre)
+            if grade != need:
+                if grade[0] != need[0]:
+                    raise ValueError("terms must share the energy shift")
+                raise ValueError("terms must share parity")
+            term = NormalTerm(coeff // g, charge_shift, cre, ann)
+            out.append(term)
+            groups[ann].append(term)
+        self.terms = tuple(out)
+        self.groups = groups
         self.truncation = truncation
         self.charge_shift = charge_shift
         self.energy_shift = energy_shift
         self.parity = parity
         self.name = name
-        self.denom = denom
+        self.denom = denom // g
 
     def __repr__(self) -> str:
         label = self.name or "operator"
@@ -139,25 +170,28 @@ def _partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _centralizer(parts: tuple[int, ...]) -> int:
-    """z_lambda: product over distinct parts j of multiplicity r of
-    j^r r!."""
-    z = 1
-    for j, r in Counter(parts).items():
-        z *= j**r * factorial(r)
-    return z
+@lru_cache(maxsize=32)
+def _centralizers(n: int) -> tuple[int, ...]:
+    """z_lambda for the partitions lambda of n, in ``_partitions`` order:
+    the product over distinct parts j of multiplicity r of j^r r!."""
+    out = []
+    for lam in _partitions(n):
+        z = 1
+        for j, r in Counter(lam).items():
+            z *= j**r * factorial(r)
+        out.append(z)
+    return tuple(out)
 
 
 def _coefficient_table(slope: int, depth: int) -> tuple[int, list[list]]:
     """(base, levels): levels[p] lists (E-modes lam, base slope^l(lam) /
     z_lam), the integer coefficients of exp(slope sum_j alpha_{+-j} / j)
     over the lcm ``base`` of the z_lam, for the partitions lam of p <= depth."""
-    z = {lam: _centralizer(lam) for p in range(depth + 1) for lam in _partitions(p)}
-    base = lcm(*z.values())
+    base = lcm(*(z for p in range(depth + 1) for z in _centralizers(p)))
     return base, [
         [
-            (tuple((j, COH_E) for j in lam), slope ** len(lam) * (base // z[lam]))
-            for lam in _partitions(p)
+            (tuple((j, COH_E) for j in lam), slope ** len(lam) * (base // z))
+            for lam, z in zip(_partitions(p), _centralizers(p))
         ]
         for p in range(depth + 1)
     ]
@@ -178,11 +212,12 @@ class FieldTable:
         ann_base, self.annihilate = _coefficient_table(-m, ann_depth)
         cre_base, self.create = _coefficient_table(m, cre_depth)
         self.denom = ann_base * cre_base
-        self._modes: dict[tuple[int, int], list[NormalTerm]] = {}
+        self._modes: dict[tuple[int, int], list[Term]] = {}
 
-    def mode_terms(self, x: int, max_depth: int) -> list[NormalTerm]:
-        """Terms of the field's z^{-x} mode with annihilation depth
-        <= max_depth, coefficients over ``denom``."""
+    def mode_terms(self, x: int, max_depth: int) -> list[Term]:
+        """(coeff, creations, annihilations) of the field's z^{-x} mode
+        with annihilation depth <= max_depth, coefficients over
+        ``denom``."""
         terms = self._modes.get((x, max_depth))
         if terms is not None:
             return terms
@@ -190,14 +225,12 @@ class FieldTable:
         terms = self._modes[x, max_depth] = []
         if m == 0:
             if x == 0:
-                terms.append(NormalTerm(self.denom, 0, (), ()))
+                terms.append((self.denom, (), ()))
             return terms
         for q in range(max(0, x), max_depth + 1):
             for creations, c_coeff in self.create[q - x]:
                 for annihilations, a_coeff in self.annihilate[q]:
-                    terms.append(
-                        NormalTerm(c_coeff * a_coeff, m, creations, annihilations)
-                    )
+                    terms.append((c_coeff * a_coeff, creations, annihilations))
         return terms
 
 
@@ -207,8 +240,7 @@ def _charged_mode(m: int, n: int, N: int, over: int, name: str) -> OperatorExpr:
         raise ValueError("truncation must be >= 0")
     table = FieldTable(m, N, N - n)
     return OperatorExpr(
-        tuple(table.mode_terms(n, N)), N, m, -n, 0, name=name,
-        denom=table.denom * over,
+        table.mode_terms(n, N), N, m, -n, 0, name=name, denom=table.denom * over
     )
 
 
@@ -222,7 +254,7 @@ def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
     k = abs(n)
     coeff, denom = {COH_E: (1, k), COH_PT: (k, 1)}.get(i, (1, 1))
     mode = ((k, i),)
-    term = NormalTerm(coeff, 0, mode, ()) if n < 0 else NormalTerm(coeff, 0, (), mode)
+    term = (coeff, mode, ()) if n < 0 else (coeff, (), mode)
     return OperatorExpr(
         (term,), None, 0, -n, LABEL_PARITY[i], name=f"w[0,{n};{i}]", denom=denom
     )
@@ -255,40 +287,48 @@ def _sigma_field_mode(m: int, b: int, label: int, N: int) -> OperatorExpr:
     """z^{-b} mode of the odd slope field: z * (odd current) * (charged
     exponential), at slope m != 0.  The odd mode alpha_j(label) stands
     left of the field's E-modes, so moving it into place crosses no odd
-    mode."""
+    mode; it is merged once into each distinct part it joins."""
     table = FieldTable(m, N, N - b)
-    terms: list[NormalTerm] = []
+    terms: list[Term] = []
     for j in range(b - N, N + 1):
         if j == 0:
             continue
         mode = ((abs(j), label),)
-        for t in table.mode_terms(b - j, N - max(0, j)):
+        merged: dict[Monomial, Monomial] = {}
+        for coeff, creations, annihilations in table.mode_terms(b - j, N - max(0, j)):
             if j < 0:
-                creations, annihilations = _merged(mode, t.creations), t.annihilations
+                part = merged.get(creations)
+                if part is None:
+                    part = merged[creations] = _merged(mode, creations)
+                terms.append((coeff, part, annihilations))
             else:
-                creations, annihilations = t.creations, _merged(mode, t.annihilations)
-            terms.append(NormalTerm(t.coeff, m, creations, annihilations))
+                part = merged.get(annihilations)
+                if part is None:
+                    part = merged[annihilations] = _merged(mode, annihilations)
+                terms.append((coeff, creations, part))
     return OperatorExpr(
-        tuple(terms), N, m, -b, 1, name=f"w[{m},{b};{label}]", denom=table.denom
+        terms, N, m, -b, 1, name=f"w[{m},{b};{label}]", denom=table.denom
     )
 
 
-def _weight_current_terms(u: int, N: int, b: int) -> list[NormalTerm]:
-    """z^{-u} mode of the normal-ordered odd bilinear current
-    sum :alpha_j(sigma+) alpha_l(sigma-): over j + l = u.  Normal order
-    puts the creation modes left of the annihilation modes, each side
-    canonical; the sign is -1 when that swaps the two odd modes."""
-    out: list[NormalTerm] = []
+def _weight_current_terms(u: int, N: int, b: int) -> list[Term]:
+    """(sign, creations, annihilations) of the z^{-u} mode of the
+    normal-ordered odd bilinear current sum :alpha_j(sigma+)
+    alpha_l(sigma-): over j + l = u, without the terms that annihilate
+    more than energy N (they vanish on the window).  Normal order puts the
+    creation modes left of the annihilation modes, each side canonical;
+    the sign is -1 when that swaps the two odd modes."""
+    out: list[Term] = []
     bound = 2 * N + abs(b) + 2
     for j in range(-bound, bound + 1):
         l = u - j
-        if j == 0 or l == 0 or abs(l) > bound:
+        if j == 0 or l == 0 or abs(l) > bound or max(j, 0) + max(l, 0) > N:
             continue
         modes = (((abs(j), COH_SP), j), ((abs(l), COH_SM), l))
         creations = tuple(sorted((md for md, n in modes if n < 0), key=_mode_key))
         annihilations = tuple(sorted((md for md, n in modes if n > 0), key=_mode_key))
         sign = 1 if (creations + annihilations)[0][1] == COH_SP else -1
-        out.append(NormalTerm(sign, 0, creations, annihilations))
+        out.append((sign, creations, annihilations))
     return out
 
 
@@ -300,26 +340,18 @@ def _pt_field_mode(m: int, b: int, N: int, config: FockConfig) -> OperatorExpr:
     homogeneous."""
     x0 = b if config.derivative == "z_ddz" else b - 1
     table = FieldTable(m, N, N - x0)
-    terms = [
-        NormalTerm(-x0 * t.coeff, m, t.creations, t.annihilations)
-        for t in table.mode_terms(x0, N)
-    ]
+    terms = [(-x0 * coeff, cre, ann) for coeff, cre, ann in table.mode_terms(x0, N)]
     if config.weight_field == "symplectic_fermion":
         window = N + abs(x0) + 2
         for u in range(-window, window + 1):
-            for t in _weight_current_terms(u, N, x0):
-                depth_used = monomial_energy(t.annihilations)
-                for g in table.mode_terms(x0 - u, N - depth_used):
+            for sign, w_cre, w_ann in _weight_current_terms(u, N, x0):
+                depth_used = monomial_energy(w_ann)
+                for coeff, cre, ann in table.mode_terms(x0 - u, N - depth_used):
                     terms.append(
-                        NormalTerm(
-                            t.coeff * g.coeff,
-                            m,
-                            _merged(t.creations, g.creations),
-                            _merged(t.annihilations, g.annihilations),
-                        )
+                        (sign * coeff, _merged(w_cre, cre), _merged(w_ann, ann))
                     )
     return OperatorExpr(
-        tuple(terms), N, m, -x0, 0, name=f"w[{m},{b};pt;{config.derivative}]",
+        terms, N, m, -x0, 0, name=f"w[{m},{b};pt;{config.derivative}]",
         denom=table.denom * m,
     )
 

@@ -32,7 +32,7 @@ from ellwall.fock.labels import (
     label_index,
     pairing_scalar,
 )
-from ellwall.fock.operators import NormalTerm, OperatorExpr, _charged_mode
+from ellwall.fock.operators import OperatorExpr, _charged_mode
 from ellwall.fock.states import (
     FockState,
     Monomial,
@@ -329,13 +329,10 @@ def heisenberg_mode(n: int, gamma: Union[CohClass, int, str]) -> OperatorExpr:
     for i, comp in support:
         mode = ((abs(n), i),)
         coeff = comp.numerator * (denom // comp.denominator)
-        if n < 0:
-            terms.append(NormalTerm(coeff, 0, mode, ()))
-        else:
-            terms.append(NormalTerm(coeff, 0, (), mode))
+        terms.append((coeff, mode, ()) if n < 0 else (coeff, (), mode))
     parity = gamma.parity() if terms else 0
     return OperatorExpr(
-        tuple(terms), None, 0, -n, parity, name=f"alpha[{n}]", denom=denom
+        terms, None, 0, -n, parity, name=f"alpha[{n}]", denom=denom
     )
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from ellwall.fock.verify import (
 )
 
 from fock_reference import CohClass, add, apply, commutator_apply, scale, star_product
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestSingleInstances:
@@ -209,6 +214,49 @@ def test_bracket_table_report_matches_golden():
 
     golden = Path(__file__).parent / "data" / "c04_bracket_table_n4.json"
     assert to_json(check_bracket_table(4)) + "\n" == golden.read_text()
+
+
+class TestBracketSurveyScript:
+    """``scripts/bracket_survey.py`` dumps the sweep's summary document,
+    and refuses a window it cannot sweep with a usage error."""
+
+    @staticmethod
+    def run(*args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bracket_survey.py"), *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_json_is_the_sweep_document(self, tmp_path):
+        from ellwall.serialize import to_json
+
+        out = tmp_path / "survey.json"
+        done = self.run("--truncation", "4", "--json", str(out))
+        assert done.returncode == 0, done.stderr
+        assert out.read_text() == to_json(bracket_sweep(4).to_json_dict()) + "\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--truncation", "0"),
+            ("--truncation", "-1"),
+            ("--truncation", "3"),  # below 2 * the default b-range 2
+            ("--truncation", "1", "--b-range", "1"),
+            ("--a-range", "-1"),
+            ("--b-range", "-1"),
+        ],
+    )
+    def test_bad_flags_exit_two(self, args):
+        done = self.run(*args)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, done.stderr
+        assert not done.stdout
 
 
 class TestMismatchWitness:

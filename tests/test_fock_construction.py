@@ -5,8 +5,9 @@ coefficients (the partition coefficients prod (slope/j)^r / r!, the
 charged-field modes, and the sigma and pt field assembly), and its
 action rows term by term with the Heisenberg contractions of
 ``fock_reference``.  ``w_general`` must give the same terms, the least common
-denominator of the reference coefficients as ``denom``, and the same
-integer rows from a ``RowTable``.  The one-pass creation merge is
+denominator of the reference coefficients as ``denom``, the same
+integer rows from a ``RowTable``, and a grouping by annihilation part
+that is the regroup of its terms.  The one-pass creation merge is
 checked against the chain of single-mode insertions it replaces, and
 the linear merge of two canonical monomials against a sort.
 """
@@ -20,10 +21,12 @@ from hypothesis import strategies as st
 
 from ellwall.fock.fastapply import BasisIndex, RowTable, creation_chain
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY
-from ellwall.fock.operators import FockConfig, _merged, w_general
+from ellwall.fock.operators import (
+    FockConfig, _centralizers, _merged, _partitions, w_general,
+)
 from ellwall.fock.states import monomial_energy
 
-from fock_reference import annihilate, insert_creation
+from fock_reference import CohClass, annihilate, heisenberg_mode, insert_creation
 
 
 def canonical(modes):
@@ -187,6 +190,15 @@ def ref_rows(terms, monos):
     return out
 
 
+def regroup(terms):
+    """The terms by annihilation part, parts in order of first
+    appearance."""
+    groups = {}
+    for t in terms:
+        groups.setdefault(t.annihilations, []).append(t)
+    return list(groups.items())
+
+
 # ---------------------------------------------------------------------------
 
 CONFIGS = [
@@ -222,9 +234,23 @@ def test_w_general_matches_fraction_reference(kind, N):
         assert got == want, where
         assert all(type(t.coeff) is int for t in op.terms), where
         assert op.denom == lcm(*(c.denominator for c, *_ in want)), where
+        assert list(op.groups.items()) == regroup(op.terms), where
         table = RowTable(op, basis)
         got_rows = {basis.monos[i]: basis.monomials(table[i]) for i in indices}
         assert got_rows == ref_rows(want, monos), where
+
+
+def test_directly_built_operator_groups_its_terms():
+    """An operator built from triples outside ``w_general`` records the
+    same grouping: alpha_{2}(E + 3 pt) has two annihilation parts."""
+    op = heisenberg_mode(2, CohClass.basis(COH_E) + CohClass.basis(COH_PT).scale(3))
+    assert [t.annihilations for t in op.terms] == [((2, COH_E),), ((2, COH_PT),)]
+    assert list(op.groups.items()) == regroup(op.terms)
+
+
+def test_partition_caches_are_bounded():
+    for cache in (_partitions, _centralizers):
+        assert cache.cache_info().maxsize is not None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from ellwall.fock import verify as fock_verify
 from ellwall.fock.labels import (
     COH_E, COH_PT, COH_SM, COH_SP, LABEL_NAMES, pairing_scalar,
 )
-from ellwall.fock.operators import ExtendedModeError, FockConfig, w_general, w_small
+from ellwall.fock.operators import (
+    ExtendedModeError, FockConfig, OperatorExpr, w_general, w_small,
+)
 from ellwall.fock.states import FockState, basis_monomials
 
 from fock_reference import (
@@ -237,9 +239,43 @@ class TestExtendedField:
 
 
 class TestOperatorExpr:
+    E1, E2, SP1 = ((1, COH_E),), ((2, COH_E),), ((1, COH_SP),)
+
     def test_w_general_excludes_origin(self):
         with pytest.raises(ValueError):
             w_general(0, 0, COH_E, 4)
+
+    def test_terms_must_share_the_energy_shift(self):
+        # the energy shift is the created energy less the annihilated:
+        # alpha_{-1}(E) shifts by 1, alpha_{-2}(E) by 2, alpha_{-2}(E) alpha_1(E) by 1
+        with pytest.raises(ValueError, match="energy shift"):
+            OperatorExpr([(1, self.E1, ()), (1, self.E2, ())], None, 0, 1, 0)
+        with pytest.raises(ValueError, match="energy shift"):
+            OperatorExpr([(1, self.E2, self.E1)], None, 0, 2, 0)
+
+    def test_terms_must_share_parity(self):
+        with pytest.raises(ValueError, match="parity"):
+            OperatorExpr([(1, self.E1, ()), (1, self.SP1, ())], None, 0, 1, 0)
+        with pytest.raises(ValueError, match="parity"):
+            OperatorExpr([(1, self.E2, self.SP1)], None, 0, 1, 0)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="denominator"):
+            OperatorExpr([(1, self.E1, ())], None, 0, 1, 0, denom=0)
+
+    def test_negative_denominator_reduces(self):
+        """4/-10 and -6/-10 reduce to -2/5 and 3/5: the gcd takes the
+        denominator's sign, so the denominator ends positive."""
+        op = OperatorExpr(
+            [(4, self.E2, self.E1), (-6, self.E1, ())], 6, 3, 1, 0, denom=-10
+        )
+        assert op.denom == 5
+        assert [tuple(t) for t in op.terms] == [
+            (-2, 3, self.E2, self.E1), (3, 3, self.E1, ()),
+        ]
+        assert [Fraction(t.coeff, op.denom) for t in op.terms] == [
+            Fraction(4, -10), Fraction(-6, -10),
+        ]
 
 
 def random_generators(test):

@@ -48,7 +48,7 @@ def test_central_witness_is_exact(monkeypatch):
             return op
         (term,) = op.terms
         return OperatorExpr(
-            (term._replace(coeff=2 * term.coeff),), op.truncation,
+            ((2 * term.coeff, term.creations, term.annihilations),), op.truncation,
             op.charge_shift, op.energy_shift, op.parity, op.name, op.denom,
         )
 
