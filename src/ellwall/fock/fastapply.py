@@ -191,17 +191,20 @@ def commutator_rows(
 
 
 def _grouped_terms(op: OperatorExpr):
-    """(groups, contracted modes): the operator's groups
+    """(groups, contracted modes, created modes): the operator's groups
     (``OperatorExpr.groups``, its terms by annihilation part) keyed by
     the monomial modes the part contracts (one partner label per label),
-    as (index of first appearance, part, terms)."""
+    as (index of first appearance, part, terms), and the modes its terms
+    create."""
     groups = {}
     for index, (part, terms) in enumerate(op.groups.items()):
         need = tuple(
             sorted(((k, _DUAL[label]) for k, label in part), key=_mode_key)
         )
         groups[need] = (index, part, terms)
-    return groups, frozenset(mode for need in groups for mode in need)
+    contracted = frozenset(mode for need in groups for mode in need)
+    created = {term.creations for terms in op.groups.values() for term in terms}
+    return groups, contracted, frozenset().union(*created)
 
 
 def _sub_monomials(mono: Monomial) -> list[Monomial]:
@@ -217,7 +220,7 @@ def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
     """Integer row of a grouped operator on basis monomial i, over its
     denominator: the groups whose contracted modes the monomial holds
     act, in term order, through the basis's cached chains."""
-    groups, contracted = grouped
+    groups, contracted, _ = grouped
     mono = basis.monos[i]
     hits = [
         groups[sub]
@@ -233,7 +236,7 @@ def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
         if ann is None:
             continue
         factor, r = ann
-        for coeff, _, creations, _ in terms:
+        for coeff, creations, _ in terms:
             cached = merges[creations]
             u = cached[r] if r in cached else basis.merge(r, creations)
             if u is None:
@@ -263,7 +266,7 @@ class RowTable(dict):
 
     The terms are read as the operator's construction grouped them
     (``op.groups``), keyed by the modes each annihilation part contracts
-    (``_grouped_terms``).
+    (``_grouped_terms``); ``created`` holds the modes the terms create.
 
     Spectators: a mode that no annihilation group of ``op`` contracts
     (not in ``contracted``) super-commutes with ``op``.  A monomial m is
@@ -280,7 +283,7 @@ class RowTable(dict):
         self.op = op
         self.basis = basis
         self._grouped = _grouped_terms(op)
-        self.contracted: frozenset[tuple[int, int]] = self._grouped[1]
+        _, self.contracted, self.created = self._grouped
         self._splits = basis._splits[self.contracted]
         # active part index -> its row, built from the terms
         self._active: dict[int, IndexRow] = {}

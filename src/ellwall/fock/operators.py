@@ -56,11 +56,10 @@ class FockConfig:
 
 
 class NormalTerm(NamedTuple):
-    """One normal-ordered term; ``coeff`` is an integer, to be read over
-    the denominator of the operator that holds the term."""
+    """One normal-ordered term at the charge shift of the operator that
+    holds it; ``coeff`` is an integer, read over that operator's denom."""
 
     coeff: int
-    charge_shift: int
     creations: Monomial
     annihilations: Monomial
 
@@ -131,7 +130,7 @@ class OperatorExpr:
                 if grade[0] != need[0]:
                     raise ValueError("terms must share the energy shift")
                 raise ValueError("terms must share parity")
-            term = NormalTerm(coeff // g, charge_shift, cre, ann)
+            term = NormalTerm(coeff // g, cre, ann)
             out.append(term)
             groups[ann].append(term)
         self.terms = tuple(out)

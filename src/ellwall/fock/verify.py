@@ -8,7 +8,8 @@ Bracket verification: the target relation is
 with the star product (unit pt) on labels.  Each instance is checked on
 every monomial of the evaluation window (truncation minus the worst
 intermediate energy raise), through the monomials whose modes the
-operands or the target contract (see _BracketEngine), per the
+operands or the target contract (see _BracketEngine); a pair whose
+terms super-commute, term by term, skips the commutator pass.  Per the
 comparison policy: exact match, match up to one recorded nonzero
 rational rescale per root space ((a+c, b+d), target label), or mismatch
 with a witness state.  Central scalars are solved per ordered label
@@ -45,6 +46,7 @@ scalars and when a failure witness is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ..serialize import frac_str
@@ -139,6 +141,15 @@ class _BracketEngine:
     rescale and the central scalar are those of a pass over the whole
     window.
 
+    Super-commuting pairs: a mode pairs only with a mode of dual label
+    and opposite energy, so when no mode that A contracts
+    (``RowTable.contracted``) is one that B's terms create
+    (``RowTable.created``), nor the other way round, each term of A
+    super-commutes with each term of B, and [A, B} is zero on every
+    state (rows are keyed by monomials, so the charge shift adds no
+    sign).  Such a pair skips the commutator pass; its empty rows meet
+    the target as any others.
+
     The generator w^{a,b} is built at the window N - max(0, -b): it
     raises the energy by -b, and every row read from it (an operand or
     target on the evaluation window, or an operand on an intermediate
@@ -182,7 +193,10 @@ class _BracketEngine:
             if target is not None:
                 modes = modes | target[2].contracted
         indices = self.basis.within(w, modes)
-        lhs = commutator_rows(rows_a, rows_b, indices, eps)
+        if rows_a.contracted & rows_b.created or rows_b.contracted & rows_a.created:
+            lhs = commutator_rows(rows_a, rows_b, indices, eps)
+        else:  # the terms super-commute; see the class docstring
+            lhs = [{}] * len(indices)
         rep_fwd = self._evaluate(a, b, gi, c, d, hi, target_fwd, indices, lhs, denom)
         # exact: _evaluate divides by the denominator only through Fraction
         rep_rev = self._evaluate(
@@ -384,31 +398,21 @@ def bracket_sweep(
     consistency; central scalars are solved per ordered label pair.  The
     sweep's engine is its own and is dropped when it returns."""
     engine = _BracketEngine(N)
-    slopes = [
-        (a, b)
+    operands = [
+        (a, b, label_index(g))
         for a in range(-a_range, a_range + 1)
         for b in range(-b_range, b_range + 1)
         if (a, b) != (0, 0)
+        for g in labels
     ]
-    operands = [
-        (a, b, label_index(g)) for a, b in slopes for g in labels
-    ]
-    jobs = [(x, y) for x in operands for y in operands]
-    pairs: list[tuple[tuple, tuple]] = []
-    seen = set()
-    for x, y in jobs:
-        key = frozenset((x, y)) if x != y else (x,)
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append((x, y))
     by_job: dict[tuple[tuple, tuple], BracketReport] = {}
-    for x, y in pairs:
-        by_job[(x, y)], by_job[(y, x)] = engine.pair_reports(*x, *y)
+    for i, x in enumerate(operands):
+        for y in operands[i:]:
+            by_job[(x, y)], by_job[(y, x)] = engine.pair_reports(*x, *y)
 
     summary = SweepSummary(truncation=N)
     central_instances: dict[tuple[str, str], list[tuple[int, int, Fraction]]] = {}
-    for x, y in jobs:
+    for x, y in product(operands, repeat=2):
         report = by_job[(x, y)]
         (a, b, gi), (c, d, hi) = x, y
         summary.instances += 1
@@ -422,8 +426,8 @@ def bracket_sweep(
                 (a, b, report.central_value)
             )
         elif report.rescale is not None and report.rescale != 1:
-            product = star_label(gi, hi)
-            target_label = LABEL_NAMES[product[0]] if product else "0"
+            star = star_label(gi, hi)
+            target_label = LABEL_NAMES[star[0]] if star else "0"
             key = (a + c, b + d, target_label)
             prev = summary.rescales.get(key)
             if prev is None:

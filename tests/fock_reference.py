@@ -299,7 +299,7 @@ def apply(op: OperatorExpr, state: FockState) -> FockState:
             for k, label in reversed(term.creations):
                 cur = alpha_apply(-k, label, cur)
             cur = scale(cur, Fraction(term.coeff, op.denom))
-            out = add(out, shift_charge(cur, term.charge_shift))
+            out = add(out, shift_charge(cur, op.charge_shift))
     return out
 
 

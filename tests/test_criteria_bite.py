@@ -9,6 +9,8 @@ import dataclasses
 
 from ellwall import lattices, verify, walls
 from ellwall.fock import verify as fock_verify
+from ellwall.fock.labels import COH_E, COH_PT
+from ellwall.fock.operators import OperatorExpr
 from ellwall.serialize import to_json
 
 
@@ -36,6 +38,48 @@ def test_c04_fails_when_odd_pairs_take_the_commutator(monkeypatch):
     for report in result["mismatches"]:
         assert {report["lhs_params"]["label"], report["rhs_params"]["label"]} <= odd
         assert "witness" in report
+    to_json(result)
+
+
+def test_c04_sends_pairs_to_the_kernel_by_their_terms_not_labels(monkeypatch):
+    """Every E generator also gets a term creating a pt mode, which E
+    fields contract.  A shortcut read off the labels would still skip
+    every pair with an E operand, as the unmutated sweep does (E creates
+    E and contracts pt); the engine reads the built terms, so those pairs
+    reach ``commutator_rows`` and c04 fails."""
+    real_generator = fock_verify.w_general
+    real_kernel = fock_verify.commutator_rows
+    labels = {}  # id of each generator the engine built -> its label
+    e_pair_calls = []
+
+    def generators(mutate):
+        def build(a, b, li, N, config=None):
+            op = real_generator(a, b, li, N, config)
+            if mutate and li == COH_E:
+                k = max(1, 1 - b)  # creates energy k, annihilates k + b >= 1
+                extra = (op.denom, ((k, COH_PT),), ((k + b, COH_E),))
+                op = OperatorExpr(
+                    [*op.terms, extra], op.truncation, op.charge_shift,
+                    op.energy_shift, op.parity, op.name, op.denom,
+                )
+            labels[id(op)] = li
+            return op
+
+        return build
+
+    def counting(rows_a, rows_b, indices, eps):
+        if COH_E in (labels[id(rows_a.op)], labels[id(rows_b.op)]):
+            e_pair_calls.append((rows_a.op.name, rows_b.op.name))
+        return real_kernel(rows_a, rows_b, indices, eps)
+
+    monkeypatch.setattr(fock_verify, "commutator_rows", counting)
+    monkeypatch.setattr(fock_verify, "w_general", generators(False))
+    assert verify.check_bracket_table(4)["pass"] is True
+    assert not e_pair_calls
+    monkeypatch.setattr(fock_verify, "w_general", generators(True))
+    result = verify.check_bracket_table(4)
+    assert result["pass"] is False
+    assert len(e_pair_calls) == 364
     to_json(result)
 
 

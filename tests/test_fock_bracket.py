@@ -351,3 +351,44 @@ class TestEngineScope:
         bracket_verify(1, 0, "sigma+", 0, 1, "sigma-", 3)
         assert verify._last_engine is not first
         assert verify._last_engine.N == 3
+
+
+class TestSuperCommutingPairs:
+    """Pairs whose terms super-commute skip the commutator pass."""
+
+    @staticmethod
+    def count_kernel_calls(monkeypatch):
+        import ellwall.fock.verify as verify
+
+        calls = []
+        real = verify.commutator_rows
+
+        def counting(rows_a, rows_b, indices, eps):
+            calls.append((rows_a.op.name, rows_b.op.name))
+            return real(rows_a, rows_b, indices, eps)
+
+        monkeypatch.setattr(verify, "commutator_rows", counting)
+        monkeypatch.setattr(verify, "_last_engine", None)
+        return calls
+
+    def test_sweep_census(self, monkeypatch):
+        """Of the 903 unordered pairs at truncation 4, only the 184 whose
+        terms contract each other's modes reach the kernel."""
+        calls = self.count_kernel_calls(monkeypatch)
+        summary = bracket_sweep(4)
+        assert summary.instances == 42 * 42
+        assert len(calls) == 184
+
+    def test_even_pair_query_prints_its_report_without_the_kernel(
+        self, monkeypatch, capsys
+    ):
+        import json
+
+        from ellwall.cli import main
+
+        calls = self.count_kernel_calls(monkeypatch)
+        assert main(["bracket", "--lhs=1,1,E", "--rhs=1,-1,E", "--truncation", "4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert not calls
+        assert report["match"] is True and report["kind"] == "exact"
+        assert report["lhs_params"] == {"a": 1, "b": 1, "label": "E"}

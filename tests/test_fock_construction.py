@@ -228,7 +228,7 @@ def test_w_general_matches_fraction_reference(kind, N):
         want = ref_terms(a, b, label, N, config)
         where = f"w[{a},{b};{kind[0]}] at N={N}"
         got = [
-            (Fraction(t.coeff, op.denom), t.charge_shift, t.creations, t.annihilations)
+            (Fraction(t.coeff, op.denom), op.charge_shift, t.creations, t.annihilations)
             for t in op.terms
         ]
         assert got == want, where

@@ -269,9 +269,9 @@ class TestOperatorExpr:
         op = OperatorExpr(
             [(4, self.E2, self.E1), (-6, self.E1, ())], 6, 3, 1, 0, denom=-10
         )
-        assert op.denom == 5
+        assert op.denom == 5 and op.charge_shift == 3
         assert [tuple(t) for t in op.terms] == [
-            (-2, 3, self.E2, self.E1), (3, 3, self.E1, ()),
+            (-2, self.E2, self.E1), (3, self.E1, ()),
         ]
         assert [Fraction(t.coeff, op.denom) for t in op.terms] == [
             Fraction(4, -10), Fraction(-6, -10),

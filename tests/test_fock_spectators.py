@@ -179,3 +179,40 @@ def test_spread_rows_with_odd_spectators_match_reference(a, b, li):
         assert {u: Fraction(c, op.denom) for u, c in got.items()} == want.terms, mono
         checked += 1
     assert checked > 20
+
+
+@pytest.mark.parametrize("N", (3, 4, 5))
+def test_skipped_pairs_commute_on_the_whole_window(N, monkeypatch):
+    """Every pair whose commutator pass the engine skips, its terms
+    super-commuting, gives only zero rows in the full pass over every
+    monomial of the window, on unfactored rows."""
+    kernel_calls = []
+    real = verify.commutator_rows
+
+    def counting(*args):
+        kernel_calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "commutator_rows", counting)
+    engine = verify._BracketEngine(N)
+    full = FullWindowEngine(N)
+    skipped, reached = [], []
+    for x, y in PAIRS:
+        w = verify._eval_window(N, x[1], y[1])
+        if w < 0:
+            continue
+        before = len(kernel_calls)
+        engine.pair_reports(*x, *y)
+        if len(kernel_calls) > before:
+            reached.append((x, y))
+            continue
+        skipped.append((x, y))
+        eps = 1 if LABEL_PARITY[x[2]] and LABEL_PARITY[y[2]] else -1
+        rows = commutator_rows(
+            full.rows(*x)[1], full.rows(*y)[1], range(full.basis.count(w)), eps
+        )
+        assert not any(rows), (x, y)
+    assert len(skipped) > 500 and len(reached) > 100
+    # slope-0 pt takes part on both sides of the shortcut
+    assert any(COH_PT in (x[2], y[2]) for x, y in skipped)
+    assert any(COH_PT in (x[2], y[2]) for x, y in reached)
