@@ -27,6 +27,10 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.samples < 1:
+        ap.error(f"--samples must be >= 1, got {args.samples}")
+    if args.n_max < 0:
+        ap.error(f"--n-max must be >= 0, got {args.n_max}")
 
     rng = random.Random(args.seed)
     print(f"seed: {args.seed}")

@@ -14,8 +14,12 @@ def main() -> None:
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument("--outdir", type=Path, default=Path("wall_gallery"))
     args = ap.parse_args()
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
+    if args.n_max < 1:
+        ap.error(f"--n-max must be >= 1, got {args.n_max}")
+    try:
+        args.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        ap.error(f"cannot write {args.outdir}: {exc.strerror}")
     rows = []
     for n in range(1, args.n_max + 1):
         dec = chamber_decomposition(n)

@@ -38,7 +38,6 @@ from .roots import EllipticRoot, build_elliptic
 from .serialize import DEFAULT_SEED
 from .walls import (
     UnsupportedTypeError,
-    central_charge_sym,
     chamber_decomposition,
     enumerate_v_walls,
 )
@@ -186,32 +185,39 @@ def check_monodromy(weight_max: int = 5, truncation: int = 6) -> dict:
     }
 
 
-def _brute_force_wall_pairs(n: int, ns) -> set[tuple[int, int]]:
-    """Independent wall oracle: scan a root box, normalize sign pairs,
-    apply the section-twisted pairing depth bound, dedup."""
-    v = hilbert_vector(n, ns)
+def _brute_force_wall_sets(n_max: int, ns) -> list[set[tuple[int, int]]]:
+    """Independent wall oracle for n = 1..n_max: scan the normalized
+    primitive roots of the largest root box once, keeping each one's
+    section-twisted class; the set for n holds the roots inside its box
+    (bound n + 2) that pass the twisted pairing depth bound."""
     p_vec = ns.basis_vector("P")
-    found = set()
-    bound = n + 2
-    for m in range(-bound, bound + 1):
-        for nf in range(-bound, bound + 1):
-            if (m, nf) == (0, 0):
-                continue
-            if m < 0 or (m == 0 and nf < 0):
-                m, nf = -m, -nf  # normalized representative (local copy)
-            if m < 1 or nf < 0 or math.gcd(m, nf) != 1:
+    bound = n_max + 2
+    roots = []
+    # each sign pair's normalized representative has m >= 0, and nf > 0
+    # when m = 0; the oracle keeps those with m >= 1 and nf >= 0
+    for m in range(1, bound + 1):
+        for nf in range(bound + 1):
+            if math.gcd(m, nf) != 1:
                 continue
             kc = root_to_kclass(EllipticRoot((), m, nf), "A-1")
             twisted = MukaiVector(kc.rank, kc.c1, kc.ch2 + ns.pair(kc.c1, p_vec))
-            if abs(mukai_pair(twisted, v, ns)) <= n:
-                found.add((nf, m))
-    return found
+            roots.append((max(m, nf), (nf, m), twisted))
+    sets = []
+    for n in range(1, n_max + 1):
+        v = hilbert_vector(n, ns)
+        sets.append({
+            key
+            for size, key, twisted in roots
+            if size <= n + 2 and abs(mukai_pair(twisted, v, ns)) <= n
+        })
+    return sets
 
 
 def check_wall_sets(n_max: int = 12) -> dict:
     """Rank-0 wall enumeration against the brute-force oracle, chamber
     counts, and monotonicity of the wall sets in the point count."""
     ns = surface_lattice("A-1")
+    oracle = _brute_force_wall_sets(n_max, ns)
     counts = []
     chamber_counts = []
     ok = True
@@ -219,7 +225,7 @@ def check_wall_sets(n_max: int = 12) -> dict:
     for n in range(1, n_max + 1):
         dec = chamber_decomposition(n)
         got = {(w.root.n, w.root.m) for w in dec.walls}
-        if got != _brute_force_wall_pairs(n, ns):
+        if got != oracle[n - 1]:
             ok = False
         if not prev <= got:
             ok = False
@@ -237,33 +243,70 @@ def check_wall_sets(n_max: int = 12) -> dict:
     }
 
 
+def _phase_cross(form, v, w, b: Fraction, c: Fraction, pd: int, qd: int) -> int:
+    """Im Z(w) Re Z(v) - Re Z(w) Im Z(v) at the chart point (b, c, pd/qd),
+    times the positive integer 2 qb^3 (qc qd)^3 for the denominators qb
+    of b and qc of c and the given qd > 0, so the sign is the phase
+    comparison's.  ``form`` is (S^2, S.E, E^2) and each vector is
+    (rank, twice_ch2, S.c1, E.c1).  The charges come from the pairing
+    with H = S + bE and B = cS + dE, scaled to H' = qb H and B' = qc qd B,
+    whose coordinates are integers:
+        2 qb^2 t^2 Re Z = twice_ch2 qb^2 t^2 + r (qb^2 B'^2 - t^2 H'^2) - 2 qb^2 t B'.c1
+        qb t Im Z = t H'.c1 - r H'.B'
+    with t = qc qd; both are linear in the vector's coordinates."""
+    ss, se, ee = form
+    pb, qb = b.numerator, b.denominator
+    t = c.denominator * qd
+    bs, be = c.numerator * qd, pd * c.denominator  # B' = bs S + be E
+    hh = qb * qb * ss + 2 * qb * pb * se + pb * pb * ee
+    bb = bs * bs * ss + 2 * bs * be * se + be * be * ee
+    hb = qb * bs * ss + (qb * be + pb * bs) * se + pb * be * ee
+    qb2, t2 = qb * qb, t * t
+    k_ch2, k_rank, k_c1 = qb2 * t2, qb2 * bb - t2 * hh, 2 * qb2 * t
+    r, ch, gs, ge = v
+    re_v = ch * k_ch2 + r * k_rank - k_c1 * (bs * gs + be * ge)
+    im_v = t * (qb * gs + pb * ge) - r * hb
+    r, ch, gs, ge = w
+    re_w = ch * k_ch2 + r * k_rank - k_c1 * (bs * gs + be * ge)
+    im_w = t * (qb * gs + pb * ge) - r * hb
+    return im_w * re_v - re_w * im_v
+
+
 def check_wall_sign_flip(
     n_max: int = 6, samples: int = 100, seed: int = DEFAULT_SEED
 ) -> dict:
     """The phase-comparison function changes sign across each wall locus
-    at random rational chart points."""
+    at random rational chart points: the wall's root d0 is read from the
+    locus ``walls`` built, the sign on each side from the central charges
+    evaluated pointwise in integers from the Mukai vectors."""
     ns = surface_lattice("A-1")
+    svec, evec = ns.basis_vector("P"), ns.basis_vector("E")
+    form = (ns.pair(svec, svec), ns.pair(svec, evec), ns.pair(evec, evec))
+
+    def coords(x: MukaiVector) -> tuple[int, int, int, int]:
+        return x.rank, x.twice_ch2, ns.pair(svec, x.c1), ns.pair(evec, x.c1)
+
     rng = random.Random(seed)
     checked = failures = 0
-    eps = Fraction(1, 97)
     for n in range(1, n_max + 1):
-        v = hilbert_vector(n, ns)
-        re_v, im_v = central_charge_sym(v, ns)
-        for spec in enumerate_v_walls(v, "A-1"):
-            re_w, im_w = central_charge_sym(spec.kclass, ns)
-            cross = im_w * re_v - re_w * im_v
+        hv = hilbert_vector(n, ns)
+        v = coords(hv)
+        for spec in enumerate_v_walls(hv, "A-1"):
+            w = coords(spec.kclass)
             for _ in range(samples):
                 b = Fraction(rng.randint(1, 40), rng.randint(1, 9))
                 c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
                 lin = spec.locus
                 at0 = lin.evaluate(b, c, 0)
-                coef = lin.evaluate(b, c, 1) - at0
-                if coef == 0:
+                slope = at0 - lin.evaluate(b, c, 1)
+                if slope == 0:
                     failures += 1
                     continue
-                d0 = -at0 / coef
-                left = cross.evaluate(b, c, d0 - eps)
-                right = cross.evaluate(b, c, d0 + eps)
+                d0 = at0 / slope
+                # d0 -+ 1/97 over the common denominator 97 q for d0 = p/q
+                p, q = d0.numerator, d0.denominator
+                left = _phase_cross(form, v, w, b, c, 97 * p - q, 97 * q)
+                right = _phase_cross(form, v, w, b, c, 97 * p + q, 97 * q)
                 checked += 1
                 if left == 0 or right == 0 or (left > 0) == (right > 0):
                     failures += 1

@@ -7,11 +7,21 @@ report that still serializes.
 
 import dataclasses
 
-from ellwall import lattices, verify, walls
+from ellwall import lattices, localmodel, verify, walls
+from ellwall.fock import operators
 from ellwall.fock import verify as fock_verify
 from ellwall.fock.labels import COH_E, COH_PT
 from ellwall.fock.operators import OperatorExpr
 from ellwall.serialize import to_json
+
+
+def test_c01_fails_when_a_table_entry_is_changed(monkeypatch):
+    monkeypatch.setitem(localmodel.HH0_TABLE, 4, 8)
+    result = verify.check_hh0_table()
+    assert result["pass"] is False
+    assert result["got"]["4"] == 8
+    assert result["orbit_audit"]["4"] == 9  # the audit recounts the orbits
+    to_json(result)
 
 
 def test_c04_fails_when_the_target_label_is_shifted(monkeypatch):
@@ -83,6 +93,24 @@ def test_c04_sends_pairs_to_the_kernel_by_their_terms_not_labels(monkeypatch):
     to_json(result)
 
 
+def test_c05_fails_when_two_part_field_coefficients_are_doubled(monkeypatch):
+    # the section-type action composes slope-one generators, whose fields
+    # read these coefficients; partitions of two parts first occur at p = 2
+    real = operators._coefficient_table
+
+    def doubled(slope, depth):
+        base, levels = real(slope, depth)
+        return base, [
+            [(lam, 2 * c if len(lam) == 2 else c) for lam, c in level]
+            for level in levels
+        ]
+
+    monkeypatch.setattr(operators, "_coefficient_table", doubled)
+    result = verify.check_monodromy(3, 4)
+    assert result["pass"] is False
+    to_json(result)
+
+
 def test_c06_fails_when_a_wall_is_listed_twice(monkeypatch):
     real = walls.enumerate_v_walls
 
@@ -109,8 +137,8 @@ def test_c06_fails_when_the_lattice_pairing_is_doubled(monkeypatch):
 
 
 def test_c07_fails_when_the_real_charge_is_shifted(monkeypatch):
-    # the shift reaches the wall loci through ``walls``; c07's own cross
-    # product reads the charge it imported, so every side test disagrees
+    # the shift reaches the wall loci through ``walls``; c07's pointwise
+    # charges come from the Mukai vectors, so every side test disagrees
     real = walls.central_charge_sym
 
     def shifted(x, ns):
@@ -121,6 +149,31 @@ def test_c07_fails_when_the_real_charge_is_shifted(monkeypatch):
     result = verify.check_wall_sign_flip(4, 10, seed=3)
     assert result["pass"] is False
     assert result["failures"] == 130
+    to_json(result)
+
+
+def _drop_bc_products(self, other):
+    """``TriPoly.__mul__`` without the products of a b-term and a c-term."""
+    other = walls._coerce(other)
+    out = {}
+    for (i1, j1, k1), v1 in self.nums.items():
+        for (i2, j2, k2), v2 in other.nums.items():
+            if (i1 and j2) or (j1 and i2):
+                continue
+            key = (i1 + i2, j1 + j2, k1 + k2)
+            out[key] = out.get(key, 0) + v1 * v2
+    return walls.TriPoly(out, self.den * other.den)
+
+
+def test_c07_fails_when_polynomial_products_drop_bc_terms(monkeypatch):
+    # the wall loci are products of the symbolic charges; c07 takes its
+    # signs from the pointwise charges, so the moved roots show.  c06 still
+    # passes under this mutation: its wall sets do not read the loci.
+    monkeypatch.setattr(walls.TriPoly, "__mul__", _drop_bc_products)
+    monkeypatch.setattr(walls.TriPoly, "__rmul__", _drop_bc_products)
+    result = verify.check_wall_sign_flip(4, 10, seed=3)
+    assert result["pass"] is False
+    assert (result["checked"], result["failures"]) == (130, 128)
     to_json(result)
 
 

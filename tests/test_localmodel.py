@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -572,3 +576,43 @@ class TestRootHyperplane:
         )
         assert matrix_rank(mat) == k
 
+
+class TestSplitCensusScript:
+    """``scripts/local_split_census.py`` prints one row per (k, n) and
+    refuses a sample count or degree bound it cannot tabulate with a
+    usage error."""
+
+    @staticmethod
+    def run(*args):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "local_split_census.py"), *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_table(self):
+        done = self.run("--samples", "3", "--n-max", "1", "--seed", "5")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "seed: 5"
+        rows = lines[2:]
+        assert [tuple(map(int, row.split()[:2])) for row in rows] == [
+            (k, n) for k in (1, 2, 3, 4, 6) for n in (0, 1)
+        ]
+        assert all(row.endswith("3/3") for row in rows)
+
+    @pytest.mark.parametrize(
+        "args",
+        [("--samples", "0"), ("--samples", "-1"), ("--n-max", "-1")],
+    )
+    def test_bad_flags_exit_two(self, args):
+        done = self.run(*args)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, done.stderr
+        assert not done.stdout

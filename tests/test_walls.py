@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellwall import verify
 from ellwall import walls as walls_module
 from ellwall.lattices import (
     MukaiVector,
@@ -99,6 +100,13 @@ class TestWallEnumeration:
         walls = enumerate_v_walls(hilbert_vector(n, NS), "A-1")
         got = {(w.root.n, w.root.m) for w in walls}
         assert got == brute_force_wall_pairs(n)
+
+    def test_criterion_oracle_equals_the_per_n_box_scan(self):
+        # c06's oracle scans the largest box once and filters it per n
+        sets = verify._brute_force_wall_sets(14, NS)
+        assert sets == [brute_force_wall_pairs(n) for n in range(1, 15)]
+        assert verify._brute_force_wall_sets(5, NS) == sets[:5]
+        assert verify._brute_force_wall_sets(0, NS) == []
 
     def test_frozen_counts(self):
         for n, expected in zip(range(1, 13), EXPECTED_WALL_COUNTS):
@@ -281,6 +289,38 @@ class TestLoci:
                 right = cross.evaluate(b, c, d0 + eps)
                 assert left != 0 and right != 0
                 assert (left > 0) != (right > 0)
+
+    @pytest.mark.parametrize("type_name,n_max", [("A-1", 6), ("D4", 2)])
+    def test_pointwise_cross_is_the_scaled_symbolic_cross(self, type_name, n_max):
+        """c07's integer charges (``verify._phase_cross``) give the scale
+        2 qb^3 (qc qd)^3 times Im Z(w) Re Z(v) - Re Z(w) Im Z(v) of the
+        symbolic charges, value for value, on every wall; d goes in as an
+        unreduced numerator and denominator, as c07 passes it."""
+        ns = surface_lattice(type_name)
+        svec = ns.basis_vector("P" if "P" in ns.labels else "Theta")
+        evec = ns.basis_vector("E")
+        form = (ns.pair(svec, svec), ns.pair(svec, evec), ns.pair(evec, evec))
+
+        def coords(x):
+            return x.rank, x.twice_ch2, ns.pair(svec, x.c1), ns.pair(evec, x.c1)
+
+        rng = random.Random(11)
+        for n in range(1, n_max + 1):
+            v = hilbert_vector(n, ns)
+            re_v, im_v = central_charge_sym(v, ns)
+            for spec in enumerate_v_walls(v, type_name):
+                re_w, im_w = central_charge_sym(spec.kclass, ns)
+                cross = im_w * re_v - re_w * im_v
+                for _ in range(5):
+                    b = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                    c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                    k = rng.randint(1, 4)
+                    pd, qd = k * rng.randint(-60, 60), k * rng.randint(1, 97)
+                    scale = 2 * b.denominator**3 * (c.denominator * qd) ** 3
+                    got = verify._phase_cross(
+                        form, coords(v), coords(spec.kclass), b, c, pd, qd
+                    )
+                    assert got == scale * cross.evaluate(b, c, Fraction(pd, qd))
 
 
 class TestTriPoly:
@@ -535,22 +575,22 @@ class TestSvg:
 
 class TestWallGalleryScript:
     """``scripts/render_wall_gallery.py`` writes one SVG per point count
-    and a CSV index of the wall and chamber counts."""
+    and a CSV index of the wall and chamber counts, and refuses a point
+    count or output directory it cannot use with a usage error."""
 
-    def test_gallery_up_to_four_points(self, tmp_path):
+    @staticmethod
+    def run(*args):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
         )
-        done = subprocess.run(
-            [
-                sys.executable,
-                str(ROOT / "scripts" / "render_wall_gallery.py"),
-                "--n-max", "4",
-                "--outdir", str(tmp_path),
-            ],
+        return subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "render_wall_gallery.py"), *args],
             env=env, capture_output=True, text=True, timeout=120,
         )
+
+    def test_gallery_up_to_four_points(self, tmp_path):
+        done = self.run("--n-max", "4", "--outdir", str(tmp_path))
         assert done.returncode == 0, done.stderr
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "chambers_n01.svg",
@@ -569,3 +609,23 @@ class TestWallGalleryScript:
             "n,walls,chambers,degenerate",
             *rows,
         ]
+
+    @staticmethod
+    def assert_usage_error(done):
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, done.stderr
+        assert not done.stdout
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_no_point_count_exits_two(self, tmp_path, n_max):
+        self.assert_usage_error(self.run("--n-max", n_max, "--outdir", str(tmp_path / "g")))
+        assert not (tmp_path / "g").exists()
+
+    def test_outdir_that_is_a_file_exits_two(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        done = self.run("--n-max", "2", "--outdir", str(taken))
+        self.assert_usage_error(done)
+        assert f"cannot write {taken}" in done.stderr
