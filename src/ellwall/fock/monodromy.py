@@ -24,20 +24,22 @@ from .states import FockState, Monomial
 
 def monodromy_f(state: FockState) -> FockState:
     """Fiber-type action: sign (-1)^(k+1) per mode, charge c -> -n - c
-    for a state of weight n.  The state must be weight-homogeneous."""
-    if state.is_zero():
-        return state.copy()
-    if not state.is_homogeneous():
-        raise ValueError("mixed-weight input: apply weight-by-weight")
-    weight = state.weight()
-    out: dict = {}
+    for a state of weight n.  The state must be weight-homogeneous.  A
+    monomial of energy e with l modes takes the sign (-1)^(e + l)."""
+    terms: dict[Monomial, Fraction] = {}
+    weight = None
     for mono, coeff in state.terms.items():
-        sign = 1
-        for k, _ in mono:
-            if k % 2 == 0:
-                sign = -sign
-        out[mono] = coeff * sign
-    return FockState(-weight - state.charge, out)
+        energy = sum(k for k, _ in mono)
+        if weight is None:
+            weight = energy
+        elif energy != weight:
+            raise ValueError("mixed-weight input: apply weight-by-weight")
+        terms[mono] = -coeff if (energy + len(mono)) & 1 else coeff
+    if weight is None:
+        return state.copy()
+    image = FockState(-weight - state.charge)
+    image.terms = terms
+    return image
 
 
 def monodromy_s(

@@ -81,18 +81,6 @@ class FockState:
     def __hash__(self):
         return hash((self.charge, frozenset(self.terms.items())))
 
-    def energies(self) -> set[int]:
-        return {monomial_energy(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.energies()) <= 1
-
-    def weight(self) -> int:
-        es = self.energies()
-        if len(es) != 1:
-            raise ValueError("mixed-weight state has no single weight")
-        return next(iter(es))
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "FockState(0)"

@@ -22,7 +22,7 @@ from .fock.labels import COH_E
 from .fock.monodromy import monodromy_f, monodromy_s
 from .fock.states import FockState, basis_monomials
 from .fock.verify import bracket_sweep, small_mode_sweep, vertex_commutator_sweep
-from .lattices import MukaiVector, hilbert_vector, mukai_pair, root_to_kclass, surface_lattice
+from .lattices import MukaiVector, hilbert_vector, mukai_pair, root_to_kclass
 from .localmodel import (
     BimoduleParam,
     char_value,
@@ -36,11 +36,7 @@ from .localmodel import (
 )
 from .roots import EllipticRoot, build_elliptic
 from .serialize import DEFAULT_SEED
-from .walls import (
-    UnsupportedTypeError,
-    chamber_decomposition,
-    enumerate_v_walls,
-)
+from .walls import UnsupportedTypeError, WallChart
 from .weyl import _mat_mul, full_gram, identity_element, marking_stabilizer_generators, reflect
 
 
@@ -139,25 +135,25 @@ def _partition_product(
 
 
 def check_monodromy(weight_max: int = 5, truncation: int = 6) -> dict:
-    """Fiber-type action: involution and per-mode sign pattern on all
-    monomials of bounded weight.  Section-type action: agreement with an
-    independent symmetric-function expansion on fiber-labeled states."""
+    """Fiber-type action: involution, charge reflection c -> -n - c and
+    per-mode sign pattern on all monomials of bounded weight n.
+    Section-type action: agreement with an independent symmetric-function
+    expansion on fiber-labeled states."""
     involution = signs = 0
     ok = True
     for mono in basis_monomials(weight_max):
+        energy = sum(k for k, _ in mono)
+        sign = math.prod((-1) ** (k + 1) for k, _ in mono)
         for charge in range(-2, 3):
             s = FockState.from_monomial(mono, charge=charge)
-            if monodromy_f(monodromy_f(s)) != s:
+            img = monodromy_f(s)
+            if img.charge != -energy - charge or monodromy_f(img) != s:
                 ok = False
             involution += 1
-        s = FockState.from_monomial(mono)
-        img = monodromy_f(s)
-        sign = 1
-        for k, _ in mono:
-            sign *= (-1) ** (k + 1)
-        if img.terms.get(mono) != sign:
-            ok = False
-        signs += 1
+            if charge == 0:
+                if img.terms.get(mono) != sign:
+                    ok = False
+                signs += 1
 
     table = _homogeneous_table(truncation)
     section = 0
@@ -187,9 +183,11 @@ def check_monodromy(weight_max: int = 5, truncation: int = 6) -> dict:
 
 def _brute_force_wall_sets(n_max: int, ns) -> list[set[tuple[int, int]]]:
     """Independent wall oracle for n = 1..n_max: scan the normalized
-    primitive roots of the largest root box once, keeping each one's
-    section-twisted class; the set for n holds the roots inside its box
-    (bound n + 2) that pass the twisted pairing depth bound."""
+    primitive roots of the largest root box (bound n_max + 2) once,
+    keeping each one's section-twisted class; the set for n holds the
+    roots that pass the twisted pairing depth bound.  No per-n box bound
+    is needed: for the rank-0 type |<twisted, v_n>| = m + nf, so the
+    depth bound already forces max(m, nf) <= n."""
     p_vec = ns.basis_vector("P")
     bound = n_max + 2
     roots = []
@@ -201,14 +199,12 @@ def _brute_force_wall_sets(n_max: int, ns) -> list[set[tuple[int, int]]]:
                 continue
             kc = root_to_kclass(EllipticRoot((), m, nf), "A-1")
             twisted = MukaiVector(kc.rank, kc.c1, kc.ch2 + ns.pair(kc.c1, p_vec))
-            roots.append((max(m, nf), (nf, m), twisted))
+            roots.append(((nf, m), twisted))
     sets = []
     for n in range(1, n_max + 1):
         v = hilbert_vector(n, ns)
         sets.append({
-            key
-            for size, key, twisted in roots
-            if size <= n + 2 and abs(mukai_pair(twisted, v, ns)) <= n
+            key for key, twisted in roots if abs(mukai_pair(twisted, v, ns)) <= n
         })
     return sets
 
@@ -216,14 +212,14 @@ def _brute_force_wall_sets(n_max: int, ns) -> list[set[tuple[int, int]]]:
 def check_wall_sets(n_max: int = 12) -> dict:
     """Rank-0 wall enumeration against the brute-force oracle, chamber
     counts, and monotonicity of the wall sets in the point count."""
-    ns = surface_lattice("A-1")
-    oracle = _brute_force_wall_sets(n_max, ns)
+    chart = WallChart("A-1")
+    oracle = _brute_force_wall_sets(n_max, chart.ns)
     counts = []
     chamber_counts = []
     ok = True
     prev: set[tuple[int, int]] = set()
     for n in range(1, n_max + 1):
-        dec = chamber_decomposition(n)
+        dec = chart.decomposition(n)
         got = {(w.root.n, w.root.m) for w in dec.walls}
         if got != oracle[n - 1]:
             ok = False
@@ -276,10 +272,11 @@ def check_wall_sign_flip(
     n_max: int = 6, samples: int = 100, seed: int = DEFAULT_SEED
 ) -> dict:
     """The phase-comparison function changes sign across each wall locus
-    at random rational chart points: the wall's root d0 is read from the
-    locus ``walls`` built, the sign on each side from the central charges
-    evaluated pointwise in integers from the Mukai vectors."""
-    ns = surface_lattice("A-1")
+    at random rational chart points: the wall's root d0 is the secant root
+    of the locus ``walls`` built, the sign on each side from the central
+    charges evaluated pointwise in integers from the Mukai vectors."""
+    chart = WallChart("A-1")
+    ns = chart.ns
     svec, evec = ns.basis_vector("P"), ns.basis_vector("E")
     form = (ns.pair(svec, svec), ns.pair(svec, evec), ns.pair(evec, evec))
 
@@ -291,18 +288,15 @@ def check_wall_sign_flip(
     for n in range(1, n_max + 1):
         hv = hilbert_vector(n, ns)
         v = coords(hv)
-        for spec in enumerate_v_walls(hv, "A-1"):
+        for spec in chart.walls(hv):
             w = coords(spec.kclass)
             for _ in range(samples):
                 b = Fraction(rng.randint(1, 40), rng.randint(1, 9))
                 c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-                lin = spec.locus
-                at0 = lin.evaluate(b, c, 0)
-                slope = at0 - lin.evaluate(b, c, 1)
-                if slope == 0:
+                d0 = spec.locus.secant_root(b, c)
+                if d0 is None:
                     failures += 1
                     continue
-                d0 = at0 / slope
                 # d0 -+ 1/97 over the common denominator 97 q for d0 = p/q
                 p, q = d0.numerator, d0.denominator
                 left = _phase_cross(form, v, w, b, c, 97 * p - q, 97 * q)
@@ -436,21 +430,21 @@ def check_weyl_relations(word_max: int = 6) -> dict:
                 acc = acc.compose(prod)
             if not acc.is_identity():
                 ok = False
+        # one Gram check and one frontier word per distinct matrix
+        checked = set()
         frontier = [identity_element(system)]
         for _ in range(word_max):
-            nxt = []
+            nxt = {}
             for w in frontier:
                 for g in gens:
                     wg = w.compose(g)
-                    if not wg.preserves_form(gram):
-                        ok = False
                     words_checked += 1
-                    nxt.append(wg)
-            # keep the frontier small: distinct matrices only
-            seen = {}
-            for w in nxt:
-                seen.setdefault(w.matrix, w)
-            frontier = list(seen.values())
+                    if wg.matrix not in checked:
+                        checked.add(wg.matrix)
+                        if not wg.preserves_form(gram):
+                            ok = False
+                    nxt.setdefault(wg.matrix, wg)
+            frontier = list(nxt.values())
 
     system = build_elliptic("A-1")
     shear, flip = marking_stabilizer_generators(system)

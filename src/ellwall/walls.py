@@ -7,9 +7,8 @@ denominator (``TriPoly``).  The locus is *computed* from the central
 charge (real/imaginary parts expanded symbolically) rather than typed
 in, so the phase-alignment property is true by construction; the tests
 compare the closed form as usually printed against it.  The locus is
-linear in the wall's class w, so ``enumerate_v_walls`` expands it once
-per point count, against each coordinate Mukai vector, and builds every
-wall's locus as one integer combination of those coordinate loci.
+bilinear in (v, w), so ``WallChart`` builds every locus from the loci
+between coordinate Mukai vectors.
 
 Wall set for the rank-0 type: primitive pairs (r, s) with r >= 0,
 s >= 1 and depth r + s <= n (the point-contraction wall is (0, 1)).
@@ -60,8 +59,9 @@ class TriPoly:
     """Polynomial in three variables over Q, stored sparsely as integer
     numerators over one positive denominator, in lowest terms: every
     polynomial has one representation, so equality is a dict compare.
-    ``nums`` is never mutated after construction: ``evaluate`` keeps a
-    term table built from it on the polynomial."""
+    ``nums`` is never mutated after construction: ``secant_root`` keeps a
+    term table built from it on the polynomial, which equality, hashing
+    and printing skip."""
 
     __slots__ = ("nums", "den", "_table")
     VARS = ("b", "c", "d")
@@ -137,32 +137,29 @@ class TriPoly:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def evaluate(self, b: Scalar, c: Scalar, d: Scalar) -> Fraction:
-        """Value at a rational point, as one integer pass over the terms:
-        the sum is taken over the polynomial's denominator times each
-        coordinate's denominator raised to the top degree in it.  The
-        terms (i, j, k, numerator) and the top degree per axis are read
-        from ``nums`` once, on the first evaluation, and kept with the
-        polynomial; they take no part in equality, hashing or printing."""
+    def secant_root(self, b: Scalar, c: Scalar) -> Optional[Fraction]:
+        """Root -n0/n1 of the secant of d -> p(b, c, d) through d = 0, 1
+        (None if n1 = 0): n0 sums the d-free terms, n1 the rest at d = 1,
+        both times den qb^tb qc^tc (tb, tc the top degrees in b, c)."""
         table = self._table
         if table is None:
-            nums = self.nums
+            terms = self.nums.items()
             table = self._table = (
-                tuple((i, j, k, v) for (i, j, k), v in nums.items()),
-                tuple(max((key[a] for key in nums), default=0) for a in range(3)),
+                tuple((i, j, v) for (i, j, k), v in terms if not k),
+                tuple((i, j, v) for (i, j, k), v in terms if k),
+                max((key[0] for key in self.nums), default=0),
+                max((key[1] for key in self.nums), default=0),
             )
-        terms, (tb, tc, td) = table
-        # sb[e] = pb^e * qb^(tb - e) for b = pb/qb (so sb[0] = qb^tb), and so on
+        free_terms, rest_terms, tb, tc = table
+        # sb[e] = pb^e * qb^(tb - e) for b = pb/qb, sc likewise
         pb, qb = b.numerator, b.denominator
         pc, qc = c.numerator, c.denominator
-        pd, qd = d.numerator, d.denominator
         sb = [pb**e * qb ** (tb - e) for e in range(tb + 1)]
         sc = [pc**e * qc ** (tc - e) for e in range(tc + 1)]
-        sd = [pd**e * qd ** (td - e) for e in range(td + 1)]
-        total = 0
-        for i, j, k, v in terms:
-            total += v * sb[i] * sc[j] * sd[k]
-        return Fraction(total, self.den * sb[0] * sc[0] * sd[0])
+        n1 = sum(v * sb[i] * sc[j] for i, j, v in rest_terms)
+        if not n1:
+            return None
+        return Fraction(-sum(v * sb[i] * sc[j] for i, j, v in free_terms), n1)
 
     def __str__(self) -> str:
         if not self.nums:
@@ -237,14 +234,13 @@ def _check_hilbert_shape(v: MukaiVector) -> int:
 
 
 def phase_equal_locus(
-    charge_v: tuple[TriPoly, TriPoly], w: MukaiVector, ns: BilinearLattice
+    charge_v: tuple[TriPoly, TriPoly], charge_w: tuple[TriPoly, TriPoly]
 ) -> TriPoly:
-    """Phase-alignment locus of v and w, given v's charge
-    ``central_charge_sym(v, ns)``: Im(w)Re(v) - Re(w)Im(v) expanded from
-    the symbolic central charges.  Vanishes exactly where the two phases
-    coincide."""
+    """Phase-alignment locus of v and w, given their charges
+    ``central_charge_sym``: Im(w)Re(v) - Re(w)Im(v).  Vanishes exactly
+    where the two phases coincide."""
     re_v, im_v = charge_v
-    re_w, im_w = central_charge_sym(w, ns)
+    re_w, im_w = charge_w
     return im_w * re_v - re_w * im_v
 
 
@@ -300,58 +296,75 @@ def check_wall_type(type_name: str) -> None:
         )
 
 
-def _coordinate_loci(v: MukaiVector, ns: BilinearLattice) -> tuple[TriPoly, ...]:
-    """Phase-alignment loci of v against the rank + 2 coordinate Mukai
-    vectors (1, 0, 0), (0, e_i, 0) for each basis label, and (0, 0, 1/2),
-    in the order ``(rank, *c1, twice_ch2)`` of a vector's coordinates."""
-    charge_v = central_charge_sym(v, ns)
-    zero = (0,) * ns.rank
-    units = [MukaiVector(1, zero, 0)]
-    units += [MukaiVector(0, ns.basis_vector(label), 0) for label in ns.labels]
-    units.append(MukaiVector(0, zero, Fraction(1, 2)))
-    return tuple(phase_equal_locus(charge_v, u, ns) for u in units)
-
-
-def _combined_locus(loci: tuple[TriPoly, ...], w: MukaiVector) -> TriPoly:
-    """``phase_equal_locus(charge_v, w, ns)`` from v's coordinate loci: the
-    locus is linear in w, so it is the integer combination of the loci by
-    w's coordinates, summed in one pass over their common denominator."""
-    terms = [
-        (x, p) for x, p in zip((w.rank, *w.c1, w.twice_ch2), loci) if x and p.nums
-    ]
+def _combine(x: MukaiVector, polys: tuple[TriPoly, ...]) -> TriPoly:
+    """Sum of ``polys`` weighted by x's coordinates (rank, *c1,
+    twice_ch2), over their common denominator."""
+    coords = (x.rank, *x.c1, x.twice_ch2)
+    terms = [(k, p) for k, p in zip(coords, polys) if k and p.nums]
     den = math.lcm(*(p.den for _, p in terms))
     out: dict[Key, int] = {}
-    for x, p in terms:
-        f = x * (den // p.den)
+    for k, p in terms:
+        f = k * (den // p.den)
         for key, num in p.nums.items():
             out[key] = out.get(key, 0) + f * num
     return TriPoly(out, den)
 
 
+class WallChart:
+    """Walls of one type for any point count.  The locus of (v, w) is
+    bilinear, so it combines the loci between the rank + 2 units
+    (1, 0, 0), (0, e_i, 0), (0, 0, 1/2), expanded once per chart; each
+    caller builds its own chart for its run."""
+
+    def __init__(self, type_name: str):
+        check_wall_type(type_name)
+        self.type_name = type_name
+        self.ns = ns = surface_lattice(type_name)
+        zero = (0,) * ns.rank
+        units = [MukaiVector(1, zero, 0)]
+        units += [MukaiVector(0, ns.basis_vector(label), 0) for label in ns.labels]
+        units.append(MukaiVector(0, zero, Fraction(1, 2)))
+        charges = [central_charge_sym(u, ns) for u in units]
+        # table[a][b]: the locus of unit a against unit b
+        self._table = [[phase_equal_locus(za, zb) for zb in charges] for za in charges]
+
+    def walls(self, v: MukaiVector) -> list[WallSpec]:
+        """One wall per root class satisfying the depth bound, deduplicated
+        to normalized representatives; deterministic order (by position
+        for the rank-0 type, then by root data)."""
+        type_name, n = self.type_name, _check_hilbert_shape(v)
+        if type_name == "A-1":
+            # point coefficient s, fiber coefficient r
+            candidates = [EllipticRoot((), s, r) for r, s in _wall_pairs(n)]
+        else:
+            candidates = _root_candidates(type_name, n)
+        # v's locus against each unit
+        loci = tuple(_combine(v, column) for column in zip(*self._table))
+        walls: list[WallSpec] = []
+        for beta in candidates:
+            kc = root_to_kclass(beta, type_name)
+            degenerate = beta.m == 0 and beta.n == 0
+            ray = None if degenerate else _primitive_ray(beta.m, (1 - n * n) * beta.n)
+            pos = None if degenerate else Fraction(beta.n, beta.m) if beta.m else None
+            walls.append(WallSpec(beta, kc, _combine(kc, loci), ray, pos))
+        if type_name != "A-1":
+            walls.sort(key=lambda w: (w.root.m, w.root.n, w.root.finite))
+        return walls
+
+    def decomposition(self, n: int) -> ChamberDecomposition:
+        if n < 1:
+            raise ValueError("point count must be >= 1")
+        if self.type_name != "A-1":
+            raise UnsupportedTypeError(
+                "chamber positions on the level-1 line are modeled for type A-1 "
+                "only; other types expose wall lists via enumerate_v_walls"
+            )
+        walls = tuple(self.walls(hilbert_vector(n, self.ns)))
+        return ChamberDecomposition(self.type_name, n, walls, degenerate=(n == 1))
+
+
 def enumerate_v_walls(v: MukaiVector, type_name: str) -> list[WallSpec]:
-    """One wall per root class satisfying the depth bound, deduplicated to
-    normalized representatives; deterministic order (by position for the
-    rank-0 type, then by root data)."""
-    check_wall_type(type_name)
-    ns = surface_lattice(type_name)
-    n = _check_hilbert_shape(v)
-    if type_name == "A-1":
-        # point coefficient s, fiber coefficient r
-        candidates = [EllipticRoot((), s, r) for r, s in _wall_pairs(n)]
-    else:
-        candidates = _root_candidates(type_name, n)
-    loci = _coordinate_loci(v, ns)
-    walls: list[WallSpec] = []
-    for beta in candidates:
-        kc = root_to_kclass(beta, type_name)
-        locus = _combined_locus(loci, kc)
-        degenerate = beta.m == 0 and beta.n == 0
-        ray = None if degenerate else _primitive_ray(beta.m, (1 - n * n) * beta.n)
-        pos = None if degenerate else Fraction(beta.n, beta.m) if beta.m else None
-        walls.append(WallSpec(beta, kc, locus, ray, pos))
-    if type_name != "A-1":
-        walls.sort(key=lambda w: (w.root.m, w.root.n, w.root.finite))
-    return walls
+    return WallChart(type_name).walls(v)
 
 
 def _root_candidates(type_name: str, n: int) -> list[EllipticRoot]:
@@ -426,17 +439,7 @@ class ChamberDecomposition:
 
 
 def chamber_decomposition(n: int, type_name: str = "A-1") -> ChamberDecomposition:
-    if n < 1:
-        raise ValueError("point count must be >= 1")
-    if type_name != "A-1":
-        raise UnsupportedTypeError(
-            "chamber positions on the level-1 line are modeled for type A-1 "
-            "only; other types expose wall lists via enumerate_v_walls"
-        )
-    ns = surface_lattice(type_name)
-    v = hilbert_vector(n, ns)
-    walls = tuple(enumerate_v_walls(v, type_name))
-    return ChamberDecomposition(type_name, n, walls, degenerate=(n == 1))
+    return WallChart(type_name).decomposition(n)
 
 
 # ---------------------------------------------------------------------------

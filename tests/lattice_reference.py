@@ -132,6 +132,19 @@ def rational_terms(p: TriPoly) -> dict[Key, Fraction]:
     return {k: Fraction(v, p.den) for k, v in p.nums.items()}
 
 
+def value(p: TriPoly, b: Scalar, c: Scalar, d: Scalar) -> Fraction:
+    """A package polynomial's value at a rational point, read through the
+    reference model."""
+    return FracTriPoly(rational_terms(p)).evaluate(b, c, d)
+
+
+def secant_root(p: TriPoly, b: Scalar, c: Scalar) -> Optional[Fraction]:
+    """The reference secant root p0 / (p0 - p1) of d -> p(b, c, d) through
+    d = 0 and d = 1, from two Fraction evaluations; None when p0 = p1."""
+    p0, p1 = value(p, b, c, 0), value(p, b, c, 1)
+    return None if p0 == p1 else p0 / (p0 - p1)
+
+
 def frac_pair(
     gram: Sequence[Sequence[int]], u: Sequence[Scalar], v: Sequence[Scalar]
 ) -> Fraction:

@@ -12,6 +12,7 @@ from ellwall.fock import operators
 from ellwall.fock import verify as fock_verify
 from ellwall.fock.labels import COH_E, COH_PT
 from ellwall.fock.operators import OperatorExpr
+from ellwall.fock.states import FockState
 from ellwall.serialize import to_json
 
 
@@ -111,14 +112,28 @@ def test_c05_fails_when_two_part_field_coefficients_are_doubled(monkeypatch):
     to_json(result)
 
 
-def test_c06_fails_when_a_wall_is_listed_twice(monkeypatch):
-    real = walls.enumerate_v_walls
+def test_c05_fails_when_the_fiber_action_keeps_the_charge(monkeypatch):
+    # still an involution with the right per-mode signs
+    real = verify.monodromy_f
 
-    def doubled(v, type_name):
-        found = real(v, type_name)
+    def kept(state):
+        image = real(state)
+        return FockState(state.charge, image.terms)
+
+    monkeypatch.setattr(verify, "monodromy_f", kept)
+    result = verify.check_monodromy(3, 4)
+    assert result["pass"] is False
+    to_json(result)
+
+
+def test_c06_fails_when_a_wall_is_listed_twice(monkeypatch):
+    real = walls.WallChart.walls
+
+    def doubled(self, v):
+        found = real(self, v)
         return found[:1] + found
 
-    monkeypatch.setattr(walls, "enumerate_v_walls", doubled)
+    monkeypatch.setattr(walls.WallChart, "walls", doubled)
     result = verify.check_wall_sets(3)
     assert result["pass"] is False
     # the repeated position bounds an empty chamber, which is not counted
@@ -127,6 +142,9 @@ def test_c06_fails_when_a_wall_is_listed_twice(monkeypatch):
 
 
 def test_c06_fails_when_the_lattice_pairing_is_doubled(monkeypatch):
+    # each run builds its own wall chart, so a mutation installed after a
+    # passing run reaches the next one
+    assert verify.check_wall_sets(3)["pass"] is True
     real = lattices.BilinearLattice.pair
     monkeypatch.setattr(
         lattices.BilinearLattice, "pair", lambda self, u, v: 2 * real(self, u, v)
@@ -138,7 +156,9 @@ def test_c06_fails_when_the_lattice_pairing_is_doubled(monkeypatch):
 
 def test_c07_fails_when_the_real_charge_is_shifted(monkeypatch):
     # the shift reaches the wall loci through ``walls``; c07's pointwise
-    # charges come from the Mukai vectors, so every side test disagrees
+    # charges come from the Mukai vectors, so every side test disagrees.
+    # The run before it fills no cache that would keep the shift out.
+    assert verify.check_wall_sign_flip(4, 10, seed=3)["pass"] is True
     real = walls.central_charge_sym
 
     def shifted(x, ns):
@@ -174,6 +194,24 @@ def test_c07_fails_when_polynomial_products_drop_bc_terms(monkeypatch):
     result = verify.check_wall_sign_flip(4, 10, seed=3)
     assert result["pass"] is False
     assert (result["checked"], result["failures"]) == (130, 128)
+    to_json(result)
+
+
+def test_c10_fails_when_a_gram_entry_is_changed(monkeypatch):
+    # only the word loop reads the Gram matrix: every word of length 1 is
+    # checked against it, so one changed finite entry must show
+    real = verify.full_gram
+
+    def changed(system):
+        gram = [list(row) for row in real(system)]
+        gram[0][0] += 1
+        return tuple(map(tuple, gram))
+
+    monkeypatch.setattr(verify, "full_gram", changed)
+    result = verify.check_weyl_relations(2)
+    assert result["pass"] is False
+    assert result["stabilizer"]["flip_involution"] is True
+    assert result["stabilizer"]["dihedral_relation"] is True
     to_json(result)
 
 

@@ -141,7 +141,6 @@ class TestFockState:
     def test_vacuum(self):
         v = FockState(3, {(): 1})
         assert v.charge == 3 and not v.is_zero()
-        assert v.weight() == 0
 
     def test_add_same_charge(self):
         a = FockState.from_monomial(((1, COH_E),), 2)
@@ -159,14 +158,6 @@ class TestFockState:
     def test_cancellation_drops_monomial(self):
         a = FockState.from_monomial(((2, COH_E),), 1)
         assert sub(a, a).is_zero()
-
-    def test_weight_requires_homogeneous(self):
-        mixed = FockState(
-            0, {((1, COH_E),): Fraction(1), ((2, COH_E),): Fraction(1)}
-        )
-        assert not mixed.is_homogeneous()
-        with pytest.raises(ValueError):
-            mixed.weight()
 
     def test_shift_charge(self):
         assert shift_charge(FockState(1, {(): 1}), -3).charge == -2

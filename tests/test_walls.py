@@ -33,7 +33,7 @@ from ellwall.walls import (
     phase_equal_locus,
 )
 
-from lattice_reference import FracTriPoly, rational_terms, to_tripoly
+from lattice_reference import FracTriPoly, rational_terms, secant_root, to_tripoly, value
 
 NS = surface_lattice("A-1")
 ROOT = Path(__file__).resolve().parents[1]
@@ -189,8 +189,8 @@ class TestGeneralTypeWalls:
 
 
 class TestComposedLoci:
-    """Each wall's locus is composed from the loci of the coordinate Mukai
-    vectors; it must equal the direct expansion of both charges."""
+    """Each wall's locus is composed from the loci between the coordinate
+    Mukai vectors; it must equal the direct expansion of both charges."""
 
     CASES = [("A-1", n) for n in range(1, 13)] + [
         (t, n) for t in ("D4", "E6", "E8") for n in (1, 2)
@@ -204,7 +204,9 @@ class TestComposedLoci:
         walls = enumerate_v_walls(v, type_name)
         assert walls
         for spec in walls:
-            assert spec.locus == phase_equal_locus(charge_v, spec.kclass, ns)
+            assert spec.locus == phase_equal_locus(
+                charge_v, central_charge_sym(spec.kclass, ns)
+            )
 
     @pytest.mark.parametrize("type_name,n", [("A-1", 12), ("D4", 2), ("E8", 3)])
     def test_charge_expanded_per_coordinate_not_per_wall(
@@ -221,9 +223,26 @@ class TestComposedLoci:
 
         monkeypatch.setattr(walls_module, "central_charge_sym", counted)
         walls = enumerate_v_walls(v, type_name)
-        # at most v itself, (1, 0, 0), (0, e_i, 0) per basis label and (0, 0, 1/2)
-        assert len(calls) <= ns.rank + 3
+        # (1, 0, 0), (0, e_i, 0) per basis label and (0, 0, 1/2); not v itself
+        assert len(calls) == ns.rank + 2
         assert len(calls) < len(walls)
+
+    def test_criterion_expands_each_unit_charge_once_per_run(self, monkeypatch):
+        # c06 reads one chart for n = 1..12: the rank + 2 unit charges, and
+        # neither v's charge nor a unit charge per point count
+        calls = []
+        expand = walls_module.central_charge_sym
+
+        def counted(x, lattice):
+            calls.append(x)
+            return expand(x, lattice)
+
+        monkeypatch.setattr(walls_module, "central_charge_sym", counted)
+        assert verify.check_wall_sets(12)["pass"] is True
+        assert len(calls) == NS.rank + 2
+        assert {(x.rank, x.c1, x.twice_ch2) for x in calls} == {
+            (1, (0, 0), 0), (0, (1, 0), 0), (0, (0, 1), 0), (0, (0, 0), 1)
+        }
 
 
 class TestLoci:
@@ -232,7 +251,7 @@ class TestLoci:
         for n in (1, 2, 7):
             v = hilbert_vector(n, NS)
             kc = root_to_kclass(EllipticRoot((), 1, 0), "A-1")
-            locus = phase_equal_locus(central_charge_sym(v, NS), kc, NS)
+            locus = phase_equal_locus(central_charge_sym(v, NS), central_charge_sym(kc, NS))
             b, c, d = TriPoly.var("b"), TriPoly.var("c"), TriPoly.var("d")
             assert locus == d + b * c
 
@@ -242,7 +261,7 @@ class TestLoci:
         for n, r, s in [(3, 0, 2), (2, 1, 1), (5, 2, 3), (4, 3, 1)]:
             v = hilbert_vector(n, NS)
             kc = root_to_kclass(EllipticRoot((), s, r), "A-1")
-            locus = phase_equal_locus(central_charge_sym(v, NS), kc, NS)
+            locus = phase_equal_locus(central_charge_sym(v, NS), central_charge_sym(kc, NS))
             expected = s * d + s * b * c - r * (TriPoly.const(n) + b + b * c * c)
             assert locus == expected
 
@@ -251,12 +270,13 @@ class TestLoci:
         for n, s in [(2, 1), (4, 3)]:
             v = hilbert_vector(n, NS)
             kc = root_to_kclass(EllipticRoot((), s, 0), "A-1")
-            assert phase_equal_locus(central_charge_sym(v, NS), kc, NS) == phase_equal_locus_printed(0, s, n)
+            derived = phase_equal_locus(central_charge_sym(v, NS), central_charge_sym(kc, NS))
+            assert derived == phase_equal_locus_printed(0, s, n)
         # for r != 0 the two differ by twice r times the real part of Z(v)
         for n, r, s in [(2, 1, 1), (5, 2, 3)]:
             v = hilbert_vector(n, NS)
             kc = root_to_kclass(EllipticRoot((), s, r), "A-1")
-            derived = phase_equal_locus(central_charge_sym(v, NS), kc, NS)
+            derived = phase_equal_locus(central_charge_sym(v, NS), central_charge_sym(kc, NS))
             printed = phase_equal_locus_printed(r, s, n)
             re_v = c * d - TriPoly.const(n) - b
             assert printed == derived - 2 * r * re_v
@@ -265,8 +285,8 @@ class TestLoci:
     def test_central_charge_values(self):
         v = hilbert_vector(3, NS)
         re, im = central_charge_sym(v, NS)
-        assert re.evaluate(1, 2, 5) == 2 * 5 - 3 - 1
-        assert im.evaluate(1, 2, 5) == -(5 + 1 * 2)
+        assert value(re, 1, 2, 5) == 2 * 5 - 3 - 1
+        assert value(im, 1, 2, 5) == -(5 + 1 * 2)
 
     def test_sign_flip_across_locus(self):
         rng = random.Random(5)
@@ -281,12 +301,12 @@ class TestLoci:
                 c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
                 # locus is linear in d with nonzero coefficient: solve for d0
                 lin = spec.locus
-                coef = lin.evaluate(b, c, 1) - lin.evaluate(b, c, 0)
+                coef = value(lin, b, c, 1) - value(lin, b, c, 0)
                 assert coef != 0
-                d0 = -lin.evaluate(b, c, 0) / coef
+                d0 = -value(lin, b, c, 0) / coef
                 eps = Fraction(1, 97)
-                left = cross.evaluate(b, c, d0 - eps)
-                right = cross.evaluate(b, c, d0 + eps)
+                left = value(cross, b, c, d0 - eps)
+                right = value(cross, b, c, d0 + eps)
                 assert left != 0 and right != 0
                 assert (left > 0) != (right > 0)
 
@@ -320,14 +340,28 @@ class TestLoci:
                     got = verify._phase_cross(
                         form, coords(v), coords(spec.kclass), b, c, pd, qd
                     )
-                    assert got == scale * cross.evaluate(b, c, Fraction(pd, qd))
+                    assert got == scale * value(cross, b, c, Fraction(pd, qd))
+
+    def test_integer_root_is_the_reference_secant_root(self):
+        """c07's root for every wall with n <= 6, at seeded points and at
+        integer points, is the secant root of two Fraction evaluations."""
+        rng = random.Random(29)
+        for n in range(1, 7):
+            for spec in enumerate_v_walls(hilbert_vector(n, NS), "A-1"):
+                for _ in range(10):
+                    b = Fraction(rng.randint(1, 40), rng.randint(1, 9))
+                    c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                    got = spec.locus.secant_root(b, c)
+                    assert got is not None
+                    assert got == secant_root(spec.locus, b, c)
+                assert spec.locus.secant_root(3, -2) == secant_root(spec.locus, 3, -2)
 
 
 class TestTriPoly:
     def test_arith_and_eval(self):
         b, c, d = (TriPoly.var(v) for v in "bcd")
         p = (b + 2 * c) * (d - 3)
-        assert p.evaluate(1, 2, 5) == (1 + 4) * (5 - 3)
+        assert value(p, 1, 2, 5) == (1 + 4) * (5 - 3)
         assert (p - p).is_zero()
 
     def test_str_golden(self):
@@ -342,19 +376,24 @@ class TestTriPoly:
         ),
         RATIONALS,
         RATIONALS,
-        RATIONALS,
     )
-    def test_evaluate_matches_naive_sum(self, terms, b, c, d):
-        p, naive = to_tripoly(terms), FracTriPoly(terms)
-        value = p.evaluate(b, c, d)
-        assert type(value) is Fraction
-        assert value == naive.evaluate(b, c, d)
-        ints = (b.numerator, c.numerator, d.numerator)
-        assert p.evaluate(*ints) == naive.evaluate(*ints)
+    def test_secant_root_matches_the_reference_secant(self, terms, b, c):
+        p = to_tripoly(terms)
+        root = p.secant_root(b, c)
+        assert root is None or type(root) is Fraction
+        assert root == secant_root(p, b, c)
+        assert p.secant_root(b.numerator, c.numerator) == secant_root(
+            p, b.numerator, c.numerator
+        )
 
-    def test_evaluate_empty_polynomial(self):
-        assert TriPoly().evaluate(Fraction(-3, 4), 2, Fraction(5, 7)) == 0
-        assert type(TriPoly().evaluate(1, 2, 3)) is Fraction
+    def test_secant_root_of_a_polynomial_flat_in_d(self):
+        b, c, d = (TriPoly.var(v) for v in "bcd")
+        assert TriPoly().secant_root(Fraction(-3, 4), 2) is None
+        assert (b * c + 7).secant_root(1, 2) is None
+        # d terms that cancel at (b, c) = (1, 1): the secant is flat there
+        assert (d * (b - c) + 1).secant_root(1, 1) is None
+        assert (d * (b - c) + 1).secant_root(2, 1) == -1
+        assert (d * d + d - 6).secant_root(Fraction(1, 2), 5) == 3
 
 
 POLY_TERMS = st.dictionaries(
@@ -436,17 +475,18 @@ FIXED_POINTS = [(0, 0, 0), (Fraction(-7, 3), -2, Fraction(-1, 5))]
 
 
 class TestEvaluationTableIsInvisible:
-    """``evaluate`` keeps a term table on its polynomial; reusing it must
-    give the reference value every time, and nothing else may see it."""
+    """``secant_root`` keeps a term table on its polynomial; reusing it
+    must give the reference root every time, and nothing else may see it."""
 
     @settings(max_examples=100, deadline=None)
     @given(POLY_TERMS, st.lists(POINTS, min_size=1, max_size=12), SCALARS)
     def test_repeated_evaluation_and_arithmetic(self, terms, points, x):
         p, fresh, ref = to_tripoly(terms), to_tripoly(terms), FracTriPoly(terms)
-        for point in [*FIXED_POINTS, *points, *FIXED_POINTS, *points]:
-            value = p.evaluate(*point)
-            assert type(value) is Fraction
-            assert value == ref.evaluate(*point)
+        for b, c, _ in [*FIXED_POINTS, *points, *FIXED_POINTS, *points]:
+            root = p.secant_root(b, c)
+            assert root is None or type(root) is Fraction
+            p0, p1 = ref.evaluate(b, c, 0), ref.evaluate(b, c, 1)
+            assert root == (None if p0 == p1 else p0 / (p0 - p1))
         assert p == fresh and hash(p) == hash(fresh)
         assert str(p) == str(fresh) and repr(p) == repr(fresh)
         q = to_tripoly({(1, 0, 2): Fraction(-3, 4), (0, 1, 0): 2})
@@ -459,8 +499,8 @@ class TestEvaluationTableIsInvisible:
             (p / 3, fresh / 3),
         ]:
             assert got == want and hash(got) == hash(want) and str(got) == str(want)
-            for point in points:
-                assert got.evaluate(*point) == want.evaluate(*point)
+            for b, c, _ in points:
+                assert got.secant_root(b, c) == want.secant_root(b, c)
 
 
 class TestNefClassEvaluation:
@@ -508,8 +548,8 @@ class TestNefClassEvaluation:
         c2_curve = MukaiVector(0, (Fraction(1), Fraction(0)), Fraction(0))
         for spec in enumerate_v_walls(v, "A-1"):
             b, c = Fraction(3), Fraction(1, 2)
-            coef = spec.locus.evaluate(b, c, 1) - spec.locus.evaluate(b, c, 0)
-            d0 = -spec.locus.evaluate(b, c, 0) / coef
+            coef = value(spec.locus, b, c, 1) - value(spec.locus, b, c, 0)
+            d0 = -value(spec.locus, b, c, 0) / coef
             r_s, s_s, c_s = bayer_macri_class((b, Fraction(1)), (d0, c), v, NS)
             num = self._pair_with_curve(c1_curve, r_s, c_s, s_s)
             den = self._pair_with_curve(c2_curve, r_s, c_s, s_s)
