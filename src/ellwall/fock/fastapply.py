@@ -15,11 +15,10 @@ and turns back into monomials only for a witness or an output state:
   operators whose modes carry basis labels are supported (every mode
   then pairs against exactly one partner label), which covers every
   operator the verifiers build;
-* Heisenberg modes: a pair of lookups each, target and factor.
-  ``mode_tables`` fills every table on the enumerated basis in one pass,
-  for a check that reads every entry; ``mode_table`` fills one table's
-  entries per monomial on first read, numbering images above the basis
-  depth, for a check that reads few;
+* Heisenberg modes (``mode_table``): a pair of lookups each, target
+  and factor, filled per monomial on first read, numbering images above
+  the basis depth.  The slope-zero generators, a factor times one mode,
+  are operators like any other and go through ``RowTable``;
 * the charged field's slices (``ChargedField``): a monomial's slices are
   built the first time they are read, from the table for a pt-only
   monomial and as its pt part's slices spread with its other modes
@@ -466,49 +465,9 @@ class BasisIndex:
         return hit
 
 
-# (target, factor), lists from mode_tables or dicts from mode_table; a
-# reader looks up the target only where the factor is nonzero
-ModeTable = tuple[list[int] | dict[int, int], list[int] | dict[int, int]]
-
-
-def mode_tables(basis: BasisIndex, k_max: int) -> dict[tuple[int, int], ModeTable]:
-    """The Heisenberg modes alpha_n(label), 1 <= |n| <= k_max, on the
-    basis: alpha_n(label) sends monomial i to ``factor[i]`` times
-    monomial ``target[i]`` for the table (target, factor) of (n, label),
-    and to zero where ``factor[i]`` is 0.
-
-    A single mode is a weighted partial injection, so one pass fills
-    every table: for each distinct mode (k, l), k <= k_max, of monomial
-    j, with i the monomial j less one copy of (k, l), the creation
-    alpha_{-k}(l) sends i to j with the sign of the odd modes it crosses,
-    and the annihilation alpha_k(dual l) sends j to i times
-    k <dual l, l>, the multiplicity of (k, l) in j and the same sign.
-    A creation whose image lies above the basis depth reads as zero."""
-    size = basis.size
-    index = basis.index
-    tables = {
-        (n, label): ([0] * size, [0] * size)
-        for k in range(1, k_max + 1)
-        for n in (-k, k)
-        for label in range(4)
-    }
-    for j, mono in enumerate(basis.monos[:size]):
-        odd_before = 0
-        prev = None
-        for pos, mode in enumerate(mono):
-            k, label = mode
-            if k <= k_max and mode != prev:
-                i = index[mono[:pos] + mono[pos + 1 :]]
-                sign = -1 if LABEL_PARITY[label] and odd_before & 1 else 1
-                target, factor = tables[-k, label]
-                target[i], factor[i] = j, sign
-                dual = _DUAL[label]
-                target, factor = tables[k, dual]
-                target[j] = i
-                factor[j] = k * pairing_scalar(dual, label) * mono.count(mode) * sign
-            odd_before += LABEL_PARITY[label]
-            prev = mode
-    return tables
+# (target, factor) of one Heisenberg mode, from mode_table; a reader
+# looks up the target only where the factor is nonzero
+ModeTable = tuple[dict[int, int], dict[int, int]]
 
 
 class _ModeFactors(dict):
@@ -536,11 +495,12 @@ class _ModeFactors(dict):
 
 def mode_table(basis: BasisIndex, n: int, label: int) -> ModeTable:
     """The Heisenberg mode alpha_n(label), n != 0, on the basis as a
-    (target, factor) pair read like a table of ``mode_tables``, with
-    each entry filled the first time its factor is read: the creation or
+    (target, factor) pair: it sends monomial i to ``factor[i]`` times
+    monomial ``target[i]``, and to zero where ``factor[i]`` is 0.  Each
+    entry is filled the first time its factor is read: the creation or
     annihilation chain of the one mode, as a ``RowTable`` applies it.
     Any monomial the basis numbers may be read, and a creation image
-    above the basis depth is numbered, not read as zero."""
+    above the basis depth is numbered."""
     factor = _ModeFactors(basis, n, label)
     return factor.target, factor
 

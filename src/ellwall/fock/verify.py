@@ -35,12 +35,12 @@ building the difference only for a failure witness.
 
 All engines work on sparse integer rows keyed by basis index (see
 fastapply) so the full mandatory sweeps run in seconds rather than
-hours: one denominator per operator table for the bracket, per charged
-field for the vertex commutator, and the bare mode tables for the
-slope-zero checks, where alpha_n(g) alpha_{-n}(h) is two table lookups
-and the generator factors come in once per identity.  Rows are divided
-back to exact rationals only for the reported rescales and central
-scalars and when a failure witness is built.
+hours: one denominator per operator table for the bracket, and per
+charged field for the vertex commutator.  The slope-zero checks run on
+the bracket engine, whose central instances (a+c, b+d) = (0, 0) are
+their pairing.  Rows are divided back to exact rationals only for the
+reported rescales and central scalars and when a failure witness is
+built.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .fastapply import (
     add_scaled,
     commutator_rows,
     mode_table,
-    mode_tables,
 )
 from .labels import (
     COH_E,
@@ -70,7 +69,7 @@ from .labels import (
     pairing_scalar,
     star_label,
 )
-from .operators import w_general, w_small
+from .operators import w_general
 from .states import FockState, Monomial
 
 
@@ -115,7 +114,8 @@ class BracketReport(NamedTuple):
 
 class _BracketEngine:
     """Per-truncation action tables for bracket verification, shared by
-    the instances of one sweep or one stream of point queries.
+    the instances of one sweep (the bracket table's, or the slope-zero
+    one's) or one stream of point queries.
 
     Each table is stored as (denominator, integer rows): the operator's
     denom and its RowTable on the engine's one BasisIndex, so a row is
@@ -586,7 +586,7 @@ def vertex_commutator_sweep(
 
 
 # ---------------------------------------------------------------------------
-# slope-zero generators against bare Heisenberg modes
+# slope-zero generators: normalization and the central pairing
 
 
 def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
@@ -595,30 +595,34 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
     the central pairing [w^{0,n}_g, w^{0,-n}_h} = n <g,h> for every
     ordered label pair and 1 <= n <= n_max.
 
-    The generator w^{0,n}_g is one term, a factor times the bare mode
-    alpha_n(g); the sweep reads that factor off ``w_small``, works on the
-    integer mode tables of the basis and brings the factors in once per
-    identity; a failure divides back to exact rationals."""
-    basis = BasisIndex(N)
-    monos = basis.monos
-    tables = mode_tables(basis, n_max)
+    The sweep reads both through its own bracket engine, dropped when it
+    returns.  The generator w^{0,n}_g is one term, a factor times the
+    bare mode alpha_n(g); a factor other than 1/n for E or n for pt
+    fails on every monomial holding the mode alpha_n(g) contracts
+    (``RowTable.contracted``), one witness each.  The pairing is the
+    central instance (a+c, b+d) = (0, 0) of the bracket relation, checked
+    on the window N - n with the engine's spectator reduction and
+    super-commuting skip; a failing pairing gives one witness, the
+    engine's (the first monomial whose row breaks the uniform scalar) or
+    the vacuum for a wrong uniform scalar.  For n > N that window is
+    empty and the pairing is skipped.  ``checked`` counts every
+    instance: each basis monomial per normalization, and each window
+    monomial per label pair."""
+    engine = _BracketEngine(N)
+    basis = engine.basis
+    monos = basis.monos[: basis.size]
+    pairs = list(product(range(4), repeat=2))
     failures: list[dict] = []
     checked = 0
     for n in range(1, n_max + 1):
-        factors = {}
-        for mode in (n, -n):
-            for li in range(4):
-                op = w_small(mode, li)
-                (term,) = op.terms
-                factors[mode, li] = Fraction(term.coeff, op.denom)
-        # w^{0,n}_E = alpha_n(E)/n and w^{0,n}_pt = n alpha_n(pt); the
-        # generator's row differs from the scaled mode only where the
-        # factors differ and the alpha row does not vanish
-        for li, factor in ((COH_E, Fraction(1, n)), (COH_PT, Fraction(n))):
-            same = factors[n, li] == factor
-            for mono, alpha in zip(monos, tables[n, li][1]):
-                checked += 1
-                if not same and alpha:
+        for li, want in ((COH_E, Fraction(1, n)), (COH_PT, Fraction(n))):
+            checked += len(monos)
+            denom, rows = engine.rows(0, n, li)
+            (term,) = rows.op.terms
+            if Fraction(term.coeff, denom) == want:
+                continue
+            for mono in monos:
+                if not rows.contracted.isdisjoint(mono):
                     failures.append(
                         {
                             "identity": f"w[0,{n}] normalization",
@@ -626,46 +630,24 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
                             "state": FockState.from_monomial(mono).to_json_dict(),
                         }
                     )
-        # central pairing on all ordered label pairs
-        for gi in range(4):
-            for hi in range(4):
-                expected = Fraction(n * pairing_scalar(gi, hi))
-                # both orders carry f(n, g) f(-n, h): the bare alpha
-                # commutator must be expected over that factor
-                scale = factors[n, gi] * factors[-n, hi]
-                want = expected / scale
-                if want.denominator == 1:
-                    want = want.numerator
-                eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
-                up, down = tables[n, gi], tables[-n, hi]
-                for i, mono in enumerate(monos[: basis.count(N - n)]):
-                    checked += 1
-                    diff = _mode_pair(up, down, i)
-                    add_scaled(diff, _mode_pair(down, up, i), eps)
-                    if diff != ({i: want} if want else {}):
-                        failures.append(
-                            {
-                                "identity": f"[w[0,{n}],w[0,{-n}]] central",
-                                "labels": [LABEL_NAMES[gi], LABEL_NAMES[hi]],
-                                "state": FockState.from_monomial(mono).to_json_dict(),
-                                "got": FockState(
-                                    0, {monos[u]: v * scale for u, v in diff.items()}
-                                ).to_json_dict(),
-                                "expected": frac_str(expected),
-                            }
-                        )
+        checked += len(pairs) * basis.count(N - n)
+        if n > N:
+            continue
+        for gi, hi in pairs:
+            expected = Fraction(n * pairing_scalar(gi, hi))
+            report, _ = engine.pair_reports(0, n, gi, 0, -n, hi)
+            if report.kind == "central" and report.central_value == expected:
+                continue
+            witness = report.witness or {
+                "state": FockState.from_monomial(()).to_json_dict(),
+                "got": FockState.from_monomial((), report.central_value).to_json_dict(),
+                "expected": frac_str(expected),
+            }
+            failures.append(
+                {
+                    "identity": f"[w[0,{n}],w[0,{-n}]] central",
+                    "labels": [LABEL_NAMES[gi], LABEL_NAMES[hi]],
+                    **witness,
+                }
+            )
     return {"truncation": N, "checked": checked, "failures": failures, "ok": not failures}
-
-
-def _mode_pair(outer: ModeTable, inner: ModeTable, i: int) -> IndexRow:
-    """Row of the product of two single modes on basis monomial i, the
-    ``inner`` mode first.  Each mode sends a monomial to one monomial or
-    to zero, so the product does too."""
-    target, factor = inner
-    c = factor[i]
-    if not c:
-        return {}
-    j = target[i]
-    target, factor = outer
-    c *= factor[j]
-    return {target[j]: c} if c else {}

@@ -71,7 +71,8 @@ def check_hh0_table() -> dict:
 
 def check_small_modes(truncation: int = 8, n_max: int = 6) -> dict:
     """Slope-0 generators versus scaled single modes on the full basis,
-    and their pairing-valued commutators for every label pair."""
+    and their pairing-valued commutators for every label pair, as
+    central instances of the bracket engine."""
     sweep = small_mode_sweep(truncation, n_max)
     return {
         "criterion": "nakajima-normalization",

@@ -25,6 +25,20 @@ def test_c01_fails_when_a_table_entry_is_changed(monkeypatch):
     to_json(result)
 
 
+def test_c02_fails_when_the_commutator_rows_are_empty(monkeypatch):
+    # the twelve label pairs of zero pairing still pass; the four dual
+    # pairs, one witness per n <= 4, do not
+    monkeypatch.setattr(
+        fock_verify, "commutator_rows", lambda a, b, indices, eps: [{}] * len(indices)
+    )
+    result = verify.check_small_modes(6, 4)
+    assert result["pass"] is False
+    assert len(result["failures"]) == 16
+    pairs = {tuple(f["labels"]) for f in result["failures"]}
+    assert pairs == {("E", "pt"), ("pt", "E"), ("sigma+", "sigma-"), ("sigma-", "sigma+")}
+    to_json(result)
+
+
 def test_c04_fails_when_the_target_label_is_shifted(monkeypatch):
     # truncation 4 is the least the sweep's modes |b|, |d| <= 2 allow
     real = fock_verify.star_label

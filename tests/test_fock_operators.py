@@ -13,7 +13,7 @@ from ellwall.fock.fastapply import (
     commutator_rows,
     compose_rows,
     creation_chain,
-    mode_tables,
+    mode_table,
 )
 from ellwall.fock import verify as fock_verify
 from ellwall.fock.labels import (
@@ -368,7 +368,6 @@ class TestFastRows:
         size = basis.size
         enumerated = list(basis.monos)
         counts = [basis.count(w) for w in range(-1, 7)]
-        tables = mode_tables(basis, 2)
         assert basis.number(((2, COH_PT), (1, COH_E))) == enumerated.index(
             ((2, COH_PT), (1, COH_E))
         )
@@ -378,14 +377,28 @@ class TestFastRows:
         higher = ((4, COH_SP), (1, COH_SP))
         assert basis.number(higher) == size + 1
         assert basis.number(high) == j
-        # the enumerated basis, its counts and its mode tables stay put
+        # the enumerated basis, its counts and its mode table reads stay put
         assert [basis.count(w) for w in range(-1, 7)] == counts
         assert basis.monos[: basis.count(basis.depth)] == enumerated
         assert basis.size == size == len(enumerated)
-        assert mode_tables(basis, 2) == tables
         assert basis.monomials({j: 7, 0: -1, size + 1: 2}) == {
             high: 7, (): -1, higher: 2,
         }
+        assert self.mode_reads(basis) == self.mode_reads(BasisIndex(3))
+
+    @staticmethod
+    def mode_reads(basis):
+        """Every nonzero entry of the mode tables with |n| <= 2 on the
+        enumerated monomials, keyed by monomials."""
+        monos = basis.monos
+        reads = {}
+        for n in (-2, -1, 1, 2):
+            for label in range(4):
+                target, factor = mode_table(basis, n, label)
+                for i in range(basis.size):
+                    if factor[i]:
+                        reads[n, label, monos[i]] = (monos[target[i]], factor[i])
+        return reads
 
     # a few indices and small coefficients, so products collide and cancel
     _row = st.dictionaries(

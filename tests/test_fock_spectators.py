@@ -47,6 +47,7 @@ class UnfactoredRows(dict):
         self.op = op
         self.basis = basis
         self.grouped = _grouped_terms(op)
+        self.contracted = self.grouped[1]
 
     def __missing__(self, i):
         energy = self.basis.energy[i]

@@ -16,7 +16,6 @@ from ellwall.fock.fastapply import (
     annihilation_chain,
     creation_chain,
     mode_table,
-    mode_tables,
 )
 from ellwall.fock.labels import (
     COH_E,
@@ -162,23 +161,6 @@ def corrupt_pairing(monkeypatch):
 # the index engine against the oracles
 
 
-def test_mode_tables_match_single_mode_row():
-    """Every single-mode row of the tables against the reference
-    alpha_apply, exactly: the image and its coefficient where the image
-    lies in the basis, and a zero factor otherwise."""
-    basis = BasisIndex(8)
-    tables = mode_tables(basis, 4)
-    assert len(tables) == 32
-    for (n, label), (target, factor) in tables.items():
-        assert len(target) == len(factor) == basis.size
-        for i, mono in enumerate(basis.monos):
-            want = alpha_apply(n, label, FockState.from_monomial(mono)).terms
-            if want and monomial_energy(mono) - n <= basis.depth:
-                assert {basis.monos[target[i]]: Fraction(factor[i])} == want
-            else:
-                assert factor[i] == 0
-
-
 def _mode_entry(basis: BasisIndex, table, i: int) -> dict[Monomial, Fraction]:
     """The image of monomial i under a (target, factor) mode table."""
     target, factor = table
@@ -196,26 +178,20 @@ def _lazy_tables(basis: BasisIndex) -> dict:
     }
 
 
-def test_mode_table_matches_mode_tables():
+def test_mode_table_matches_single_mode_reference():
     """Every per-monomial table with |n| <= 4 on every monomial of the
-    depth-8 basis against ``mode_tables``; where that reads zero because
-    a creation image lies above the depth, against the reference
-    alpha_apply."""
+    depth-8 basis against the reference alpha_apply, exactly: the image
+    and its coefficient, creation images above the depth included, and
+    a zero factor where the mode vanishes."""
     basis = BasisIndex(8)
-    bulk = mode_tables(basis, 4)
     lazy = _lazy_tables(basis)
-    assert lazy.keys() == bulk.keys()
+    assert len(lazy) == 32
     above = 0
     for (n, label), table in lazy.items():
-        target, factor = bulk[n, label]
         for i, mono in enumerate(basis.monos[: basis.size]):
-            if factor[i] or basis.energy[i] - n <= basis.depth:
-                assert table[1][i] == factor[i]
-                assert not factor[i] or table[0][i] == target[i]
-            else:
-                want = alpha_apply(n, label, FockState.from_monomial(mono)).terms
-                assert _mode_entry(basis, table, i) == want
-                above += 1
+            want = alpha_apply(n, label, FockState.from_monomial(mono)).terms
+            assert _mode_entry(basis, table, i) == want
+            above += bool(want) and basis.energy[i] - n > basis.depth
     assert above > 1000
 
 
@@ -238,8 +214,8 @@ def test_mode_table_above_the_depth_matches_reference():
 
 
 def test_sweep_numbers_the_window_and_the_images_it_reads(monkeypatch):
-    """The sweep enumerates its window alone, calls no bulk mode_tables,
-    and numbers fewer monomials than the image bound's basis holds."""
+    """The sweep enumerates its window alone and numbers fewer monomials
+    than the image bound's basis holds."""
     made = []
 
     class Recording(BasisIndex):
@@ -247,11 +223,7 @@ def test_sweep_numbers_the_window_and_the_images_it_reads(monkeypatch):
             super().__init__(depth)
             made.append(self)
 
-    def bulk(*args):
-        raise AssertionError("mode_tables called")
-
     monkeypatch.setattr(verify, "BasisIndex", Recording)
-    monkeypatch.setattr(verify, "mode_tables", bulk)
     assert verify.vertex_commutator_sweep(4)["ok"]
     (basis,) = made
     assert basis.depth == 4
