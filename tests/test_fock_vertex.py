@@ -178,20 +178,39 @@ def _lazy_tables(basis: BasisIndex) -> dict:
     }
 
 
-def test_mode_table_matches_single_mode_reference():
-    """Every per-monomial table with |n| <= 4 on every monomial of the
-    depth-8 basis against the reference alpha_apply, exactly: the image
-    and its coefficient, creation images above the depth included, and
-    a zero factor where the mode vanishes."""
+def test_mode_tables_match_single_mode_row():
+    """Every single-mode row of the tables with |n| <= 4 on the depth-8
+    basis whose image lies within the depth against the reference
+    alpha_apply, exactly: the image and its coefficient, and a zero
+    factor where the mode vanishes."""
     basis = BasisIndex(8)
     lazy = _lazy_tables(basis)
     assert len(lazy) == 32
-    above = 0
     for (n, label), table in lazy.items():
         for i, mono in enumerate(basis.monos[: basis.size]):
-            want = alpha_apply(n, label, FockState.from_monomial(mono)).terms
-            assert _mode_entry(basis, table, i) == want
-            above += bool(want) and basis.energy[i] - n > basis.depth
+            if basis.energy[i] - n <= basis.depth:
+                want = alpha_apply(n, label, FockState.from_monomial(mono)).terms
+                assert _mode_entry(basis, table, i) == want
+
+
+def test_mode_table_matches_mode_tables():
+    """Every per-monomial table with |n| <= 4, read on its own basis,
+    against the same table among all 32 filled on one shared depth-8
+    basis, keyed by monomials; where the image is a creation image above
+    the depth, against the reference alpha_apply as well."""
+    shared = BasisIndex(8)
+    tables = _lazy_tables(shared)
+    above = 0
+    for (n, label), table in tables.items():
+        alone = BasisIndex(8)
+        single = mode_table(alone, n, label)
+        for i, mono in enumerate(shared.monos[: shared.size]):
+            got = _mode_entry(shared, table, i)
+            assert _mode_entry(alone, single, alone.index[mono]) == got
+            if shared.energy[i] - n > shared.depth:
+                want = alpha_apply(n, label, FockState.from_monomial(mono)).terms
+                assert got == want
+                above += bool(want)
     assert above > 1000
 
 
