@@ -29,11 +29,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .fock.fastapply import creation_chain
 from .fock.labels import LABEL_NAMES, label_index
 from .fock.monodromy import monodromy_f, monodromy_s
 from .fock.operators import FockConfig
-from .fock.states import FockState
+from .fock.states import FockState, creation_chain
 from .fock.verify import bracket_verify
 from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, cyclo_str, frac_str, metadata, to_json
 

@@ -15,8 +15,8 @@ and turns back into monomials only for a witness or an output state:
   operators whose modes carry basis labels are supported (every mode
   then pairs against exactly one partner label), which covers every
   operator the verifiers build;
-* Heisenberg modes (``mode_table``): a pair of lookups each, target
-  and factor, filled per monomial on first read, numbering images above
+* Heisenberg modes (``ModeTable``): one lookup each, (target, factor)
+  or None, filled per monomial on first read, numbering images above
   the basis depth.  The slope-zero generators, a factor times one mode,
   are operators like any other and go through ``RowTable``;
 * the charged field's slices (``ChargedField``): a monomial's slices are
@@ -27,8 +27,9 @@ and turns back into monomials only for a witness or an output state:
 The basis owns the contraction work: it caches each annihilation chain
 per (monomial, part) (``BasisIndex.contract``), each creation merge per
 (monomial, creation part) (``merge``) and each split into active part
-and spectators per contracted mode set (``split``), for every table and
-field on it, so an engine runs each chain once.
+and spectators per contracted mode set (``split``), for every table,
+field and sweep on it, so an engine runs each chain and split once.
+The chains themselves are the monomial rules of ``states``.
 
 Spectators: a mode that no annihilation group of an operator contracts
 super-commutes with the operator, so the operator's row on a monomial is
@@ -55,77 +56,14 @@ from bisect import bisect_right
 from collections import defaultdict
 from typing import Optional, Sequence
 
-from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, pairing_scalar
+from .labels import COH_E, LABEL_PARITY
 from .operators import FieldTable, OperatorExpr
-from .states import Monomial, _mode_key, basis_monomials, monomial_energy
-
-# label paired nontrivially against each basis label
-_DUAL = (COH_PT, COH_SM, COH_SP, COH_E)
+from .states import (
+    _DUAL, Monomial, _mode_key, annihilation_chain, basis_monomials, creation_chain,
+    monomial_energy,
+)
 
 IndexRow = dict[int, int]
-
-
-def annihilation_chain(
-    mono: Monomial, part: Monomial
-) -> Optional[tuple[int, Monomial]]:
-    """Apply the annihilation modes of ``part`` (stored canonically, k
-    descending; applied in reversed order, exactly as the reference
-    ``apply`` in ``tests/fock_reference.py`` does) to a single monomial.  Returns (integer factor, reduced
-    monomial) or None when the contraction vanishes."""
-    factor = 1
-    cur = mono
-    for k, label in reversed(part):
-        partner = _DUAL[label]
-        odd = LABEL_PARITY[label]
-        sign = 1
-        total = 0
-        reduced: Optional[Monomial] = None
-        for i, (ki, li) in enumerate(cur):
-            if ki == k and li == partner:
-                total += sign * k * pairing_scalar(label, li)
-                if reduced is None:
-                    reduced = cur[:i] + cur[i + 1 :]
-            if odd and LABEL_PARITY[li]:
-                sign = -sign
-        if not total or reduced is None:
-            return None
-        factor *= total
-        cur = reduced
-    return factor, cur
-
-
-def creation_chain(
-    mono: Monomial, part: Monomial
-) -> Optional[tuple[int, Monomial]]:
-    """Apply the creation modes of a canonical ``part`` (rightmost first,
-    as the reference ``apply`` in ``tests/fock_reference.py`` does) to a
-    canonical monomial in one merge pass: each odd mode of the part passes the odd modes of ``mono``
-    before it, a sign each.  Returns (sign, monomial), or None when an
-    odd mode repeats, within the part or against the monomial."""
-    out: list[tuple[int, int]] = []
-    sign = 1
-    odd_passed = 0
-    i = 0
-    size = len(mono)
-    for mode in part:
-        k, label = mode
-        while i < size:
-            cur = mono[i]
-            if cur[0] > k or (cur[0] == k and cur[1] < label):
-                out.append(cur)
-                odd_passed += LABEL_PARITY[cur[1]]
-                i += 1
-            else:
-                break
-        if LABEL_PARITY[label]:
-            # a repeat sits just before (within the part) or just after
-            if (out and out[-1] == mode) or (i < size and mono[i] == mode):
-                return None
-            if odd_passed & 1:
-                sign = -sign
-        out.append(mode)
-    out.extend(mono[i:])
-    return sign, tuple(out)
 
 
 def add_scaled(acc: IndexRow, row: IndexRow, c: int) -> None:
@@ -283,6 +221,7 @@ class RowTable(dict):
         self.basis = basis
         self._grouped = _grouped_terms(op)
         _, self.contracted, self.created = self._grouped
+        # the basis's splits on ``contracted``, read without a call per row
         self._splits = basis._splits[self.contracted]
         # active part index -> its row, built from the terms
         self._active: dict[int, IndexRow] = {}
@@ -293,9 +232,7 @@ class RowTable(dict):
         window = self.op.truncation
         if window is not None and energy > window:
             raise ValueError(f"operator window {window} below basis energy {energy}")
-        split = self._splits.get(i)
-        if split is None:
-            split = basis.split(i, self.contracted)
+        split = self._splits.get(i) or basis.split(i, self.contracted)
         a, spectators, sign, odd = split
         row = self._active_row(a)
         if spectators:
@@ -373,14 +310,16 @@ class BasisIndex:
         return ann
 
     def split(self, i: int, contracted: frozenset) -> tuple[int, Monomial, int, int]:
-        """Monomial i as sigma S act (see RowTable), cached per contracted
-        set: (index of act, S, sigma, parity of S's odd-mode count)."""
+        """Monomial i as sigma S act (see RowTable): (index of act, S,
+        sigma, parity of S's odd-mode count), kept in the cache of the
+        contracted set, where its readers look first."""
         act = []
         spectators = []
-        odd = 0
+        odd = act_odd = 0
         for md in self.monos[i]:
             if md in contracted:
                 act.append(md)
+                act_odd |= LABEL_PARITY[md[1]]
             else:
                 spectators.append(md)
                 odd ^= LABEL_PARITY[md[1]]
@@ -389,7 +328,8 @@ class BasisIndex:
         else:
             spectators = tuple(spectators)
             a = self.number(tuple(act))
-            sign = 1 if self.merge(a, spectators) >= 0 else -1
+            # S passes an odd mode only if act holds one (creation_chain)
+            sign = -1 if act_odd and self.merge(a, spectators) < 0 else 1
             split = (a, spectators, sign, odd)
         self._splits[contracted][i] = split
         return split
@@ -465,44 +405,28 @@ class BasisIndex:
         return hit
 
 
-# (target, factor) of one Heisenberg mode, from mode_table; a reader
-# looks up the target only where the factor is nonzero
-ModeTable = tuple[dict[int, int], dict[int, int]]
-
-
-class _ModeFactors(dict):
-    """The factor side of one ``mode_table``: the entry of monomial i is
-    the single-mode chain on i, filled on first read together with the
-    image's index in ``target``."""
+class ModeTable(dict):
+    """The Heisenberg mode alpha_n(label), n != 0, on a basis: the entry
+    of monomial i is (target, factor) when the mode sends it to factor
+    times monomial target, and None when it sends it to zero.  Each
+    entry is filled the first time it is read: the creation or
+    annihilation chain of the one mode, as a ``RowTable`` applies it.
+    Any monomial the basis numbers may be read, and a creation image
+    above the basis depth is numbered."""
 
     def __init__(self, basis: BasisIndex, n: int, label: int):
         super().__init__()
         self.basis = basis
         self.part = ((abs(n), label),)
         self.chain = creation_chain if n < 0 else annihilation_chain
-        self.target: dict[int, int] = {}
 
-    def __missing__(self, i: int) -> int:
+    def __missing__(self, i: int) -> Optional[tuple[int, int]]:
         basis = self.basis
         hit = self.chain(basis.monos[i], self.part)
-        factor = 0
         if hit is not None:
-            factor, image = hit
-            self.target[i] = basis.number(image)
-        self[i] = factor
-        return factor
-
-
-def mode_table(basis: BasisIndex, n: int, label: int) -> ModeTable:
-    """The Heisenberg mode alpha_n(label), n != 0, on the basis as a
-    (target, factor) pair: it sends monomial i to ``factor[i]`` times
-    monomial ``target[i]``, and to zero where ``factor[i]`` is 0.  Each
-    entry is filled the first time its factor is read: the creation or
-    annihilation chain of the one mode, as a ``RowTable`` applies it.
-    Any monomial the basis numbers may be read, and a creation image
-    above the basis depth is numbered."""
-    factor = _ModeFactors(basis, n, label)
-    return factor.target, factor
+            hit = (basis.number(hit[1]), hit[0])
+        self[i] = hit
+        return hit
 
 
 class ChargedField(dict):
@@ -523,15 +447,16 @@ class ChargedField(dict):
     monomial i.
 
     The slices of a monomial depend on it only through its pt modes: the
-    E-annihilators contract pt modes alone, so the other modes are
-    spectators, and the images hold no odd mode, so every merge sign is
-    1.  So only a pt-only monomial's slices are built from the table,
-    each image as the cached merge (``BasisIndex.merge``) of its created
-    E-modes into the contracted pt part, which the fields of one basis
-    share; any other monomial's are those of its pt part, read from the
-    field (so built once), spread (``BasisIndex.spread``) with its other
-    modes.  The field refers to nothing that refers back to it, so
-    dropping the last reference frees its slices at once."""
+    E-annihilators contract pt modes alone (``contracted``), so the other
+    modes are spectators, and the images hold no odd mode, so every
+    merge sign is 1.  So only a pt-only monomial's slices are built from
+    the table, each image as the cached merge (``BasisIndex.merge``) of
+    its created E-modes into the contracted pt part, which the fields of
+    one basis share; any other monomial's are those of its pt part (its
+    ``BasisIndex.split`` on ``contracted``), read from the field (so
+    built once), spread (``BasisIndex.spread``) with its other modes.
+    The field refers to nothing that refers back to it, so dropping the
+    last reference frees its slices at once."""
 
     def __init__(
         self, m: int, n_lo: int, n_hi: int, basis: BasisIndex, top: int, bound: int
@@ -549,22 +474,25 @@ class ChargedField(dict):
         self.denom = table.denom
         self._create = table.create
         self._annihilate = dict(pair for level in table.annihilate for pair in level)
+        self.contracted = frozenset(
+            (k, _DUAL[label]) for part in self._annihilate for k, label in part
+        )
+        self._splits = basis._splits[self.contracted]
 
     def __missing__(self, i: int) -> dict[int, IndexRow]:
         basis = self.basis
         energy = basis.energy[i]
         if energy > self.top:
             raise ValueError(f"field top {self.top} below basis energy {energy}")
-        mono = basis.monos[i]
-        pt = tuple(md for md in mono if md[1] == COH_PT)
-        if len(pt) == len(mono):
+        split = self._splits.get(i) or basis.split(i, self.contracted)
+        a, spectators, sign, _ = split
+        if not spectators:
             slices = self._pt_slices(i)
         else:
-            spectators = tuple(md for md in mono if md[1] != COH_PT)
             lo = energy - self.bound
             slices = {
-                n: basis.spread(row, spectators)
-                for n, row in self[basis.number(pt)].items()
+                n: basis.spread(row, spectators, sign)
+                for n, row in self[a].items()
                 if n >= lo
             }
         self[i] = slices

@@ -31,10 +31,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, label_index
-from .states import Monomial, _mode_key, monomial_energy
+from .states import Monomial, _mode_key, creation_chain, monomial_energy
 
 
 class ExtendedModeError(ValueError):
@@ -259,52 +259,31 @@ def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
     )
 
 
-def _merged(few: Monomial, mono: Monomial) -> Monomial:
-    """The canonical monomial holding the modes of two canonical ones, in
-    one linear merge (no sign: callers merge modes that cross no odd
-    mode)."""
-    if not few:
-        return mono
-    out = []
-    j = 0
-    size = len(mono)
-    for mode in few:
-        k, label = mode
-        while j < size:
-            cur = mono[j]
-            if cur[0] > k or (cur[0] == k and cur[1] < label):
-                out.append(cur)
-                j += 1
-            else:
-                break
-        out.append(mode)
-    out.extend(mono[j:])
-    return tuple(out)
+def _joiner() -> Callable[[Monomial, Monomial], Monomial]:
+    """The merge (``creation_chain``) of odd modes into an E-mode part,
+    once per distinct (part, odd modes) pair, for one field build.  A
+    field joins at most one odd mode of each label to an E-only part, so
+    no odd mode is passed or repeated and the sign is 1."""
+    return lru_cache(maxsize=None)(lambda part, odd: creation_chain(part, odd)[1])
 
 
 def _sigma_field_mode(m: int, b: int, label: int, N: int) -> OperatorExpr:
     """z^{-b} mode of the odd slope field: z * (odd current) * (charged
     exponential), at slope m != 0.  The odd mode alpha_j(label) stands
     left of the field's E-modes, so moving it into place crosses no odd
-    mode; it is merged once into each distinct part it joins."""
+    mode; it joins each part through ``_joiner``."""
     table = FieldTable(m, N, N - b)
     terms: list[Term] = []
+    join = _joiner()
     for j in range(b - N, N + 1):
         if j == 0:
             continue
         mode = ((abs(j), label),)
-        merged: dict[Monomial, Monomial] = {}
         for coeff, creations, annihilations in table.mode_terms(b - j, N - max(0, j)):
             if j < 0:
-                part = merged.get(creations)
-                if part is None:
-                    part = merged[creations] = _merged(mode, creations)
-                terms.append((coeff, part, annihilations))
+                terms.append((coeff, join(creations, mode), annihilations))
             else:
-                part = merged.get(annihilations)
-                if part is None:
-                    part = merged[annihilations] = _merged(mode, annihilations)
-                terms.append((coeff, creations, part))
+                terms.append((coeff, creations, join(annihilations, mode)))
     return OperatorExpr(
         terms, N, m, -b, 1, name=f"w[{m},{b};{label}]", denom=table.denom
     )
@@ -336,19 +315,19 @@ def _pt_field_mode(m: int, b: int, N: int, config: FockConfig) -> OperatorExpr:
     optional odd-bilinear weight part, scaled by 1/m.  The plain-dz
     derivative convention lowers the effective mode index by one; both
     parts are built at the same effective index so the operator stays
-    homogeneous."""
+    homogeneous.  The weight part's odd modes join the field's parts
+    through ``_joiner``."""
     x0 = b if config.derivative == "z_ddz" else b - 1
     table = FieldTable(m, N, N - x0)
     terms = [(-x0 * coeff, cre, ann) for coeff, cre, ann in table.mode_terms(x0, N)]
     if config.weight_field == "symplectic_fermion":
+        join = _joiner()
         window = N + abs(x0) + 2
         for u in range(-window, window + 1):
             for sign, w_cre, w_ann in _weight_current_terms(u, N, x0):
                 depth_used = monomial_energy(w_ann)
                 for coeff, cre, ann in table.mode_terms(x0 - u, N - depth_used):
-                    terms.append(
-                        (sign * coeff, _merged(w_cre, cre), _merged(w_ann, ann))
-                    )
+                    terms.append((sign * coeff, join(cre, w_cre), join(ann, w_ann)))
     return OperatorExpr(
         terms, N, m, -x0, 0, name=f"w[{m},{b};pt;{config.derivative}]",
         denom=table.denom * m,

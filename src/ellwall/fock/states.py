@@ -10,6 +10,11 @@ Coefficients are exact rationals (``Fraction``).  ``FockState`` is the
 input and output value of the operators, which act through the integer
 rows of ``fastapply``; the Fraction reference oracle that applies them
 to states directly lives in ``tests/fock_reference.py``.
+
+The monomial rules every row is built from live here too:
+``annihilation_chain`` contracts a canonical part against a monomial,
+and ``creation_chain``, the package's one merge, merges a canonical
+part into it in a single linear pass, with its reordering sign.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from ..serialize import frac_str
-from .labels import LABEL_NAMES, LABEL_PARITY
+from .labels import (
+    COH_E, COH_PT, COH_SM, COH_SP, LABEL_NAMES, LABEL_PARITY, pairing_scalar,
+)
 
 Monomial = tuple[tuple[int, int], ...]
 Scalar = Union[int, Fraction]
@@ -126,3 +133,72 @@ def basis_monomials(max_energy: int) -> list[Monomial]:
     walk([], max_energy, (-max_energy, 0))
     inner.sort(key=lambda m: (monomial_energy(m), m))
     return inner
+
+
+# label paired nontrivially against each basis label
+_DUAL = (COH_PT, COH_SM, COH_SP, COH_E)
+
+
+def annihilation_chain(
+    mono: Monomial, part: Monomial
+) -> Optional[tuple[int, Monomial]]:
+    """Apply the annihilation modes of ``part`` (stored canonically, k
+    descending; applied in reversed order, exactly as the reference
+    ``apply`` in ``tests/fock_reference.py`` does) to a single monomial.
+    Returns (integer factor, reduced monomial) or None when the
+    contraction vanishes."""
+    factor = 1
+    cur = mono
+    for k, label in reversed(part):
+        partner = _DUAL[label]
+        odd = LABEL_PARITY[label]
+        sign = 1
+        total = 0
+        reduced: Optional[Monomial] = None
+        for i, (ki, li) in enumerate(cur):
+            if ki == k and li == partner:
+                total += sign * k * pairing_scalar(label, li)
+                if reduced is None:
+                    reduced = cur[:i] + cur[i + 1 :]
+            if odd and LABEL_PARITY[li]:
+                sign = -sign
+        if not total or reduced is None:
+            return None
+        factor *= total
+        cur = reduced
+    return factor, cur
+
+
+def creation_chain(
+    mono: Monomial, part: Monomial
+) -> Optional[tuple[int, Monomial]]:
+    """Apply the creation modes of a canonical ``part`` (rightmost first,
+    as the reference ``apply`` in ``tests/fock_reference.py`` does) to a
+    canonical monomial in one merge pass: each odd mode of the part
+    passes the odd modes of ``mono`` before it, a sign each.  Returns
+    (sign, monomial), or None when an odd mode repeats, within the part
+    or against the monomial."""
+    out: list[tuple[int, int]] = []
+    sign = 1
+    odd_passed = 0
+    i = 0
+    size = len(mono)
+    for mode in part:
+        k, label = mode
+        while i < size:
+            cur = mono[i]
+            if cur[0] > k or (cur[0] == k and cur[1] < label):
+                out.append(cur)
+                odd_passed += LABEL_PARITY[cur[1]]
+                i += 1
+            else:
+                break
+        if LABEL_PARITY[label]:
+            # a repeat sits just before (within the part) or just after
+            if (out and out[-1] == mode) or (i < size and mono[i] == mode):
+                return None
+            if odd_passed & 1:
+                sign = -sign
+        out.append(mode)
+    out.extend(mono[i:])
+    return sign, tuple(out)

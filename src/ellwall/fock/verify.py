@@ -27,11 +27,12 @@ or the pairing factor is 0: the sweep checks state-by-state every
 pt-only monomial, and any other one only where its pt part failed or
 that guard does not hold (see vertex_commutator_sweep).  It numbers the
 window (fastapply.BasisIndex) and every image on first sight, and works
-on index rows: each Heisenberg mode fills its entries per monomial on
-first read (fastapply.mode_table), each field builds a monomial's
-slices the first time a check reads them, and a check compares the
-mode's image of a slice against the expected row by dict equality,
-building the difference only for a failure witness.
+on index rows: each Heisenberg mode fills its (target, factor) entry
+per monomial on first read (fastapply.ModeTable), each field builds a
+monomial's slices the first time a check reads them, the sweep and the
+fields read one pt-part split per monomial (BasisIndex.split), and a
+check compares the mode's image of a slice against the expected row by
+dict equality, building the difference only for a failure witness.
 
 All engines work on sparse integer rows keyed by basis index (see
 fastapply) so the full mandatory sweeps run in seconds rather than
@@ -58,7 +59,6 @@ from .fastapply import (
     RowTable,
     add_scaled,
     commutator_rows,
-    mode_table,
 )
 from .labels import (
     COH_E,
@@ -117,12 +117,12 @@ class _BracketEngine:
     the instances of one sweep (the bracket table's, or the slope-zero
     one's) or one stream of point queries.
 
-    Each table is stored as (denominator, integer rows): the operator's
-    denom and its RowTable on the engine's one BasisIndex, so a row is
-    built only when a composition or the target comparison reads it, and
-    the tables share the basis's cached contractions and merges.  A
-    pair's commutator rows come from one fastapply.commutator_rows pass
-    over the window and are over the product of the two denominators;
+    Each table is the operator's RowTable on the engine's one
+    BasisIndex, over the operator's denom, so a row is built only when a
+    composition or the target comparison reads it, and the tables share
+    the basis's cached contractions and merges.  A pair's commutator
+    rows come from one fastapply.commutator_rows pass over the window
+    and are over the product of the two denominators;
     exact rationals are built only for the reported rescale and central
     scalar and for witnesses.
 
@@ -159,14 +159,14 @@ class _BracketEngine:
     def __init__(self, N: int):
         self.N = N
         self.basis = BasisIndex(N)
-        self._rows: dict[tuple[int, int, int], tuple[int, RowTable]] = {}
+        self._rows: dict[tuple[int, int, int], RowTable] = {}
 
-    def rows(self, a: int, b: int, li: int) -> tuple[int, RowTable]:
+    def rows(self, a: int, b: int, li: int) -> RowTable:
         key = (a, b, li)
         cached = self._rows.get(key)
         if cached is None:
             op = w_general(a, b, li, self.N - max(0, -b))
-            cached = self._rows[key] = (op.denom, RowTable(op, self.basis))
+            cached = self._rows[key] = RowTable(op, self.basis)
         return cached
 
     def pair_reports(
@@ -182,16 +182,16 @@ class _BracketEngine:
             raise ValueError(
                 f"truncation {self.N} too small for modes {b}, {d}"
             )
-        denom_a, rows_a = self.rows(a, b, gi)
-        denom_b, rows_b = self.rows(c, d, hi)
-        denom = denom_a * denom_b
+        rows_a = self.rows(a, b, gi)
+        rows_b = self.rows(c, d, hi)
+        denom = rows_a.op.denom * rows_b.op.denom
         eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
         target_fwd = self._target(a, b, gi, c, d, hi)
         target_rev = self._target(c, d, hi, a, b, gi)
         modes = rows_a.contracted | rows_b.contracted
         for target in (target_fwd, target_rev):
             if target is not None:
-                modes = modes | target[2].contracted
+                modes = modes | target[1].contracted
         indices = self.basis.within(w, modes)
         if rows_a.contracted & rows_b.created or rows_b.contracted & rows_a.created:
             lhs = commutator_rows(rows_a, rows_b, indices, eps)
@@ -206,8 +206,8 @@ class _BracketEngine:
 
     def _target(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
-    ) -> Optional[tuple[Fraction, int, RowTable]]:
-        """(scale, denominator, rows) of the relation's generator term
+    ) -> Optional[tuple[Fraction, RowTable]]:
+        """(scale, rows) of the relation's generator term
         scale * w^{a+c,b+d}_{g*h} for [A, B}, or None when it has none: a
         central pair, a zero coefficient or a vanishing star product."""
         if (a + c, b + d) == (0, 0):
@@ -217,8 +217,7 @@ class _BracketEngine:
         if coef == 0 or product is None:
             return None
         lbl, sign = product
-        denom_t, target_rows = self.rows(a + c, b + d, lbl)
-        return Fraction(coef * sign), denom_t, target_rows
+        return Fraction(coef * sign), self.rows(a + c, b + d, lbl)
 
     def _evaluate(
         self,
@@ -228,7 +227,7 @@ class _BracketEngine:
         c: int,
         d: int,
         hi: int,
-        target: Optional[tuple[Fraction, int, RowTable]],
+        target: Optional[tuple[Fraction, RowTable]],
         indices: Sequence[int],
         lhs: list[IndexRow],
         denom: int,
@@ -271,7 +270,8 @@ class _BracketEngine:
                 if row:
                     return mismatch(i, row, "0")
             return BracketReport(lp, rp, self.N, True, "exact", rescale=Fraction(1))
-        scale, denom_t, target_rows = target
+        scale, target_rows = target
+        denom_t = target_rows.op.denom
 
         def expected(want: IndexRow) -> dict:
             """Witness form of ``scale`` times a target row."""
@@ -463,14 +463,13 @@ def _check_modes(
     on this read, and its image bound every image, of energy up to
     e - min(n, n + k)."""
     own = field[i]
-    target, factor = table
-    f = factor[i]
-    image = field[target[i]] if f else None
+    hit = table[i]
+    image = field[hit[0]] if hit else None
     pair = pairing_scalar(gamma, COH_E) * field.m
     for n in ns:
         # a single mode sends distinct monomials to distinct monomials
-        got = {target[u]: c * factor[u] for u, c in own[n].items() if factor[u]}
-        want = {u: f * c for u, c in image[n].items()} if f else {}
+        got = {h[0]: c * h[1] for u, c in own[n].items() if (h := table[u])}
+        want = {u: hit[1] * c for u, c in image[n].items()} if hit else {}
         if pair:
             add_scaled(want, own[n + k], pair)
         if got != want:
@@ -511,12 +510,13 @@ def vertex_commutator_sweep(
     above it, of energy up to the field's image bound N + n_max, on first
     sight; all arithmetic is on its index rows, over each field's one
     denominator.  The Heisenberg modes fill their entries per monomial
-    as read (``mode_table``), and the four slopes' fields share the
-    basis's image merges.
+    as read (``ModeTable``), and the four slopes' fields share the
+    basis's image merges and pt-part splits.
 
     Pt-part reduction: a window monomial is m = sigma S act, with act its
-    pt modes and S the rest, non-pt creation modes.  The field F is even,
-    its annihilators contract pt alone and it creates only E modes, so S
+    pt modes and S the rest, non-pt creation modes (``BasisIndex.split``
+    on the field's ``contracted`` set).  The field F is even, its
+    annihilators contract pt alone and it creates only E modes, so S
     commutes with F_n; [alpha_k(gamma), S} is a number times a non-pt
     monomial, so it commutes with F_n too.  With
     rho = (-1)^(parity(gamma) #odd(S)), the difference
@@ -534,24 +534,23 @@ def vertex_commutator_sweep(
     window, skipped or not.  Each field builds only the slices that the
     checks read (``ChargedField``)."""
     basis = BasisIndex(N)
-    # per window monomial: the index of its pt part, and whether its
-    # other modes hold an odd number of odd modes (pt modes are even)
-    acts: list[int] = []
-    odd: list[int] = []
-    for mono in basis.monos[: basis.count(N)]:
-        acts.append(basis.index[tuple(md for md in mono if md[1] == COH_PT)])
-        odd.append(sum(LABEL_PARITY[label] for _, label in mono) & 1)
     checked = 0
     failures: list[dict] = []
+    splits: list[tuple[int, Monomial, int, int]] = []
     ks = [k for k in range(-k_max, k_max + 1) if k != 0]
     ns = list(range(-n_max, n_max + 1))
     zero_idx = [label_index(g) for g in zero_labels]
     tables = {
-        (k, gi): mode_table(basis, k, gi) for k in ks for gi in (COH_PT, *zero_idx)
+        (k, gi): ModeTable(basis, k, gi) for k in ks for gi in (COH_PT, *zero_idx)
     }
     for m in m_values:
         # alpha_k(gamma) images of the window have energy <= N
         field = ChargedField(m, -n_max - k_max, n_max + k_max, basis, N, N + n_max)
+        # the pt-part split of each window monomial, on the fields' one
+        # contracted set (one image bound), which the fields read too
+        splits = splits or [
+            basis.split(i, field.contracted) for i in range(basis.count(N))
+        ]
         # labels whose rho = -1 on an odd S meets a nonzero pairing
         unguarded = {
             gi
@@ -563,13 +562,13 @@ def vertex_commutator_sweep(
             small = basis.count(min(window, zero_window))
             failed: set[tuple[int, int]] = set()
             for i in range(basis.count(window)):
-                act = acts[i]
+                act, _, _, odd = splits[i]
                 for gi in (COH_PT, *zero_idx) if i < small else (COH_PT,):
                     checked += len(ns)
                     if (
                         act != i
                         and (act, gi) not in failed
-                        and not (odd[i] and gi in unguarded)
+                        and not (odd and gi in unguarded)
                     ):
                         continue
                     before = len(failures)
@@ -617,9 +616,9 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
     for n in range(1, n_max + 1):
         for li, want in ((COH_E, Fraction(1, n)), (COH_PT, Fraction(n))):
             checked += len(monos)
-            denom, rows = engine.rows(0, n, li)
+            rows = engine.rows(0, n, li)
             (term,) = rows.op.terms
-            if Fraction(term.coeff, denom) == want:
+            if Fraction(term.coeff, rows.op.denom) == want:
                 continue
             for mono in monos:
                 if not rows.contracted.isdisjoint(mono):

@@ -72,12 +72,6 @@ class BilinearLattice:
         i = self.labels.index(label)
         return tuple(int(j == i) for j in range(self.rank))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "gram": [list(row) for row in self.gram],
-        }
-
 
 @dataclass(frozen=True, init=False)
 class MukaiVector:

@@ -343,14 +343,6 @@ class TensorDecomposition:
         k = self.value.k
         return f"e[{self.i},{(self.i - 1) % k}]"
 
-    def to_json_dict(self) -> dict:
-        out = {"i": self.i, "value": cyclo_str(self.value), "kind": self.tag}
-        if self.split:
-            out["summands"] = list(self.summands)
-        else:
-            out["extension"] = self.extension
-        return out
-
 
 def tensor_simple(i: int, p: BimoduleParam) -> TensorDecomposition:
     r = i % p.k

@@ -240,21 +240,24 @@ def check_wall_sets(n_max: int = 12) -> dict:
     }
 
 
-def _phase_cross(form, v, w, b: Fraction, c: Fraction, pd: int, qd: int) -> int:
-    """Im Z(w) Re Z(v) - Re Z(w) Im Z(v) at the chart point (b, c, pd/qd),
-    times the positive integer 2 qb^3 (qc qd)^3 for the denominators qb
-    of b and qc of c and the given qd > 0, so the sign is the phase
-    comparison's.  ``form`` is (S^2, S.E, E^2) and each vector is
-    (rank, twice_ch2, S.c1, E.c1).  The charges come from the pairing
-    with H = S + bE and B = cS + dE, scaled to H' = qb H and B' = qc qd B,
-    whose coordinates are integers:
+def _phase_cross(
+    form, v, w, b: tuple[int, int], c: tuple[int, int], pd: int, qd: int
+) -> int:
+    """Im Z(w) Re Z(v) - Re Z(w) Im Z(v) at the chart point
+    (pb/qb, pc/qc, pd/qd), for b = (pb, qb) and c = (pc, qc), times the
+    positive integer 2 qb^3 (qc qd)^3 for the given qb, qc, qd > 0 (no
+    pair need be reduced), so the sign is the phase comparison's.
+    ``form`` is (S^2, S.E, E^2) and each vector is (rank, twice_ch2,
+    S.c1, E.c1).  The charges come from the pairing with H = S + bE and
+    B = cS + dE, scaled to H' = qb H and B' = qc qd B, whose coordinates
+    are integers:
         2 qb^2 t^2 Re Z = twice_ch2 qb^2 t^2 + r (qb^2 B'^2 - t^2 H'^2) - 2 qb^2 t B'.c1
         qb t Im Z = t H'.c1 - r H'.B'
     with t = qc qd; both are linear in the vector's coordinates."""
     ss, se, ee = form
-    pb, qb = b.numerator, b.denominator
-    t = c.denominator * qd
-    bs, be = c.numerator * qd, pd * c.denominator  # B' = bs S + be E
+    (pb, qb), (pc, qc) = b, c
+    t = qc * qd
+    bs, be = pc * qd, pd * qc  # B' = bs S + be E
     hh = qb * qb * ss + 2 * qb * pb * se + pb * pb * ee
     bb = bs * bs * ss + 2 * bs * be * se + be * be * ee
     hb = qb * bs * ss + (qb * be + pb * bs) * se + pb * be * ee
@@ -273,9 +276,10 @@ def check_wall_sign_flip(
     n_max: int = 6, samples: int = 100, seed: int = DEFAULT_SEED
 ) -> dict:
     """The phase-comparison function changes sign across each wall locus
-    at random rational chart points: the wall's root d0 is the secant root
-    of the locus ``walls`` built, the sign on each side from the central
-    charges evaluated pointwise in integers from the Mukai vectors."""
+    at random rational chart points, drawn as integer (numerator,
+    denominator) pairs: the wall's root d0 is the secant root of the
+    locus ``walls`` built, the sign on each side from the central charges
+    evaluated pointwise in integers from the Mukai vectors."""
     chart = WallChart("A-1")
     ns = chart.ns
     svec, evec = ns.basis_vector("P"), ns.basis_vector("E")
@@ -292,8 +296,8 @@ def check_wall_sign_flip(
         for spec in chart.walls(hv):
             w = coords(spec.kclass)
             for _ in range(samples):
-                b = Fraction(rng.randint(1, 40), rng.randint(1, 9))
-                c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                b = rng.randint(1, 40), rng.randint(1, 9)
+                c = rng.randint(-30, 30), rng.randint(1, 9)
                 d0 = spec.locus.secant_root(b, c)
                 if d0 is None:
                     failures += 1

@@ -20,7 +20,7 @@ and the normalization choices are flagged in the emitted assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -134,13 +134,15 @@ class TriPoly:
     def __hash__(self) -> int:
         return hash((frozenset(self.nums.items()), self.den))
 
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def secant_root(self, b: Scalar, c: Scalar) -> Optional[Fraction]:
+    def secant_root(
+        self, b: tuple[int, int], c: tuple[int, int]
+    ) -> Optional[Fraction]:
         """Root -n0/n1 of the secant of d -> p(b, c, d) through d = 0, 1
-        (None if n1 = 0): n0 sums the d-free terms, n1 the rest at d = 1,
-        both times den qb^tb qc^tc (tb, tc the top degrees in b, c)."""
+        (None if n1 = 0), for b = pb/qb and c = pc/qc given as integer
+        pairs (pb, qb) and (pc, qc), qb, qc > 0, not necessarily reduced:
+        n0 sums the d-free terms, n1 the rest at d = 1, both times
+        den qb^tb qc^tc (tb, tc the top degrees in b, c), so a common
+        factor of a pair scales both alike and the root is the same."""
         table = self._table
         if table is None:
             terms = self.nums.items()
@@ -152,8 +154,8 @@ class TriPoly:
             )
         free_terms, rest_terms, tb, tc = table
         # sb[e] = pb^e * qb^(tb - e) for b = pb/qb, sc likewise
-        pb, qb = b.numerator, b.denominator
-        pc, qc = c.numerator, c.denominator
+        pb, qb = b
+        pc, qc = c
         sb = [pb**e * qb ** (tb - e) for e in range(tb + 1)]
         sc = [pc**e * qc ** (tc - e) for e in range(tc + 1)]
         n1 = sum(v * sb[i] * sc[j] for i, j, v in rest_terms)
@@ -360,7 +362,7 @@ class WallChart:
                 "only; other types expose wall lists via enumerate_v_walls"
             )
         walls = tuple(self.walls(hilbert_vector(n, self.ns)))
-        return ChamberDecomposition(self.type_name, n, walls, degenerate=(n == 1))
+        return ChamberDecomposition(self.type_name, n, walls)
 
 
 def enumerate_v_walls(v: MukaiVector, type_name: str) -> list[WallSpec]:
@@ -408,8 +410,10 @@ class ChamberDecomposition:
     type_name: str
     n: int
     walls: tuple[WallSpec, ...]
-    degenerate: bool = False
-    assumptions: tuple[str, ...] = field(default=ASSUMPTIONS)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.n == 1
 
     @property
     def level1_positions(self) -> list[Fraction]:
@@ -434,7 +438,7 @@ class ChamberDecomposition:
             "walls": [w.to_json_dict() for w in self.walls],
             "chambers": self.chamber_count,
             "degenerate": self.degenerate,
-            "assumptions": list(self.assumptions),
+            "assumptions": list(ASSUMPTIONS),
         }
 
 

@@ -64,11 +64,6 @@ class WeylElement:
         mt = tuple(zip(*self.matrix))
         return _mat_mul(_mat_mul(mt, gram), self.matrix) == gram
 
-    def to_json_dict(self) -> dict:
-        from .serialize import frac_str
-
-        return {"matrix": [[frac_str(x) for x in row] for row in self.matrix]}
-
 
 def identity_element(system: EllipticRootSystem) -> WeylElement:
     return WeylElement(_identity(system.rank + 2))

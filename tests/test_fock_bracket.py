@@ -286,8 +286,8 @@ class TestMismatchWitness:
         assert rep.witness["expected"] == expected.to_json_dict()
         # the division back is exercised: both tables have denominators
         engine = verify._last_engine
-        assert engine.rows(a, b, label_index(g))[0] > 1
-        assert engine.rows(a + c, b + d, label_index("E"))[0] > 1
+        assert engine.rows(a, b, label_index(g)).op.denom > 1
+        assert engine.rows(a + c, b + d, label_index("E")).op.denom > 1
 
     def test_reverse_witness_is_exact(self, monkeypatch):
         """The reverse order [B, A} of a mixed-parity pair (eps = -1)

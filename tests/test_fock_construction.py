@@ -8,8 +8,8 @@ action rows term by term with the Heisenberg contractions of
 denominator of the reference coefficients as ``denom``, the same
 integer rows from a ``RowTable``, and a grouping by annihilation part
 that is the regroup of its terms.  The one-pass creation merge is
-checked against the chain of single-mode insertions it replaces, and
-the linear merge of two canonical monomials against a sort.
+checked against the chain of single-mode insertions it replaces, and,
+in the shape the field builders join parts, against a sort with sign 1.
 """
 
 from fractions import Fraction
@@ -19,12 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellwall.fock.fastapply import BasisIndex, RowTable, creation_chain
+from ellwall.fock.fastapply import BasisIndex, RowTable
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY
-from ellwall.fock.operators import (
-    FockConfig, _centralizers, _merged, _partitions, w_general,
-)
-from ellwall.fock.states import monomial_energy
+from ellwall.fock.operators import FockConfig, _centralizers, _partitions, w_general
+from ellwall.fock.states import creation_chain, monomial_energy
 
 from fock_reference import CohClass, annihilate, heisenberg_mode, insert_creation
 
@@ -292,16 +290,13 @@ PARTS = st.lists(MODES, max_size=5).map(canonical)
 @example((), ((1, COH_SP), (1, COH_SP)))  # repeats within the part
 @example(((1, COH_E),), ((1, COH_E), (1, COH_E)))  # even modes repeat freely
 @example(((3, COH_SM), (2, COH_SP), (1, COH_SP)), ((3, COH_SP), (2, COH_SM), (1, COH_PT)))
+@example(((2, COH_E), (1, COH_E)), ((2, COH_SP), (1, COH_E), (1, COH_SM)))  # ties
 @settings(max_examples=400, deadline=None)
 def test_creation_merge_matches_insertion_chain(mono, part):
     assert creation_chain(mono, part) == insertion_chain(mono, part)
-
-
-@given(PARTS, PARTS)
-@example((), ((2, COH_E), (1, COH_PT)))
-@example(((2, COH_SP),), ())
-@example(((1, COH_E), (1, COH_E)), ((3, COH_PT), (1, COH_E), (1, COH_SM)))  # ties
-@example(((3, COH_SM), (1, COH_PT)), ((3, COH_E), (3, COH_SP), (1, COH_SM)))
-@settings(max_examples=400, deadline=None)
-def test_linear_merge_matches_sort(few, mono):
-    assert _merged(few, mono) == canonical(few + mono)
+    # generator-shaped, as the sigma and pt field builders merge: an
+    # E-only part joined by at most one sigma+ and one sigma- mode
+    e_only = tuple(md for md in mono if md[1] == COH_E)
+    odd = canonical({md[1]: md for md in part if LABEL_PARITY[md[1]]}.values())
+    want = (1, canonical(e_only + odd))
+    assert creation_chain(e_only, odd) == want == insertion_chain(e_only, odd)

@@ -69,7 +69,7 @@ def alone():
     engine = verify._BracketEngine(N)
     out = {}
     for key in TABLES:
-        op = engine.rows(*key)[1].op
+        op = engine.rows(*key).op
         table = RowTable(op, BasisIndex(N))
         out[key] = (op, _rows_by_monomial(table, range(table.basis.count(_window(op)))))
     return out

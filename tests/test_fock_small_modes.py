@@ -21,7 +21,8 @@ def test_sweep_rows_are_w_small():
     for n in (-3, -2, -1, 1, 2, 3):
         for li in range(4):
             op = w_small(n, li)
-            denom, rows = engine.rows(0, n, li)
+            rows = engine.rows(0, n, li)
+            denom = rows.op.denom
             for i in range(basis.count(3)):
                 mono = basis.monos[i]
                 got = {basis.monos[u]: Fraction(c, denom) for u, c in rows[i].items()}

@@ -66,14 +66,14 @@ class FullWindowEngine(verify._BracketEngine):
         cached = self._rows.get(key)
         if cached is None:
             op = w_general(a, b, li, self.N - max(0, -b))
-            cached = self._rows[key] = (op.denom, UnfactoredRows(op, self.basis))
+            cached = self._rows[key] = UnfactoredRows(op, self.basis)
         return cached
 
     def pair_reports(self, a, b, gi, c, d, hi):
         w = verify._eval_window(self.N, b, d)
-        denom_a, rows_a = self.rows(a, b, gi)
-        denom_b, rows_b = self.rows(c, d, hi)
-        denom = denom_a * denom_b
+        rows_a = self.rows(a, b, gi)
+        rows_b = self.rows(c, d, hi)
+        denom = rows_a.op.denom * rows_b.op.denom
         eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
         indices = range(self.basis.count(w))
         lhs = commutator_rows(rows_a, rows_b, indices, eps)
@@ -142,8 +142,8 @@ def test_targets_contracting_modes_outside_the_operands(monkeypatch):
         if verify._eval_window(N, x[1], y[1]) < 0:
             continue
         target = engine._target(*x, *y)
-        operands = engine.rows(*x)[1].contracted | engine.rows(*y)[1].contracted
-        outside += target is not None and not target[2].contracted <= operands
+        operands = engine.rows(*x).contracted | engine.rows(*y).contracted
+        outside += target is not None and not target[1].contracted <= operands
     assert outside > 100
     got = report_bytes(engine, N)
     want = report_bytes(FullWindowEngine(N), N)
@@ -210,7 +210,7 @@ def test_skipped_pairs_commute_on_the_whole_window(N, monkeypatch):
         skipped.append((x, y))
         eps = 1 if LABEL_PARITY[x[2]] and LABEL_PARITY[y[2]] else -1
         rows = commutator_rows(
-            full.rows(*x)[1], full.rows(*y)[1], range(full.basis.count(w)), eps
+            full.rows(*x), full.rows(*y), range(full.basis.count(w)), eps
         )
         assert not any(rows), (x, y)
     assert len(skipped) > 500 and len(reached) > 100

@@ -11,11 +11,9 @@ import ellwall.fock.verify as verify
 from ellwall.fock.fastapply import (
     BasisIndex,
     ChargedField,
+    ModeTable,
     _sub_monomials,
     add_scaled,
-    annihilation_chain,
-    creation_chain,
-    mode_table,
 )
 from ellwall.fock.labels import (
     COH_E,
@@ -26,7 +24,14 @@ from ellwall.fock.labels import (
     label_index,
 )
 from ellwall.fock.operators import FieldTable
-from ellwall.fock.states import FockState, Monomial, basis_monomials, monomial_energy
+from ellwall.fock.states import (
+    FockState,
+    Monomial,
+    annihilation_chain,
+    basis_monomials,
+    creation_chain,
+    monomial_energy,
+)
 from ellwall.verify import check_vertex_commutator
 
 from fock_reference import alpha_apply, apply, scale, sub, vertex_mode
@@ -162,16 +167,16 @@ def corrupt_pairing(monkeypatch):
 
 
 def _mode_entry(basis: BasisIndex, table, i: int) -> dict[Monomial, Fraction]:
-    """The image of monomial i under a (target, factor) mode table."""
-    target, factor = table
-    f = factor[i]
-    return {basis.monos[target[i]]: Fraction(f)} if f else {}
+    """The image of monomial i under a mode table, whose entry is
+    (target, factor), or None for a zero image."""
+    hit = table[i]
+    return {basis.monos[hit[0]]: Fraction(hit[1])} if hit else {}
 
 
 def _lazy_tables(basis: BasisIndex) -> dict:
     """Every per-monomial mode table with |n| <= 4 on the basis."""
     return {
-        (n, label): mode_table(basis, n, label)
+        (n, label): ModeTable(basis, n, label)
         for k in range(1, 5)
         for n in (-k, k)
         for label in range(4)
@@ -203,7 +208,7 @@ def test_mode_table_matches_mode_tables():
     above = 0
     for (n, label), table in tables.items():
         alone = BasisIndex(8)
-        single = mode_table(alone, n, label)
+        single = ModeTable(alone, n, label)
         for i, mono in enumerate(shared.monos[: shared.size]):
             got = _mode_entry(shared, table, i)
             assert _mode_entry(alone, single, alone.index[mono]) == got
@@ -220,9 +225,9 @@ def test_mode_table_above_the_depth_matches_reference():
     |n| <= 4, against the reference alpha_apply."""
     basis = BasisIndex(6)
     lazy = _lazy_tables(basis)
-    for _, factor in lazy.values():
+    for table in lazy.values():
         for i in range(basis.size):
-            factor[i]
+            table[i]
     numbered = range(basis.size, len(basis.monos))
     assert len(numbered) > 1000 and min(basis.energy[i] for i in numbered) == 7
     for i in numbered:
@@ -247,6 +252,41 @@ def test_sweep_numbers_the_window_and_the_images_it_reads(monkeypatch):
     (basis,) = made
     assert basis.depth == 4
     assert basis.size < len(basis.monos) < BasisIndex(8).size
+
+
+def test_sweep_and_fields_split_each_window_monomial_once(monkeypatch):
+    """The sweep's pt-part reduction and the four fields' non-pt branch
+    read ``BasisIndex.split`` on one cache key, the fields' ``contracted``
+    set: each window monomial is split once, and the fields' reads, of
+    monomials with spectators among them, hit that cache."""
+    made, fields, computed = [], [], []
+
+    class Recording(BasisIndex):
+        def __init__(self, depth):
+            super().__init__(depth)
+            made.append(self)
+
+        def split(self, i, contracted):
+            computed.append(i)
+            return super().split(i, contracted)
+
+    class Recorded(ChargedField):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fields.append(self)
+
+    monkeypatch.setattr(verify, "BasisIndex", Recording)
+    monkeypatch.setattr(verify, "ChargedField", Recorded)
+    assert verify.vertex_commutator_sweep(4)["ok"]
+    (basis,) = made
+    assert len(fields) == 4 and list(basis._splits) == [fields[0].contracted]
+    (cache,) = basis._splits.values()
+    assert all(field._splits is cache for field in fields)
+    assert computed == list(range(basis.count(4))) and len(cache) == len(computed)
+    # the fields read every monomial they build through that cache
+    built = {i for field in fields for i in field}
+    assert built <= cache.keys()
+    assert any(any(l != COH_PT for _, l in basis.monos[i]) for i in built)
 
 
 def test_index_slices_match_monomial_oracle():
@@ -353,12 +393,12 @@ def test_reduced_sweep_matches_oracle_on_every_zero_label(monkeypatch, N):
 def _full_pass(N, m_values, k_max, n_max, zero_labels, zero_window) -> list[dict]:
     """The sweep's checks on every monomial of its window, with no pt-part
     reduction, in the sweep's order; it reads the tables that
-    ``verify.mode_table`` gives and the pairing of ``verify``."""
+    ``verify.ModeTable`` gives and the pairing of ``verify``."""
     basis = BasisIndex(N)
     ks = [k for k in range(-k_max, k_max + 1) if k != 0]
     ns = range(-n_max, n_max + 1)
     labels = (COH_PT, *(label_index(g) for g in zero_labels))
-    tables = {(k, gi): verify.mode_table(basis, k, gi) for k in ks for gi in labels}
+    tables = {(k, gi): verify.ModeTable(basis, k, gi) for k in ks for gi in labels}
     failures: list[dict] = []
     for m in m_values:
         field = ChargedField(m, -n_max - k_max, n_max + k_max, basis, N, N + n_max)
@@ -382,25 +422,25 @@ def test_rho_guard_checks_odd_spectators_of_an_odd_mode(monkeypatch):
     the copy passes an odd number of odd spectators, rho = -1.  No pt
     part fails, so only the guard sends the sweep to those monomials;
     it must report the full pass's witnesses."""
-    true_table = verify.mode_table
+    true_table = verify.ModeTable
     true_pairing = verify.pairing_scalar
 
     def klein_pt_copy(basis, n, label):
         if label != COH_SP:
             return true_table(basis, n, label)
-        target, factor = true_table(basis, n, COH_PT)
+        pt = true_table(basis, n, COH_PT)
 
         class Signed(dict):
             def __missing__(self, i):
-                f = factor[i]
-                if sum(LABEL_PARITY[l] for _, l in basis.monos[i]) & 1:
-                    f = -f
-                self[i] = f
-                return f
+                hit = pt[i]
+                if hit and sum(LABEL_PARITY[l] for _, l in basis.monos[i]) & 1:
+                    hit = (hit[0], -hit[1])
+                self[i] = hit
+                return hit
 
-        return target, Signed()
+        return Signed()
 
-    monkeypatch.setattr(verify, "mode_table", klein_pt_copy)
+    monkeypatch.setattr(verify, "ModeTable", klein_pt_copy)
     monkeypatch.setattr(
         verify,
         "pairing_scalar",

@@ -28,6 +28,7 @@ from ellwall.localmodel import (
     tensor_table_rows,
     y_matrix,
 )
+from ellwall.serialize import cyclo_str
 from ellwall.walls import UnsupportedTypeError
 
 
@@ -319,12 +320,11 @@ class TestTensorSimple:
 
     def test_json_dict(self):
         p = BimoduleParam.make(2, [1, 1])
-        assert tensor_simple(0, p).to_json_dict() == {
-            "i": 0, "value": "2", "kind": "ext", "extension": "e[0,1]",
-        }
-        assert tensor_simple(1, p).to_json_dict() == {
-            "i": 1, "value": "0", "kind": "split", "summands": ["s1", "s0"],
-        }
+        ext, split = tensor_simple(0, p), tensor_simple(1, p)
+        assert (ext.i, cyclo_str(ext.value), ext.tag) == (0, "2", "ext")
+        assert ext.extension == "e[0,1]" and ext.summands is None
+        assert (split.i, cyclo_str(split.value), split.tag) == (1, "0", "split")
+        assert split.summands == ("s1", "s0") and split.extension is None
 
 
 def int_matrix(mat):

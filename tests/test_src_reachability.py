@@ -13,6 +13,11 @@ and ``from`` imports; an attribute matches every definition of that name.
 The criteria and the CLI commands are reached from ``cli.main``, which
 ``__main__`` reads at module level; so a definition that no criterion,
 command or script reaches fails the test.
+
+Blind spot: since an attribute read matches every definition of that
+name, a method that shares its name with a reached one (``to_json_dict``,
+``is_zero``) passes even when nothing calls it on its own class.  Only a
+line trace of the criteria, the commands and the scripts finds those.
 """
 
 from __future__ import annotations

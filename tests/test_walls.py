@@ -36,6 +36,12 @@ from ellwall.walls import (
 from lattice_reference import FracTriPoly, rational_terms, secant_root, to_tripoly, value
 
 NS = surface_lattice("A-1")
+
+
+def ratio(x) -> tuple[int, int]:
+    """A scalar as the (numerator, denominator) pair secant_root reads."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
@@ -314,8 +320,8 @@ class TestLoci:
     def test_pointwise_cross_is_the_scaled_symbolic_cross(self, type_name, n_max):
         """c07's integer charges (``verify._phase_cross``) give the scale
         2 qb^3 (qc qd)^3 times Im Z(w) Re Z(v) - Re Z(w) Im Z(v) of the
-        symbolic charges, value for value, on every wall; d goes in as an
-        unreduced numerator and denominator, as c07 passes it."""
+        symbolic charges, value for value, on every wall; b, c and d go in
+        as unreduced numerators and denominators, as c07 passes them."""
         ns = surface_lattice(type_name)
         svec = ns.basis_vector("P" if "P" in ns.labels else "Theta")
         evec = ns.basis_vector("E")
@@ -332,29 +338,33 @@ class TestLoci:
                 re_w, im_w = central_charge_sym(spec.kclass, ns)
                 cross = im_w * re_v - re_w * im_v
                 for _ in range(5):
-                    b = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
-                    c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                    b = rng.randint(-40, 40), rng.randint(1, 9)
+                    c = rng.randint(-30, 30), rng.randint(1, 9)
                     k = rng.randint(1, 4)
                     pd, qd = k * rng.randint(-60, 60), k * rng.randint(1, 97)
-                    scale = 2 * b.denominator**3 * (c.denominator * qd) ** 3
+                    scale = 2 * b[1] ** 3 * (c[1] * qd) ** 3
                     got = verify._phase_cross(
                         form, coords(v), coords(spec.kclass), b, c, pd, qd
                     )
-                    assert got == scale * value(cross, b, c, Fraction(pd, qd))
+                    point = (Fraction(*b), Fraction(*c), Fraction(pd, qd))
+                    assert got == scale * value(cross, *point)
 
     def test_integer_root_is_the_reference_secant_root(self):
-        """c07's root for every wall with n <= 6, at seeded points and at
-        integer points, is the secant root of two Fraction evaluations."""
+        """c07's root for every wall with n <= 6, at seeded points drawn
+        as c07 draws them (unreduced pairs) and at integer points, is the
+        secant root of two Fraction evaluations."""
         rng = random.Random(29)
         for n in range(1, 7):
             for spec in enumerate_v_walls(hilbert_vector(n, NS), "A-1"):
                 for _ in range(10):
-                    b = Fraction(rng.randint(1, 40), rng.randint(1, 9))
-                    c = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                    b = rng.randint(1, 40), rng.randint(1, 9)
+                    c = rng.randint(-30, 30), rng.randint(1, 9)
                     got = spec.locus.secant_root(b, c)
                     assert got is not None
-                    assert got == secant_root(spec.locus, b, c)
-                assert spec.locus.secant_root(3, -2) == secant_root(spec.locus, 3, -2)
+                    assert got == secant_root(spec.locus, Fraction(*b), Fraction(*c))
+                assert spec.locus.secant_root((3, 1), (-2, 1)) == secant_root(
+                    spec.locus, 3, -2
+                )
 
 
 class TestTriPoly:
@@ -362,7 +372,7 @@ class TestTriPoly:
         b, c, d = (TriPoly.var(v) for v in "bcd")
         p = (b + 2 * c) * (d - 3)
         assert value(p, 1, 2, 5) == (1 + 4) * (5 - 3)
-        assert (p - p).is_zero()
+        assert p - p == 0
 
     def test_str_golden(self):
         b, c, d = (TriPoly.var(v) for v in "bcd")
@@ -379,21 +389,24 @@ class TestTriPoly:
     )
     def test_secant_root_matches_the_reference_secant(self, terms, b, c):
         p = to_tripoly(terms)
-        root = p.secant_root(b, c)
+        root = p.secant_root(ratio(b), ratio(c))
         assert root is None or type(root) is Fraction
         assert root == secant_root(p, b, c)
-        assert p.secant_root(b.numerator, c.numerator) == secant_root(
+        # a positive common factor of a pair leaves the root as it is
+        (pb, qb), (pc, qc) = ratio(b), ratio(c)
+        assert p.secant_root((6 * pb, 6 * qb), (5 * pc, 5 * qc)) == root
+        assert p.secant_root((b.numerator, 1), (c.numerator, 1)) == secant_root(
             p, b.numerator, c.numerator
         )
 
     def test_secant_root_of_a_polynomial_flat_in_d(self):
         b, c, d = (TriPoly.var(v) for v in "bcd")
-        assert TriPoly().secant_root(Fraction(-3, 4), 2) is None
-        assert (b * c + 7).secant_root(1, 2) is None
+        assert TriPoly().secant_root((-3, 4), (2, 1)) is None
+        assert (b * c + 7).secant_root((1, 1), (2, 1)) is None
         # d terms that cancel at (b, c) = (1, 1): the secant is flat there
-        assert (d * (b - c) + 1).secant_root(1, 1) is None
-        assert (d * (b - c) + 1).secant_root(2, 1) == -1
-        assert (d * d + d - 6).secant_root(Fraction(1, 2), 5) == 3
+        assert (d * (b - c) + 1).secant_root((1, 1), (1, 1)) is None
+        assert (d * (b - c) + 1).secant_root((2, 1), (1, 1)) == -1
+        assert (d * d + d - 6).secant_root((1, 2), (5, 1)) == 3
 
 
 POLY_TERMS = st.dictionaries(
@@ -483,7 +496,7 @@ class TestEvaluationTableIsInvisible:
     def test_repeated_evaluation_and_arithmetic(self, terms, points, x):
         p, fresh, ref = to_tripoly(terms), to_tripoly(terms), FracTriPoly(terms)
         for b, c, _ in [*FIXED_POINTS, *points, *FIXED_POINTS, *points]:
-            root = p.secant_root(b, c)
+            root = p.secant_root(ratio(b), ratio(c))
             assert root is None or type(root) is Fraction
             p0, p1 = ref.evaluate(b, c, 0), ref.evaluate(b, c, 1)
             assert root == (None if p0 == p1 else p0 / (p0 - p1))
@@ -500,7 +513,9 @@ class TestEvaluationTableIsInvisible:
         ]:
             assert got == want and hash(got) == hash(want) and str(got) == str(want)
             for b, c, _ in points:
-                assert got.secant_root(b, c) == want.secant_root(b, c)
+                assert got.secant_root(ratio(b), ratio(c)) == want.secant_root(
+                    ratio(b), ratio(c)
+                )
 
 
 class TestNefClassEvaluation:

@@ -278,8 +278,7 @@ def test_word_provenance(a1):
 
 
 def test_serialization(a1):
-    d = reflect(a1, a1.simple_root(0)).to_json_dict()
-    assert d["matrix"][0][0] == "-1"
+    assert reflect(a1, a1.simple_root(0)).matrix[0][0] == -1
     assert root_vector(a1, a1.simple_root(0, 1, 2)) == (1, 1, 2)
 
 
