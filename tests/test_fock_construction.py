@@ -294,9 +294,19 @@ PARTS = st.lists(MODES, max_size=5).map(canonical)
 @settings(max_examples=400, deadline=None)
 def test_creation_merge_matches_insertion_chain(mono, part):
     assert creation_chain(mono, part) == insertion_chain(mono, part)
+
+
+@given(PARTS, PARTS)
+@example((), ((2, COH_E), (1, COH_PT)))
+@example(((2, COH_SP),), ())
+@example(((1, COH_E), (1, COH_E)), ((3, COH_PT), (1, COH_E), (1, COH_SM)))  # ties
+@example(((3, COH_SM), (1, COH_PT)), ((3, COH_E), (3, COH_SP), (1, COH_SM)))
+@settings(max_examples=400, deadline=None)
+def test_linear_merge_matches_sort(few, mono):
     # generator-shaped, as the sigma and pt field builders merge: an
-    # E-only part joined by at most one sigma+ and one sigma- mode
-    e_only = tuple(md for md in mono if md[1] == COH_E)
-    odd = canonical({md[1]: md for md in part if LABEL_PARITY[md[1]]}.values())
+    # E-only part joined by at most one mode of each odd label, which
+    # the creation merge places with sign 1, as a sort would
+    e_only = tuple(md for md in few if md[1] == COH_E)
+    odd = canonical({md[1]: md for md in mono if LABEL_PARITY[md[1]]}.values())
     want = (1, canonical(e_only + odd))
     assert creation_chain(e_only, odd) == want == insertion_chain(e_only, odd)
