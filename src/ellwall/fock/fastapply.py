@@ -419,6 +419,9 @@ class ModeTable(dict):
         self.basis = basis
         self.part = ((abs(n), label),)
         self.chain = creation_chain if n < 0 else annihilation_chain
+        # the one mode's role, as RowTable.contracted and created
+        self.contracted = frozenset() if n < 0 else frozenset({(n, _DUAL[label])})
+        self.created = frozenset(self.part) if n < 0 else frozenset()
 
     def __missing__(self, i: int) -> Optional[tuple[int, int]]:
         basis = self.basis
@@ -455,6 +458,8 @@ class ChargedField(dict):
     one basis share; any other monomial's are those of its pt part (its
     ``BasisIndex.split`` on ``contracted``), read from the field (so
     built once), spread (``BasisIndex.spread``) with its other modes.
+    ``created`` holds the modes of the table's creation monomials
+    (``FieldTable.create``), the modes the field's terms create.
     The field refers to nothing that refers back to it, so dropping the
     last reference frees its slices at once."""
 
@@ -476,6 +481,9 @@ class ChargedField(dict):
         self._annihilate = dict(pair for level in table.annihilate for pair in level)
         self.contracted = frozenset(
             (k, _DUAL[label]) for part in self._annihilate for k, label in part
+        )
+        self.created = frozenset(
+            mode for level in self._create for lam, _ in level for mode in lam
         )
         self._splits = basis._splits[self.contracted]
 

@@ -85,9 +85,6 @@ class FockState:
             return True
         return self.charge == other.charge and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.charge, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "FockState(0)"

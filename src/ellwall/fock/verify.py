@@ -19,20 +19,28 @@ dependence; they are never asserted to be label-independent.
 Vertex-commutator verification: the Heisenberg mode alpha_k(g) commutes
 past the slope-m charged exponential field up to the pairing factor
 <g, mE> and a mode shift by k; it holds on every basis monomial of the
-valid window.  A monomial's modes other than pt commute with the field
-(it is even, contracts pt alone and creates only E modes), so the
-identity on a monomial follows from the identity on its pt part
-whenever the sign of passing the Heisenberg mode over those modes is 1
-or the pairing factor is 0: the sweep checks state-by-state every
-pt-only monomial, and any other one only where its pt part failed or
-that guard does not hold (see vertex_commutator_sweep).  It numbers the
-window (fastapply.BasisIndex) and every image on first sight, and works
-on index rows: each Heisenberg mode fills its (target, factor) entry
-per monomial on first read (fastapply.ModeTable), each field builds a
+valid window.  A (k, g) is skipped whole when the mode contracts no
+mode the field's terms create, the field contracts no mode the mode
+creates (read off the built terms, never off the labels) and the
+pairing factor is 0: the two then super-commute, and the identity holds.
+A monomial's modes other than pt commute with the field (it is even,
+contracts pt alone and creates only E modes), so the identity on a
+monomial follows from the identity on its pt part whenever the sign of
+passing the Heisenberg mode over those modes is 1 or the pairing factor
+is 0: the sweep checks state-by-state every pt-only monomial, and any
+other one only where its pt part failed or that guard does not hold
+(see vertex_commutator_sweep).  It numbers the window
+(fastapply.BasisIndex) and every image on first sight, and works on
+index rows: each Heisenberg mode fills its (target, factor) entry per
+monomial on first read (fastapply.ModeTable), each field builds a
 monomial's slices the first time a check reads them, the sweep and the
 fields read one pt-part split per monomial (BasisIndex.split), and a
 check compares the mode's image of a slice against the expected row by
 dict equality, building the difference only for a failure witness.
+
+The expected pairings, n <g, h> of the slope-zero central values and
+<g, mE> here, are the integral of the cup product (``cup_pairing``),
+not the pairing matrix the mode contractions read.
 
 All engines work on sparse integer rows keyed by basis index (see
 fastapply) so the full mandatory sweeps run in seconds rather than
@@ -63,14 +71,33 @@ from .fastapply import (
 from .labels import (
     COH_E,
     COH_PT,
+    COH_SM,
+    COH_SP,
     LABEL_NAMES,
     LABEL_PARITY,
     label_index,
-    pairing_scalar,
     star_label,
 )
 from .operators import w_general
 from .states import FockState, Monomial
+
+
+# The cup product of basis classes as (label, sign), None where it
+# vanishes: E, the fundamental class, is its unit, and
+# sigma+ sigma- = pt = -sigma- sigma+.
+_CUP = (
+    ((COH_E, 1), (COH_SP, 1), (COH_SM, 1), (COH_PT, 1)),
+    ((COH_SP, 1), None, (COH_PT, 1), None),
+    ((COH_SM, 1), (COH_PT, -1), None, None),
+    ((COH_PT, 1), None, None, None),
+)
+
+
+def cup_pairing(g: int, h: int) -> int:
+    """<g, h> = the integral of g cup h over the curve, for basis classes
+    g and h: the integral of pt is 1 and that of any other basis class 0."""
+    product = _CUP[g][h]
+    return product[1] if product and product[0] == COH_PT else 0
 
 
 def _eval_window(N: int, b: int, d: int) -> int:
@@ -465,7 +492,7 @@ def _check_modes(
     own = field[i]
     hit = table[i]
     image = field[hit[0]] if hit else None
-    pair = pairing_scalar(gamma, COH_E) * field.m
+    pair = cup_pairing(gamma, COH_E) * field.m
     for n in ns:
         # a single mode sends distinct monomials to distinct monomials
         got = {h[0]: c * h[1] for u, c in own[n].items() if (h := table[u])}
@@ -513,6 +540,15 @@ def vertex_commutator_sweep(
     as read (``ModeTable``), and the four slopes' fields share the
     basis's image merges and pt-part splits.
 
+    Super-commuting modes: a mode pairs only with a mode of dual label
+    and opposite energy, so a (k, gamma) is skipped whole when no mode
+    alpha_k(gamma) contracts (``ModeTable.contracted``) is one the
+    field's terms create (``ChargedField.created``), no mode the field
+    contracts is one alpha_k(gamma) creates, and the expected pairing
+    <gamma, mE> (``cup_pairing``) is 0.  Each term of the mode then
+    super-commutes with each term of the field, so the commutator is 0,
+    the pairing times F_{n+k}, on every state.
+
     Pt-part reduction: a window monomial is m = sigma S act, with act its
     pt modes and S the rest, non-pt creation modes (``BasisIndex.split``
     on the field's ``contracted`` set).  The field F is even, its
@@ -526,13 +562,13 @@ def vertex_commutator_sweep(
 
     which is sigma rho S D(act) when rho = 1 or pair = 0: the identity then
     holds on m whenever it holds on act.  act has a lower energy than m,
-    so a smaller index, and is checked first.  So every check runs on
-    each pt-only monomial, and on any other monomial only when its act
-    failed for that (k, gamma) or rho = -1 and pair != 0; the failures
-    are those of a check on every monomial, in the same order.
-    ``checked`` counts every (monomial, label, mode) instance of the
-    window, skipped or not.  Each field builds only the slices that the
-    checks read (``ChargedField``)."""
+    so a smaller index, and is checked first.  So every check of a
+    (k, gamma) that is not skipped runs on each pt-only monomial, and on
+    any other monomial only when its act failed for that (k, gamma) or
+    rho = -1 and pair != 0; the failures are those of a check on every
+    monomial, in the same order.  ``checked`` counts every (monomial,
+    label, mode) instance of the window, skipped or not.  Each field
+    builds only the slices that the checks read (``ChargedField``)."""
     basis = BasisIndex(N)
     checked = 0
     failures: list[dict] = []
@@ -540,9 +576,8 @@ def vertex_commutator_sweep(
     ks = [k for k in range(-k_max, k_max + 1) if k != 0]
     ns = list(range(-n_max, n_max + 1))
     zero_idx = [label_index(g) for g in zero_labels]
-    tables = {
-        (k, gi): ModeTable(basis, k, gi) for k in ks for gi in (COH_PT, *zero_idx)
-    }
+    labels = (COH_PT, *zero_idx)
+    tables = {(k, gi): ModeTable(basis, k, gi) for k in ks for gi in labels}
     for m in m_values:
         # alpha_k(gamma) images of the window have energy <= N
         field = ChargedField(m, -n_max - k_max, n_max + k_max, basis, N, N + n_max)
@@ -553,18 +588,25 @@ def vertex_commutator_sweep(
         ]
         # labels whose rho = -1 on an odd S meets a nonzero pairing
         unguarded = {
-            gi
-            for gi in (COH_PT, *zero_idx)
-            if LABEL_PARITY[gi] and pairing_scalar(gi, COH_E) * m
+            gi for gi in labels if LABEL_PARITY[gi] and cup_pairing(gi, COH_E) * m
         }
         for k in ks:
             window = N - max(0, -k)
             small = basis.count(min(window, zero_window))
+            checked += len(ns) * (basis.count(window) + len(zero_idx) * small)
+            # the labels that are not skipped, in sweep order
+            run = [
+                gi
+                for gi in labels
+                if cup_pairing(gi, COH_E) * m
+                or tables[k, gi].contracted & field.created
+                or field.contracted & tables[k, gi].created
+            ]
+            above = run[:1] if run[:1] == [COH_PT] else []
             failed: set[tuple[int, int]] = set()
             for i in range(basis.count(window)):
                 act, _, _, odd = splits[i]
-                for gi in (COH_PT, *zero_idx) if i < small else (COH_PT,):
-                    checked += len(ns)
+                for gi in run if i < small else above:
                     if (
                         act != i
                         and (act, gi) not in failed
@@ -633,7 +675,7 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
         if n > N:
             continue
         for gi, hi in pairs:
-            expected = Fraction(n * pairing_scalar(gi, hi))
+            expected = Fraction(n * cup_pairing(gi, hi))
             report, _ = engine.pair_reports(0, n, gi, 0, -n, hi)
             if report.kind == "central" and report.central_value == expected:
                 continue

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, document shapes, metadata echo,
 golden documents, and byte-stable output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,11 @@ from ellwall.cli import build_parser, main
 from ellwall.roots import build_elliptic
 
 DATA = Path(__file__).parent / "data"
+
+# stdout of ``ellwall verify-all --seed 42``: the byte contract of the report
+VERIFY_ALL_SEED_42_SHA256 = (
+    "f81aaf808b70f247bcf3b0d940564634a0429bdc56cfc862f1f710672605ea16"
+)
 
 
 def run(capsys, *argv):
@@ -599,9 +605,31 @@ class TestCrossProcess:
         first = self.run_fresh(argv, "1")
         second = self.run_fresh(argv, "2718")
         assert first == second
+        assert hashlib.sha256(first).hexdigest() == VERIFY_ALL_SEED_42_SHA256
         report = json.loads(first)
         assert report["seed"] == 42 and report["all_pass"]
         assert len(report["criteria"]) == 10
+
+    # verify-all with one criterion's report in the iteration order of a
+    # set of strings, which the hash seed sets
+    HASH_ORDERED = (
+        "import sys\n"
+        "from ellwall import cli, verify\n"
+        "real = verify.check_weyl_relations\n"
+        "def hash_ordered():\n"
+        "    names = {'E', 'sigma+', 'sigma-', 'pt', 'A1', 'A2', 'D4', 'E8'}\n"
+        "    return {**real(), 'types': list(names)}\n"
+        "verify.check_weyl_relations = hash_ordered\n"
+        "sys.exit(cli.main(['verify-all', '--seed', '42']))\n"
+    )
+
+    def test_a_report_in_hash_order_changes_bytes(self):
+        """The comparison above bites: a report that follows hash order
+        passes every criterion but differs between the two hash seeds."""
+        first = self.run_fresh([], "1", entry=("-c", self.HASH_ORDERED))
+        second = self.run_fresh([], "2718", entry=("-c", self.HASH_ORDERED))
+        assert json.loads(first)["all_pass"] and json.loads(second)["all_pass"]
+        assert first != second
 
 
 class TestImportBoundary:

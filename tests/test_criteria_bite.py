@@ -8,6 +8,7 @@ report that still serializes.
 import dataclasses
 
 from ellwall import lattices, localmodel, verify, walls
+from ellwall.fock import labels as fock_labels
 from ellwall.fock import operators
 from ellwall.fock import verify as fock_verify
 from ellwall.fock.labels import COH_E, COH_PT
@@ -36,6 +37,41 @@ def test_c02_fails_when_the_commutator_rows_are_empty(monkeypatch):
     assert len(result["failures"]) == 16
     pairs = {tuple(f["labels"]) for f in result["failures"]}
     assert pairs == {("E", "pt"), ("pt", "E"), ("sigma+", "sigma-"), ("sigma-", "sigma+")}
+    to_json(result)
+
+
+# the pairing matrix the mode contractions read, mutated; c02 and c03
+# take their expected pairings from the cup product, which stays right
+DOUBLED_E_PT = ((0, 0, 0, 2), (0, 0, 1, 0), (0, -1, 0, 0), (2, 0, 0, 0))
+SYMMETRIC_ODD = ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+
+
+def test_c02_fails_when_the_e_pt_pairing_is_doubled(monkeypatch):
+    # one central witness per (n, g, h), n <= 4
+    monkeypatch.setattr(fock_labels, "_PAIR", DOUBLED_E_PT)
+    result = verify.check_small_modes(6, 4)
+    assert result["pass"] is False
+    assert len(result["failures"]) == 8
+    assert {tuple(f["labels"]) for f in result["failures"]} == {("E", "pt"), ("pt", "E")}
+    to_json(result)
+
+
+def test_c02_fails_when_the_odd_pairing_is_symmetric(monkeypatch):
+    monkeypatch.setattr(fock_labels, "_PAIR", SYMMETRIC_ODD)
+    result = verify.check_small_modes(6, 4)
+    assert result["pass"] is False
+    assert len(result["failures"]) == 4
+    assert {tuple(f["labels"]) for f in result["failures"]} == {("sigma-", "sigma+")}
+    to_json(result)
+
+
+def test_c03_fails_when_the_e_pt_pairing_is_doubled(monkeypatch):
+    # the commutator doubles; only the pt label pairs with the field
+    monkeypatch.setattr(fock_labels, "_PAIR", DOUBLED_E_PT)
+    result = verify.check_vertex_commutator(3)
+    assert result["pass"] is False
+    assert len(result["failures"]) == 3152
+    assert {w["label"] for w in result["failures"]} == {"pt"}
     to_json(result)
 
 

@@ -155,6 +155,12 @@ class TestFockState:
         assert FockState.zero(0) == FockState.zero(7)
         assert add(FockState.zero(0), FockState(4, {(): 1})) == FockState(4, {(): 1})
 
+    def test_states_are_unhashable(self):
+        # equal zero states of two charges could not hash alike, and a
+        # state is mutable
+        with pytest.raises(TypeError):
+            hash(FockState(0))
+
     def test_cancellation_drops_monomial(self):
         a = FockState.from_monomial(((2, COH_E),), 1)
         assert sub(a, a).is_zero()

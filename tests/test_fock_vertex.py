@@ -8,22 +8,25 @@ from pathlib import Path
 import pytest
 
 import ellwall.fock.verify as verify
+from ellwall.fock import fastapply
 from ellwall.fock.fastapply import (
     BasisIndex,
     ChargedField,
     ModeTable,
+    RowTable,
     _sub_monomials,
     add_scaled,
 )
 from ellwall.fock.labels import (
     COH_E,
     COH_PT,
+    COH_SM,
     COH_SP,
     LABEL_NAMES,
     LABEL_PARITY,
     label_index,
 )
-from ellwall.fock.operators import FieldTable
+from ellwall.fock.operators import FieldTable, w_small
 from ellwall.fock.states import (
     FockState,
     Monomial,
@@ -128,7 +131,7 @@ def oracle_sweep(N, m_values, k_max, n_max, zero_labels, zero_window) -> list[di
                         diff = apply_single_mode(slices[n], k, gi, cache)
                         for t, c in ak.items():
                             add_scaled(diff, field.slices(t)[n], -c)
-                        pair = verify.pairing_scalar(gi, COH_E) * m
+                        pair = verify.cup_pairing(gi, COH_E) * m
                         if pair:
                             add_scaled(diff, slices[n + k], -pair)
                         if diff:
@@ -154,10 +157,10 @@ def oracle_sweep(N, m_values, k_max, n_max, zero_labels, zero_window) -> list[di
 
 
 def corrupt_pairing(monkeypatch):
-    """Put the sweep's pairing factor off by one, so that checks fail."""
-    true_pairing = verify.pairing_scalar
+    """Put the sweep's expected pairing off by one, so that checks fail."""
+    true_pairing = verify.cup_pairing
     monkeypatch.setattr(
-        verify, "pairing_scalar", lambda i, j: true_pairing(i, j) + 1
+        verify, "cup_pairing", lambda i, j: true_pairing(i, j) + 1
     )
     return true_pairing
 
@@ -237,6 +240,16 @@ def test_mode_table_above_the_depth_matches_reference():
             assert _mode_entry(basis, table, i) == want
 
 
+def test_mode_table_roles_match_the_row_table_of_the_mode():
+    """A mode table's ``contracted`` and ``created`` sets are those that a
+    RowTable reads off the terms of the bare mode (w_small, one term)."""
+    basis = BasisIndex(4)
+    for (n, label), table in _lazy_tables(basis).items():
+        rows = RowTable(w_small(n, label), basis)
+        assert (table.contracted, table.created) == (rows.contracted, rows.created)
+        assert len(table.contracted | table.created) == 1
+
+
 def test_sweep_numbers_the_window_and_the_images_it_reads(monkeypatch):
     """The sweep enumerates its window alone and numbers fewer monomials
     than the image bound's basis holds."""
@@ -283,10 +296,22 @@ def test_sweep_and_fields_split_each_window_monomial_once(monkeypatch):
     (cache,) = basis._splits.values()
     assert all(field._splits is cache for field in fields)
     assert computed == list(range(basis.count(4))) and len(cache) == len(computed)
-    # the fields read every monomial they build through that cache
+    # the fields read every monomial they build through that cache; on a
+    # passing sweep only the pt label runs, on pt-only monomials
     built = {i for field in fields for i in field}
     assert built <= cache.keys()
-    assert any(any(l != COH_PT for _, l in basis.monos[i]) for i in built)
+    assert all(l == COH_PT for i in built for _, l in basis.monos[i])
+    # a read of a monomial with spectators takes the field's spread branch
+    # through the same cache, splitting nothing again
+    field = fields[0]
+    mixed = [
+        i for i in range(basis.count(4)) if any(l != COH_PT for _, l in basis.monos[i])
+    ]
+    oracle = MonomialField(field.m, field.n_lo, field.n_hi, field.bound)
+    for i in mixed:
+        got = {n: basis.monomials(row) for n, row in field[i].items()}
+        assert got == oracle.slices(basis.monos[i])
+    assert len(mixed) > 50 and computed == list(range(basis.count(4)))
 
 
 def test_index_slices_match_monomial_oracle():
@@ -423,7 +448,7 @@ def test_rho_guard_checks_odd_spectators_of_an_odd_mode(monkeypatch):
     part fails, so only the guard sends the sweep to those monomials;
     it must report the full pass's witnesses."""
     true_table = verify.ModeTable
-    true_pairing = verify.pairing_scalar
+    true_pairing = verify.cup_pairing
 
     def klein_pt_copy(basis, n, label):
         if label != COH_SP:
@@ -443,7 +468,7 @@ def test_rho_guard_checks_odd_spectators_of_an_odd_mode(monkeypatch):
     monkeypatch.setattr(verify, "ModeTable", klein_pt_copy)
     monkeypatch.setattr(
         verify,
-        "pairing_scalar",
+        "cup_pairing",
         lambda i, j: true_pairing(COH_PT if i == COH_SP else i, j),
     )
     args = (3, (1, -2), 2, 2, ("E", "sigma+"), 3)
@@ -457,9 +482,10 @@ def test_rho_guard_checks_odd_spectators_of_an_odd_mode(monkeypatch):
 
 
 def test_passing_sweep_checks_only_pt_only_monomials(monkeypatch):
-    """On a passing sweep every check runs on a pt-only monomial, each
-    such (monomial, label, k, m) instance once, and ``checked`` still
-    counts every instance of the window."""
+    """On a passing sweep every check is of the pt label on a pt-only
+    monomial, each such (monomial, k, m) instance once: the modes of the
+    zero-pairing labels super-commute with the field and are skipped.
+    ``checked`` still counts every instance of the window."""
     calls = _recorded_checks(monkeypatch)
     result = verify.vertex_commutator_sweep(4)
     assert result["ok"] and result["checked"] == 82368
@@ -469,16 +495,107 @@ def test_passing_sweep_checks_only_pt_only_monomials(monkeypatch):
         if all(l == COH_PT for _, l in basis.monos[i])
     ]
     assert len(pt_only) == 12
-    # the zero window is the truncation: every label runs on the window
     want = [
-        (m, k, gi, i)
+        (m, k, COH_PT, i)
         for m in (-2, -1, 1, 2)
         for k in (-4, -3, -2, -1, 1, 2, 3, 4)
         for i in pt_only
         if basis.energy[i] <= 4 - max(0, -k)
-        for gi in (COH_PT, 0, 1, 2)
     ]
-    assert calls == want
+    assert calls == want and len(want) == 248
+
+
+def _skipped(calls, args) -> set[tuple[int, int, int]]:
+    """The (m, k, label) of a sweep with ``args`` that no check reached;
+    with N >= k_max every other one checks at least the vacuum."""
+    N, m_values, k_max, _, zero_labels, _ = args
+    assert N >= k_max
+    labels = (COH_PT, *(label_index(g) for g in zero_labels))
+    every = {
+        (m, k, gi)
+        for m in m_values
+        for k in range(-k_max, k_max + 1)
+        if k
+        for gi in labels
+    }
+    return every - {call[:3] for call in calls}
+
+
+@pytest.mark.parametrize("corrupt_pt", [False, True])
+@pytest.mark.parametrize(
+    "args",
+    [
+        (3, (1, -2), 3, 3, ("E", "sigma+", "sigma-"), 3),
+        (4, (-1, 2), 2, 4, ("sigma-", "E"), 2),
+        (5, (2,), 4, 2, ("E", "sigma+", "sigma-"), 4),
+    ],
+)
+def test_skipped_labels_match_the_full_pass(monkeypatch, args, corrupt_pt):
+    """Every (m, k, label) that the sweep skips has no failure in the full
+    pass, which checks every monomial of every label, and the sweep's
+    failures are the full pass's, in order.  With the pt pairing off by
+    one the pt checks fail and the zero-pairing labels are still skipped."""
+    if corrupt_pt:
+        true_pairing = verify.cup_pairing
+        monkeypatch.setattr(
+            verify,
+            "cup_pairing",
+            lambda i, j: true_pairing(i, j) + (i == COH_PT and j == COH_E),
+        )
+    calls = _recorded_checks(monkeypatch)
+    result = verify.vertex_commutator_sweep(*args)
+    skipped = _skipped(calls, args)
+    want = _full_pass(*args)
+    assert result["failures"] == want
+    assert bool(want) == corrupt_pt
+    assert skipped and all(gi != COH_PT for _, _, gi in skipped)
+    assert not [w for w in want if (w["m"], w["k"], label_index(w["label"])) in skipped]
+
+
+def test_skip_census_per_slope(monkeypatch):
+    """At truncation 4 each slope skips every (k, label) of the three
+    zero-pairing labels, 24 of its 32, and checks every pt one."""
+    calls = _recorded_checks(monkeypatch)
+    args = (4, (-2, -1, 1, 2), 4, 4, ("E", "sigma+", "sigma-"), 4)
+    assert verify.vertex_commutator_sweep(*args)["ok"]
+    skipped = _skipped(calls, args)
+    for m in args[1]:
+        census = sorted((k, gi) for mm, k, gi in skipped if mm == m)
+        assert census == [
+            (k, gi) for k in (-4, -3, -2, -1, 1, 2, 3, 4) for gi in (COH_E, COH_SP, COH_SM)
+        ]
+
+
+@pytest.mark.parametrize("created, victim", [(COH_PT, COH_E), (COH_SP, COH_SM)])
+def test_skip_reads_the_field_terms_not_the_labels(monkeypatch, created, victim):
+    """Give every field one real term creating the mode (1, created): the
+    level-1 creation monomials of its table gain that mode.  alpha_1(victim)
+    contracts it, so the sweep runs the victim label's checks at k = 1,
+    and they fail on the vacuum; at every other k the victim's mode still
+    super-commutes with the field and is skipped.  A skip read off the
+    labels would pass this sweep."""
+    real_table = fastapply.FieldTable
+
+    class Creating(real_table):
+        __slots__ = ()
+
+        def __init__(self, m, ann_depth, cre_depth):
+            super().__init__(m, ann_depth, cre_depth)
+            self.create[1].append((((1, created),), m))
+
+    monkeypatch.setattr(fastapply, "FieldTable", Creating)
+    calls = _recorded_checks(monkeypatch)
+    args = (3, (1, -2), 2, 2, ("E", "sigma+", "sigma-"), 3)
+    result = verify.vertex_commutator_sweep(*args)
+    assert not result["ok"]
+    ran = {(m, k) for m, k, gi, _ in calls if gi == victim}
+    assert ran == {(1, 1), (-2, 1)}
+    hits = [w for w in result["failures"] if w["label"] == LABEL_NAMES[victim]]
+    assert {(w["m"], w["k"]) for w in hits} == ran
+    assert {_state_monomial(w["state"]) for w in hits} >= {()}
+    if created == COH_PT:
+        # the field stays even, so the pt-part reduction still holds
+        assert result["failures"] == _full_pass(*args)
 
 
 def test_corrupted_pairing_witnesses_match_golden(monkeypatch):
