@@ -160,9 +160,6 @@ class Cyclotomic:
     def __sub__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
         return self._linear(other, -1)
 
-    def __rsub__(self, other: Scalar) -> "Cyclotomic":
-        return (-self)._linear(other, 1)
-
     def __mul__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
         a = self.nums
         if not isinstance(other, Cyclotomic):

@@ -19,11 +19,10 @@ form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .roots import EllipticRoot, build_elliptic, finite_gram
+from .roots import EllipticRoot, Record, build_elliptic, finite_gram
 
 Scalar = Union[int, Fraction]
 
@@ -33,16 +32,14 @@ SURFACE_TYPES = ("A-1", "D4", "E6", "E7", "E8")
 _COMPLEMENT = {"D4": "D4", "E6": "A2", "E7": "A1", "E8": None}
 
 
-@dataclass(frozen=True)
-class BilinearLattice:
-    labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    # (i, j, gram[i][j]) for every nonzero entry, listed once per lattice
-    entries: tuple[tuple[int, int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
+class BilinearLattice(Record):
+    _fields = ("labels", "gram")
+    # entries: (i, j, gram[i][j]) for every nonzero entry, listed once per lattice
+    __slots__ = (*_fields, "entries")
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple[str, ...], gram: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "gram", gram)
         r = len(self.labels)
         if len(set(self.labels)) != r:
             raise ValueError("basis labels must be distinct")
@@ -73,15 +70,12 @@ class BilinearLattice:
         return tuple(int(j == i) for j in range(self.rank))
 
 
-@dataclass(frozen=True, init=False)
-class MukaiVector:
+class MukaiVector(Record):
     """(rank, divisor class, point part).  The divisor class is integral;
     the point part may be half-integral, so it is stored doubled, as the
     integer ``twice_ch2``."""
 
-    rank: int
-    c1: tuple[int, ...]
-    twice_ch2: int
+    __slots__ = _fields = ("rank", "c1", "twice_ch2")
 
     def __init__(self, rank: int, c1: Sequence[Scalar], ch2: Scalar):
         if any(c.denominator != 1 for c in c1):

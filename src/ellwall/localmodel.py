@@ -22,13 +22,13 @@ and traces are invariant under that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import weyl
 from .cyclotomic import Cyclotomic, _element, _power_table
+from .roots import Record
 from .serialize import cyclo_str
 from .walls import UnsupportedTypeError
 
@@ -134,8 +134,7 @@ def _coerce(k: int, x: Scalar) -> Cyclotomic:
     return Cyclotomic(k, x)
 
 
-@dataclass(frozen=True)
-class BimoduleParam:
+class BimoduleParam(Record):
     """An extension parameter: one coefficient per group element of the
     order-k cyclic group, indexed 0..k-1 by the exponent of the chosen
     generator; coefficients live in Q(zeta_k).
@@ -143,11 +142,12 @@ class BimoduleParam:
     ``chars`` holds A_0..A_{k-1} (see ``char_value``), computed once from
     the coefficients; it takes no part in equality, hashing or repr."""
 
-    k: int
-    a: tuple[Cyclotomic, ...]
-    chars: tuple[Cyclotomic, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("k", "a")
+    __slots__ = (*_fields, "chars")
 
-    def __post_init__(self):
+    def __init__(self, k: int, a: tuple[Cyclotomic, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "a", a)
         if self.k < 1:
             raise ValueError("group order must be >= 1")
         if len(self.a) != self.k:
@@ -314,8 +314,7 @@ def nilpotent_jordan_type(mat: Matrix) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorDecomposition:
+class TensorDecomposition(NamedTuple):
     """How the i-th simple torsion sheaf tensors against the bimodule:
     either the split pair (s_i, s_{i-1}) or the indecomposable
     extension of s_{i-1} by s_i, decided by the exact vanishing of the

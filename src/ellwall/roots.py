@@ -12,9 +12,8 @@ triality type, 240 for the largest) double as oracle values in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 DELIGNE_TYPES = ("A-1", "A0", "A1", "A2", "G2", "D4", "F4", "E6", "E7", "E8")
 
@@ -59,8 +58,38 @@ def cartan_matrix(type_name: str) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@dataclass(frozen=True, order=True)
-class EllipticRoot:
+class Record:
+    """An immutable value over ``__slots__``, for the records that derive
+    or validate a field or leave one out of equality; the others are
+    ``NamedTuple``s.  ``__init__`` sets each slot once, through
+    ``object.__setattr__``.  The repr shows the ``_fields``; equality and
+    hash read ``_key()``, those same fields unless a record narrows it."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class EllipticRoot(NamedTuple):
     """finite_part + m*delta1 + n*delta2 (delta1 = point direction,
     delta2 = fiber direction carrying the marking)."""
 

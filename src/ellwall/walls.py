@@ -20,9 +20,8 @@ and the normalization choices are flagged in the emitted assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .lattices import (
     BilinearLattice,
@@ -251,8 +250,7 @@ def phase_equal_locus(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WallSpec:
+class WallSpec(NamedTuple):
     root: EllipticRoot
     kclass: MukaiVector
     locus: TriPoly
@@ -405,8 +403,7 @@ def _positive_roots(type_name: str) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChamberDecomposition:
+class ChamberDecomposition(NamedTuple):
     type_name: str
     n: int
     walls: tuple[WallSpec, ...]

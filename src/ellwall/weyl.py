@@ -16,10 +16,9 @@ Matrix convention: vectors are columns over the ordered basis
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
-from .roots import EllipticRoot, EllipticRootSystem
+from .roots import EllipticRoot, EllipticRootSystem, Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -44,10 +43,18 @@ def root_vector(system: EllipticRootSystem, beta: EllipticRoot) -> tuple[int, ..
     return tuple(beta.finite) + (beta.m, beta.n)
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    matrix: Matrix
-    word: tuple[str, ...] = field(default_factory=tuple, compare=False)
+class WeylElement(Record):
+    """The word records provenance only: equality and hash read the
+    matrix alone."""
+
+    __slots__ = _fields = ("matrix", "word")
+
+    def __init__(self, matrix: Matrix, word: tuple[str, ...] = ()):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "word", word)
+
+    def _key(self) -> tuple:
+        return (self.matrix,)
 
     @property
     def size(self) -> int:
@@ -102,8 +109,7 @@ def reflect(system: EllipticRootSystem, beta: EllipticRoot) -> WeylElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedElement:
+class ExtendedElement(Record):
     """Form-preserving operator together with its delta-plane action.
 
     gl2_part is written over the ordered basis (marking direction,
@@ -111,15 +117,21 @@ class ExtendedElement:
     gl2_part is upper triangular.
     """
 
-    weyl_part: WeylElement
-    gl2_part: tuple[tuple[int, int], tuple[int, int]]
-    label: str = ""
+    __slots__ = _fields = ("weyl_part", "gl2_part", "label")
 
-    def __post_init__(self):
-        a, b = self.gl2_part
+    def __init__(
+        self,
+        weyl_part: WeylElement,
+        gl2_part: tuple[tuple[int, int], tuple[int, int]],
+        label: str = "",
+    ):
+        a, b = gl2_part
         det = a[0] * b[1] - a[1] * b[0]
         if det not in (1, -1):
             raise ValueError(f"delta-plane block must lie in GL(2,Z), det={det}")
+        object.__setattr__(self, "weyl_part", weyl_part)
+        object.__setattr__(self, "gl2_part", gl2_part)
+        object.__setattr__(self, "label", label)
 
     def stabilizes_marking(self) -> bool:
         return self.gl2_part[1][0] == 0

@@ -666,3 +666,23 @@ class TestImportBoundary:
         for stage in ("after_import", "after_queries"):
             assert set(out[stage]["ellwall"]) == self.QUERY_PATH, stage
             assert out[stage]["unused"] == [], stage
+
+    # the exact criteria at small sizes, in a process that loads the
+    # value records of every exact module
+    EXACT_PROBE = (
+        "import json, sys\n"
+        "from ellwall import verify\n"
+        "reports = [\n"
+        "    verify.check_hh0_table(), verify.check_wall_sets(3),\n"
+        "    verify.check_weyl_relations(2), verify.check_tensor_table(5, seed=1),\n"
+        "]\n"
+        "unused = [m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules]\n"
+        "print(json.dumps({'passes': [r['pass'] for r in reports], 'unused': unused}))\n"
+    )
+
+    def test_exact_checks_load_no_dataclasses(self):
+        """The value records are plain classes, so a cold ``ellwall.verify``
+        process never pays for ``dataclasses`` and the ``inspect``, ``ast``
+        and ``dis`` modules it imports."""
+        out = json.loads(TestCrossProcess.run_fresh([], "1", entry=("-c", self.EXACT_PROBE)))
+        assert out == {"passes": [True] * 4, "unused": []}

@@ -5,8 +5,6 @@ and checks that the criterion's runner returns ``pass: False`` with a
 report that still serializes.
 """
 
-import dataclasses
-
 from ellwall import lattices, localmodel, verify, walls
 from ellwall.fock import labels as fock_labels
 from ellwall.fock import operators
@@ -15,6 +13,7 @@ from ellwall.fock.labels import COH_E, COH_PT
 from ellwall.fock.operators import OperatorExpr
 from ellwall.fock.states import FockState
 from ellwall.serialize import to_json
+from ellwall.weyl import ExtendedElement
 
 
 def test_c01_fails_when_a_table_entry_is_changed(monkeypatch):
@@ -270,7 +269,7 @@ def test_c10_fails_when_the_flip_is_not_an_involution(monkeypatch):
 
     def shear_as_flip(system):
         shear, flip = real(system)
-        return [shear, dataclasses.replace(flip, weyl_part=shear.weyl_part)]
+        return [shear, ExtendedElement(shear.weyl_part, flip.gl2_part, flip.label)]
 
     monkeypatch.setattr(verify, "marking_stabilizer_generators", shear_as_flip)
     result = verify.check_weyl_relations(2)
@@ -284,7 +283,7 @@ def test_c10_fails_when_a_generator_moves_the_marking(monkeypatch):
 
     def transposed_flip(system):
         shear, flip = real(system)
-        return [shear, dataclasses.replace(flip, gl2_part=((1, 0), (1, -1)))]
+        return [shear, ExtendedElement(flip.weyl_part, ((1, 0), (1, -1)), flip.label)]
 
     monkeypatch.setattr(verify, "marking_stabilizer_generators", transposed_flip)
     result = verify.check_weyl_relations(2)
