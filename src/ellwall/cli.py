@@ -3,9 +3,9 @@ bracket-verification reports, monodromy application, and the local
 orbifold tables.
 
 Every output document embeds a metadata block (tool version plus the
-normalization conventions in force, including any override flags), and
-identical invocations produce byte-identical output.  Randomized sweeps
-take an explicit seed which is echoed on stderr and in the report.
+normalization conventions in force), and identical invocations produce
+byte-identical output.  Randomized sweeps take an explicit seed which is
+echoed on stderr and in the report.
 
 Each command imports only the modules it runs: at import this module
 loads the serializer and the Fock stack, which the ``bracket`` and
@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 from .fock.labels import LABEL_NAMES, label_index
 from .fock.monodromy import monodromy_f, monodromy_s
-from .fock.operators import FockConfig
 from .fock.states import FockState, creation_chain
 from .fock.verify import bracket_verify
 from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, cyclo_str, frac_str, metadata, to_json
@@ -124,12 +123,13 @@ def _state_from_modes(modes: Sequence[tuple[int, int]], charge: int) -> FockStat
 
 
 def _metadata(args: argparse.Namespace) -> dict:
-    """The metadata block: the conventions in force, with ``monodromy``'s
-    extended-mode overrides."""
+    """The metadata block: the conventions in force, with, for
+    ``monodromy``, the one convention of the pt slope field that the
+    section action builds."""
     conventions = dict(CONVENTIONS)
     if args.command == "monodromy":
-        conventions["extended_weight_field"] = args.weight_field
-        conventions["extended_derivative"] = args.derivative
+        conventions["extended_weight_field"] = "symplectic_fermion"
+        conventions["extended_derivative"] = "z_ddz"
     return metadata(conventions)
 
 
@@ -213,14 +213,13 @@ def cmd_bracket(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_monodromy(args: argparse.Namespace) -> tuple[str, int]:
     state = _state_from_modes(args.modes, args.charge)
-    config = FockConfig(weight_field=args.weight_field, derivative=args.derivative)
     try:
         if args.generator == "f":
             image = monodromy_f(state)
         elif args.generator == "ff":
             image = monodromy_f(monodromy_f(state))
         else:
-            image = monodromy_s(state, args.truncation, config)
+            image = monodromy_s(state, args.truncation)
     except ValueError as exc:
         raise UnsupportedRequest(str(exc)) from exc
     body = {
@@ -349,18 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--charge", type=int, default=0)
     p.add_argument("--truncation", type=_positive_int, default=8)
-    p.add_argument(
-        "--weight-field",
-        default="symplectic_fermion",
-        choices=("symplectic_fermion", "zero"),
-        help="extended-mode convention override, echoed in metadata",
-    )
-    p.add_argument(
-        "--derivative",
-        default="z_ddz",
-        choices=("z_ddz", "ddz"),
-        help="extended-mode convention override, echoed in metadata",
-    )
     finish(p, cmd_monodromy)
 
     p = sub.add_parser("local", help="cyclic-orbifold character and jet tables")

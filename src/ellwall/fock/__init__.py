@@ -9,7 +9,7 @@ sweeps).
 
 from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_NAMES
 from .monodromy import monodromy_f, monodromy_s
-from .operators import ExtendedModeError, FockConfig, OperatorExpr, w_general, w_small
+from .operators import ExtendedModeError, OperatorExpr, w_general, w_small
 from .states import FockState, basis_monomials
 from .verify import BracketReport, bracket_sweep, bracket_verify
 
@@ -22,7 +22,6 @@ __all__ = [
     "monodromy_f",
     "monodromy_s",
     "ExtendedModeError",
-    "FockConfig",
     "OperatorExpr",
     "w_general",
     "w_small",

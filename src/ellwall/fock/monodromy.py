@@ -16,10 +16,9 @@ every term that acts on that input.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .fastapply import BasisIndex, IndexRow, RowTable, compose_rows
-from .operators import FockConfig, w_general
+from .operators import w_general
 from .states import FockState, Monomial
 
 def monodromy_f(state: FockState) -> FockState:
@@ -42,13 +41,12 @@ def monodromy_f(state: FockState) -> FockState:
     return image
 
 
-def monodromy_s(
-    state: FockState, N: int, config: Optional[FockConfig] = None
-) -> FockState:
+def monodromy_s(state: FockState, N: int) -> FockState:
     """Section-type action: each creation mode alpha_{-k}(gamma) is
     replaced by the slope-one generator w^{1,-k}_gamma; linear; exact on
     states of energy <= N, and a ValueError when a nonzero intermediate
-    image leaves that window.  pt labels need the extended configuration.
+    image leaves that window.  A pt mode takes the pt slope field, whose
+    one convention no criterion checks (see ``operators``).
 
     Each generator is built at the window min(e, N), e the energy of the
     image it acts on: exact there, and at e > N its RowTable refuses the
@@ -71,7 +69,7 @@ def monodromy_s(
             rows = tables.get((mode, window))
             if rows is None:
                 rows = tables[mode, window] = RowTable(
-                    w_general(1, -mode[0], mode[1], window, config), basis
+                    w_general(1, -mode[0], mode[1], window), basis
                 )
             row = compose_rows(rows, row)
             denom *= rows.op.denom

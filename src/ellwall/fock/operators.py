@@ -20,10 +20,11 @@ annihilation part that the action rows of ``fastapply`` read.
 
 Slope fields: the E-label field at slope m is the charged exponential
 field scaled by 1/m; the odd-label fields multiply it by the odd
-current; the pt-label field (extended mode, excluded from mandatory
-verification) needs an explicit configuration choosing the derivative
-convention and the weight-current convention.  All of them read one
-integer coefficient table (``FieldTable``), built once per generator.
+current; the pt-label field adds the symplectic-fermion weight current
+to the z d/dz derivative of the charged field.  That is its one
+convention; no criterion checks it, and only the section-type action
+reaches it.  All of them read one integer coefficient table
+(``FieldTable``), built once per generator.
 """
 
 from __future__ import annotations
@@ -38,21 +39,8 @@ from .states import Monomial, _mode_key, creation_chain, monomial_energy
 
 
 class ExtendedModeError(ValueError):
-    """A pt-label slope field was requested without extended configuration."""
-
-
-class FockConfig:
-    """Conventions for the extended (pt-label) slope field."""
-
-    __slots__ = ("weight_field", "derivative")
-
-    def __init__(self, weight_field: str = "symplectic_fermion", derivative: str = "z_ddz"):
-        if weight_field not in ("symplectic_fermion", "zero"):
-            raise ValueError(f"unknown weight_field {weight_field!r}")
-        if derivative not in ("z_ddz", "ddz"):
-            raise ValueError(f"unknown derivative {derivative!r}")
-        self.weight_field = weight_field
-        self.derivative = derivative
+    """A bracket was asked of the pt-label slope field, which no relation
+    is checked for."""
 
 
 class NormalTerm(NamedTuple):
@@ -141,13 +129,6 @@ class OperatorExpr:
         self.parity = parity
         self.name = name
         self.denom = denom // g
-
-    def __repr__(self) -> str:
-        label = self.name or "operator"
-        return (
-            f"OperatorExpr({label}, {len(self.terms)} terms, "
-            f"shift={self.energy_shift}, charge={self.charge_shift})"
-        )
 
 
 @lru_cache(maxsize=32)
@@ -310,40 +291,28 @@ def _weight_current_terms(u: int, N: int, b: int) -> list[Term]:
     return out
 
 
-def _pt_field_mode(m: int, b: int, N: int, config: FockConfig) -> OperatorExpr:
-    """Extended-mode pt-label slope field: a derivative part plus an
-    optional odd-bilinear weight part, scaled by 1/m.  The plain-dz
-    derivative convention lowers the effective mode index by one; both
-    parts are built at the same effective index so the operator stays
-    homogeneous.  The weight part's odd modes join the field's parts
-    through ``_joiner``."""
-    x0 = b if config.derivative == "z_ddz" else b - 1
-    table = FieldTable(m, N, N - x0)
-    terms = [(-x0 * coeff, cre, ann) for coeff, cre, ann in table.mode_terms(x0, N)]
-    if config.weight_field == "symplectic_fermion":
-        join = _joiner()
-        window = N + abs(x0) + 2
-        for u in range(-window, window + 1):
-            for sign, w_cre, w_ann in _weight_current_terms(u, N, x0):
-                depth_used = monomial_energy(w_ann)
-                for coeff, cre, ann in table.mode_terms(x0 - u, N - depth_used):
-                    terms.append((sign * coeff, join(cre, w_cre), join(ann, w_ann)))
+def _pt_field_mode(m: int, b: int, N: int) -> OperatorExpr:
+    """z^{-b} mode of the pt-label slope field at slope m != 0: the
+    z d/dz derivative of the charged field plus the symplectic-fermion
+    weight current times it, scaled by 1/m.  The weight part's odd modes
+    join the field's parts through ``_joiner``."""
+    table = FieldTable(m, N, N - b)
+    terms = [(-b * coeff, cre, ann) for coeff, cre, ann in table.mode_terms(b, N)]
+    join = _joiner()
+    window = N + abs(b) + 2
+    for u in range(-window, window + 1):
+        for sign, w_cre, w_ann in _weight_current_terms(u, N, b):
+            depth_used = monomial_energy(w_ann)
+            for coeff, cre, ann in table.mode_terms(b - u, N - depth_used):
+                terms.append((sign * coeff, join(cre, w_cre), join(ann, w_ann)))
     return OperatorExpr(
-        terms, N, m, -x0, 0, name=f"w[{m},{b};pt;{config.derivative}]",
-        denom=table.denom * m,
+        terms, N, m, -b, 0, name=f"w[{m},{b};pt]", denom=table.denom * m
     )
 
 
-def w_general(
-    a: int,
-    b: int,
-    label: Union[int, str],
-    N: int,
-    config: Optional[FockConfig] = None,
-) -> OperatorExpr:
+def w_general(a: int, b: int, label: Union[int, str], N: int) -> OperatorExpr:
     """Doubly graded generator w^{a,b}_label as a mode-sum operator,
-    exact on states of energy <= N.  Labels E and sigma+/- are always
-    available; pt at nonzero slope needs the extended configuration."""
+    exact on states of energy <= N, for every label and slope."""
     if (a, b) == (0, 0):
         raise ValueError("the (0, 0) generator is excluded")
     i = label_index(label)
@@ -353,9 +322,4 @@ def w_general(
         return _charged_mode(a, b, N, a, f"w[{a},{b};E]")
     if i in (COH_SP, COH_SM):
         return _sigma_field_mode(a, b, i, N)
-    if config is None:
-        raise ExtendedModeError(
-            "pt-label slope fields are an extended mode: pass a FockConfig "
-            "choosing the derivative and weight-field conventions"
-        )
-    return _pt_field_mode(a, b, N, config)
+    return _pt_field_mode(a, b, N)

@@ -78,7 +78,7 @@ from .labels import (
     label_index,
     star_label,
 )
-from .operators import w_general
+from .operators import ExtendedModeError, w_general
 from .states import FockState, Monomial
 
 
@@ -192,6 +192,11 @@ class _BracketEngine:
         key = (a, b, li)
         cached = self._rows.get(key)
         if cached is None:
+            if li == COH_PT and a:
+                raise ExtendedModeError(
+                    "pt-label slope fields are an extended mode: no bracket "
+                    "relation is checked for them"
+                )
             op = w_general(a, b, li, self.N - max(0, -b))
             cached = self._rows[key] = RowTable(op, self.basis)
         return cached

@@ -104,9 +104,6 @@ class TriPoly:
     def __sub__(self, other: Union["TriPoly", Scalar]) -> "TriPoly":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: Scalar) -> "TriPoly":
-        return _coerce(other) - self
-
     def __mul__(self, other: Union["TriPoly", Scalar]) -> "TriPoly":
         other = _coerce(other)
         out: dict[Key, int] = {}

@@ -124,8 +124,6 @@ MONODROMY_GOLDENS = [
      ["--modes", "3:E,2:sigma+,1:sigma-", "--truncation", "6"]),
     ("cli_monodromy_s_pt.json",
      ["--modes", "2:pt,1:E", "--truncation", "5"]),
-    ("cli_monodromy_s_pt_zero.json",
-     ["--modes", "2:pt,1:E", "--truncation", "5", "--weight-field", "zero"]),
     # the last generator's images have energy 7, above the truncation
     ("cli_monodromy_s_past_window.json",
      ["--modes", "3:E,3:E,1:E", "--truncation", "5"]),
@@ -224,17 +222,16 @@ class TestMonodromy:
         assert conv["extended_derivative"] == "z_ddz"
         assert doc["output"]["terms"]
 
-    def test_override_changes_output_and_is_echoed(self, capsys):
-        base = run_json(
-            capsys, "monodromy", "--generator", "s", "--modes", "2:pt",
-            "--truncation", "4",
-        )
-        alt = run_json(
-            capsys, "monodromy", "--generator", "s", "--modes", "2:pt",
-            "--truncation", "4", "--weight-field", "zero",
-        )
-        assert alt["metadata"]["conventions"]["extended_weight_field"] == "zero"
-        assert alt["output"] != base["output"]
+    @pytest.mark.parametrize(
+        "flag", (["--weight-field", "zero"], ["--derivative", "ddz"]),
+        ids=("weight-field", "derivative"),
+    )
+    def test_removed_convention_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["monodromy", "--generator", "s", "--modes", "2:pt", *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
 
     def test_odd_mode_square_collapses_to_zero(self, capsys):
         doc = run_json(

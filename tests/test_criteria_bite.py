@@ -113,8 +113,8 @@ def test_c04_sends_pairs_to_the_kernel_by_their_terms_not_labels(monkeypatch):
     e_pair_calls = []
 
     def generators(mutate):
-        def build(a, b, li, N, config=None):
-            op = real_generator(a, b, li, N, config)
+        def build(a, b, li, N):
+            op = real_generator(a, b, li, N)
             if mutate and li == COH_E:
                 k = max(1, 1 - b)  # creates energy k, annihilates k + b >= 1
                 extra = (op.denom, ((k, COH_PT),), ((k + b, COH_E),))

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from ellwall.fock.fastapply import BasisIndex, RowTable
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY
-from ellwall.fock.operators import FockConfig, _centralizers, _partitions, w_general
+from ellwall.fock.operators import _centralizers, _partitions, w_general
 from ellwall.fock.states import creation_chain, monomial_energy
 
 from fock_reference import CohClass, annihilate, heisenberg_mode, insert_creation
@@ -120,31 +120,31 @@ def ref_weight_current_terms(u, N, b):
     return out
 
 
-def ref_pt_terms(m, b, N, config):
-    x0 = b if config.derivative == "z_ddz" else b - 1
+def ref_pt_terms(m, b, N):
+    """z d/dz of the charged field plus the symplectic-fermion weight
+    current times it, scaled by 1/m."""
     scale = Fraction(1, m)
     terms = [
-        (c * scale * (-x0), charge, cre, ann)
-        for c, charge, cre, ann in ref_gamma_terms(m, x0, N)
+        (c * scale * (-b), charge, cre, ann)
+        for c, charge, cre, ann in ref_gamma_terms(m, b, N)
     ]
-    if config.weight_field == "symplectic_fermion":
-        window = N + abs(x0) + 2
-        for u in range(-window, window + 1):
-            for sign, _, w_cre, w_ann in ref_weight_current_terms(u, N, x0):
-                depth_used = monomial_energy(w_ann)
-                for c, _, g_cre, g_ann in ref_gamma_terms(m, x0 - u, N - depth_used):
-                    terms.append(
-                        (
-                            sign * c * scale,
-                            m,
-                            canonical(w_cre + g_cre),
-                            canonical(w_ann + g_ann),
-                        )
+    window = N + abs(b) + 2
+    for u in range(-window, window + 1):
+        for sign, _, w_cre, w_ann in ref_weight_current_terms(u, N, b):
+            depth_used = monomial_energy(w_ann)
+            for c, _, g_cre, g_ann in ref_gamma_terms(m, b - u, N - depth_used):
+                terms.append(
+                    (
+                        sign * c * scale,
+                        m,
+                        canonical(w_cre + g_cre),
+                        canonical(w_ann + g_ann),
                     )
+                )
     return terms
 
 
-def ref_terms(a, b, label, N, config=None):
+def ref_terms(a, b, label, N):
     """Reference terms of w^{a,b}_label at truncation N."""
     if a == 0:
         factor = {COH_E: Fraction(1, abs(b)), COH_PT: Fraction(abs(b))}.get(
@@ -156,7 +156,7 @@ def ref_terms(a, b, label, N, config=None):
         return [(c / a, ch, cre, ann) for c, ch, cre, ann in ref_gamma_terms(a, b, N)]
     if label in (COH_SP, COH_SM):
         return ref_sigma_terms(a, b, label, N)
-    return ref_pt_terms(a, b, N, config)
+    return ref_pt_terms(a, b, N)
 
 
 def ref_rows(terms, monos):
@@ -199,13 +199,9 @@ def regroup(terms):
 
 # ---------------------------------------------------------------------------
 
-CONFIGS = [
-    FockConfig(weight_field=w, derivative=d)
-    for w in ("symplectic_fermion", "zero")
-    for d in ("z_ddz", "ddz")
-]
-KINDS = [("E", COH_E, None), ("sigma+", COH_SP, None), ("sigma-", COH_SM, None)] + [
-    (f"pt-{c.weight_field}-{c.derivative}", COH_PT, c) for c in CONFIGS
+KINDS = [
+    ("E", COH_E), ("sigma+", COH_SP), ("sigma-", COH_SM),
+    ("pt-symplectic_fermion-z_ddz", COH_PT),
 ]
 GRID = [(a, b) for a in range(-2, 3) for b in range(-3, 4) if (a, b) != (0, 0)]
 # full action rows up to this truncation; above it, every eleventh monomial
@@ -215,15 +211,13 @@ ROWS_FULL_UP_TO = 3
 @pytest.mark.parametrize("N", range(6))
 @pytest.mark.parametrize("kind", KINDS, ids=[k[0] for k in KINDS])
 def test_w_general_matches_fraction_reference(kind, N):
-    _, label, config = kind
+    _, label = kind
     basis = BasisIndex(N)
     indices = range(0, basis.size, 1 if N <= ROWS_FULL_UP_TO else 11)
     monos = [basis.monos[i] for i in indices]
     for a, b in GRID:
-        if label == COH_PT and a == 0 and config != CONFIGS[0]:
-            continue  # slope zero does not read the configuration
-        op = w_general(a, b, label, N, config)
-        want = ref_terms(a, b, label, N, config)
+        op = w_general(a, b, label, N)
+        want = ref_terms(a, b, label, N)
         where = f"w[{a},{b};{kind[0]}] at N={N}"
         got = [
             (Fraction(t.coeff, op.denom), op.charge_shift, t.creations, t.annihilations)

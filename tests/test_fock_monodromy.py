@@ -4,10 +4,10 @@ import pytest
 
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP
 from ellwall.fock.monodromy import monodromy_f, monodromy_s
-from ellwall.fock.operators import ExtendedModeError, FockConfig, w_general
+from ellwall.fock.operators import w_general
 from ellwall.fock.states import FockState, basis_monomials, monomial_energy
 
-from fock_reference import TruncationError, add, apply
+from fock_reference import add, apply
 
 
 def state_of(*modes, coeff=1, charge=0):
@@ -120,11 +120,8 @@ class TestSectionAction:
         )
         assert got == expected
 
-    def test_pt_modes_need_config(self):
-        s = state_of((1, COH_PT))
-        with pytest.raises(ExtendedModeError):
-            monodromy_s(s, 4)
-        got = monodromy_s(s, 4, FockConfig())
+    def test_pt_modes_supported(self):
+        got = monodromy_s(state_of((1, COH_PT)), 4)
         assert got.charge == 1 and not got.is_zero()
 
     def test_charged_input_rejected(self):
@@ -148,41 +145,22 @@ class TestSectionAction:
         assert not monodromy_s(fits, 5).is_zero()
 
 
-CONFIGS = [
-    FockConfig(weight_field=w, derivative=d)
-    for w in ("symplectic_fermion", "zero")
-    for d in ("z_ddz", "ddz")
-]
-
-
-@pytest.mark.parametrize(
-    "config", CONFIGS, ids=[f"{c.weight_field}-{c.derivative}" for c in CONFIGS]
-)
-def test_section_action_matches_operator_chain(config):
+def test_section_action_matches_operator_chain():
     """The integer-row section action equals the reference chain of
     fock_reference.apply calls, slope-one generators applied right to left,
-    on every basis monomial of energy <= 4 (all four labels).  Under the
-    ddz convention a pt generator raises the energy by k + 1, so some
-    chains leave the window: both paths must then refuse."""
+    on every basis monomial of energy <= 4 (all four labels).  Each
+    generator raises the energy by its k, so no chain leaves the window
+    (the reference would raise TruncationError)."""
     N = 4
     ops = {}
-    overflows = 0
     for mono in basis_monomials(N):
-        state = FockState.from_monomial(mono)
         want = FockState(0, {(): 1})
-        try:
-            for k, label in reversed(mono):
-                op = ops.get((k, label))
-                if op is None:
-                    op = ops[(k, label)] = w_general(1, -k, label, N, config)
-                want = apply(op, want)
-        except TruncationError:
-            overflows += 1
-            with pytest.raises(ValueError):
-                monodromy_s(state, N, config)
-            continue
-        got = monodromy_s(state, N, config)
+        for k, label in reversed(mono):
+            op = ops.get((k, label))
+            if op is None:
+                op = ops[(k, label)] = w_general(1, -k, label, N)
+            want = apply(op, want)
+        got = monodromy_s(FockState.from_monomial(mono), N)
         assert got == want, mono
         if not want.is_zero():
             assert got.to_json_dict() == want.to_json_dict(), mono
-    assert (overflows > 0) == (config.derivative == "ddz")

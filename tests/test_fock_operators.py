@@ -15,10 +15,10 @@ from ellwall.fock.fastapply import (
 )
 from ellwall.fock import verify as fock_verify
 from ellwall.fock.labels import (
-    COH_E, COH_PT, COH_SM, COH_SP, LABEL_NAMES, pairing_scalar,
+    COH_E, COH_PT, COH_SM, COH_SP, pairing_scalar,
 )
 from ellwall.fock.operators import (
-    ExtendedModeError, FockConfig, OperatorExpr, w_general, w_small,
+    ExtendedModeError, OperatorExpr, w_general, w_small,
 )
 from ellwall.fock.states import (
     FockState, annihilation_chain, basis_monomials, creation_chain,
@@ -189,16 +189,18 @@ class TestSigmaField:
 
 class TestExtendedField:
     def test_requires_config(self):
+        """The bracket engine refuses the pt slope field on either side."""
         with pytest.raises(ExtendedModeError):
-            w_general(1, -1, COH_PT, 4)
+            fock_verify.bracket_verify(1, -1, "pt", 0, 1, "E", 4)
+        with pytest.raises(ExtendedModeError):
+            fock_verify.bracket_verify(0, 1, "E", -1, 1, "pt", 4)
 
     def test_vacuum_golden_default(self):
-        cfg = FockConfig()
         v = FockState(0, {(): 1})
-        assert apply(w_general(1, -1, COH_PT, 4, cfg), v) == state_of(
+        assert apply(w_general(1, -1, COH_PT, 4), v) == state_of(
             (1, COH_E), charge=1
         )
-        got = apply(w_general(1, -2, COH_PT, 4, cfg), v)
+        got = apply(w_general(1, -2, COH_PT, 4), v)
         expected = FockState(
             1,
             {
@@ -208,34 +210,6 @@ class TestExtendedField:
             },
         )
         assert got == expected
-
-    def test_zero_weight_field_drops_bilinear(self):
-        cfg = FockConfig(weight_field="zero")
-        v = FockState(0, {(): 1})
-        got = apply(w_general(1, -2, COH_PT, 4, cfg), v)
-        expected = FockState(
-            1,
-            {
-                ((1, COH_E), (1, COH_E)): Fraction(1),
-                ((2, COH_E),): Fraction(1),
-            },
-        )
-        assert got == expected
-
-    def test_plain_derivative_shifts_index(self):
-        # d/dz lowers the effective mode index by one relative to z d/dz
-        cfg_z = FockConfig()
-        cfg_d = FockConfig(derivative="ddz")
-        v = FockState(0, {(): 1})
-        assert apply(w_general(1, -1, COH_PT, 4, cfg_d), v) == apply(
-            w_general(1, -2, COH_PT, 4, cfg_z), v
-        )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FockConfig(weight_field="bosonic")
-        with pytest.raises(ValueError):
-            FockConfig(derivative="dw")
 
 
 class TestOperatorExpr:
@@ -280,16 +254,14 @@ class TestOperatorExpr:
 
 def random_generators(test):
     """Hypothesis inputs for a random generator w^{a,b}_label at
-    truncation N, with a derivative convention and a basis pick."""
+    truncation N, with a basis pick."""
     test = settings(max_examples=80, deadline=None)(test)
-    test = example(2, -1, COH_PT, 4, "ddz", 40)(test)
-    test = example(-1, 2, COH_PT, 4, "z_ddz", 40)(test)
+    test = example(-1, 2, COH_PT, 4, 40)(test)
     return given(
         st.integers(-2, 2),
         st.integers(-3, 3),
         st.sampled_from(range(4)),
         st.integers(0, 4),
-        st.sampled_from(("z_ddz", "ddz")),
         st.integers(0, 10**4),
     )(test)
 
@@ -320,19 +292,16 @@ class TestFastRows:
         self.assert_rows_match(make(), basis, range(basis.size))
 
     @random_generators
-    def test_rows_match_random_generators(self, a, b, label, N, derivative, pick):
+    def test_rows_match_random_generators(self, a, b, label, N, pick):
         assume((a, b) != (0, 0))
-        # the derivative convention matters only for pt at a != 0
-        op = w_general(a, b, label, N, FockConfig(derivative=derivative))
+        op = w_general(a, b, label, N)
         basis = BasisIndex(N)
         self.assert_rows_match(op, basis, [pick % basis.size])
 
     @random_generators
-    def test_row_table_reads_match_random_generators(
-        self, a, b, label, N, derivative, pick
-    ):
+    def test_row_table_reads_match_random_generators(self, a, b, label, N, pick):
         assume((a, b) != (0, 0))
-        op = w_general(a, b, label, N, FockConfig(derivative=derivative))
+        op = w_general(a, b, label, N)
         basis = BasisIndex(N)
         table = RowTable(op, basis)
         i = pick % basis.size
@@ -466,16 +435,6 @@ class TestFastRows:
                         assert want.terms[t] == Fraction(c, field.denom)
 
 
-WINDOW_CONFIGS = [
-    FockConfig(weight_field=w, derivative=d)
-    for w in ("symplectic_fermion", "zero")
-    for d in ("z_ddz", "ddz")
-]
-WINDOW_CASES = [(label, None) for label in (COH_E, COH_SP, COH_SM)] + [
-    (COH_PT, config) for config in WINDOW_CONFIGS
-]
-
-
 class TestGeneratorWindows:
     """A generator built at a window w below the truncation holds every
     term that acts on a state of energy <= w: ``monodromy_s`` builds each
@@ -485,20 +444,16 @@ class TestGeneratorWindows:
     TOP = 6
 
     @pytest.mark.parametrize(
-        "label,config",
-        WINDOW_CASES,
-        ids=[
-            LABEL_NAMES[label] + (f"-{c.weight_field}-{c.derivative}" if c else "")
-            for label, c in WINDOW_CASES
-        ],
+        "label", (COH_E, COH_SP, COH_SM, COH_PT),
+        ids=("E", "sigma+", "sigma-", "pt-symplectic_fermion-z_ddz"),
     )
-    def test_rows_below_the_window_match_window_six(self, label, config):
+    def test_rows_below_the_window_match_window_six(self, label):
         basis = BasisIndex(self.TOP)
         for a in (-2, -1, 1, 2):
             for b in range(-3, 4):
-                full = RowTable(w_general(a, b, label, self.TOP, config), basis)
+                full = RowTable(w_general(a, b, label, self.TOP), basis)
                 for w in range(self.TOP):
-                    small = RowTable(w_general(a, b, label, w, config), basis)
+                    small = RowTable(w_general(a, b, label, w), basis)
                     assert small.op.truncation == w
                     d_full, d_small = full.op.denom, small.op.denom
                     for i in range(basis.count(w)):

@@ -22,7 +22,6 @@ import ellwall.fock.monodromy as monodromy
 import ellwall.fock.verify as verify
 from ellwall.fock.fastapply import BasisIndex, RowTable
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_NAMES, star_label
-from ellwall.fock.operators import FockConfig
 from ellwall.fock.states import FockState
 
 from fock_reference import apply
@@ -173,17 +172,16 @@ class TestCacheScope:
     def test_monodromy_calls_leave_no_cache_behind(self, bases):
         """Each call's basis goes on return, and no unbounded container
         of an ``ellwall.fock`` module grows over calls on new states."""
-        config = FockConfig()
         warm = FockState.from_monomial(((2, COH_PT), (1, COH_E)))
         states = [
             FockState.from_monomial(((1, COH_PT), (1, COH_SP), (1, COH_SM))),
             FockState.from_monomial(((2, COH_E), (1, COH_PT))),
             FockState.from_monomial(((3, COH_PT),)),
         ]
-        monodromy.monodromy_s(warm, 4, config)
+        monodromy.monodromy_s(warm, 4)
         before = _module_cache_sizes()
         for state in states:
-            assert not monodromy.monodromy_s(state, 4, config).is_zero()
+            assert not monodromy.monodromy_s(state, 4).is_zero()
         assert len(bases) == 4
         assert all(ref() is None for ref in bases)
         assert _module_cache_sizes() == before
