@@ -259,7 +259,7 @@ def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
 
 def cmd_hh0(args: argparse.Namespace) -> tuple[str, int]:
     from .localmodel import SUPPORTED_ORDERS, hh0_audit
-    from .walls import UnsupportedTypeError
+    from .roots import UnsupportedTypeError
 
     orders = [args.order] if args.order is not None else list(SUPPORTED_ORDERS)
     try:

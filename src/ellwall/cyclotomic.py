@@ -6,11 +6,8 @@ positive integer denominator, with no common factor: every value has one
 representation, so equality and hashing are tuple compares.  Phi_k is
 monic with integer coefficients and divides x^k - 1, so each order keeps
 one integer table of x^j mod Phi_k for j < k, built on first use; powers
-of zeta are rows of it and products are reduced through it.  Division
-works for any nonzero element: its inverse is the product of its other
-Galois conjugates (re-indexed rows of the same table) over its rational
-norm, so Gaussian elimination over these fields is exact and never leaves
-integer numerators.
+of zeta are rows of it and products are reduced through it.  Elements
+form a ring with division by nonzero rationals only.
 """
 
 from __future__ import annotations
@@ -186,38 +183,15 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse: the product of the other Galois conjugates
-        over the norm, x^-1 = prod_{sigma != 1} sigma(x) / N(x).
-
-        sigma_j (gcd(j, k) = 1) sends zeta to zeta^j, so sigma_j(x) reads
-        row i*j mod k of the power table for the numerator of zeta^i."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in cyclotomic field")
-        k, rows = self.k, _power_table(self.k)
-        prod = Cyclotomic(k, 1)
-        for j in range(2, k):
-            if gcd(j, k) == 1:
-                conj = [0] * len(self.nums)
-                for i, n in enumerate(self.nums):
-                    if n:
-                        for t, r in enumerate(rows[i * j % k]):
-                            conj[t] += n * r
-                prod = prod * _element(k, conj, self.den)
-        return prod / (self * prod).rational_value()
-
-    def __truediv__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("inverse of zero in cyclotomic field")
-            p, q = other.numerator, other.denominator
-            if p < 0:
-                p, q = -p, -q
-            return _element(self.k, [x * q for x in self.nums], self.den * p)
-        if not isinstance(other, Cyclotomic):
+    def __truediv__(self, other: Scalar) -> "Cyclotomic":
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        self._check(other)
-        return self * other.inverse()
+        if not other:
+            raise ZeroDivisionError("division by zero in cyclotomic field")
+        p, q = other.numerator, other.denominator
+        if p < 0:
+            p, q = -p, -q
+        return _element(self.k, [x * q for x in self.nums], self.den * p)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyclotomic):

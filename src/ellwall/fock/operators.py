@@ -81,7 +81,7 @@ class OperatorExpr:
 
     __slots__ = (
         "terms", "groups", "truncation", "charge_shift", "energy_shift", "parity",
-        "name", "denom",
+        "denom",
     )
 
     def __init__(
@@ -91,7 +91,6 @@ class OperatorExpr:
         charge_shift: int,
         energy_shift: int,
         parity: int,
-        name: str = "",
         denom: int = 1,
     ):
         if not denom:
@@ -127,7 +126,6 @@ class OperatorExpr:
         self.charge_shift = charge_shift
         self.energy_shift = energy_shift
         self.parity = parity
-        self.name = name
         self.denom = denom // g
 
 
@@ -214,14 +212,12 @@ class FieldTable:
         return terms
 
 
-def _charged_mode(m: int, n: int, N: int, over: int, name: str) -> OperatorExpr:
+def _charged_mode(m: int, n: int, N: int, over: int) -> OperatorExpr:
     """The charged field's z^{-n} mode at slope m divided by ``over``."""
     if N < 0:
         raise ValueError("truncation must be >= 0")
     table = FieldTable(m, N, N - n)
-    return OperatorExpr(
-        table.mode_terms(n, N), N, m, -n, 0, name=name, denom=table.denom * over
-    )
+    return OperatorExpr(table.mode_terms(n, N), N, m, -n, 0, table.denom * over)
 
 
 def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
@@ -235,9 +231,7 @@ def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
     coeff, denom = {COH_E: (1, k), COH_PT: (k, 1)}.get(i, (1, 1))
     mode = ((k, i),)
     term = (coeff, mode, ()) if n < 0 else (coeff, (), mode)
-    return OperatorExpr(
-        (term,), None, 0, -n, LABEL_PARITY[i], name=f"w[0,{n};{i}]", denom=denom
-    )
+    return OperatorExpr((term,), None, 0, -n, LABEL_PARITY[i], denom)
 
 
 def _joiner() -> Callable[[Monomial, Monomial], Monomial]:
@@ -265,9 +259,7 @@ def _sigma_field_mode(m: int, b: int, label: int, N: int) -> OperatorExpr:
                 terms.append((coeff, join(creations, mode), annihilations))
             else:
                 terms.append((coeff, creations, join(annihilations, mode)))
-    return OperatorExpr(
-        terms, N, m, -b, 1, name=f"w[{m},{b};{label}]", denom=table.denom
-    )
+    return OperatorExpr(terms, N, m, -b, 1, table.denom)
 
 
 def _weight_current_terms(u: int, N: int, b: int) -> list[Term]:
@@ -305,9 +297,7 @@ def _pt_field_mode(m: int, b: int, N: int) -> OperatorExpr:
             depth_used = monomial_energy(w_ann)
             for coeff, cre, ann in table.mode_terms(b - u, N - depth_used):
                 terms.append((sign * coeff, join(cre, w_cre), join(ann, w_ann)))
-    return OperatorExpr(
-        terms, N, m, -b, 0, name=f"w[{m},{b};pt]", denom=table.denom * m
-    )
+    return OperatorExpr(terms, N, m, -b, 0, table.denom * m)
 
 
 def w_general(a: int, b: int, label: Union[int, str], N: int) -> OperatorExpr:
@@ -319,7 +309,7 @@ def w_general(a: int, b: int, label: Union[int, str], N: int) -> OperatorExpr:
     if a == 0:
         return w_small(b, i)
     if i == COH_E:
-        return _charged_mode(a, b, N, a, f"w[{a},{b};E]")
+        return _charged_mode(a, b, N, a)
     if i in (COH_SP, COH_SM):
         return _sigma_field_mode(a, b, i, N)
     return _pt_field_mode(a, b, N)

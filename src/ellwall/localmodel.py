@@ -28,9 +28,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import weyl
 from .cyclotomic import Cyclotomic, _element, _power_table
-from .roots import Record
+from .roots import Record, UnsupportedTypeError
 from .serialize import cyclo_str
-from .walls import UnsupportedTypeError
 
 Scalar = Union[int, Fraction, Cyclotomic]
 Matrix = tuple[tuple[Cyclotomic, ...], ...]
@@ -240,9 +239,10 @@ def splits(n: int, p: BimoduleParam) -> bool:
 
 
 def matrix_rank(mat: Matrix) -> int:
-    """Exact rank by Gaussian elimination over the cyclotomic field.  Each
-    pivot clears its column from the rows below it, and only the pivot
-    row's nonzero entries right of the pivot enter the products."""
+    """Exact rank by fraction-free elimination over the cyclotomic field:
+    each pivot p clears its column from the rows below it by the update
+    r <- p r - r[col] prow, a ring operation that keeps the rank and
+    divides by nothing (Bareiss)."""
     rows = [list(r) for r in mat]
     if not rows:
         return 0
@@ -256,15 +256,12 @@ def matrix_rank(mat: Matrix) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        inv = prow[col].inverse()
-        tail = [
-            (j, y) for j, y in enumerate(prow[col + 1 :], col + 1) if not y.is_zero()
-        ]
+        p = prow[col]
         for row in rows[rank + 1 :]:
-            if not row[col].is_zero():
-                f = row[col] * inv
-                for j, y in tail:
-                    row[j] = row[j] - f * y
+            c = row[col]
+            if not c.is_zero():
+                for j in range(col + 1, ncols):
+                    row[j] = p * row[j] - c * prow[j]
         rank += 1
         if rank == len(rows):
             break

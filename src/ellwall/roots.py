@@ -58,12 +58,16 @@ def cartan_matrix(type_name: str) -> tuple[tuple[int, ...], ...]:
     )
 
 
+class UnsupportedTypeError(ValueError):
+    """Raised for surface types and symmetry orders that are not modeled."""
+
+
 class Record:
     """An immutable value over ``__slots__``, for the records that derive
-    or validate a field or leave one out of equality; the others are
-    ``NamedTuple``s.  ``__init__`` sets each slot once, through
-    ``object.__setattr__``.  The repr shows the ``_fields``; equality and
-    hash read ``_key()``, those same fields unless a record narrows it."""
+    or validate a field; the others are ``NamedTuple``s.  ``__init__``
+    sets each slot once, through ``object.__setattr__``.  The repr,
+    equality and hash read the ``_fields``; a derived slot outside them
+    takes no part."""
 
     __slots__ = ()
 

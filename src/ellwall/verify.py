@@ -34,9 +34,9 @@ from .localmodel import (
     tensor_table,
     y_matrix,
 )
-from .roots import EllipticRoot, build_elliptic
+from .roots import EllipticRoot, UnsupportedTypeError, build_elliptic
 from .serialize import DEFAULT_SEED
-from .walls import UnsupportedTypeError, WallChart
+from .walls import WallChart
 from .weyl import _mat_mul, full_gram, identity_element, marking_stabilizer_generators, reflect
 
 

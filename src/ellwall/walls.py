@@ -30,7 +30,7 @@ from .lattices import (
     root_to_kclass,
     surface_lattice,
 )
-from .roots import EllipticRoot, build_elliptic
+from .roots import EllipticRoot, UnsupportedTypeError, build_elliptic
 from .serialize import WALL_TYPES, frac_str
 
 Scalar = Union[int, Fraction]
@@ -43,10 +43,6 @@ ASSUMPTIONS = (
     "depth bound r + s <= n, non-strict at equality",
     "level-1 positions reported in the r/s coordinate; point-contraction wall at 0",
 )
-
-
-class UnsupportedTypeError(ValueError):
-    """Raised for surface types whose wall structure is not modeled."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Reflection groups of elliptic root systems.
 
 Elements act on F = h + Q*delta1 + Q*delta2 and are stored as integer
-matrices (optionally with the generating word for provenance): a
-reflection's coefficients 2<e_j,b>/<b,b> are Cartan integers, and the
-stabilizer generators lift GL(2,Z) blocks, so every product stays
-integral.
+matrices: a reflection's coefficients 2<e_j,b>/<b,b> are Cartan
+integers, and the stabilizer generators lift GL(2,Z) blocks, so every
+product stays integral.
 Reflections exist for real roots only and fix the radical pointwise, so
 the induced action on the delta-plane is trivial for the reflection
 subgroup; the interesting delta-plane action comes from the
@@ -17,6 +16,7 @@ Matrix convention: vectors are columns over the ordered basis
 from __future__ import annotations
 
 from operator import mul
+from typing import NamedTuple
 
 from .roots import EllipticRoot, EllipticRootSystem, Record
 
@@ -39,29 +39,21 @@ def full_gram(system: EllipticRootSystem) -> Matrix:
     return tuple(rows)
 
 
-def root_vector(system: EllipticRootSystem, beta: EllipticRoot) -> tuple[int, ...]:
+def root_vector(beta: EllipticRoot) -> tuple[int, ...]:
     return tuple(beta.finite) + (beta.m, beta.n)
 
 
-class WeylElement(Record):
-    """The word records provenance only: equality and hash read the
-    matrix alone."""
+class WeylElement(NamedTuple):
+    """An integer matrix acting on F, in the module's matrix convention."""
 
-    __slots__ = _fields = ("matrix", "word")
-
-    def __init__(self, matrix: Matrix, word: tuple[str, ...] = ()):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "word", word)
-
-    def _key(self) -> tuple:
-        return (self.matrix,)
+    matrix: Matrix
 
     @property
     def size(self) -> int:
         return len(self.matrix)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(_mat_mul(self.matrix, other.matrix), self.word + other.word)
+        return WeylElement(_mat_mul(self.matrix, other.matrix))
 
     def is_identity(self) -> bool:
         return self.matrix == _identity(self.size)
@@ -84,7 +76,7 @@ def reflect(system: EllipticRootSystem, beta: EllipticRoot) -> WeylElement:
     if not system.is_real(beta):
         raise ValueError(f"no reflection through imaginary root {beta}")
     size = system.rank + 2
-    bvec = root_vector(system, beta)
+    bvec = root_vector(beta)
     # pairings of the basis vectors e_j with beta; deltas pair to zero
     pairings = [sum(map(mul, row, beta.finite)) for row in system.gram] + [0, 0]
     bb = sum(map(mul, beta.finite, pairings))
@@ -100,8 +92,7 @@ def reflect(system: EllipticRootSystem, beta: EllipticRoot) -> WeylElement:
         tuple(int(i == j) - coefs[j] * bvec[i] for j in range(size))
         for i in range(size)
     )
-    label = f"w[{','.join(map(str, beta.finite))};{beta.m},{beta.n}]"
-    return WeylElement(matrix, (label,))
+    return WeylElement(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +108,10 @@ class ExtendedElement(Record):
     gl2_part is upper triangular.
     """
 
-    __slots__ = _fields = ("weyl_part", "gl2_part", "label")
+    __slots__ = _fields = ("weyl_part", "gl2_part")
 
     def __init__(
-        self,
-        weyl_part: WeylElement,
-        gl2_part: tuple[tuple[int, int], tuple[int, int]],
-        label: str = "",
+        self, weyl_part: WeylElement, gl2_part: tuple[tuple[int, int], tuple[int, int]]
     ):
         a, b = gl2_part
         det = a[0] * b[1] - a[1] * b[0]
@@ -131,16 +119,13 @@ class ExtendedElement(Record):
             raise ValueError(f"delta-plane block must lie in GL(2,Z), det={det}")
         object.__setattr__(self, "weyl_part", weyl_part)
         object.__setattr__(self, "gl2_part", gl2_part)
-        object.__setattr__(self, "label", label)
 
     def stabilizes_marking(self) -> bool:
         return self.gl2_part[1][0] == 0
 
 
 def _delta_plane_element(
-    system: EllipticRootSystem,
-    gl2: tuple[tuple[int, int], tuple[int, int]],
-    label: str,
+    system: EllipticRootSystem, gl2: tuple[tuple[int, int], tuple[int, int]]
 ) -> ExtendedElement:
     """Lift a delta-plane matrix to F, acting as the identity on h.
 
@@ -154,9 +139,7 @@ def _delta_plane_element(
     for i in range(2):
         for j in range(2):
             m[idx[i]][idx[j]] = gl2[i][j]
-    return ExtendedElement(
-        WeylElement(tuple(tuple(row) for row in m), (label,)), gl2, label
-    )
+    return ExtendedElement(WeylElement(tuple(tuple(row) for row in m)), gl2)
 
 
 def marking_stabilizer_generators(system: EllipticRootSystem) -> list[ExtendedElement]:
@@ -167,15 +150,12 @@ def marking_stabilizer_generators(system: EllipticRootSystem) -> list[ExtendedEl
     for positive rank the simple reflections at delta-offsets 0 and 1 in
     each radical direction are included to generate the reflection part.
     """
-    gens: list[ExtendedElement] = []
     shear = ((1, 1), (0, 1))
     flip = ((1, 0), (0, -1))
-    gens.append(_delta_plane_element(system, shear, "shear"))
-    gens.append(_delta_plane_element(system, flip, "flip"))
+    gens = [_delta_plane_element(system, shear), _delta_plane_element(system, flip)]
     ident2 = ((1, 0), (0, 1))
     for i in range(system.rank):
         for (dm, dn) in ((0, 0), (1, 0), (0, 1)):
-            beta = system.simple_root(i, dm, dn)
-            w = reflect(system, beta)
-            gens.append(ExtendedElement(w, ident2, w.word[0]))
+            w = reflect(system, system.simple_root(i, dm, dn))
+            gens.append(ExtendedElement(w, ident2))
     return gens

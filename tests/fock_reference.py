@@ -331,12 +331,10 @@ def heisenberg_mode(n: int, gamma: Union[CohClass, int, str]) -> OperatorExpr:
         coeff = comp.numerator * (denom // comp.denominator)
         terms.append((coeff, mode, ()) if n < 0 else (coeff, (), mode))
     parity = gamma.parity() if terms else 0
-    return OperatorExpr(
-        terms, None, 0, -n, parity, name=f"alpha[{n}]", denom=denom
-    )
+    return OperatorExpr(terms, None, 0, -n, parity, denom)
 
 
 def vertex_mode(m: int, n: int, N: int) -> OperatorExpr:
     """z^{-n} mode of the charged exponential field at slope m: charge
     shift m, energy shift -n; exact on states of energy <= N."""
-    return _charged_mode(m, n, N, 1, f"Gamma[{m};{n}]")
+    return _charged_mode(m, n, N, 1)

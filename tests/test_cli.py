@@ -664,6 +664,25 @@ class TestImportBoundary:
             assert set(out[stage]["ellwall"]) == self.QUERY_PATH, stage
             assert out[stage]["unused"] == [], stage
 
+    LOCAL_PROBE = (
+        "import contextlib, io, json, sys\n"
+        "import ellwall.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [\n"
+        "        cli.main(['local', '--k', '4', '--a', '1,0,1,0', '--n', '2']),\n"
+        "        cli.main(['hh0']),\n"
+        "        cli.main(['hh0', '--order', '5']),\n"
+        "    ]\n"
+        "wall_layer = [m for m in ('ellwall.walls', 'ellwall.lattices') if m in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'wall_layer': wall_layer}))\n"
+    )
+
+    def test_local_and_hh0_load_no_wall_layer(self):
+        """The local calculus and its unsupported-order error live below
+        the wall layer, so ``local`` and ``hh0`` runs never load it."""
+        out = json.loads(TestCrossProcess.run_fresh([], "1", entry=("-c", self.LOCAL_PROBE)))
+        assert out == {"codes": [0, 0, 2], "wall_layer": []}
+
     # the exact criteria at small sizes, in a process that loads the
     # value records of every exact module
     EXACT_PROBE = (

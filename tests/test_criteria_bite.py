@@ -120,7 +120,7 @@ def test_c04_sends_pairs_to_the_kernel_by_their_terms_not_labels(monkeypatch):
                 extra = (op.denom, ((k, COH_PT),), ((k + b, COH_E),))
                 op = OperatorExpr(
                     [*op.terms, extra], op.truncation, op.charge_shift,
-                    op.energy_shift, op.parity, op.name, op.denom,
+                    op.energy_shift, op.parity, op.denom,
                 )
             labels[id(op)] = li
             return op
@@ -129,7 +129,7 @@ def test_c04_sends_pairs_to_the_kernel_by_their_terms_not_labels(monkeypatch):
 
     def counting(rows_a, rows_b, indices, eps):
         if COH_E in (labels[id(rows_a.op)], labels[id(rows_b.op)]):
-            e_pair_calls.append((rows_a.op.name, rows_b.op.name))
+            e_pair_calls.append((rows_a.op, rows_b.op))
         return real_kernel(rows_a, rows_b, indices, eps)
 
     monkeypatch.setattr(fock_verify, "commutator_rows", counting)
@@ -269,7 +269,7 @@ def test_c10_fails_when_the_flip_is_not_an_involution(monkeypatch):
 
     def shear_as_flip(system):
         shear, flip = real(system)
-        return [shear, ExtendedElement(shear.weyl_part, flip.gl2_part, flip.label)]
+        return [shear, ExtendedElement(shear.weyl_part, flip.gl2_part)]
 
     monkeypatch.setattr(verify, "marking_stabilizer_generators", shear_as_flip)
     result = verify.check_weyl_relations(2)
@@ -283,7 +283,7 @@ def test_c10_fails_when_a_generator_moves_the_marking(monkeypatch):
 
     def transposed_flip(system):
         shear, flip = real(system)
-        return [shear, ExtendedElement(flip.weyl_part, ((1, 0), (1, -1)), flip.label)]
+        return [shear, ExtendedElement(flip.weyl_part, ((1, 0), (1, -1)))]
 
     monkeypatch.setattr(verify, "marking_stabilizer_generators", transposed_flip)
     result = verify.check_weyl_relations(2)

@@ -119,9 +119,12 @@ def test_rational_detection():
 def test_inverse_golden():
     z = Cyclotomic.zeta(5)
     x = 1 + z  # nontrivial unit in Z[zeta_5]
-    assert (x * x.inverse() == Cyclotomic(5, 1))
+    assert x * (-z - z * z * z) == Cyclotomic(5, 1)
     with pytest.raises(ZeroDivisionError):
-        Cyclotomic(5, 0).inverse()
+        x / 0
+    # no field division: only a rational divides a field element
+    with pytest.raises(TypeError):
+        x / x
 
 
 def test_mixed_orders_rejected():
@@ -141,10 +144,6 @@ elements = st.builds(
 def test_field_axioms_q_zeta5(a, b):
     assert a + b == b + a
     assert a * b == b * a
-    if not a.is_zero():
-        assert a * a.inverse() == Cyclotomic(5, 1)
-    if not b.is_zero():
-        assert (a * b) / b == a
 
 
 @given(st.integers(min_value=-20, max_value=20), st.integers(min_value=-20, max_value=20))
@@ -232,16 +231,6 @@ def test_arithmetic_matches_reference(case):
     check_matches(a - b, k, ref_add(ra, rb, -1))
     check_matches(-a, k, tuple(-x for x in ra))
     check_matches(a * b, k, ref_mul(k, ra, rb))
-    if any(rb):
-        q = a / b
-        assert ref_mul(k, q.coeffs, rb) == ra
-        inv = b.inverse()
-        assert ref_mul(k, inv.coeffs, rb) == ref_reduce(k, [1])
-    else:
-        with pytest.raises(ZeroDivisionError):
-            a / b
-        with pytest.raises(ZeroDivisionError):
-            b.inverse()
 
 
 @settings(max_examples=150, deadline=None)
@@ -298,8 +287,28 @@ def test_cyclotomic_polynomials_match_reference():
         assert prod == [-1] + [0] * (k - 1) + [1], k
 
 
+def ref_inverse(k, cs):
+    """The inverse of a nonzero reduced residue in the reference model: the
+    solution y of x * y = 1, a linear system over Q whose column j is
+    x * zeta^j."""
+    deg = len(cs)
+    cols = [ref_mul(k, cs, [0] * j + [1]) for j in range(deg)]
+    m = [[cols[j][i] for j in range(deg)] + [Fraction(int(i == 0))] for i in range(deg)]
+    for c in range(deg):
+        p = next(i for i in range(c, deg) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for i in range(deg):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return tuple(row[-1] for row in m)
+
+
 @pytest.mark.parametrize("k", range(1, 31))
 def test_inverse_matches_reference(k):
+    """The product of a value and its reference inverse is one, for every
+    order up to 30 (the differential tests above draw k <= 12)."""
     rng = random.Random(k)
     deg = len(ref_cyclotomic(k)) - 1
     one = ref_reduce(k, [1])
@@ -307,13 +316,12 @@ def test_inverse_matches_reference(k):
         cs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(deg)]
         cs[rng.randrange(deg)] = Fraction(rng.randint(1, 5), rng.randint(1, 6))
         x = Cyclotomic(k, cs)
-        inv = x.inverse()
-        assert ref_mul(k, inv.coeffs, ref_reduce(k, cs)) == one
-        check_matches(inv, k, inv.coeffs)
-        assert inv.inverse() == x
+        inv = Cyclotomic(k, list(ref_inverse(k, ref_reduce(k, cs))))
+        check_matches(x * inv, k, one)
+        check_matches(inv * x, k, one)
 
 
 @pytest.mark.parametrize("k", range(1, 31))
 def test_zeta_inverse_is_zeta_to_minus_power(k):
     for j in range(k):
-        assert Cyclotomic.zeta(k, j).inverse() == Cyclotomic.zeta(k, -j)
+        assert Cyclotomic.zeta(k, j) * Cyclotomic.zeta(k, -j) == Cyclotomic(k, 1)

@@ -364,7 +364,7 @@ class TestSuperCommutingPairs:
         real = verify.commutator_rows
 
         def counting(rows_a, rows_b, indices, eps):
-            calls.append((rows_a.op.name, rows_b.op.name))
+            calls.append((rows_a.op, rows_b.op))
             return real(rows_a, rows_b, indices, eps)
 
         monkeypatch.setattr(verify, "commutator_rows", counting)

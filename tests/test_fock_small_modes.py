@@ -41,7 +41,7 @@ def doubled_pt(monkeypatch):
         (term,) = op.terms
         return OperatorExpr(
             ((2 * term.coeff, term.creations, term.annihilations),), op.truncation,
-            op.charge_shift, op.energy_shift, op.parity, op.name, op.denom,
+            op.charge_shift, op.energy_shift, op.parity, op.denom,
         )
 
     monkeypatch.setattr(operators, "w_small", doubled)

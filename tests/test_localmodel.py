@@ -30,6 +30,7 @@ from ellwall.localmodel import (
 )
 from ellwall.serialize import cyclo_str
 from ellwall.walls import UnsupportedTypeError
+from test_cyclotomic import ref_add, ref_mul, ref_reduce
 
 
 def cyc_degree(k: int) -> int:
@@ -461,6 +462,78 @@ class TestRankAgainstFractions:
             assert matrix_rank(mat) == want, entries
             deficient += want < min(rows, cols)
         assert deficient >= 10
+
+
+def regular_blowup(k, rows):
+    """The rational matrix of M over Q(zeta_k): each entry x becomes the
+    deg x deg block of multiplication by x on the basis 1, zeta, ...,
+    built from the Fraction reference model.  Its rank over Q is deg
+    times the rank of M over the field."""
+    deg = cyc_degree(k)
+    basis = [ref_reduce(k, [0] * j + [1]) for j in range(deg)]
+    out = []
+    for row in rows:
+        # columns[c][j]: the coefficients of x_c * zeta^j
+        columns = [[ref_mul(k, x, e) for e in basis] for x in row]
+        for i in range(deg):
+            out.append([col[j][i] for col in columns for j in range(deg)])
+    return out
+
+
+class TestRankOverIrrationalFields:
+    """Random and low-rank matrices over Q(zeta_k), k in {3, 4, 5, 6}:
+    the fraction-free elimination meets irrational pivots, and its rank
+    times deg Phi_k must equal the Fraction rank of the blow-up."""
+
+    @staticmethod
+    def random_rows(rng, k, rows, cols, density):
+        """Reduced coefficient tuples, each nonzero with the given density."""
+        deg = cyc_degree(k)
+
+        def entry():
+            if rng.random() >= density:
+                return ref_reduce(k, [])
+            cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(deg)]
+            return ref_reduce(k, cs)
+
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    @classmethod
+    def low_rank_rows(cls, rng, k, rows, cols, inner, density):
+        """A (rows x inner) times (inner x cols) product over the field,
+        in the reference model: rank <= inner."""
+        x = cls.random_rows(rng, k, rows, inner, density)
+        y = cls.random_rows(rng, k, inner, cols, density)
+        out = []
+        for i in range(rows):
+            row = []
+            for j in range(cols):
+                acc = ref_reduce(k, [])
+                for t in range(inner):
+                    acc = ref_add(acc, ref_mul(k, x[i][t], y[t][j]))
+                row.append(acc)
+            out.append(row)
+        return out
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("density", [0.4, 1.0])
+    def test_rank_times_degree_is_blowup_rank(self, k, density):
+        rng = random.Random(f"rank-cyclo/{k}/{density}")
+        deg = cyc_degree(k)
+        deficient = irrational = 0
+        for _ in range(40):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            if rng.random() < 0.5:
+                entries = self.random_rows(rng, k, rows, cols, density)
+            else:
+                inner = rng.randint(1, min(rows, cols))
+                entries = self.low_rank_rows(rng, k, rows, cols, inner, density)
+            mat = tuple(tuple(Cyclotomic(k, list(x)) for x in row) for row in entries)
+            rank = matrix_rank(mat)
+            assert rank * deg == fraction_rank(regular_blowup(k, entries)), entries
+            deficient += rank < min(rows, cols)
+            irrational += any(not x.is_rational() for row in mat for x in row)
+        assert deficient >= 5 and irrational >= 25
 
 
 def dense_mat_mul(x, y):

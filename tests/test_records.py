@@ -47,10 +47,10 @@ RECORDS = {
         lambda: ChamberDecomposition("A-1", 2, (_wall(1), _wall(2))),
         lambda: ChamberDecomposition("A-1", 2, (_wall(1),)),
     ),
-    "WeylElement": (lambda: WeylElement(FLIP, ("flip",)), lambda: WeylElement(SHEAR, ("flip",))),
+    "WeylElement": (lambda: WeylElement(FLIP), lambda: WeylElement(SHEAR)),
     "ExtendedElement": (
-        lambda: ExtendedElement(WeylElement(FLIP), FLIP, "flip"),
-        lambda: ExtendedElement(WeylElement(FLIP), FLIP, "flop"),
+        lambda: ExtendedElement(WeylElement(FLIP), FLIP),
+        lambda: ExtendedElement(WeylElement(FLIP), SHEAR),
     ),
 }
 
@@ -85,9 +85,9 @@ def test_derived_and_provenance_fields_take_no_part_in_equality():
     object.__setattr__(other, "chars", ())
     assert param == other and hash(param) == hash(other)
 
-    named, bare = WeylElement(FLIP, ("flip",)), WeylElement(FLIP)
-    assert named == bare and hash(named) == hash(bare)
-    assert bare.word == () and named.compose(bare).word == ("flip",)
+    # no record keeps a provenance field: a Weyl element is its matrix
+    assert WeylElement._fields == ("matrix",)
+    assert ExtendedElement._fields == ("weyl_part", "gl2_part")
 
 
 def test_repr_text():
@@ -96,12 +96,10 @@ def test_repr_text():
     assert repr(MukaiVector(1, (0, 2), Fraction(-3, 2))) == (
         "MukaiVector(rank=1, c1=(0, 2), twice_ch2=-3)"
     )
-    assert repr(WeylElement(FLIP, ("flip",))) == (
-        "WeylElement(matrix=((1, 0), (0, -1)), word=('flip',))"
-    )
+    assert repr(WeylElement(FLIP)) == "WeylElement(matrix=((1, 0), (0, -1)))"
     assert repr(ExtendedElement(WeylElement(SHEAR), SHEAR)) == (
-        "ExtendedElement(weyl_part=WeylElement(matrix=((1, 1), (0, 1)), word=()), "
-        "gl2_part=((1, 1), (0, 1)), label='')"
+        "ExtendedElement(weyl_part=WeylElement(matrix=((1, 1), (0, 1))), "
+        "gl2_part=((1, 1), (0, 1)))"
     )
 
 
@@ -109,7 +107,7 @@ def test_keyword_construction():
     lattice = surface_lattice("A-1")
     assert BilinearLattice(labels=lattice.labels, gram=lattice.gram) == lattice
     assert MukaiVector(rank=1, c1=(0, 0), ch2=-2).twice_ch2 == -4
-    assert WeylElement(matrix=FLIP).word == ()
+    assert WeylElement(matrix=FLIP).matrix == FLIP
 
 
 def test_validation_errors_still_fire():

@@ -20,7 +20,7 @@ from ellwall.weyl import (
 def apply_root(w, system, beta):
     """The image of a root under w: the matrix times its coordinates."""
     r = system.rank
-    img = tuple(sum(map(mul, row, root_vector(system, beta))) for row in w.matrix)
+    img = tuple(sum(map(mul, row, root_vector(beta))) for row in w.matrix)
     return EllipticRoot(img[:r], img[r], img[r + 1])
 
 
@@ -257,9 +257,7 @@ class TestMarkingStabilizer:
 
     def test_gl2_validation(self):
         with pytest.raises(ValueError):
-            ExtendedElement(
-                WeylElement(((Fraction(1),),)), ((2, 0), (0, 1)), "bad"
-            )
+            ExtendedElement(WeylElement(((Fraction(1),),)), ((2, 0), (0, 1)))
 
 
 def test_root_set_preserved_on_box(d4):
@@ -271,15 +269,9 @@ def test_root_set_preserved_on_box(d4):
             assert img in box
 
 
-def test_word_provenance(a1):
-    w = reflect(a1, a1.simple_root(0))
-    assert w.word == ("w[1;0,0]",)
-    assert w.compose(w).word == ("w[1;0,0]", "w[1;0,0]")
-
-
 def test_serialization(a1):
     assert reflect(a1, a1.simple_root(0)).matrix[0][0] == -1
-    assert root_vector(a1, a1.simple_root(0, 1, 2)) == (1, 1, 2)
+    assert root_vector(a1.simple_root(0, 1, 2)) == (1, 1, 2)
 
 
 # Checks below raise through pytest.fail rather than assert, so that they
