@@ -6,8 +6,10 @@ positive integer denominator, with no common factor: every value has one
 representation, so equality and hashing are tuple compares.  Phi_k is
 monic with integer coefficients and divides x^k - 1, so each order keeps
 one integer table of x^j mod Phi_k for j < k, built on first use; powers
-of zeta are rows of it and products are reduced through it.  Elements
-form a ring with division by nonzero rationals only.
+of zeta are rows of it and products are reduced through it.  Values
+combine (+, -, *) only with values of the same order, divide only by a
+nonzero rational, and compare equal to a rational; a rational enters as
+``Cyclotomic(k, r)``, and coefficients are ints or Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -84,10 +86,12 @@ class Cyclotomic:
         deg = len(rows[0])
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+        den = lcm(*(c.denominator for c in coeffs))
         nums = [0] * deg
-        for j, c in enumerate(cs):
+        for j, c in enumerate(coeffs):
             n = c.numerator * (den // c.denominator)
             if not n:
                 continue
@@ -128,17 +132,13 @@ class Cyclotomic:
         if self.k != other.k:
             raise ValueError(f"mixed cyclotomic orders {self.k} and {other.k}")
 
-    def _linear(self, other: Union["Cyclotomic", Scalar], sign: int) -> "Cyclotomic":
+    def _linear(self, other: "Cyclotomic", sign: int) -> "Cyclotomic":
         """self + sign * other, over the product of the denominators."""
-        a, da = self.nums, self.den
-        if isinstance(other, Cyclotomic):
-            self._check(other)
-            b, db = other.nums, other.den
-        elif isinstance(other, (int, Fraction)):
-            b = (other.numerator,) + (0,) * (len(a) - 1)
-            db = other.denominator
-        else:
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
+        self._check(other)
+        a, da = self.nums, self.den
+        b, db = other.nums, other.den
         if da == db:
             nums = [x + sign * y for x, y in zip(a, b)]
         else:
@@ -146,25 +146,20 @@ class Cyclotomic:
             da *= db
         return _element(self.k, nums, da)
 
-    def __add__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
+    def __add__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self._linear(other, 1)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
         return _element(self.k, [-x for x in self.nums], self.den)
 
-    def __sub__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
+    def __sub__(self, other: "Cyclotomic") -> "Cyclotomic":
         return self._linear(other, -1)
 
-    def __mul__(self, other: Union["Cyclotomic", Scalar]) -> "Cyclotomic":
-        a = self.nums
+    def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         if not isinstance(other, Cyclotomic):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            c = other.numerator
-            return _element(self.k, [x * c for x in a], self.den * other.denominator)
+            return NotImplemented
         self._check(other)
+        a = self.nums
         deg = len(a)
         prod = [0] * (2 * deg - 1)
         for i, x in enumerate(a):
@@ -180,8 +175,6 @@ class Cyclotomic:
                     for t, r in enumerate(rows[j % k]):
                         out[t] += c * r
         return _element(self.k, out, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "Cyclotomic":
         if not isinstance(other, (int, Fraction)):

@@ -5,7 +5,8 @@ row holds an operator's image of one monomial, organized for bulk work;
 the Fraction reference oracle in ``tests/fock_reference.py`` computes
 the same images term by term, one Heisenberg mode at a time.  Every row
 is keyed by the position of a monomial in a ``BasisIndex`` (IndexRow),
-and turns back into monomials only for a witness or an output state:
+and turns back into exact rationals keyed by monomials only for a
+witness or an output state (``BasisIndex.monomials``):
 
 * operator rows (``RowTable``): each row is built the first time it is
   read, so an engine pays only for the monomials its compositions and
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .labels import COH_E, LABEL_PARITY
@@ -292,10 +294,11 @@ class BasisIndex:
             self.energy.append(monomial_energy(mono))
         return i
 
-    def monomials(self, row: IndexRow) -> dict[Monomial, int]:
-        """The row keyed by monomials."""
+    def monomials(self, row: IndexRow, denom: int = 1) -> dict[Monomial, Fraction]:
+        """The exact rational row, keyed by monomials, that an integer
+        index row over ``denom`` stands for."""
         monos = self.monos
-        return {monos[i]: c for i, c in row.items()}
+        return {monos[i]: Fraction(c, denom) for i, c in row.items()}
 
     def contract(self, i: int, part: Monomial) -> Optional[tuple[int, int]]:
         """annihilation_chain of monomial i and ``part``, cached, with the

@@ -82,9 +82,8 @@ def monodromy_s(state: FockState, N: int) -> FockState:
                 "image spans several charges; apply to single monomials instead"
             )
         charge = shift
-        scale = coeff / denom
-        for u, v in basis.monomials(row).items():
-            total = out.get(u, 0) + v * scale
+        for u, v in basis.monomials(row, denom).items():
+            total = out.get(u, 0) + coeff * v
             if total:
                 out[u] = total
             else:

@@ -176,17 +176,16 @@ def _coefficient_table(slope: int, depth: int) -> tuple[int, list[list]]:
 
 
 class FieldTable:
-    """Integer coefficients of the slope-m charged exponential field
-    exp(m sum_j alpha_{-j} z^j / j) exp(-m sum_j alpha_j z^{-j} / j) for
-    one generator construction: the annihilation levels up to ann_depth
+    """Integer coefficients of the slope-m (m != 0) charged exponential
+    field exp(m sum_j alpha_{-j} z^j / j) exp(-m sum_j alpha_j z^{-j} / j)
+    for one generator construction: the annihilation levels up to ann_depth
     and the creation levels up to cre_depth (N and N - x for a z^{-x}
     mode on the window N), over the product ``denom`` of their bases.
     ``mode_terms`` memoizes the modes for the table's lifetime."""
 
-    __slots__ = ("m", "annihilate", "create", "denom", "_modes")
+    __slots__ = ("annihilate", "create", "denom", "_modes")
 
     def __init__(self, m: int, ann_depth: int, cre_depth: int):
-        self.m = m
         ann_base, self.annihilate = _coefficient_table(-m, ann_depth)
         cre_base, self.create = _coefficient_table(m, cre_depth)
         self.denom = ann_base * cre_base
@@ -199,12 +198,7 @@ class FieldTable:
         terms = self._modes.get((x, max_depth))
         if terms is not None:
             return terms
-        m = self.m
         terms = self._modes[x, max_depth] = []
-        if m == 0:
-            if x == 0:
-                terms.append((self.denom, (), ()))
-            return terms
         for q in range(max(0, x), max_depth + 1):
             for creations, c_coeff in self.create[q - x]:
                 for annihilations, a_coeff in self.annihilate[q]:

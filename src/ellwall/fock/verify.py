@@ -276,7 +276,7 @@ class _BracketEngine:
                 lp, rp, self.N, False, "mismatch",
                 witness={
                     "state": FockState.from_monomial(basis.monos[i]).to_json_dict(),
-                    "got": FockState(a + c, _unscale(basis, got, denom)).to_json_dict(),
+                    "got": FockState(a + c, basis.monomials(got, denom)).to_json_dict(),
                     "expected": expected,
                 },
             )
@@ -307,7 +307,7 @@ class _BracketEngine:
 
         def expected(want: IndexRow) -> dict:
             """Witness form of ``scale`` times a target row."""
-            terms = {u: v * scale for u, v in _unscale(basis, want, denom_t).items()}
+            terms = {u: v * scale for u, v in basis.monomials(want, denom_t).items()}
             return FockState(a + c, terms).to_json_dict()
         # got = factor * scale * want as rationals; the integer ratio
         # gv / wv is then the same on every entry, compared as g0 / w0
@@ -328,12 +328,6 @@ class _BracketEngine:
         if factor == 1:
             return BracketReport(lp, rp, self.N, True, "exact", rescale=factor)
         return BracketReport(lp, rp, self.N, True, "rescaled", rescale=factor)
-
-
-def _unscale(basis: BasisIndex, row: IndexRow, denom: int) -> dict[Monomial, Fraction]:
-    """The exact rational row, keyed by monomials, that an integer index
-    row over ``denom`` stands for."""
-    return {basis.monos[u]: Fraction(v, denom) for u, v in row.items()}
 
 
 # The engine of the last truncation bracket_verify saw: a stream of point
@@ -417,25 +411,20 @@ def _solve_central(instances: list[tuple[int, int, Fraction]]) -> dict:
     }
 
 
-def bracket_sweep(
-    N: int,
-    labels: Sequence[Union[int, str]] = ("E", "sigma+", "sigma-"),
-    a_range: int = 1,
-    b_range: int = 2,
-) -> SweepSummary:
+def bracket_sweep(N: int, a_range: int = 1, b_range: int = 2) -> SweepSummary:
     """Verify every ordered bracket instance with |a|,|c| <= a_range,
-    |b|,|d| <= b_range, (a,b) != (0,0) != (c,d), over the given labels.
-    The two orders of each unordered pair share their compositions.
-    Rescale factors are recorded per root space and checked for
-    consistency; central scalars are solved per ordered label pair.  The
-    sweep's engine is its own and is dropped when it returns."""
+    |b|,|d| <= b_range, (a,b) != (0,0) != (c,d), over the labels E, sigma+
+    and sigma-.  The two orders of each unordered pair share their
+    compositions.  Rescale factors are recorded per root space and
+    checked for consistency; central scalars are solved per ordered label
+    pair.  The sweep's engine is its own and is dropped when it returns."""
     engine = _BracketEngine(N)
     operands = [
-        (a, b, label_index(g))
+        (a, b, g)
         for a in range(-a_range, a_range + 1)
         for b in range(-b_range, b_range + 1)
         if (a, b) != (0, 0)
-        for g in labels
+        for g in (COH_E, COH_SP, COH_SM)
     ]
     by_job: dict[tuple[tuple, tuple], BracketReport] = {}
     for i, x in enumerate(operands):
@@ -521,7 +510,7 @@ def _vertex_witness(
         "mode": n,
         "state": FockState.from_monomial(basis.monos[i]).to_json_dict(),
         "difference": FockState(
-            field.m, _unscale(basis, diff, field.denom)
+            field.m, basis.monomials(diff, field.denom)
         ).to_json_dict(),
     }
 

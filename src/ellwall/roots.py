@@ -71,16 +71,13 @@ class Record:
 
     __slots__ = ()
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(getattr(self, f) for f in self._fields))
 
     def __repr__(self):
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
@@ -180,9 +177,6 @@ class EllipticRootSystem:
 
     # -- enumeration --------------------------------------------------
 
-    def finite_height(self, finite: tuple[int, ...]) -> int:
-        return abs(sum(finite))
-
     def roots_in_box(
         self,
         m_max: int,
@@ -196,7 +190,7 @@ class EllipticRootSystem:
         zero = (0,) * self.rank
         finites: list[tuple[int, ...]] = [zero]
         for f in self.finite_roots:
-            if finite_height_max is None or self.finite_height(f) <= finite_height_max:
+            if finite_height_max is None or abs(sum(f)) <= finite_height_max:
                 finites.append(f)
         out = []
         for m in range(-m_max, m_max + 1):

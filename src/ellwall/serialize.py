@@ -21,17 +21,14 @@ TOOL_VERSION = "0.1.0"
 
 DEFAULT_SEED = 20260823
 
-#: the one global sign choice in the deformed preprojective relation;
-#: no code checks that relation, but it is kept because every CLI
-#: document's metadata echoes it as ``preproj_sign``
-PREPROJ_SIGN_CONVENTION = "ccw.cw - cw.ccw = lambda_i . id at node i"
-
 #: normalization choices in force, echoed into every CLI document
 CONVENTIONS = {
     "pairing": "fiber and point classes form the even dual pair; the odd pair is antisymmetric",
     "small_mode_normalization": "slope-0 generators carry 1/|n| on the fiber label and |n| on the point label",
     "degree_axis_rescale": "positive-degree fiber root spaces compare after a recorded rescale of -1",
-    "preproj_sign": PREPROJ_SIGN_CONVENTION,
+    # the one global sign choice in the deformed preprojective relation;
+    # no code checks that relation, but every CLI document echoes it
+    "preproj_sign": "ccw.cw - cw.ccw = lambda_i . id at node i",
     "wall_locus": "derived phase-alignment locus in the (b, c, d) chart",
     "wall_normalization": "wall representatives in the quadrant r >= 0, s >= 1 with depth bound r + s <= n",
     "section_monodromy_order": "replacement generators applied in canonical monomial order",

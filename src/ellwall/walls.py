@@ -366,7 +366,7 @@ def _root_candidates(type_name: str, n: int) -> list[EllipticRoot]:
     imaginary class where m >= 1."""
     system = build_elliptic(type_name)
     zero = (0,) * system.rank
-    positives = _positive_roots(type_name)
+    positives = sorted(f for f in system.finite_roots if sum(f) > 0)
     candidates: list[EllipticRoot] = []
     for m in range(0, n + 1):
         for nf in range(0, n + 1 - m):
@@ -384,11 +384,6 @@ def _root_candidates(type_name: str, n: int) -> list[EllipticRoot]:
 def _primitive_ray(y: int, x: int) -> tuple[int, int]:
     g = math.gcd(y, x)
     return (y // g, x // g) if g else (0, 0)
-
-
-def _positive_roots(type_name: str) -> list[tuple[int, ...]]:
-    system = build_elliptic(type_name)
-    return sorted(f for f in system.finite_roots if sum(f) > 0)
 
 
 # ---------------------------------------------------------------------------

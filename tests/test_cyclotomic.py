@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -118,7 +119,7 @@ def test_rational_detection():
 
 def test_inverse_golden():
     z = Cyclotomic.zeta(5)
-    x = 1 + z  # nontrivial unit in Z[zeta_5]
+    x = Cyclotomic(5, 1) + z  # nontrivial unit in Z[zeta_5]
     assert x * (-z - z * z * z) == Cyclotomic(5, 1)
     with pytest.raises(ZeroDivisionError):
         x / 0
@@ -130,6 +131,11 @@ def test_inverse_golden():
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         Cyclotomic.zeta(3) + Cyclotomic.zeta(4)
+    # coefficients are exact: a float is refused, even 0.5, whose value is exact
+    with pytest.raises(TypeError):
+        Cyclotomic(3, [0.5, 0.1])
+    with pytest.raises(TypeError):
+        Cyclotomic(3, 0.5)
 
 
 elements = st.builds(
@@ -240,13 +246,18 @@ def test_scalar_arithmetic_matches_reference(case, f, n):
     a, ra = Cyclotomic(k, ca), ref_reduce(k, ca)
     for s in (f, n):
         rs = ref_reduce(k, [s])
-        check_matches(a + s, k, ref_add(ra, rs))
-        check_matches(s + a, k, ref_add(ra, rs))
-        check_matches(a - s, k, ref_add(ra, rs, -1))
-        # no __rsub__: a scalar on the left is lifted to the field first
-        check_matches(Cyclotomic(k, s) - a, k, ref_add(rs, ra, -1))
-        check_matches(a * s, k, ref_mul(k, ra, rs))
-        check_matches(s * a, k, ref_mul(k, ra, rs))
+        lifted = Cyclotomic(k, s)
+        check_matches(a + lifted, k, ref_add(ra, rs))
+        check_matches(lifted + a, k, ref_add(ra, rs))
+        check_matches(a - lifted, k, ref_add(ra, rs, -1))
+        check_matches(lifted - a, k, ref_add(rs, ra, -1))
+        check_matches(a * lifted, k, ref_mul(k, ra, rs))
+        check_matches(lifted * a, k, ref_mul(k, ra, rs))
+        # a rational enters +, - and * only lifted to the field
+        for op in (operator.add, operator.sub, operator.mul):
+            for x, y in ((a, s), (s, a)):
+                with pytest.raises(TypeError):
+                    op(x, y)
         if s:
             check_matches(a / s, k, tuple(x / s for x in ra))
         else:
@@ -272,7 +283,8 @@ def test_equal_values_hash_equal(case):
     shifted = _poly_sub(ca, _poly_mul(extra, ref_cyclotomic(k)))
     a, b = Cyclotomic(k, ca), Cyclotomic(k, shifted)
     assert a == b and hash(a) == hash(b)
-    assert (a * 6) / 6 == a and hash((a * 6) / 6) == hash(a)
+    six = Cyclotomic(k, 6)
+    assert (a * six) / 6 == a and hash((a * six) / 6) == hash(a)
 
 
 def test_cyclotomic_polynomials_match_reference():

@@ -353,6 +353,10 @@ class TestFastRows:
         assert basis.monomials({j: 7, 0: -1, size + 1: 2}) == {
             high: 7, (): -1, higher: 2,
         }
+        # an integer row over a denominator reads as exact, reduced rationals
+        over = basis.monomials({j: 7, 0: -1, size + 1: 2}, 6)
+        assert over == {high: Fraction(7, 6), (): Fraction(-1, 6), higher: Fraction(1, 3)}
+        assert all(type(c) is Fraction for c in over.values())
         assert self.mode_reads(basis) == self.mode_reads(BasisIndex(3))
 
     @staticmethod

@@ -136,11 +136,11 @@ class TestCharValues:
         p = BimoduleParam.make(k, [x0, x1, x2])
         q = BimoduleParam.make(k, [x2, x0, x1])
         combined = BimoduleParam(
-            k, tuple(a * c + b for a, b in zip(p.a, q.a))
+            k, tuple(a * Cyclotomic(k, c) + b for a, b in zip(p.a, q.a))
         )
         for r in range(k):
             assert char_value(combined, r) == (
-                char_value(p, r) * c + char_value(q, r)
+                char_value(p, r) * Cyclotomic(k, c) + char_value(q, r)
             )
 
     def test_rejects_wrong_length(self):
@@ -395,9 +395,33 @@ class TestJordanOracle:
     def test_rank_with_irrational_pivot(self):
         z = Cyclotomic.zeta(4)
         one = Cyclotomic(4, 1)
-        m = ((z, one), (one, z * -1))
+        m = ((z, one), (one, z * Cyclotomic(4, -1)))
         # det = -z^2 - 1 = 1 - 1 ... zeta_4^2 = -1 so det = -z*z - 1 = 0
         assert matrix_rank(m) == 1
+
+    def test_jordan_type_survives_conjugation(self):
+        """The parameters of ``test_jordan_cross_check``, with each jet
+        matrix conjugated by the lower unitriangular all-ones matrix L:
+        the conjugate fills in, so the rank's elimination updates rows on
+        every power, and its Jordan type is the jet matrix's."""
+        rng = random.Random(2026)
+        for _ in range(40):
+            k = rng.choice((1, 2, 3, 4, 6))
+            n = rng.randint(0, 3)
+            p = (
+                forced_split_param(rng, k, n)
+                if rng.random() < 0.5
+                else random_param(rng, k)
+            )
+            y = y_matrix(n, p)
+            span = range(len(y))
+            low = self.mat(k, [[int(j <= i) for j in span] for i in span])
+            # L^-1 = I minus the subdiagonal shift
+            inv = self.mat(k, [[int(j == i) - int(j == i - 1) for j in span] for i in span])
+            ident = self.mat(k, [[int(j == i) for j in span] for i in span])
+            assert _mat_mul(low, inv) == ident
+            conj = _mat_mul(_mat_mul(low, y), inv)
+            assert nilpotent_jordan_type(conj) == nilpotent_jordan_type(y)
 
 
 def fraction_rank(rows):
