@@ -45,7 +45,8 @@ def cyclotomic_polynomial(k: int) -> Nums:
                 if c:
                     for i, p in enumerate(phi):
                         num[s + i] -= c * p
-            assert not any(num)
+            if any(num):
+                raise ArithmeticError(f"Phi_{d} does not divide x^{k} - 1")
             num = quo
     return tuple(num)
 

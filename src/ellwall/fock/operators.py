@@ -180,25 +180,20 @@ class FieldTable:
     field exp(m sum_j alpha_{-j} z^j / j) exp(-m sum_j alpha_j z^{-j} / j)
     for one generator construction: the annihilation levels up to ann_depth
     and the creation levels up to cre_depth (N and N - x for a z^{-x}
-    mode on the window N), over the product ``denom`` of their bases.
-    ``mode_terms`` memoizes the modes for the table's lifetime."""
+    mode on the window N), over the product ``denom`` of their bases."""
 
-    __slots__ = ("annihilate", "create", "denom", "_modes")
+    __slots__ = ("annihilate", "create", "denom")
 
     def __init__(self, m: int, ann_depth: int, cre_depth: int):
         ann_base, self.annihilate = _coefficient_table(-m, ann_depth)
         cre_base, self.create = _coefficient_table(m, cre_depth)
         self.denom = ann_base * cre_base
-        self._modes: dict[tuple[int, int], list[Term]] = {}
 
     def mode_terms(self, x: int, max_depth: int) -> list[Term]:
         """(coeff, creations, annihilations) of the field's z^{-x} mode
         with annihilation depth <= max_depth, coefficients over
         ``denom``."""
-        terms = self._modes.get((x, max_depth))
-        if terms is not None:
-            return terms
-        terms = self._modes[x, max_depth] = []
+        terms: list[Term] = []
         for q in range(max(0, x), max_depth + 1):
             for creations, c_coeff in self.create[q - x]:
                 for annihilations, a_coeff in self.annihilate[q]:

@@ -75,7 +75,8 @@ def _fixed_points(power) -> list[tuple[int, int]]:
         if (a[0][0] * x + a[0][1] * y) % d == 0
         and (a[1][0] * x + a[1][1] * y) % d == 0
     ]
-    assert len(pts) == d, "fixed-point count must equal the index"
+    if len(pts) != d:
+        raise ArithmeticError("fixed-point count must equal the index")
     return pts
 
 
@@ -241,8 +242,9 @@ def splits(n: int, p: BimoduleParam) -> bool:
 def matrix_rank(mat: Matrix) -> int:
     """Exact rank by fraction-free elimination over the cyclotomic field:
     each pivot p clears its column from the rows below it by the update
-    r <- p r - r[col] prow, a ring operation that keeps the rank and
-    divides by nothing (Bareiss)."""
+    r <- p r - r[col] prow, a ring operation that keeps the rank.  It
+    divides by nothing, so it is not Bareiss's update, which divides
+    exactly by the previous pivot to keep the entries from growing."""
     rows = [list(r) for r in mat]
     if not rows:
         return 0
@@ -302,7 +304,8 @@ def nilpotent_jordan_type(mat: Matrix) -> tuple[int, ...]:
     for j in range(len(counts), 0, -1):
         exactly_j = counts[j - 1] - (counts[j] if j < len(counts) else 0)
         sizes.extend([j] * exactly_j)
-    assert sum(sizes) == size
+    if sum(sizes) != size:
+        raise ArithmeticError(f"rank sequence {ranks} has no Jordan type of size {size}")
     return tuple(sizes)
 
 

@@ -401,10 +401,6 @@ class ChamberDecomposition(NamedTuple):
         return self.n == 1
 
     @property
-    def level1_positions(self) -> list[Fraction]:
-        return [w.level1_pos for w in self.walls]
-
-    @property
     def chamber_count(self) -> int:
         """The nonempty chambers: one more than the wall count exactly
         when the wall positions are distinct and in increasing order."""
@@ -413,7 +409,7 @@ class ChamberDecomposition(NamedTuple):
     def chambers(self) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
         """Open intervals between consecutive wall positions, with None for
         the two unbounded ends."""
-        cuts: list[Optional[Fraction]] = [None, *self.level1_positions, None]
+        cuts = [None, *(w.level1_pos for w in self.walls), None]
         return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
     def to_json_dict(self) -> dict:
@@ -443,68 +439,49 @@ SVG_AXIS_COLOR = "#1B2631"
 SVG_FONT_SIZE = 11
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
-
-
 def emit_chamber_svg(dec: ChamberDecomposition) -> str:
-    """Deterministic SVG: wall rays fanned from the origin of the positive
-    half-space, chambers shaded alternately, positions labeled.  Bit-stable
-    for a fixed decomposition."""
+    """Deterministic SVG chart of the level-1 line: position u is drawn at
+    x = 320 + 288 u / (1 + |u|), rounded to an integer, so the unbounded
+    ends of the outer chambers sit at the margins 32 and 608.  Each wall
+    is a vertical line labeled n/m, each chamber a band between its two
+    walls, shaded alternately.  Every coordinate is an exact integer."""
     w, h, mg = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
-    cx, cy = w / 2.0, h - float(mg)
-    radius = min(w / 2.0 - mg, h - 2.0 * mg)
-    # ray angles: boundary at 0 and pi, walls mapped into (0, pi) by
-    # arctan in the (position-coordinate) plane; the point-contraction
-    # wall (position 0) goes to pi/2
-    rays: list[tuple[float, str]] = []
-    for spec in dec.walls:
-        u = spec.level1_pos
-        angle = math.pi / 2 - math.atan(float(u)) if u is not None else math.pi / 2
-        rays.append((angle, f"{spec.root.n}/{spec.root.m}"))
-    rays.sort(key=lambda p: p[0])
+    cx, half = w // 2, w // 2 - mg
+    top, bottom = 2 * mg, h - mg
+    xs = [cx + round(half * s.level1_pos / (1 + abs(s.level1_pos))) for s in dec.walls]
+    edges = [cx - half, *xs, cx + half]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}" version="1.1">',
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="#FFFFFF"/>',
     ]
-    # chambers: wedges between consecutive rays (plus the two boundaries)
-    bounds = [math.pi] + [a for a, _ in sorted(rays, reverse=True)] + [0.0]
-    for i in range(len(bounds) - 1):
-        a0, a1 = bounds[i], bounds[i + 1]
-        color = SVG_CHAMBER_COLORS[i % 2]
-        x0 = cx + radius * math.cos(a0)
-        y0 = cy - radius * math.sin(a0)
-        x1 = cx + radius * math.cos(a1)
-        y1 = cy - radius * math.sin(a1)
+    # one band per interval of dec.chambers(), between consecutive edges
+    for i in range(len(edges) - 1):
         lines.append(
-            f'<path d="M {_fmt(cx)} {_fmt(cy)} L {_fmt(x0)} {_fmt(y0)} '
-            f'A {_fmt(radius)} {_fmt(radius)} 0 0 1 {_fmt(x1)} {_fmt(y1)} Z" '
-            f'fill="{color}" stroke="none"/>'
+            f'<path d="M {edges[i]} {top} H {edges[i + 1]} V {bottom} H {edges[i]} Z" '
+            f'fill="{SVG_CHAMBER_COLORS[i % 2]}" stroke="none"/>'
         )
-    for angle, label in rays:
-        x1 = cx + radius * math.cos(angle)
-        y1 = cy - radius * math.sin(angle)
+    for x, spec in zip(xs, dec.walls):
         lines.append(
-            f'<line x1="{_fmt(cx)}" y1="{_fmt(cy)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
+            f'<line x1="{x}" y1="{top}" x2="{x}" y2="{bottom}" '
             f'stroke="{SVG_WALL_COLOR}" stroke-width="1.5"/>'
         )
-        lx = cx + (radius + 10) * math.cos(angle)
-        ly = cy - (radius + 10) * math.sin(angle)
         lines.append(
-            f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="{SVG_FONT_SIZE}" '
-            f'text-anchor="middle" fill="{SVG_AXIS_COLOR}">{label}</text>'
+            f'<text x="{x}" y="{top - 10}" font-size="{SVG_FONT_SIZE}" '
+            f'text-anchor="middle" fill="{SVG_AXIS_COLOR}">'
+            f"{spec.root.n}/{spec.root.m}</text>"
         )
+    axis = (top + bottom) // 2
     lines.append(
-        f'<line x1="{_fmt(cx - radius)}" y1="{_fmt(cy)}" x2="{_fmt(cx + radius)}" '
-        f'y2="{_fmt(cy)}" stroke="{SVG_AXIS_COLOR}" stroke-width="1.0"/>'
+        f'<line x1="{edges[0]}" y1="{axis}" x2="{edges[-1]}" y2="{axis}" '
+        f'stroke="{SVG_AXIS_COLOR}" stroke-width="1.0"/>'
     )
     title = f"walls: type {dec.type_name}, n = {dec.n}"
     if dec.degenerate:
         title += " (degenerate)"
     lines.append(
-        f'<text x="{_fmt(float(mg))}" y="{_fmt(float(mg))}" '
-        f'font-size="{SVG_FONT_SIZE + 2}" fill="{SVG_AXIS_COLOR}">{title}</text>'
+        f'<text x="{mg}" y="{mg}" font-size="{SVG_FONT_SIZE + 2}" '
+        f'fill="{SVG_AXIS_COLOR}">{title}</text>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -387,6 +387,16 @@ class TestJordanOracle:
         with pytest.raises(ValueError):
             nilpotent_jordan_type(self.mat(1, [[1, 0], [0, 0]]))
 
+    def test_nonconvex_rank_sequence_raises(self, monkeypatch):
+        """Ranks 4, 3, 0 drop by 1 and then by 3, which no nilpotent 4x4
+        matrix does: the block sizes cannot sum to 4, and the check raises
+        an ``ArithmeticError`` that ``python -O`` keeps."""
+        ranks = iter([3, 0])
+        monkeypatch.setattr(localmodel, "matrix_rank", lambda mat: next(ranks))
+        shift = self.mat(1, [[int(j == i + 1) for j in range(4)] for i in range(4)])
+        with pytest.raises(ArithmeticError, match="no Jordan type of size 4"):
+            nilpotent_jordan_type(shift)
+
     def test_rank(self):
         m = self.mat(4, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
         assert matrix_rank(m) == 2

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,9 @@ from ellwall.lattices import (
 )
 from ellwall.roots import EllipticRoot, build_elliptic
 from ellwall.walls import (
+    SVG_MARGIN,
+    SVG_WALL_COLOR,
+    SVG_WIDTH,
     ChamberDecomposition,
     TriPoly,
     UnsupportedTypeError,
@@ -613,13 +617,27 @@ class TestSvg:
         dec = chamber_decomposition(5)
         assert emit_chamber_svg(dec) == emit_chamber_svg(dec)
 
-    def test_structure(self):
-        dec = chamber_decomposition(4)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_structure(self, n):
+        """A chart of the level-1 line: the walls stand left to right in
+        position order, and each wall's x is the shared edge of the bands
+        of its two chambers, the outer ones reaching the margins."""
+        dec = chamber_decomposition(n)
         svg = emit_chamber_svg(dec)
         assert svg.startswith("<svg ")
         assert svg.count("<line ") == len(dec.walls) + 1  # walls + axis
         assert svg.count("<path ") == len(dec.walls) + 1  # shaded chambers
-        assert "n = 4" in svg
+        assert f"n = {n}" in svg
+        drawn = [
+            int(x) for x in re.findall(rf'<line x1="(\d+)"[^>]*stroke="{SVG_WALL_COLOR}"', svg)
+        ]
+        xs = [x for _, x in sorted(zip((w.level1_pos for w in dec.walls), drawn))]
+        assert all(a < b for a, b in zip(xs, xs[1:]))
+        bands = [
+            (int(a), int(b)) for a, b in re.findall(r'<path d="M (\d+) \d+ H (\d+) ', svg)
+        ]
+        assert [a for a, _ in bands] == [SVG_MARGIN, *xs]
+        assert [b for _, b in bands] == [*xs, SVG_WIDTH - SVG_MARGIN]
 
     def test_golden_file(self, tmp_path):
         import pathlib
