@@ -617,8 +617,16 @@ class TestSvg:
         dec = chamber_decomposition(5)
         assert emit_chamber_svg(dec) == emit_chamber_svg(dec)
 
+    def test_structure(self):
+        dec = chamber_decomposition(4)
+        svg = emit_chamber_svg(dec)
+        assert svg.startswith("<svg ")
+        assert svg.count("<line ") == len(dec.walls) + 1  # walls + axis
+        assert svg.count("<path ") == len(dec.walls) + 1  # shaded chambers
+        assert "n = 4" in svg
+
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_structure(self, n):
+    def test_walls_in_position_order(self, n):
         """A chart of the level-1 line: the walls stand left to right in
         position order, and each wall's x is the shared edge of the bands
         of its two chambers, the outer ones reaching the margins."""
