@@ -29,11 +29,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from . import __version__
 from .fock.labels import LABEL_NAMES, label_index
 from .fock.monodromy import monodromy_f, monodromy_s
 from .fock.states import FockState, creation_chain
 from .fock.verify import bracket_verify
-from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, cyclo_str, frac_str, metadata, to_json
+from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, cyclo_str, frac_str, to_json
 
 
 class UnsupportedRequest(Exception):
@@ -130,7 +131,7 @@ def _metadata(args: argparse.Namespace) -> dict:
     if args.command == "monodromy":
         conventions["extended_weight_field"] = "symplectic_fermion"
         conventions["extended_derivative"] = "z_ddz"
-    return metadata(conventions)
+    return {"tool_version": __version__, "conventions": conventions}
 
 
 def _document(args: argparse.Namespace, body: dict, header=(), rows=()) -> str:
@@ -158,23 +159,18 @@ def _document(args: argparse.Namespace, body: dict, header=(), rows=()) -> str:
 
 
 def cmd_walls(args: argparse.Namespace) -> tuple[str, int]:
-    from .lattices import hilbert_vector, surface_lattice
-    from .walls import (
-        chamber_decomposition,
-        check_wall_type,
-        emit_chamber_svg,
-        enumerate_v_walls,
-    )
+    from .walls import WallChart, emit_chamber_svg
 
     try:
-        check_wall_type(args.type)
-        if args.format == "svg" or args.type == "A-1":
-            dec = chamber_decomposition(args.n, args.type)
+        chart = WallChart(args.type)
+        if args.format == "svg":
+            svg = emit_chamber_svg(chart.decomposition(args.n))
+        elif args.type == "A-1":
+            dec = chart.decomposition(args.n)
             walls = dec.walls
             body = dec.to_json_dict()
         else:
-            ns = surface_lattice(args.type)
-            walls = enumerate_v_walls(hilbert_vector(args.n, ns), args.type)
+            walls = chart.walls(args.n)
             body = {
                 "type": args.type,
                 "n": args.n,
@@ -183,7 +179,7 @@ def cmd_walls(args: argparse.Namespace) -> tuple[str, int]:
     except ValueError as exc:
         raise UnsupportedRequest(str(exc)) from exc
     if args.format == "svg":
-        head, _, tail = emit_chamber_svg(dec).partition("\n")
+        head, _, tail = svg.partition("\n")
         text = f"{head}\n<metadata>{to_json(_metadata(args))}</metadata>\n{tail}"
     else:
         rows = (
@@ -271,7 +267,7 @@ def cmd_hh0(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_roots(args: argparse.Namespace) -> tuple[str, int]:
-    from .roots import build_elliptic, roots_to_json
+    from .roots import build_elliptic
 
     try:
         system = build_elliptic(args.type)
@@ -284,7 +280,7 @@ def cmd_roots(args: argparse.Namespace) -> tuple[str, int]:
         "n_max": args.n_max,
         "finite_height_max": args.height,
         "count": len(roots),
-        "roots": roots_to_json(roots, system),
+        "roots": [{**r.to_json_dict(), "real": system.is_real(r)} for r in roots],
     }
     rows = (
         ["+".join(map(str, r.finite)) or "0", r.m, r.n, system.is_real(r)]

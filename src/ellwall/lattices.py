@@ -20,6 +20,7 @@ form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .roots import EllipticRoot, Record, build_elliptic, finite_gram
@@ -120,33 +121,25 @@ def mukai_pair(v: MukaiVector, w: MukaiVector, ns: BilinearLattice) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def surface_labels(type_name: str) -> tuple[str, ...]:
-    """The basis labels of ``surface_lattice(type_name)``, without its
-    Gram matrix."""
+# Keyed by the surface type: one of the five SURFACE_TYPES, since any
+# other name raises and a raised call is not cached.
+@lru_cache(maxsize=None)
+def surface_lattice(type_name: str) -> BilinearLattice:
     if type_name == "A-1":
-        return ("E", "P")
+        return BilinearLattice(labels=("E", "P"), gram=((0, 1), (1, 0)))
     if type_name not in SURFACE_TYPES:
         raise ValueError(
             f"no surface lattice for type {type_name!r}; supported: {SURFACE_TYPES}"
         )
     comp = _COMPLEMENT[type_name]
-    r_main = len(finite_gram(type_name))
-    r_comp = len(finite_gram(comp)) if comp else 0
-    return (
+    g_main = finite_gram(type_name)
+    g_comp = finite_gram(comp) if comp else ()
+    r_main, r_comp = len(g_main), len(g_comp)
+    labels = (
         ("Theta", "E")
         + tuple(f"C{i+1}" for i in range(r_main))
         + tuple(f"C'{i+1}" for i in range(r_comp))
     )
-
-
-def surface_lattice(type_name: str) -> BilinearLattice:
-    labels = surface_labels(type_name)
-    if type_name == "A-1":
-        return BilinearLattice(labels=labels, gram=((0, 1), (1, 0)))
-    comp = _COMPLEMENT[type_name]
-    g_main = finite_gram(type_name)
-    g_comp = finite_gram(comp) if comp else ()
-    r_main, r_comp = len(g_main), len(g_comp)
     rank = len(labels)
     gram = [[0] * rank for _ in range(rank)]
     gram[0][0] = -1
@@ -167,7 +160,7 @@ def root_to_kclass(beta: EllipticRoot, type_name: str) -> MukaiVector:
     system = build_elliptic(type_name)
     if not system.contains(beta):
         raise ValueError(f"{beta} is not a root of type {type_name}")
-    labels = surface_labels(type_name)
+    labels = surface_lattice(type_name).labels
     c1 = [0] * len(labels)
     c1[labels.index("E")] = beta.n
     if not beta.is_delta_only():

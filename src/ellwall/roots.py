@@ -162,12 +162,9 @@ class EllipticRootSystem:
             return (beta.m, beta.n) != (0, 0)
         return beta.finite in self.finite_roots
 
-    def _require(self, beta: EllipticRoot) -> None:
+    def is_real(self, beta: EllipticRoot) -> bool:
         if not self.contains(beta):
             raise ValueError(f"{beta} is not a root of type {self.type_name}")
-
-    def is_real(self, beta: EllipticRoot) -> bool:
-        self._require(beta)
         return not beta.is_delta_only()
 
     def simple_root(self, i: int, m: int = 0, n: int = 0) -> EllipticRoot:
@@ -211,10 +208,3 @@ class EllipticRootSystem:
 @lru_cache(maxsize=None)
 def build_elliptic(type_name: str) -> EllipticRootSystem:
     return EllipticRootSystem(type_name)
-
-
-def roots_to_json(roots: list[EllipticRoot], system: EllipticRootSystem) -> list[dict]:
-    return [
-        {**b.to_json_dict(), "real": system.is_real(b)}
-        for b in roots
-    ]

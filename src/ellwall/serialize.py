@@ -1,5 +1,5 @@
-"""JSON/CSV-friendly encoding of exact values, and the metadata block
-every emitted document carries.
+"""JSON/CSV-friendly encoding of exact values, and the conventions the
+metadata block of every emitted document carries.
 
 Rationals travel as strings ("3/4", "-2", "0") so round-trips are exact;
 cyclotomic values are rendered the same way when rational and as a
@@ -16,8 +16,6 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .cyclotomic import Cyclotomic
-
-TOOL_VERSION = "0.1.0"
 
 DEFAULT_SEED = 20260823
 
@@ -53,8 +51,3 @@ def cyclo_str(x: Cyclotomic) -> str:
 def to_json(obj: Any) -> str:
     """Deterministic JSON: fixed indentation, keys kept in insertion order."""
     return json.dumps(obj, indent=2, sort_keys=False)
-
-
-def metadata(conventions: dict[str, str]) -> dict[str, Any]:
-    """Common metadata block attached to every emitted report."""
-    return {"tool_version": TOOL_VERSION, "conventions": conventions}

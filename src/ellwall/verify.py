@@ -291,9 +291,8 @@ def check_wall_sign_flip(
     rng = random.Random(seed)
     checked = failures = 0
     for n in range(1, n_max + 1):
-        hv = hilbert_vector(n, ns)
-        v = coords(hv)
-        for spec in chart.walls(hv):
+        v = coords(hilbert_vector(n, ns))
+        for spec in chart.walls(n):
             w = coords(spec.kclass)
             for _ in range(samples):
                 b = rng.randint(1, 40), rng.randint(1, 9)

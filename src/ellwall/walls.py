@@ -189,17 +189,12 @@ def _coerce(x: Union[TriPoly, Scalar]) -> TriPoly:
 # ---------------------------------------------------------------------------
 
 
-def _section_label(ns: BilinearLattice) -> str:
-    return "P" if "P" in ns.labels else "Theta"
-
-
 def central_charge_sym(
     x: MukaiVector, ns: BilinearLattice
 ) -> tuple[TriPoly, TriPoly]:
     """(Re Z, Im Z) of the charge integral against exp(i(S + bE)) after
     twisting by c*S + d*E, as exact polynomials in (b, c, d)."""
-    s_label = _section_label(ns)
-    svec = ns.basis_vector(s_label)
+    svec = ns.basis_vector("P" if "P" in ns.labels else "Theta")
     evec = ns.basis_vector("E")
     s2 = ns.pair(svec, svec)
     gs = ns.pair(x.c1, svec)
@@ -215,16 +210,6 @@ def central_charge_sym(
     re = (x.twice_ch2 + r * (b_sq - h_sq)) / 2 - b_dot_g
     im = h_dot_g - r * h_dot_b
     return re, im
-
-
-def _check_hilbert_shape(v: MukaiVector) -> int:
-    if v.rank != 1 or any(v.c1) or v.twice_ch2 >= 0:
-        raise ValueError(
-            "expected a point-count vector (1, 0, -n); normalize v first"
-        )
-    if v.twice_ch2 % 2:
-        raise ValueError("point count must be integral")
-    return -v.twice_ch2 // 2
 
 
 def phase_equal_locus(
@@ -274,21 +259,6 @@ def _wall_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def check_wall_type(type_name: str) -> None:
-    """Reject types outside the wall description, wild cases explicitly."""
-    if type_name in WILD_TYPES:
-        raise UnsupportedTypeError(
-            f"type {type_name} is wild: its point-counting moduli do not admit "
-            "the wall description; choose one of "
-            f"{WALL_TYPES}"
-        )
-    if type_name not in WALL_TYPES:
-        raise UnsupportedTypeError(
-            f"type {type_name} has no equivariant surface model; choose one of "
-            f"{WALL_TYPES}"
-        )
-
-
 def _combine(x: MukaiVector, polys: tuple[TriPoly, ...]) -> TriPoly:
     """Sum of ``polys`` weighted by x's coordinates (rank, *c1,
     twice_ch2), over their common denominator."""
@@ -310,7 +280,18 @@ class WallChart:
     caller builds its own chart for its run."""
 
     def __init__(self, type_name: str):
-        check_wall_type(type_name)
+        # reject types outside the wall description, wild cases explicitly
+        if type_name in WILD_TYPES:
+            raise UnsupportedTypeError(
+                f"type {type_name} is wild: its point-counting moduli do not admit "
+                "the wall description; choose one of "
+                f"{WALL_TYPES}"
+            )
+        if type_name not in WALL_TYPES:
+            raise UnsupportedTypeError(
+                f"type {type_name} has no equivariant surface model; choose one of "
+                f"{WALL_TYPES}"
+            )
         self.type_name = type_name
         self.ns = ns = surface_lattice(type_name)
         zero = (0,) * ns.rank
@@ -321,11 +302,12 @@ class WallChart:
         # table[a][b]: the locus of unit a against unit b
         self._table = [[phase_equal_locus(za, zb) for zb in charges] for za in charges]
 
-    def walls(self, v: MukaiVector) -> list[WallSpec]:
-        """One wall per root class satisfying the depth bound, deduplicated
-        to normalized representatives; deterministic order (by position
-        for the rank-0 type, then by root data)."""
-        type_name, n = self.type_name, _check_hilbert_shape(v)
+    def walls(self, n: int) -> list[WallSpec]:
+        """The walls for n points: one wall per root class satisfying the
+        depth bound, deduplicated to normalized representatives;
+        deterministic order (by position for the rank-0 type, then by root
+        data)."""
+        type_name, v = self.type_name, hilbert_vector(n, self.ns)
         if type_name == "A-1":
             # point coefficient s, fiber coefficient r
             candidates = [EllipticRoot((), s, r) for r, s in _wall_pairs(n)]
@@ -345,19 +327,12 @@ class WallChart:
         return walls
 
     def decomposition(self, n: int) -> ChamberDecomposition:
-        if n < 1:
-            raise ValueError("point count must be >= 1")
         if self.type_name != "A-1":
             raise UnsupportedTypeError(
                 "chamber positions on the level-1 line are modeled for type A-1 "
-                "only; other types expose wall lists via enumerate_v_walls"
+                "only; other types expose wall lists via WallChart.walls"
             )
-        walls = tuple(self.walls(hilbert_vector(n, self.ns)))
-        return ChamberDecomposition(self.type_name, n, walls)
-
-
-def enumerate_v_walls(v: MukaiVector, type_name: str) -> list[WallSpec]:
-    return WallChart(type_name).walls(v)
+        return ChamberDecomposition(self.type_name, n, tuple(self.walls(n)))
 
 
 def _root_candidates(type_name: str, n: int) -> list[EllipticRoot]:
@@ -423,10 +398,6 @@ class ChamberDecomposition(NamedTuple):
         }
 
 
-def chamber_decomposition(n: int, type_name: str = "A-1") -> ChamberDecomposition:
-    return WallChart(type_name).decomposition(n)
-
-
 # ---------------------------------------------------------------------------
 # SVG rendering
 # ---------------------------------------------------------------------------
@@ -444,11 +415,20 @@ def emit_chamber_svg(dec: ChamberDecomposition) -> str:
     x = 320 + 288 u / (1 + |u|), rounded to an integer, so the unbounded
     ends of the outer chambers sit at the margins 32 and 608.  Each wall
     is a vertical line labeled n/m, each chamber a band between its two
-    walls, shaded alternately.  Every coordinate is an exact integer."""
+    walls, shaded alternately.  Every coordinate is an exact integer.
+    Raises ValueError when two walls round to one x, as from n = 19 on,
+    rather than draw a chamber of zero width."""
     w, h, mg = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     cx, half = w // 2, w // 2 - mg
     top, bottom = 2 * mg, h - mg
     xs = [cx + round(half * s.level1_pos / (1 + abs(s.level1_pos))) for s in dec.walls]
+    for i in range(1, len(xs)):
+        if xs[i] == xs[i - 1]:
+            a, b = dec.walls[i - 1].root, dec.walls[i].root
+            raise ValueError(
+                f"walls {a.n}/{a.m} and {b.n}/{b.m} both fall at x = {xs[i]}: "
+                f"the chart cannot separate the walls of n = {dec.n}"
+            )
     edges = [cx - half, *xs, cx + half]
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '

@@ -59,6 +59,14 @@ class TestWalls:
         assert doc["chambers"] == 7
         assert doc["degenerate"] is False
 
+    def test_tool_version_is_the_project_version(self, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert project["version"] == ellwall.__version__
+        doc = run_json(capsys, "walls", "--n", "1")
+        assert doc["metadata"]["tool_version"] == ellwall.__version__
+
     def test_svg_matches_golden(self, capsys, tmp_path):
         target = tmp_path / "walls.svg"
         rc, out, _ = run(
@@ -108,6 +116,13 @@ class TestWalls:
         rc, _, err = run(capsys, "walls", "--type", "D4", "--n", "1", "--format", "svg")
         assert rc == 2
         assert "A-1" in err
+
+    def test_svg_refuses_walls_on_one_x(self, capsys):
+        rc, out, err = run(capsys, "walls", "--n", "19", "--format", "svg")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n = 19" in err
 
 
 # a rescaled sigma pair, a central pair and a slope-zero pt pair
@@ -702,3 +717,20 @@ class TestImportBoundary:
         and ``dis`` modules it imports."""
         out = json.loads(TestCrossProcess.run_fresh([], "1", entry=("-c", self.EXACT_PROBE)))
         assert out == {"passes": [True] * 4, "unused": []}
+
+    @pytest.mark.parametrize(
+        "module,loads",
+        [
+            ("ellwall.fock.labels", set()),
+            ("ellwall.fock.states", {"ellwall.fock.labels", "ellwall.serialize"}),
+        ],
+    )
+    def test_fock_module_loads_only_its_own_imports(self, module, loads):
+        """``ellwall.fock`` is a bare package: importing one Fock module
+        loads that module and what it imports, not the rest of the stack."""
+        probe = (
+            f"import json, sys, {module}\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'ellwall')))\n"
+        )
+        out = json.loads(TestCrossProcess.run_fresh([], "1", entry=("-c", probe)))
+        assert set(out) == {"ellwall", "ellwall.fock", module} | loads

@@ -178,8 +178,8 @@ def test_c05_fails_when_the_fiber_action_keeps_the_charge(monkeypatch):
 def test_c06_fails_when_a_wall_is_listed_twice(monkeypatch):
     real = walls.WallChart.walls
 
-    def doubled(self, v):
-        found = real(self, v)
+    def doubled(self, n):
+        found = real(self, n)
         return found[:1] + found
 
     monkeypatch.setattr(walls.WallChart, "walls", doubled)

@@ -3,8 +3,8 @@
 A definition is a module-level function, class or assigned name, or a
 method of a module-level class; dunder names are left out, since Python
 calls them itself.  A definition is reached when its name is read (an
-``ast.Name`` or ``ast.Attribute`` load, so not a string, an import alias
-or an ``__all__`` entry) in ``scripts/``, or in ``src/`` outside the
+``ast.Name`` or ``ast.Attribute`` load, so not a string or an import
+alias) in ``scripts/``, or in ``src/`` outside the
 definition itself and outside every unreached definition.  The unreached
 set grows to a fixed point, so code that only unreached code reads is
 unreached too.  A plain name resolves through its module's definitions
@@ -87,14 +87,6 @@ class Source:
         for child in ast.iter_child_nodes(node):
             self._collect(child, owners, owner_of)
 
-    def declared_all(self) -> set[str]:
-        for node in self.tree.body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                return set(ast.literal_eval(node.value))
-        return set()
-
 
 def _load() -> tuple[dict[str, Source], list[Source]]:
     package: dict[str, Source] = {}
@@ -162,9 +154,8 @@ def unread_imports() -> list[str]:
     out = []
     for module, src in package.items():
         read = {name for name, is_attr, _ in src.reads if not is_attr}
-        exported = src.declared_all() if module == src.package else set()
         for alias in src.aliases:
-            if alias not in read and alias not in exported:
+            if alias not in read:
                 out.append(f"{module}:{alias}")
     return sorted(out)
 

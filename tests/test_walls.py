@@ -30,10 +30,9 @@ from ellwall.walls import (
     ChamberDecomposition,
     TriPoly,
     UnsupportedTypeError,
+    WallChart,
     central_charge_sym,
-    chamber_decomposition,
     emit_chamber_svg,
-    enumerate_v_walls,
     phase_equal_locus,
 )
 
@@ -107,7 +106,7 @@ def brute_force_wall_pairs(n):
 class TestWallEnumeration:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_brute_force_oracle(self, n):
-        walls = enumerate_v_walls(hilbert_vector(n, NS), "A-1")
+        walls = WallChart("A-1").walls(n)
         got = {(w.root.n, w.root.m) for w in walls}
         assert got == brute_force_wall_pairs(n)
 
@@ -120,7 +119,7 @@ class TestWallEnumeration:
 
     def test_frozen_counts(self):
         for n, expected in zip(range(1, 13), EXPECTED_WALL_COUNTS):
-            walls = enumerate_v_walls(hilbert_vector(n, NS), "A-1")
+            walls = WallChart("A-1").walls(n)
             assert len(walls) == expected, f"n={n}"
 
     def test_monotone_in_n(self):
@@ -128,70 +127,59 @@ class TestWallEnumeration:
         for n in range(1, 13):
             cur = {
                 (w.root.n, w.root.m)
-                for w in enumerate_v_walls(hilbert_vector(n, NS), "A-1")
+                for w in WallChart("A-1").walls(n)
             }
             assert prev <= cur
             prev = cur
 
     def test_point_contraction_wall_always_present(self):
         for n in (1, 2, 5):
-            walls = enumerate_v_walls(hilbert_vector(n, NS), "A-1")
+            walls = WallChart("A-1").walls(n)
             assert walls[0].root == EllipticRoot((), 1, 0)
             assert walls[0].level1_pos == 0
 
     def test_positions_strictly_increasing(self):
-        walls = enumerate_v_walls(hilbert_vector(8, NS), "A-1")
+        walls = WallChart("A-1").walls(8)
         pos = [w.level1_pos for w in walls]
         assert all(a < b for a, b in zip(pos, pos[1:]))
 
     def test_rays_primitive_and_nonzero(self):
-        for w in enumerate_v_walls(hilbert_vector(6, NS), "A-1"):
+        for w in WallChart("A-1").walls(6):
             y, x = w.n1_ray
             assert (y, x) != (0, 0)
             assert math.gcd(y, x) == 1
 
     def test_wild_types_rejected(self):
-        ns = surface_lattice("A-1")
-        v = hilbert_vector(2, ns)
         for t in ("A0", "A1", "A2"):
             with pytest.raises(UnsupportedTypeError):
-                enumerate_v_walls(v, t)
+                WallChart(t)
         for t in ("G2", "F4"):
             with pytest.raises(UnsupportedTypeError):
-                enumerate_v_walls(v, t)
-
-    def test_rejects_bad_vector_shape(self):
-        bad = MukaiVector(2, (Fraction(0), Fraction(0)), Fraction(-3))
-        with pytest.raises(ValueError):
-            enumerate_v_walls(bad, "A-1")
+                WallChart(t)
 
 
 class TestGeneralTypeWalls:
     def test_d4_count_n2(self):
-        ns = surface_lattice("D4")
-        walls = enumerate_v_walls(hilbert_vector(2, ns), "D4")
+        walls = WallChart("D4").walls(2)
         # layers (point, fiber): (0,0) positive roots 12; (0,1), (0,2)
         # all 24 finite roots each; (1,0), (1,1), (2,0) add the pure
         # imaginary class: 25 each
         assert len(walls) == 12 + 24 * 2 + 25 * 3
 
     def test_d4_contains_simple_roots_at_low_layers(self):
-        ns = surface_lattice("D4")
         system = build_elliptic("D4")
-        walls = enumerate_v_walls(hilbert_vector(2, ns), "D4")
+        walls = WallChart("D4").walls(2)
         roots = {w.root for w in walls}
         for i in range(system.rank):
             for m in (0, 1, 2):
                 assert system.simple_root(i, m=m) in roots
 
     def test_depth_bound_respected(self):
-        ns = surface_lattice("E6")
-        for w in enumerate_v_walls(hilbert_vector(3, ns), "E6"):
+        for w in WallChart("E6").walls(3):
             assert 0 <= w.root.m + w.root.n <= 3
 
     def test_layer_zero_walls_have_no_ray(self):
-        ns = surface_lattice("D4")
-        for w in enumerate_v_walls(hilbert_vector(2, ns), "D4"):
+        for w in WallChart("D4").walls(2):
             if w.root.m == 0 and w.root.n == 0:
                 assert w.n1_ray is None and w.level1_pos is None
             else:
@@ -211,7 +199,7 @@ class TestComposedLoci:
         ns = surface_lattice(type_name)
         v = hilbert_vector(n, ns)
         charge_v = central_charge_sym(v, ns)
-        walls = enumerate_v_walls(v, type_name)
+        walls = WallChart(type_name).walls(n)
         assert walls
         for spec in walls:
             assert spec.locus == phase_equal_locus(
@@ -223,7 +211,6 @@ class TestComposedLoci:
         self, monkeypatch, type_name, n
     ):
         ns = surface_lattice(type_name)
-        v = hilbert_vector(n, ns)
         calls = []
         expand = walls_module.central_charge_sym
 
@@ -232,7 +219,7 @@ class TestComposedLoci:
             return expand(x, lattice)
 
         monkeypatch.setattr(walls_module, "central_charge_sym", counted)
-        walls = enumerate_v_walls(v, type_name)
+        walls = WallChart(type_name).walls(n)
         # (1, 0, 0), (0, e_i, 0) per basis label and (0, 0, 1/2); not v itself
         assert len(calls) == ns.rank + 2
         assert len(calls) < len(walls)
@@ -301,7 +288,7 @@ class TestLoci:
     def test_sign_flip_across_locus(self):
         rng = random.Random(5)
         v = hilbert_vector(4, NS)
-        walls = enumerate_v_walls(v, "A-1")
+        walls = WallChart("A-1").walls(4)
         re_v, im_v = central_charge_sym(v, NS)
         for spec in walls:
             re_w, im_w = central_charge_sym(spec.kclass, NS)
@@ -338,7 +325,7 @@ class TestLoci:
         for n in range(1, n_max + 1):
             v = hilbert_vector(n, ns)
             re_v, im_v = central_charge_sym(v, ns)
-            for spec in enumerate_v_walls(v, type_name):
+            for spec in WallChart(type_name).walls(n):
                 re_w, im_w = central_charge_sym(spec.kclass, ns)
                 cross = im_w * re_v - re_w * im_v
                 for _ in range(5):
@@ -359,7 +346,7 @@ class TestLoci:
         secant root of two Fraction evaluations."""
         rng = random.Random(29)
         for n in range(1, 7):
-            for spec in enumerate_v_walls(hilbert_vector(n, NS), "A-1"):
+            for spec in WallChart("A-1").walls(n):
                 for _ in range(10):
                     b = rng.randint(1, 40), rng.randint(1, 9)
                     c = rng.randint(-30, 30), rng.randint(1, 9)
@@ -481,7 +468,7 @@ class TestTriPolyReference:
             re_v, im_v = central_charge_sym(v, NS)
             assert_matches(re_v, fc * fd - n - fb)
             assert_matches(im_v, -(fd + fb * fc))
-            for spec in enumerate_v_walls(v, "A-1"):
+            for spec in WallChart("A-1").walls(n):
                 r, s = spec.root.n, spec.root.m
                 want = s * fd + s * fb * fc - r * (FracTriPoly.const(n) + fb + fb * fc * fc)
                 assert_matches(spec.locus, want)
@@ -566,7 +553,7 @@ class TestNefClassEvaluation:
         v = hilbert_vector(n, NS)
         c1_curve = MukaiVector(n, (Fraction(0), Fraction(0)), Fraction(1))
         c2_curve = MukaiVector(0, (Fraction(1), Fraction(0)), Fraction(0))
-        for spec in enumerate_v_walls(v, "A-1"):
+        for spec in WallChart("A-1").walls(n):
             b, c = Fraction(3), Fraction(1, 2)
             coef = value(spec.locus, b, c, 1) - value(spec.locus, b, c, 0)
             d0 = -value(spec.locus, b, c, 0) / coef
@@ -580,11 +567,11 @@ class TestNefClassEvaluation:
 class TestChamberDecomposition:
     def test_chamber_count(self):
         for n in range(1, 9):
-            dec = chamber_decomposition(n)
+            dec = WallChart("A-1").decomposition(n)
             assert dec.chamber_count == len(dec.walls) + 1
 
     def test_interval_structure(self):
-        dec = chamber_decomposition(4)
+        dec = WallChart("A-1").decomposition(4)
         chambers = dec.chambers()
         assert chambers[0][0] is None and chambers[-1][1] is None
         inner = chambers[1:-1]
@@ -592,19 +579,19 @@ class TestChamberDecomposition:
             assert lo < hi
 
     def test_degenerate_flag(self):
-        assert chamber_decomposition(1).degenerate
-        assert not chamber_decomposition(2).degenerate
+        assert WallChart("A-1").decomposition(1).degenerate
+        assert not WallChart("A-1").decomposition(2).degenerate
 
     def test_other_types_rejected(self):
         with pytest.raises(UnsupportedTypeError):
-            chamber_decomposition(2, "D4")
+            WallChart("D4").decomposition(2)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):
-            chamber_decomposition(0)
+            WallChart("A-1").decomposition(0)
 
     def test_json_shape(self):
-        data = chamber_decomposition(3).to_json_dict()
+        data = WallChart("A-1").decomposition(3).to_json_dict()
         assert set(data) == {"type", "n", "walls", "chambers", "degenerate", "assumptions"}
         assert data["chambers"] == len(data["walls"]) + 1
         first = data["walls"][0]
@@ -614,23 +601,23 @@ class TestChamberDecomposition:
 
 class TestSvg:
     def test_deterministic(self):
-        dec = chamber_decomposition(5)
+        dec = WallChart("A-1").decomposition(5)
         assert emit_chamber_svg(dec) == emit_chamber_svg(dec)
 
     def test_structure(self):
-        dec = chamber_decomposition(4)
+        dec = WallChart("A-1").decomposition(4)
         svg = emit_chamber_svg(dec)
         assert svg.startswith("<svg ")
         assert svg.count("<line ") == len(dec.walls) + 1  # walls + axis
         assert svg.count("<path ") == len(dec.walls) + 1  # shaded chambers
         assert "n = 4" in svg
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 18])
     def test_walls_in_position_order(self, n):
         """A chart of the level-1 line: the walls stand left to right in
         position order, and each wall's x is the shared edge of the bands
         of its two chambers, the outer ones reaching the margins."""
-        dec = chamber_decomposition(n)
+        dec = WallChart("A-1").decomposition(n)
         svg = emit_chamber_svg(dec)
         assert svg.startswith("<svg ")
         assert svg.count("<line ") == len(dec.walls) + 1  # walls + axis
@@ -647,11 +634,16 @@ class TestSvg:
         assert [a for a, _ in bands] == [SVG_MARGIN, *xs]
         assert [b for _, b in bands] == [*xs, SVG_WIDTH - SVG_MARGIN]
 
+    def test_refuses_walls_that_share_an_x(self):
+        # from n = 19 on, rounding puts walls 8/9 and 9/10 on one x
+        with pytest.raises(ValueError, match=r"8/9 and 9/10 .* n = 19"):
+            emit_chamber_svg(WallChart("A-1").decomposition(19))
+
     def test_golden_file(self, tmp_path):
         import pathlib
 
         golden = pathlib.Path(__file__).parent / "data" / "chambers_a-1_n4.svg"
-        svg = emit_chamber_svg(chamber_decomposition(4))
+        svg = emit_chamber_svg(WallChart("A-1").decomposition(4))
         assert svg == golden.read_text()
 
 
@@ -711,3 +703,10 @@ class TestWallGalleryScript:
         done = self.run("--n-max", "2", "--outdir", str(taken))
         self.assert_usage_error(done)
         assert f"cannot write {taken}" in done.stderr
+
+    def test_point_count_past_the_chart_is_a_usage_error(self, tmp_path):
+        outdir = tmp_path / "gallery"
+        done = self.run("--n-max", "19", "--outdir", str(outdir))
+        self.assert_usage_error(done)
+        assert "n = 19" in done.stderr
+        assert not outdir.exists()
