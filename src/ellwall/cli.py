@@ -16,8 +16,10 @@ argparse is the one config and dispatch layer: each subcommand's
 handler reads the parsed namespace and returns its document text and
 exit code, and ``main`` alone writes the text to ``--out`` or stdout.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error,
-unsupported request, or an ``--out`` path that cannot be opened.
+Exit codes: 0 success, 1 failed verification, 2 usage error, a
+request the library refuses, or an ``--out`` path that cannot be
+opened.  A refusal is the ``ValueError`` the library raises, printed
+once by ``main`` as ``error: <message>``.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ from .fock.monodromy import monodromy_f, monodromy_s
 from .fock.states import FockState, creation_chain
 from .fock.verify import bracket_verify
 from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, cyclo_str, frac_str, to_json
-
-
-class UnsupportedRequest(Exception):
-    """A request the parser accepts but the command cannot serve:
-    ``main`` prints ``error: <message>`` and exits 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -161,23 +158,20 @@ def _document(args: argparse.Namespace, body: dict, header=(), rows=()) -> str:
 def cmd_walls(args: argparse.Namespace) -> tuple[str, int]:
     from .walls import WallChart, emit_chamber_svg
 
-    try:
-        chart = WallChart(args.type)
-        if args.format == "svg":
-            svg = emit_chamber_svg(chart.decomposition(args.n))
-        elif args.type == "A-1":
-            dec = chart.decomposition(args.n)
-            walls = dec.walls
-            body = dec.to_json_dict()
-        else:
-            walls = chart.walls(args.n)
-            body = {
-                "type": args.type,
-                "n": args.n,
-                "walls": [w.to_json_dict() for w in walls],
-            }
-    except ValueError as exc:
-        raise UnsupportedRequest(str(exc)) from exc
+    chart = WallChart(args.type)
+    if args.format == "svg":
+        svg = emit_chamber_svg(chart.decomposition(args.n))
+    elif args.type == "A-1":
+        dec = chart.decomposition(args.n)
+        walls = dec.walls
+        body = dec.to_json_dict()
+    else:
+        walls = chart.walls(args.n)
+        body = {
+            "type": args.type,
+            "n": args.n,
+            "walls": [w.to_json_dict() for w in walls],
+        }
     if args.format == "svg":
         head, _, tail = svg.partition("\n")
         text = f"{head}\n<metadata>{to_json(_metadata(args))}</metadata>\n{tail}"
@@ -200,24 +194,18 @@ def cmd_walls(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_bracket(args: argparse.Namespace) -> tuple[str, int]:
     a, b, gamma = args.lhs
     c, d, eta = args.rhs
-    try:
-        report = bracket_verify(a, b, gamma, c, d, eta, args.truncation)
-    except ValueError as exc:
-        raise UnsupportedRequest(str(exc)) from exc
+    report = bracket_verify(a, b, gamma, c, d, eta, args.truncation)
     return _document(args, report.to_json_dict()), 0
 
 
 def cmd_monodromy(args: argparse.Namespace) -> tuple[str, int]:
     state = _state_from_modes(args.modes, args.charge)
-    try:
-        if args.generator == "f":
-            image = monodromy_f(state)
-        elif args.generator == "ff":
-            image = monodromy_f(monodromy_f(state))
-        else:
-            image = monodromy_s(state, args.truncation)
-    except ValueError as exc:
-        raise UnsupportedRequest(str(exc)) from exc
+    if args.generator == "f":
+        image = monodromy_f(state)
+    elif args.generator == "ff":
+        image = monodromy_f(monodromy_f(state))
+    else:
+        image = monodromy_s(state, args.truncation)
     body = {
         "generator": args.generator,
         "truncation": args.truncation,
@@ -232,8 +220,6 @@ def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
 
     k = args.k
     a = [Fraction(0)] * k if args.a is None else args.a
-    if len(a) != k:
-        raise UnsupportedRequest(f"need {k} coefficients for order {k}, got {len(a)}")
     p = BimoduleParam.make(k, a)
     rows = tensor_table_rows(p)
     body = {
@@ -254,14 +240,10 @@ def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_hh0(args: argparse.Namespace) -> tuple[str, int]:
-    from .localmodel import SUPPORTED_ORDERS, hh0_audit
-    from .roots import UnsupportedTypeError
+    from .localmodel import HH0_TABLE, hh0_audit
 
-    orders = [args.order] if args.order is not None else list(SUPPORTED_ORDERS)
-    try:
-        audits = [hh0_audit(k) for k in orders]
-    except UnsupportedTypeError as exc:
-        raise UnsupportedRequest(str(exc)) from exc
+    orders = [args.order] if args.order is not None else list(HH0_TABLE)
+    audits = [hh0_audit(k) for k in orders]
     rows = ([a["order"], a["table_value"]] for a in audits)
     return _document(args, {"orders": audits}, ["order", "dimension"], rows), 0
 
@@ -269,10 +251,7 @@ def cmd_hh0(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_roots(args: argparse.Namespace) -> tuple[str, int]:
     from .roots import build_elliptic
 
-    try:
-        system = build_elliptic(args.type)
-    except ValueError as exc:
-        raise UnsupportedRequest(str(exc)) from exc
+    system = build_elliptic(args.type)
     roots = system.roots_in_box(args.m_max, args.n_max, args.height)
     body = {
         "type": args.type,
@@ -383,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, code = args.handler(args)
-    except UnsupportedRequest as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.out:

@@ -38,11 +38,6 @@ from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, label_index
 from .states import Monomial, _mode_key, creation_chain, monomial_energy
 
 
-class ExtendedModeError(ValueError):
-    """A bracket was asked of the pt-label slope field, which no relation
-    is checked for."""
-
-
 class NormalTerm(NamedTuple):
     """One normal-ordered term at the charge shift of the operator that
     holds it; ``coeff`` is an integer, read over that operator's denom."""

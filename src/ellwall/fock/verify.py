@@ -55,6 +55,7 @@ built.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -78,7 +79,7 @@ from .labels import (
     label_index,
     star_label,
 )
-from .operators import ExtendedModeError, w_general
+from .operators import w_general
 from .states import FockState, Monomial
 
 
@@ -193,7 +194,7 @@ class _BracketEngine:
         cached = self._rows.get(key)
         if cached is None:
             if li == COH_PT and a:
-                raise ExtendedModeError(
+                raise ValueError(
                     "pt-label slope fields are an extended mode: no bracket "
                     "relation is checked for them"
                 )
@@ -221,9 +222,8 @@ class _BracketEngine:
         target_fwd = self._target(a, b, gi, c, d, hi)
         target_rev = self._target(c, d, hi, a, b, gi)
         modes = rows_a.contracted | rows_b.contracted
-        for target in (target_fwd, target_rev):
-            if target is not None:
-                modes = modes | target[1].contracted
+        if target_fwd is not None:  # both orders' targets are one RowTable
+            modes = modes | target_fwd[1].contracted
         indices = self.basis.within(w, modes)
         if rows_a.contracted & rows_b.created or rows_b.contracted & rows_a.created:
             lhs = commutator_rows(rows_a, rows_b, indices, eps)
@@ -332,7 +332,7 @@ class _BracketEngine:
 
 # The engine of the last truncation bracket_verify saw: a stream of point
 # queries at one truncation shares its tables, and at most one is held.
-_last_engine: Optional[_BracketEngine] = None
+_engine = lru_cache(maxsize=1)(_BracketEngine)
 
 
 def bracket_verify(
@@ -346,11 +346,8 @@ def bracket_verify(
 ) -> BracketReport:
     """Verify one bracket instance on the evaluation window; see the
     module docstring for the comparison policy."""
-    global _last_engine
     gi, hi = label_index(gamma), label_index(eta)
-    if _last_engine is None or _last_engine.N != N:
-        _last_engine = _BracketEngine(N)
-    report, _ = _last_engine.pair_reports(a, b, gi, c, d, hi)
+    report, _ = _engine(N).pair_reports(a, b, gi, c, d, hi)
     return report
 
 

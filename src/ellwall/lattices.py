@@ -23,13 +23,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .roots import EllipticRoot, Record, build_elliptic, finite_gram
+from .roots import EllipticRoot, Record, UnsupportedTypeError, build_elliptic, finite_gram
+from .serialize import WALL_TYPES
 
 Scalar = Union[int, Fraction]
 
-# types with a surface model, and the complementary finite type whose
-# curve classes complete the rank-10 lattice
-SURFACE_TYPES = ("A-1", "D4", "E6", "E7", "E8")
+# the complementary finite type whose curve classes complete the
+# rank-10 lattice of each type with a surface model
 _COMPLEMENT = {"D4": "D4", "E6": "A2", "E7": "A1", "E8": None}
 
 
@@ -121,16 +121,19 @@ def mukai_pair(v: MukaiVector, w: MukaiVector, ns: BilinearLattice) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# Keyed by the surface type: one of the five SURFACE_TYPES, since any
+# Keyed by the surface type: one of the five WALL_TYPES, since any
 # other name raises and a raised call is not cached.
 @lru_cache(maxsize=None)
 def surface_lattice(type_name: str) -> BilinearLattice:
+    """The lattice of a type with a surface model: the one place that
+    refuses any other type."""
+    if type_name not in WALL_TYPES:
+        raise UnsupportedTypeError(
+            f"type {type_name} has no equivariant surface model; choose one of "
+            f"{WALL_TYPES}"
+        )
     if type_name == "A-1":
         return BilinearLattice(labels=("E", "P"), gram=((0, 1), (1, 0)))
-    if type_name not in SURFACE_TYPES:
-        raise ValueError(
-            f"no surface lattice for type {type_name!r}; supported: {SURFACE_TYPES}"
-        )
     comp = _COMPLEMENT[type_name]
     g_main = finite_gram(type_name)
     g_comp = finite_gram(comp) if comp else ()

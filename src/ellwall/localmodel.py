@@ -34,8 +34,6 @@ from .serialize import cyclo_str
 Scalar = Union[int, Fraction, Cyclotomic]
 Matrix = tuple[tuple[Cyclotomic, ...], ...]
 
-SUPPORTED_ORDERS = (1, 2, 3, 4, 6)
-
 HH0_TABLE = {1: 2, 2: 6, 3: 8, 4: 9, 6: 10}
 
 #: order-k integer rotations of the plane lattice (none exists for k=5)
@@ -49,10 +47,10 @@ _PLANE_ROTATION = {
 
 
 def _check_order(order: int) -> None:
-    if order not in SUPPORTED_ORDERS:
+    if order not in HH0_TABLE:
         raise UnsupportedTypeError(
             f"no elliptic symmetry of order {order}; supported: "
-            f"{', '.join(map(str, SUPPORTED_ORDERS))}"
+            f"{', '.join(map(str, HH0_TABLE))}"
         )
 
 
@@ -151,7 +149,9 @@ class BimoduleParam(Record):
         if self.k < 1:
             raise ValueError("group order must be >= 1")
         if len(self.a) != self.k:
-            raise ValueError(f"need {self.k} coefficients, got {len(self.a)}")
+            raise ValueError(
+                f"need {self.k} coefficients for order {self.k}, got {len(self.a)}"
+            )
         for x in self.a:
             if not isinstance(x, Cyclotomic) or x.k != self.k:
                 raise ValueError("coefficients must be order-k cyclotomic values")

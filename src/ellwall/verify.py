@@ -487,7 +487,9 @@ def check_weyl_relations(word_max: int = 6) -> dict:
 def verify_all(seed: int = DEFAULT_SEED) -> tuple[dict, dict[str, float]]:
     """Run every check with sub-seeds derived from the master seed.
     Returns (deterministic report, wall-clock seconds per criterion);
-    only the first may be serialized into the output document."""
+    only the first may be serialized into the output document.  A check
+    that raises is reported failed, with ``error`` holding the
+    exception's type and message."""
     rng = random.Random(seed)
     sign_seed = rng.randrange(2**31)
     jet_seed = rng.randrange(2**31)
@@ -508,7 +510,11 @@ def verify_all(seed: int = DEFAULT_SEED) -> tuple[dict, dict[str, float]]:
     timings: dict[str, float] = {}
     for name, fn in plan:
         start = time.perf_counter()
-        result = fn()
+        try:
+            result = fn()
+        except Exception as exc:  # a raising check fails; the others still run
+            error = f"{type(exc).__name__}: {exc}"
+            result = {"criterion": name, "pass": False, "error": error}
         timings[name] = time.perf_counter() - start
         criteria.append(result)
     report = {

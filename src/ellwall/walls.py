@@ -280,16 +280,11 @@ class WallChart:
     caller builds its own chart for its run."""
 
     def __init__(self, type_name: str):
-        # reject types outside the wall description, wild cases explicitly
+        # reject the wild types explicitly; surface_lattice refuses the rest
         if type_name in WILD_TYPES:
             raise UnsupportedTypeError(
                 f"type {type_name} is wild: its point-counting moduli do not admit "
                 "the wall description; choose one of "
-                f"{WALL_TYPES}"
-            )
-        if type_name not in WALL_TYPES:
-            raise UnsupportedTypeError(
-                f"type {type_name} has no equivariant surface model; choose one of "
                 f"{WALL_TYPES}"
             )
         self.type_name = type_name

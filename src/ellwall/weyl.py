@@ -143,19 +143,11 @@ def _delta_plane_element(
 
 
 def marking_stabilizer_generators(system: EllipticRootSystem) -> list[ExtendedElement]:
-    """Generators of the subgroup preserving the marking line delta2.
-
-    The delta-plane part is generated by the unipotent shear and the
-    orientation flip of the complementary direction (infinite dihedral);
-    for positive rank the simple reflections at delta-offsets 0 and 1 in
-    each radical direction are included to generate the reflection part.
+    """Generators of the subgroup preserving the marking line delta2,
+    rank-0 part only: the unipotent shear and the orientation flip of the
+    complementary direction (infinite dihedral), each acting as the
+    identity on h.  No reflection generator is built for positive rank.
     """
     shear = ((1, 1), (0, 1))
     flip = ((1, 0), (0, -1))
-    gens = [_delta_plane_element(system, shear), _delta_plane_element(system, flip)]
-    ident2 = ((1, 0), (0, 1))
-    for i in range(system.rank):
-        for (dm, dn) in ((0, 0), (1, 0), (0, 1)):
-            w = reflect(system, system.simple_root(i, dm, dn))
-            gens.append(ExtendedElement(w, ident2))
-    return gens
+    return [_delta_plane_element(system, shear), _delta_plane_element(system, flip)]

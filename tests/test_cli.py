@@ -446,6 +446,51 @@ class TestRoots:
         assert out == (DATA / golden).read_text()
 
 
+_SURFACES = "('A-1', 'D4', 'E6', 'E7', 'E8')"
+
+# one request per refusal a command makes after parsing, with its whole
+# stderr: each is one library ValueError, printed once by ``main``
+REFUSALS = [
+    (["walls", "--type", "A0", "--n", "2"],
+     "type A0 is wild: its point-counting moduli do not admit the wall "
+     f"description; choose one of {_SURFACES}"),
+    (["walls", "--type", "G2", "--n", "2"],
+     f"type G2 has no equivariant surface model; choose one of {_SURFACES}"),
+    (["walls", "--type", "D4", "--n", "2", "--format", "svg"],
+     "chamber positions on the level-1 line are modeled for type A-1 only; "
+     "other types expose wall lists via WallChart.walls"),
+    (["walls", "--n", "19", "--format", "svg"],
+     "walls 8/9 and 9/10 both fall at x = 456: the chart cannot separate "
+     "the walls of n = 19"),
+    (["bracket", "--lhs", "0,0,E", "--rhs", "1,0,E"],
+     "the (0, 0) generator is excluded"),
+    (["bracket", "--lhs", "1,0,pt", "--rhs", "0,1,E"],
+     "pt-label slope fields are an extended mode: no bracket relation is "
+     "checked for them"),
+    (["bracket", "--lhs", "0,-3,E", "--rhs", "0,-3,E", "--truncation", "2"],
+     "truncation 2 too small for modes -3, -3"),
+    (["monodromy", "--generator", "s", "--charge", "1"],
+     "the section-type action is defined on charge-0 states"),
+    (["local", "--k", "3", "--a", "1,2"],
+     "need 3 coefficients for order 3, got 2"),
+    (["hh0", "--order", "5"],
+     "no elliptic symmetry of order 5; supported: 1, 2, 3, 4, 6"),
+    (["roots", "--type", "bogus"],
+     "unknown type 'bogus'; expected one of ('A-1', 'A0', 'A1', 'A2', 'G2', "
+     "'D4', 'F4', 'E6', 'E7', 'E8')"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS]
+)
+def test_refusal_is_one_error_line(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestVerifyAllPlumbing:
     """Exit-code and document plumbing with a stubbed runner; the real
     end-to-end run lives in the acceptance suite."""
@@ -481,6 +526,37 @@ class TestVerifyAllPlumbing:
         rc, _, err = run(capsys, "verify-all")
         assert rc == 1
         assert "[FAIL] stub" in err
+
+    @pytest.mark.parametrize(
+        "exc", [ValueError("bad order"), ArithmeticError("no inverse")], ids=repr
+    )
+    def test_raising_criterion_is_reported_failed(self, capsys, monkeypatch, exc):
+        """The runner reports a check that raises as failed and runs the
+        rest, and the command exits 1 with its report, not as a usage
+        error (2) or with a traceback.  Every check but c01 raises here."""
+        import ellwall.verify as verify
+
+        def raising(**_):
+            raise exc
+
+        for name in [n for n in vars(verify) if n.startswith("check_")]:
+            if name != "check_hh0_table":
+                monkeypatch.setattr(verify, name, raising)
+        rc, out, err = run(capsys, "verify-all", "--seed", "5")
+        assert rc == 1
+        doc = json.loads(out)
+        passed, *failed = doc["criteria"]
+        assert passed["criterion"] == "hh0-table" and passed["pass"] is True
+        assert "error" not in passed
+        assert len(failed) == 9
+        for entry in failed:
+            assert entry == {
+                "criterion": entry["criterion"],
+                "pass": False,
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+        assert doc["all_pass"] is False
+        assert err.count("[FAIL] ") == 9 and "Traceback" not in err
 
     @pytest.mark.parametrize("all_pass", [True, False])
     def test_unopenable_out_exits_2(self, capsys, monkeypatch, tmp_path, all_pass):

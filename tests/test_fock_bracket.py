@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ellwall.fock.labels import COH_E, label_index
-from ellwall.fock.operators import ExtendedModeError, w_general
+from ellwall.fock.operators import w_general
 from ellwall.fock.states import FockState, basis_monomials, monomial_energy
 from ellwall.fock.verify import (
     BracketReport,
@@ -65,7 +65,7 @@ class TestSingleInstances:
         assert rep.match and rep.kind == "exact"
 
     def test_extended_mode_requires_config(self):
-        with pytest.raises(ExtendedModeError):
+        with pytest.raises(ValueError, match="extended mode"):
             bracket_verify(1, 1, "pt", 0, 1, "E", 4)
 
     def test_window_must_be_nonnegative(self):
@@ -270,7 +270,7 @@ class TestMismatchWitness:
         # pt * sigma+ = sigma+; send it to E instead
         monkeypatch.setattr(verify, "star_label", lambda i, j: (COH_E, 1))
         # a fresh engine, so no table built before the patch is reused
-        monkeypatch.setattr(verify, "_last_engine", None)
+        verify._engine.cache_clear()
         N = 3
         a, b, g, c, d, h = 1, -1, "sigma+", 0, -1, "pt"
         rep = verify.bracket_verify(a, b, g, c, d, h, N)
@@ -285,7 +285,7 @@ class TestMismatchWitness:
         assert rep.witness["got"] == got.to_json_dict()
         assert rep.witness["expected"] == expected.to_json_dict()
         # the division back is exercised: both tables have denominators
-        engine = verify._last_engine
+        engine = verify._engine(N)
         assert engine.rows(a, b, label_index(g)).op.denom > 1
         assert engine.rows(a + c, b + d, label_index("E")).op.denom > 1
 
@@ -330,27 +330,29 @@ class TestEngineScope:
             return orig(grouped, basis, i)
 
         monkeypatch.setattr(fastapply, "apply_to_monomial", counting)
-        monkeypatch.setattr(verify, "_last_engine", None)
+        verify._engine.cache_clear()
         # b = d = -1: the evaluation window is 4, below the truncation
         rep = bracket_verify(1, -1, "sigma+", -1, -1, "sigma-", 6)
         assert rep.match and rep.kind == "exact"
-        engine = verify._last_engine
+        engine = verify._engine(6)
         tables = len(engine._rows)
         assert tables == 3  # two operands and the target
         assert 0 < sum(built.values()) < tables * engine.basis.size
         assert set(built.values()) == {1}
 
-    def test_point_queries_share_one_engine_per_truncation(self, monkeypatch):
+    def test_point_queries_share_one_engine_per_truncation(self):
         import ellwall.fock.verify as verify
 
-        monkeypatch.setattr(verify, "_last_engine", None)
+        verify._engine.cache_clear()
         bracket_verify(1, 0, "sigma+", 0, 1, "sigma-", 4)
-        first = verify._last_engine
+        first = verify._engine(4)
         bracket_verify(0, 1, "sigma-", 1, 0, "sigma+", 4)
-        assert verify._last_engine is first
+        assert verify._engine(4) is first
         bracket_verify(1, 0, "sigma+", 0, 1, "sigma-", 3)
-        assert verify._last_engine is not first
-        assert verify._last_engine.N == 3
+        assert verify._engine.cache_info().currsize == 1
+        assert verify._engine(3) is not first
+        assert verify._engine(3).N == 3
+        assert verify._engine.cache_info().misses == 2
 
 
 class TestSuperCommutingPairs:
@@ -368,7 +370,7 @@ class TestSuperCommutingPairs:
             return real(rows_a, rows_b, indices, eps)
 
         monkeypatch.setattr(verify, "commutator_rows", counting)
-        monkeypatch.setattr(verify, "_last_engine", None)
+        verify._engine.cache_clear()
         return calls
 
     def test_sweep_census(self, monkeypatch):

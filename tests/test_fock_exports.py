@@ -13,7 +13,6 @@ PUBLIC = {
     "LABEL_NAMES": "labels",
     "monodromy_f": "monodromy",
     "monodromy_s": "monodromy",
-    "ExtendedModeError": "operators",
     "OperatorExpr": "operators",
     "w_general": "operators",
     "w_small": "operators",

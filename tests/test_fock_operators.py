@@ -18,7 +18,7 @@ from ellwall.fock.labels import (
     COH_E, COH_PT, COH_SM, COH_SP, pairing_scalar,
 )
 from ellwall.fock.operators import (
-    ExtendedModeError, OperatorExpr, w_general, w_small,
+    OperatorExpr, w_general, w_small,
 )
 from ellwall.fock.states import (
     FockState, annihilation_chain, basis_monomials, creation_chain,
@@ -190,9 +190,9 @@ class TestSigmaField:
 class TestExtendedField:
     def test_requires_config(self):
         """The bracket engine refuses the pt slope field on either side."""
-        with pytest.raises(ExtendedModeError):
+        with pytest.raises(ValueError, match="extended mode"):
             fock_verify.bracket_verify(1, -1, "pt", 0, 1, "E", 4)
-        with pytest.raises(ExtendedModeError):
+        with pytest.raises(ValueError, match="extended mode"):
             fock_verify.bracket_verify(0, 1, "E", -1, 1, "pt", 4)
 
     def test_vacuum_golden_default(self):

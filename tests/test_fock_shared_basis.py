@@ -127,7 +127,7 @@ def test_each_chain_runs_once_per_basis(monkeypatch):
     monkeypatch.setattr(
         fastapply, "creation_chain", counted("creation", fastapply.creation_chain)
     )
-    monkeypatch.setattr(verify, "_last_engine", None)
+    verify._engine.cache_clear()
     rng = random.Random(7)
     for _ in range(10):
         x, y = rng.sample(OPERANDS, 2)
@@ -151,7 +151,7 @@ class TestCacheScope:
 
         monkeypatch.setattr(verify, "BasisIndex", Recorded)
         monkeypatch.setattr(monodromy, "BasisIndex", Recorded)
-        monkeypatch.setattr(verify, "_last_engine", None)
+        verify._engine.cache_clear()
         return refs
 
     def test_sweep_frees_its_basis_on_return(self, bases):
@@ -167,7 +167,7 @@ class TestCacheScope:
         assert first()._contractions
         verify.bracket_verify(1, 0, "sigma+", 0, 1, "sigma-", 3)
         assert first() is None
-        assert bases[1]() is verify._last_engine.basis
+        assert bases[1]() is verify._engine(3).basis
 
     def test_monodromy_calls_leave_no_cache_behind(self, bases):
         """Each call's basis goes on return, and no unbounded container

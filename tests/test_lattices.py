@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellwall.lattices import (
-    SURFACE_TYPES,
     BilinearLattice,
     MukaiVector,
     hilbert_vector,
@@ -15,6 +14,7 @@ from ellwall.lattices import (
     surface_lattice,
 )
 from ellwall.roots import EllipticRoot, build_elliptic
+from ellwall.serialize import WALL_TYPES
 
 from lattice_reference import frac_mukai_pair, frac_pair
 
@@ -89,7 +89,7 @@ INTS = st.integers(min_value=-6, max_value=6)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(SURFACE_TYPES), st.data())
+@given(st.sampled_from(WALL_TYPES), st.data())
 def test_pair_matches_reference(tname, data):
     ns = surface_lattice(tname)
     vecs = st.lists(INTS, min_size=ns.rank, max_size=ns.rank)
@@ -100,7 +100,7 @@ def test_pair_matches_reference(tname, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(SURFACE_TYPES), st.data())
+@given(st.sampled_from(WALL_TYPES), st.data())
 def test_mukai_pair_matches_reference(tname, data):
     ns = surface_lattice(tname)
     triple = st.tuples(

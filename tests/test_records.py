@@ -117,5 +117,5 @@ def test_validation_errors_still_fire():
         ExtendedElement(WeylElement(FLIP), ((1, 0), (0, 2)))
     with pytest.raises(ValueError, match="integral"):
         MukaiVector(0, (Fraction(1, 2), 0), 0)
-    with pytest.raises(ValueError, match="need 3 coefficients, got 2"):
+    with pytest.raises(ValueError, match="need 3 coefficients for order 3, got 2"):
         BimoduleParam(3, (Cyclotomic(3, 1), Cyclotomic(3, 0)))

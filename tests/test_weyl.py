@@ -240,14 +240,11 @@ class TestMarkingStabilizer:
     def test_d4_generators(self):
         system = build_elliptic("D4")
         gens = marking_stabilizer_generators(system)
-        assert len(gens) == 2 + 3 * 4
+        assert len(gens) == 2
         gram = full_gram(system)
         for g in gens:
             assert g.weyl_part.preserves_form(gram)
             assert g.stabilizes_marking()
-        # reflections act trivially on the delta-plane
-        for g in gens[2:]:
-            assert g.gl2_part == ((1, 0), (0, 1))
 
     def test_marking_line_invariance_on_roots(self):
         system = build_elliptic("D4")
