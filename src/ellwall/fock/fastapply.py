@@ -10,9 +10,9 @@ witness or an output state (``BasisIndex.monomials``):
 
 * operator rows (``RowTable``): each row is built the first time it is
   read, so an engine pays only for the monomials its compositions and
-  comparisons reach.  A table reads the terms as the operator grouped
-  them by annihilation part when it was built (``OperatorExpr.groups``),
-  and only the rows of active parts (below) are built from them.  Only
+  comparisons reach.  A table reads the operator's chunks by
+  annihilation part (``OperatorExpr.groups``), never a term list, and
+  only the rows of active parts (below) are built from them.  Only
   operators whose modes carry basis labels are supported (every mode
   then pairs against exactly one partner label), which covers every
   operator the verifiers build;
@@ -131,19 +131,20 @@ def commutator_rows(
 
 def _grouped_terms(op: OperatorExpr):
     """(groups, contracted modes, created modes): the operator's groups
-    (``OperatorExpr.groups``, its terms by annihilation part) keyed by
+    (``OperatorExpr.groups``, its chunks by annihilation part) keyed by
     the monomial modes the part contracts (one partner label per label),
-    as (index of first appearance, part, terms), and the modes its terms
-    create."""
+    as (index of first appearance, part, chunks), and the modes its terms
+    create, read once per distinct creation list."""
     groups = {}
-    for index, (part, terms) in enumerate(op.groups.items()):
+    for index, (part, chunks) in enumerate(op.groups.items()):
         need = tuple(
             sorted(((k, _DUAL[label]) for k, label in part), key=_mode_key)
         )
-        groups[need] = (index, part, terms)
+        groups[need] = (index, part, chunks)
     contracted = frozenset(mode for need in groups for mode in need)
-    created = {term.creations for terms in op.groups.values() for term in terms}
-    return groups, contracted, frozenset().union(*created)
+    lists = {id(cl): cl for chunks in op.groups.values() for _, cl in chunks}
+    created = frozenset(md for cl in lists.values() for _, cre in cl for md in cre)
+    return groups, contracted, created
 
 
 def _sub_monomials(mono: Monomial) -> list[Monomial]:
@@ -158,7 +159,8 @@ def _sub_monomials(mono: Monomial) -> list[Monomial]:
 def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
     """Integer row of a grouped operator on basis monomial i, over its
     denominator: the groups whose contracted modes the monomial holds
-    act, in term order, through the basis's cached chains."""
+    act, chunk by chunk, through the basis's cached chains: a term is
+    worth its chunk's a times its entry's c times the contraction."""
     groups, contracted, _ = grouped
     mono = basis.monos[i]
     hits = [
@@ -170,26 +172,28 @@ def apply_to_monomial(grouped, basis: BasisIndex, i: int) -> IndexRow:
     contract = basis.contract
     merges = basis._merges
     row: IndexRow = {}
-    for _, part, terms in hits:
+    for _, part, chunks in hits:
         ann = contract(i, part)
         if ann is None:
             continue
         factor, r = ann
-        for coeff, creations, _ in terms:
-            cached = merges[creations]
-            u = cached[r] if r in cached else basis.merge(r, creations)
-            if u is None:
-                continue
-            val = coeff * factor
-            if u < 0:
-                u = ~u
-                val = -val
-            acc = row.get(u)
-            total = val if acc is None else acc + val
-            if total:
-                row[u] = total
-            elif acc is not None:
-                del row[u]
+        for a, clist in chunks:
+            af = a * factor
+            for c, creations in clist:
+                cached = merges[creations]
+                u = cached[r] if r in cached else basis.merge(r, creations)
+                if u is None:
+                    continue
+                val = af * c
+                if u < 0:
+                    u = ~u
+                    val = -val
+                acc = row.get(u)
+                total = val if acc is None else acc + val
+                if total:
+                    row[u] = total
+                elif acc is not None:
+                    del row[u]
     return row
 
 
@@ -203,7 +207,7 @@ class RowTable(dict):
     truncation), so reading a row above it is a ValueError, never a
     truncated row.
 
-    The terms are read as the operator's construction grouped them
+    The chunks are read as the operator's construction grouped them
     (``op.groups``), keyed by the modes each annihilation part contracts
     (``_grouped_terms``); ``created`` holds the modes the terms create.
 
@@ -481,12 +485,12 @@ class ChargedField(dict):
         table = FieldTable(m, bound, bound)
         self.denom = table.denom
         self._create = table.create
-        self._annihilate = dict(pair for level in table.annihilate for pair in level)
+        self._annihilate = {p: c for level in table.annihilate for c, p in level}
         self.contracted = frozenset(
             (k, _DUAL[label]) for part in self._annihilate for k, label in part
         )
         self.created = frozenset(
-            mode for level in self._create for lam, _ in level for mode in lam
+            mode for level in self._create for _, lam in level for mode in lam
         )
         self._splits = basis._splits[self.contracted]
 
@@ -525,7 +529,7 @@ class ChargedField(dict):
             q = monomial_energy(part)
             for n in range(n_lo, min(self.n_hi, q) + 1):
                 row = slices[n]
-                for lam, c_coeff in create[q - n]:
+                for c_coeff, lam in create[q - n]:
                     val = c_coeff * a_coeff
                     if val:
                         # (sub, lam) is read off the image: no terms meet;

@@ -10,13 +10,16 @@ depth at most the truncation ``N``; since each mode is homogeneous of a
 fixed energy shift, application to any state of energy <= N is exact,
 not approximate.
 
-Constructors hand ``OperatorExpr`` plain ``(coeff, creations,
-annihilations)`` triples, all at the operator's charge shift.  It builds
-each ``NormalTerm`` once, in one pass that also checks the term's grade
-and records it under its annihilation part: ``terms`` keeps the
-construction order, the order the Fraction oracle in
-``tests/fock_reference.py`` applies, and ``groups`` is the grouping by
-annihilation part that the action rows of ``fastapply`` read.
+The terms are stored factored, never one by one.  A slope-field mode is
+a product of a creation level and an annihilation level of the charged
+field, times at most one odd or weight-current factor, so constructors
+hand ``OperatorExpr`` chunks ``(a, creation list, annihilations)``: a
+creation list holds ``(c, creations)`` entries, is built once per
+(creation level, joined odd modes) and is shared by every annihilation
+part that meets it.  ``OperatorExpr.groups`` keeps the chunks by
+annihilation part, the form the action rows of ``fastapply`` read, and
+construction costs one step per chunk and per distinct list, not per
+term.  ``OperatorExpr.terms`` expands them for term-level readers.
 
 Slope fields: the E-label field at slope m is the charged exponential
 field scaled by 1/m; the odd-label fields multiply it by the odd
@@ -24,7 +27,7 @@ current; the pt-label field adds the symplectic-fermion weight current
 to the z d/dz derivative of the charged field.  That is its one
 convention; no criterion checks it, and only the section-type action
 reaches it.  All of them read one integer coefficient table
-(``FieldTable``), built once per generator.
+(``FieldTable``), whose levels are cached per (slope, depth).
 """
 
 from __future__ import annotations
@@ -32,24 +35,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY, label_index
 from .states import Monomial, _mode_key, creation_chain, monomial_energy
-
-
-class NormalTerm(NamedTuple):
-    """One normal-ordered term at the charge shift of the operator that
-    holds it; ``coeff`` is an integer, read over that operator's denom."""
-
-    coeff: int
-    creations: Monomial
-    annihilations: Monomial
-
-
-# a term as constructors hand it to OperatorExpr: (coeff, creations,
-# annihilations), the charge shift being the operator's
-Term = tuple[int, Monomial, Monomial]
 
 
 def _grade(mono: Monomial) -> tuple[int, int]:
@@ -62,26 +51,23 @@ def _grade(mono: Monomial) -> tuple[int, int]:
 
 
 class OperatorExpr:
-    """Finite normal-ordered sum with uniform gradings, built from
-    ``(coeff, creations, annihilations)`` triples with integer
-    coefficients over ``denom``; every term carries the operator's charge
-    shift.  Construction divides the coefficients and ``denom`` by their
-    gcd (sign included), so ``denom`` > 0 is their least common
-    denominator, and checks each term's (energy, odd-mode count) grade
-    against the operator's in the same pass that builds its
-    ``NormalTerm``.  ``terms`` keeps the construction order, the order the
-    Fraction oracle applies them in; ``groups`` holds the same terms by
-    annihilation part, parts in order of first appearance, as the action
-    rows of ``fastapply`` read them."""
+    """Finite normal-ordered sum with uniform gradings, built from chunks
+    ``(a, creation list, annihilations)``, the list holding ``(c,
+    creations)``, with integer coefficients over ``denom``.  ``groups``
+    maps each part, in order of first appearance, to its chunks ``(a,
+    creation list)``.  A list is read once however many chunks share
+    it: its entries' grades, checked against each part's need, and their
+    gcd h, which divides it and goes into the chunk's a.  The a and
+    ``denom`` are then divided by their gcd (sign included), so the
+    positive ``denom`` is the terms' least common denominator."""
 
     __slots__ = (
-        "terms", "groups", "truncation", "charge_shift", "energy_shift", "parity",
-        "denom",
+        "groups", "truncation", "charge_shift", "energy_shift", "parity", "denom",
     )
 
     def __init__(
         self,
-        terms: Sequence[Term],
+        chunks: Iterable[tuple],
         truncation: Optional[int],
         charge_shift: int,
         energy_shift: int,
@@ -90,38 +76,50 @@ class OperatorExpr:
     ):
         if not denom:
             raise ValueError("the denominator must be nonzero")
-        g = gcd(denom, *(t[0] for t in terms))
-        if denom < 0:
-            g = -g
-        # creation monomial -> its grade; annihilation part -> the grade
-        # its creations need, and its terms
-        grades: dict[Monomial, tuple[int, int]] = {}
+        # annihilation part -> the grade its creations need
         needs: dict[Monomial, tuple[int, int]] = {}
-        groups: dict[Monomial, list[NormalTerm]] = {}
-        out = []
-        for coeff, cre, ann in terms:
+        # id -> (the list, held so the id stays its own, grades, h, list / h)
+        lists: dict[int, tuple] = {}
+        staged = []
+        for a, clist, ann in chunks:
             need = needs.get(ann)
             if need is None:
                 energy, odd = _grade(ann)
                 need = needs[ann] = (energy + energy_shift, odd ^ parity)
-                groups[ann] = []
-            grade = grades.get(cre)
-            if grade is None:
-                grade = grades[cre] = _grade(cre)
-            if grade != need:
-                if grade[0] != need[0]:
-                    raise ValueError("terms must share the energy shift")
-                raise ValueError("terms must share parity")
-            term = NormalTerm(coeff // g, cre, ann)
-            out.append(term)
-            groups[ann].append(term)
-        self.terms = tuple(out)
+            info = lists.get(id(clist))
+            if info is None:
+                h = gcd(*(c for c, _ in clist))
+                info = lists[id(clist)] = (
+                    clist,
+                    tuple(dict.fromkeys(_grade(cre) for _, cre in clist)),
+                    h,
+                    tuple((c // h, cre) for c, cre in clist) if h > 1 else clist,
+                )
+            for grade in info[1]:
+                if grade != need:
+                    if grade[0] != need[0]:
+                        raise ValueError("terms must share the energy shift")
+                    raise ValueError("terms must share parity")
+            staged.append((a * info[2], info[3], ann))
+        g = gcd(denom, *(ah for ah, _, _ in staged))
+        if denom < 0:
+            g = -g
+        groups: dict[Monomial, list[tuple]] = {ann: [] for ann in needs}
+        for ah, clist, ann in staged:
+            groups[ann].append((ah // g, clist))
         self.groups = groups
         self.truncation = truncation
         self.charge_shift = charge_shift
         self.energy_shift = energy_shift
         self.parity = parity
         self.denom = denom // g
+
+    @property
+    def terms(self) -> list[tuple[int, Monomial, Monomial]]:
+        """(coeff, creations, annihilations) per term, over ``denom``: the
+        expansion for readers outside the package; no row reads it."""
+        return [(a * c, cre, ann) for ann, chunks in self.groups.items()
+                for a, clist in chunks for c, cre in clist]
 
 
 @lru_cache(maxsize=32)
@@ -156,18 +154,21 @@ def _centralizers(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _coefficient_table(slope: int, depth: int) -> tuple[int, list[list]]:
-    """(base, levels): levels[p] lists (E-modes lam, base slope^l(lam) /
-    z_lam), the integer coefficients of exp(slope sum_j alpha_{+-j} / j)
-    over the lcm ``base`` of the z_lam, for the partitions lam of p <= depth."""
+@lru_cache(maxsize=64)
+def _coefficient_table(slope: int, depth: int) -> tuple[int, tuple]:
+    """(base, levels): levels[p] lists (base slope^l(lam) / z_lam, E-modes
+    lam), the integer coefficients of exp(slope sum_j alpha_{+-j} / j) over
+    the lcm ``base`` of the z_lam, for the partitions lam of p <= depth.
+    The levels are shared by every operator built at (slope, depth): a
+    level is one creation list of the charged field."""
     base = lcm(*(z for p in range(depth + 1) for z in _centralizers(p)))
-    return base, [
-        [
-            (tuple((j, COH_E) for j in lam), slope ** len(lam) * (base // z))
+    return base, tuple(
+        tuple(
+            (slope ** len(lam) * (base // z), tuple((j, COH_E) for j in lam))
             for lam, z in zip(_partitions(p), _centralizers(p))
-        ]
+        )
         for p in range(depth + 1)
-    ]
+    )
 
 
 class FieldTable:
@@ -177,23 +178,34 @@ class FieldTable:
     and the creation levels up to cre_depth (N and N - x for a z^{-x}
     mode on the window N), over the product ``denom`` of their bases."""
 
-    __slots__ = ("annihilate", "create", "denom")
+    __slots__ = ("annihilate", "create", "denom", "_lists")
 
     def __init__(self, m: int, ann_depth: int, cre_depth: int):
         ann_base, self.annihilate = _coefficient_table(-m, ann_depth)
         cre_base, self.create = _coefficient_table(m, cre_depth)
         self.denom = ann_base * cre_base
+        # (creation level, odd modes) -> the level's joined creation list
+        self._lists: dict[tuple[int, Monomial], tuple] = {}
 
-    def mode_terms(self, x: int, max_depth: int) -> list[Term]:
-        """(coeff, creations, annihilations) of the field's z^{-x} mode
-        with annihilation depth <= max_depth, coefficients over
-        ``denom``."""
-        terms: list[Term] = []
+    def chunks(
+        self, x: int, max_depth: int, cre_odd: Monomial = (), ann_odd: Monomial = ()
+    ) -> Iterator[tuple]:
+        """The chunks of the field's z^{-x} mode of E-annihilation depth
+        <= max_depth, over ``denom``, times the odd modes ``cre_odd`` and
+        ``ann_odd`` (``creation_chain``; at most one odd mode of each label
+        joins E-modes, so the sign is 1): one chunk per part, and each
+        joined creation list built once per build."""
         for q in range(max(0, x), max_depth + 1):
-            for creations, c_coeff in self.create[q - x]:
-                for annihilations, a_coeff in self.annihilate[q]:
-                    terms.append((c_coeff * a_coeff, creations, annihilations))
-        return terms
+            clist = self.create[q - x]
+            if cre_odd:
+                key = (q - x, cre_odd)
+                if key not in self._lists:
+                    self._lists[key] = tuple(
+                        (c, creation_chain(cre, cre_odd)[1]) for c, cre in clist
+                    )
+                clist = self._lists[key]
+            for a, part in self.annihilate[q]:
+                yield a, clist, creation_chain(part, ann_odd)[1] if ann_odd else part
 
 
 def _charged_mode(m: int, n: int, N: int, over: int) -> OperatorExpr:
@@ -201,7 +213,7 @@ def _charged_mode(m: int, n: int, N: int, over: int) -> OperatorExpr:
     if N < 0:
         raise ValueError("truncation must be >= 0")
     table = FieldTable(m, N, N - n)
-    return OperatorExpr(table.mode_terms(n, N), N, m, -n, 0, table.denom * over)
+    return OperatorExpr(table.chunks(n, N), N, m, -n, 0, table.denom * over)
 
 
 def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
@@ -214,46 +226,36 @@ def w_small(n: int, label: Union[int, str]) -> OperatorExpr:
     k = abs(n)
     coeff, denom = {COH_E: (1, k), COH_PT: (k, 1)}.get(i, (1, 1))
     mode = ((k, i),)
-    term = (coeff, mode, ()) if n < 0 else (coeff, (), mode)
-    return OperatorExpr((term,), None, 0, -n, LABEL_PARITY[i], denom)
-
-
-def _joiner() -> Callable[[Monomial, Monomial], Monomial]:
-    """The merge (``creation_chain``) of odd modes into an E-mode part,
-    once per distinct (part, odd modes) pair, for one field build.  A
-    field joins at most one odd mode of each label to an E-only part, so
-    no odd mode is passed or repeated and the sign is 1."""
-    return lru_cache(maxsize=None)(lambda part, odd: creation_chain(part, odd)[1])
+    chunk = (coeff, ((1, mode),), ()) if n < 0 else (coeff, ((1, ()),), mode)
+    return OperatorExpr((chunk,), None, 0, -n, LABEL_PARITY[i], denom)
 
 
 def _sigma_field_mode(m: int, b: int, label: int, N: int) -> OperatorExpr:
     """z^{-b} mode of the odd slope field: z * (odd current) * (charged
     exponential), at slope m != 0.  The odd mode alpha_j(label) stands
     left of the field's E-modes, so moving it into place crosses no odd
-    mode; it joins each part through ``_joiner``."""
+    mode; it joins each creation list or part (``FieldTable.chunks``)."""
     table = FieldTable(m, N, N - b)
-    terms: list[Term] = []
-    join = _joiner()
+    chunks: list[tuple] = []
     for j in range(b - N, N + 1):
         if j == 0:
             continue
         mode = ((abs(j), label),)
-        for coeff, creations, annihilations in table.mode_terms(b - j, N - max(0, j)):
-            if j < 0:
-                terms.append((coeff, join(creations, mode), annihilations))
-            else:
-                terms.append((coeff, creations, join(annihilations, mode)))
-    return OperatorExpr(terms, N, m, -b, 1, table.denom)
+        if j < 0:
+            chunks.extend(table.chunks(b - j, N, mode))
+        else:
+            chunks.extend(table.chunks(b - j, N - j, (), mode))
+    return OperatorExpr(chunks, N, m, -b, 1, table.denom)
 
 
-def _weight_current_terms(u: int, N: int, b: int) -> list[Term]:
+def _weight_current_terms(u: int, N: int, b: int) -> list:
     """(sign, creations, annihilations) of the z^{-u} mode of the
     normal-ordered odd bilinear current sum :alpha_j(sigma+)
     alpha_l(sigma-): over j + l = u, without the terms that annihilate
     more than energy N (they vanish on the window).  Normal order puts the
     creation modes left of the annihilation modes, each side canonical;
     the sign is -1 when that swaps the two odd modes."""
-    out: list[Term] = []
+    out = []
     bound = 2 * N + abs(b) + 2
     for j in range(-bound, bound + 1):
         l = u - j
@@ -270,18 +272,18 @@ def _weight_current_terms(u: int, N: int, b: int) -> list[Term]:
 def _pt_field_mode(m: int, b: int, N: int) -> OperatorExpr:
     """z^{-b} mode of the pt-label slope field at slope m != 0: the
     z d/dz derivative of the charged field plus the symplectic-fermion
-    weight current times it, scaled by 1/m.  The weight part's odd modes
-    join the field's parts through ``_joiner``."""
+    weight current times it, scaled by 1/m.  Each weight-current term
+    joins its odd modes into the field's creation lists and parts
+    (``FieldTable.chunks``): one chunk per (weight term, field part)."""
     table = FieldTable(m, N, N - b)
-    terms = [(-b * coeff, cre, ann) for coeff, cre, ann in table.mode_terms(b, N)]
-    join = _joiner()
+    chunks = [(-b * a, clist, ann) for a, clist, ann in table.chunks(b, N)]
     window = N + abs(b) + 2
     for u in range(-window, window + 1):
         for sign, w_cre, w_ann in _weight_current_terms(u, N, b):
-            depth_used = monomial_energy(w_ann)
-            for coeff, cre, ann in table.mode_terms(b - u, N - depth_used):
-                terms.append((sign * coeff, join(cre, w_cre), join(ann, w_ann)))
-    return OperatorExpr(terms, N, m, -b, 0, table.denom * m)
+            depth = N - monomial_energy(w_ann)
+            chunks += [(sign * a, cl, ann)
+                       for a, cl, ann in table.chunks(b - u, depth, w_cre, w_ann)]
+    return OperatorExpr(chunks, N, m, -b, 0, table.denom * m)
 
 
 def w_general(a: int, b: int, label: Union[int, str], N: int) -> OperatorExpr:

@@ -176,7 +176,8 @@ class _BracketEngine:
     super-commutes with each term of B, and [A, B} is zero on every
     state (rows are keyed by monomials, so the charge shift adds no
     sign).  Such a pair skips the commutator pass; its empty rows meet
-    the target as any others.
+    the target as any others, and with no generator term it reads no
+    row: [A, B} = 0 is then its relation (central scalar 0 at (0, 0)).
 
     The generator w^{a,b} is built at the window N - max(0, -b): it
     raises the energy by -b, and every row read from it (an operand or
@@ -205,9 +206,9 @@ class _BracketEngine:
     def pair_reports(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
     ) -> tuple[BracketReport, BracketReport]:
-        """Reports for [A, B} and [B, A} from one commutator pass: the
-        rows of [A, B} over the denominator D serve [B, A} = eps [A, B}
-        over eps * D.  The pass and the comparisons run on the window
+        """Reports for [A, B} and [B, A} from one commutator pass and one
+        ``_scan``: the rows of [A, B} over the denominator D serve
+        [B, A} = eps [A, B} over eps * D.  Both run on the window
         monomials whose modes A, B or a target contracts; see the class
         docstring."""
         w = _eval_window(self.N, b, d)
@@ -224,17 +225,23 @@ class _BracketEngine:
         modes = rows_a.contracted | rows_b.contracted
         if target_fwd is not None:  # both orders' targets are one RowTable
             modes = modes | target_fwd[1].contracted
-        indices = self.basis.within(w, modes)
-        if rows_a.contracted & rows_b.created or rows_b.contracted & rows_a.created:
-            lhs = commutator_rows(rows_a, rows_b, indices, eps)
-        else:  # the terms super-commute; see the class docstring
-            lhs = [{}] * len(indices)
-        rep_fwd = self._evaluate(a, b, gi, c, d, hi, target_fwd, indices, lhs, denom)
-        # exact: _evaluate divides by the denominator only through Fraction
-        rep_rev = self._evaluate(
-            c, d, hi, a, b, gi, target_rev, indices, lhs, eps * denom
+        # the terms super-commute; see the class docstring
+        commute = not (
+            rows_a.contracted & rows_b.created or rows_b.contracted & rows_a.created
         )
-        return rep_fwd, rep_rev
+        skip = commute and target_fwd is None  # [A, B} = 0 is the relation
+        indices = () if skip else self.basis.within(w, modes)
+        if commute:
+            lhs = [{}] * len(indices)
+        else:
+            lhs = commutator_rows(rows_a, rows_b, indices, eps)
+        scan = _scan((a + c, b + d) == (0, 0), target_fwd, indices, lhs)
+        x, y = (a, b, gi), (c, d, hi)
+        # exact: _report divides by the denominator only through Fraction
+        return (
+            self._report(x, y, target_fwd, scan, denom),
+            self._report(y, x, target_rev, scan, eps * denom),
+        )
 
     def _target(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
@@ -251,83 +258,87 @@ class _BracketEngine:
         lbl, sign = product
         return Fraction(coef * sign), self.rows(a + c, b + d, lbl)
 
-    def _evaluate(
-        self,
-        a: int,
-        b: int,
-        gi: int,
-        c: int,
-        d: int,
-        hi: int,
-        target: Optional[tuple[Fraction, RowTable]],
-        indices: Sequence[int],
-        lhs: list[IndexRow],
-        denom: int,
+    def _report(
+        self, x: tuple, y: tuple, target: Optional[tuple], scan: tuple, denom: int
     ) -> BracketReport:
-        """Compare the integer rows ``lhs`` (over ``denom``) of [A, B} on
-        the basis monomials ``indices``, in order, against the target
-        relation, whose generator term is ``target`` (``_target``)."""
-        lp = (a, b, LABEL_NAMES[gi])
-        rp = (c, d, LABEL_NAMES[hi])
+        """The report of [x, y}, with generator term ``target``, from the
+        ``_scan`` of its rows over ``denom``."""
+        (a, b, gi), (c, d, hi) = x, y
+        lp, rp = (a, b, LABEL_NAMES[gi]), (c, d, LABEL_NAMES[hi])
         basis = self.basis
-
-        def mismatch(i: int, got: IndexRow, expected) -> BracketReport:
-            return BracketReport(
-                lp, rp, self.N, False, "mismatch",
-                witness={
-                    "state": FockState.from_monomial(basis.monos[i]).to_json_dict(),
-                    "got": FockState(a + c, basis.monomials(got, denom)).to_json_dict(),
-                    "expected": expected,
-                },
-            )
-
-        if (a + c, b + d) == (0, 0):
-            scalar: Optional[int] = None
-            for i, row in zip(indices, lhs):
-                val = row.get(i, 0) if len(row) <= 1 else None
-                if val is None or (row and i not in row):
-                    return mismatch(i, row, "scalar multiple of the state")
-                if scalar is None:
-                    scalar = val
-                elif scalar != val:
-                    return mismatch(
-                        i, row, f"uniform scalar {Fraction(scalar, denom)}"
-                    )
+        i, row, detail = scan
+        central = (a + c, b + d) == (0, 0)
+        if i is None and central:
             return BracketReport(
                 lp, rp, self.N, True, "central",
-                central_value=Fraction(scalar or 0, denom),
+                central_value=Fraction(detail or 0, denom),
             )
-        if target is None:
-            for i, row in zip(indices, lhs):
-                if row:
-                    return mismatch(i, row, "0")
-            return BracketReport(lp, rp, self.N, True, "exact", rescale=Fraction(1))
-        scale, target_rows = target
-        denom_t = target_rows.op.denom
+        if i is None:
+            factor = Fraction(1)
+            if detail[1]:  # got = factor * scale * want
+                (g0, w0), (scale, target_rows) = detail, target
+                factor = Fraction(g0 * target_rows.op.denom, w0 * denom) / scale
+            kind = "exact" if factor == 1 else "rescaled"
+            return BracketReport(lp, rp, self.N, True, kind, rescale=factor)
+        if central:
+            expected = "scalar multiple of the state" if detail is None else (
+                f"uniform scalar {Fraction(detail, denom)}"
+            )
+        elif target is None:
+            expected = "0"
+        else:
+            scale, target_rows = target
+            want = basis.monomials(detail, target_rows.op.denom)
+            expected = FockState(
+                a + c, {u: v * scale for u, v in want.items()}
+            ).to_json_dict()
+        return BracketReport(
+            lp, rp, self.N, False, "mismatch",
+            witness={
+                "state": FockState.from_monomial(basis.monos[i]).to_json_dict(),
+                "got": FockState(a + c, basis.monomials(row, denom)).to_json_dict(),
+                "expected": expected,
+            },
+        )
 
-        def expected(want: IndexRow) -> dict:
-            """Witness form of ``scale`` times a target row."""
-            terms = {u: v * scale for u, v in basis.monomials(want, denom_t).items()}
-            return FockState(a + c, terms).to_json_dict()
-        # got = factor * scale * want as rationals; the integer ratio
-        # gv / wv is then the same on every entry, compared as g0 / w0
-        g0 = w0 = 0
-        for i, got in zip(indices, lhs):
-            want = target_rows[i]
-            if not got and not want:
-                continue
-            if got.keys() != want.keys():
-                return mismatch(i, got, expected(want))
-            for u, gv in got.items():
-                wv = want[u]
-                if not w0:
-                    g0, w0 = gv, wv
-                elif gv * w0 != g0 * wv:
-                    return mismatch(i, got, expected(want))
-        factor = Fraction(g0 * denom_t, w0 * denom) / scale if w0 else Fraction(1)
-        if factor == 1:
-            return BracketReport(lp, rp, self.N, True, "exact", rescale=factor)
-        return BracketReport(lp, rp, self.N, True, "rescaled", rescale=factor)
+
+def _scan(
+    central: bool, target: Optional[tuple], indices: Sequence[int], lhs: list[IndexRow]
+) -> tuple:
+    """Compare the integer rows ``lhs`` of [A, B} on the basis monomials
+    ``indices``, in order, against the relation with generator term
+    ``target``: (None, None, value) when it holds, value the uniform
+    central scalar or the first nonzero entries (g0, w0) of the rows and
+    the target's, and (i, row, detail) at the first failing monomial i,
+    detail the central scalar its row broke or the target's row.  No
+    rescale moves the failing monomial, the key sets or the ratio test,
+    so one scan serves both orders."""
+    if central:
+        scalar: Optional[int] = None
+        for i, row in zip(indices, lhs):
+            val = row.get(i, 0) if len(row) <= 1 else None
+            if val is None or (row and i not in row):
+                return i, row, None
+            if scalar is None:
+                scalar = val
+            elif scalar != val:
+                return i, row, scalar
+        return None, None, scalar
+    g0 = w0 = 0
+    for i, got in zip(indices, lhs):
+        want = target[1][i] if target else {}
+        if not got and not want:
+            continue
+        if got.keys() != want.keys():
+            return i, got, want
+        # the integer ratio gv / wv is the same on every entry: g0 / w0
+        for u, gv in got.items():
+            wv = want[u]
+            if not w0:
+                g0, w0 = gv, wv
+            elif gv * w0 != g0 * wv:
+                return i, got, want
+    return None, None, (g0, w0)
 
 
 # The engine of the last truncation bracket_verify saw: a stream of point
@@ -650,8 +661,9 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
         for li, want in ((COH_E, Fraction(1, n)), (COH_PT, Fraction(n))):
             checked += len(monos)
             rows = engine.rows(0, n, li)
-            (term,) = rows.op.terms
-            if Fraction(term.coeff, rows.op.denom) == want:
+            # one term: one part, one chunk, one creation entry
+            ((_, [(a, ((c, _),))]),) = rows.op.groups.items()
+            if Fraction(a * c, rows.op.denom) == want:
                 continue
             for mono in monos:
                 if not rows.contracted.isdisjoint(mono):

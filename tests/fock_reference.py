@@ -289,16 +289,16 @@ def apply(op: OperatorExpr, state: FockState) -> FockState:
             f"{op.truncation}"
         )
     out = FockState.zero(state.charge + op.charge_shift)
-    for term in op.terms:
+    for coeff, creations, annihilations in op.terms:
         cur = state
-        for k, label in reversed(term.annihilations):
+        for k, label in reversed(annihilations):
             cur = alpha_apply(k, label, cur)
             if cur.is_zero():
                 break
         else:
-            for k, label in reversed(term.creations):
+            for k, label in reversed(creations):
                 cur = alpha_apply(-k, label, cur)
-            cur = scale(cur, Fraction(term.coeff, op.denom))
+            cur = scale(cur, Fraction(coeff, op.denom))
             out = add(out, shift_charge(cur, op.charge_shift))
     return out
 
@@ -325,13 +325,13 @@ def heisenberg_mode(n: int, gamma: Union[CohClass, int, str]) -> OperatorExpr:
         raise ValueError("mode class must have a single parity")
     support = gamma.support()
     denom = lcm(*(comp.denominator for _, comp in support))
-    terms = []
+    chunks = []
     for i, comp in support:
         mode = ((abs(n), i),)
         coeff = comp.numerator * (denom // comp.denominator)
-        terms.append((coeff, mode, ()) if n < 0 else (coeff, (), mode))
-    parity = gamma.parity() if terms else 0
-    return OperatorExpr(terms, None, 0, -n, parity, denom)
+        chunks.append((coeff, ((1, mode),), ()) if n < 0 else (coeff, ((1, ()),), mode))
+    parity = gamma.parity() if chunks else 0
+    return OperatorExpr(chunks, None, 0, -n, parity, denom)
 
 
 def vertex_mode(m: int, n: int, N: int) -> OperatorExpr:

@@ -102,7 +102,7 @@ def test_c04_fails_when_odd_pairs_take_the_commutator(monkeypatch):
 
 
 def test_c04_sends_pairs_to_the_kernel_by_their_terms_not_labels(monkeypatch):
-    """Every E generator also gets a term creating a pt mode, which E
+    """Every E generator also gets a chunk creating a pt mode, which E
     fields contract.  A shortcut read off the labels would still skip
     every pair with an E operand, as the unmutated sweep does (E creates
     E and contracts pt); the engine reads the built terms, so those pairs
@@ -117,9 +117,14 @@ def test_c04_sends_pairs_to_the_kernel_by_their_terms_not_labels(monkeypatch):
             op = real_generator(a, b, li, N)
             if mutate and li == COH_E:
                 k = max(1, 1 - b)  # creates energy k, annihilates k + b >= 1
-                extra = (op.denom, ((k, COH_PT),), ((k + b, COH_E),))
+                chunks = [
+                    (a, clist, part)
+                    for part, group in op.groups.items()
+                    for a, clist in group
+                ]
+                extra = (op.denom, ((1, ((k, COH_PT),)),), ((k + b, COH_E),))
                 op = OperatorExpr(
-                    [*op.terms, extra], op.truncation, op.charge_shift,
+                    [*chunks, extra], op.truncation, op.charge_shift,
                     op.energy_shift, op.parity, op.denom,
                 )
             labels[id(op)] = li
@@ -150,10 +155,10 @@ def test_c05_fails_when_two_part_field_coefficients_are_doubled(monkeypatch):
 
     def doubled(slope, depth):
         base, levels = real(slope, depth)
-        return base, [
-            [(lam, 2 * c if len(lam) == 2 else c) for lam, c in level]
+        return base, tuple(
+            tuple((2 * c if len(lam) == 2 else c, lam) for c, lam in level)
             for level in levels
-        ]
+        )
 
     monkeypatch.setattr(operators, "_coefficient_table", doubled)
     result = verify.check_monodromy(3, 4)

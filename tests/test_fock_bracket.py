@@ -394,3 +394,42 @@ class TestSuperCommutingPairs:
         assert not calls
         assert report["match"] is True and report["kind"] == "exact"
         assert report["lhs_params"] == {"a": 1, "b": 1, "label": "E"}
+
+
+def test_super_commuting_pairs_without_a_generator_term_read_no_row():
+    """Of the 903 unordered pairs of the truncation-4 bracket table, 670
+    super-commute with no generator term and no central part, and 49 more
+    with a central part: each gives two matching reports, exact or
+    central 0, without a window or a row being built for it."""
+    import ellwall.fock.verify as verify
+    from ellwall.fock.labels import COH_SM, COH_SP
+
+    engine = verify._BracketEngine(4)
+    real_within = engine.basis.within
+    windows = []
+    engine.basis.within = lambda w, modes: windows.append(w) or real_within(w, modes)
+    operands = [
+        (a, b, g)
+        for a in (-1, 0, 1)
+        for b in range(-2, 3)
+        if (a, b) != (0, 0)
+        for g in (COH_E, COH_SP, COH_SM)
+    ]
+    skipped = {"exact": 0, "central": 0}
+    pairs = 0
+    for i, x in enumerate(operands):
+        for y in operands[i:]:
+            pairs += 1
+            before = (len(windows), sum(map(len, engine._rows.values())))
+            fwd, rev = engine.pair_reports(*x, *y)
+            if len(windows) > before[0]:
+                continue
+            assert sum(map(len, engine._rows.values())) == before[1]
+            assert fwd.kind == rev.kind and fwd.match and rev.match
+            if fwd.kind == "central":
+                assert fwd.central_value == rev.central_value == 0
+            else:
+                assert fwd.kind == "exact" and fwd.rescale == rev.rescale == 1
+            skipped[fwd.kind] += 1
+    assert pairs == 903
+    assert skipped == {"exact": 670, "central": 49}

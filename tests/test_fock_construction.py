@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 
 from ellwall.fock.fastapply import BasisIndex, RowTable
 from ellwall.fock.labels import COH_E, COH_PT, COH_SM, COH_SP, LABEL_PARITY
-from ellwall.fock.operators import _centralizers, _partitions, w_general
+from ellwall.fock.operators import (
+    _centralizers, _coefficient_table, _partitions, w_general,
+)
 from ellwall.fock.states import creation_chain, monomial_energy
 
 from fock_reference import CohClass, annihilate, heisenberg_mode, insert_creation
@@ -188,15 +190,6 @@ def ref_rows(terms, monos):
     return out
 
 
-def regroup(terms):
-    """The terms by annihilation part, parts in order of first
-    appearance."""
-    groups = {}
-    for t in terms:
-        groups.setdefault(t.annihilations, []).append(t)
-    return list(groups.items())
-
-
 # ---------------------------------------------------------------------------
 
 KINDS = [
@@ -220,28 +213,44 @@ def test_w_general_matches_fraction_reference(kind, N):
         want = ref_terms(a, b, label, N)
         where = f"w[{a},{b};{kind[0]}] at N={N}"
         got = [
-            (Fraction(t.coeff, op.denom), op.charge_shift, t.creations, t.annihilations)
-            for t in op.terms
+            (Fraction(coeff, op.denom), op.charge_shift, cre, ann)
+            for coeff, cre, ann in op.terms
         ]
-        assert got == want, where
-        assert all(type(t.coeff) is int for t in op.terms), where
+        assert sorted(got) == sorted(want), where
+        assert all(type(coeff) is int for coeff, _, _ in op.terms), where
         assert op.denom == lcm(*(c.denominator for c, *_ in want)), where
-        assert list(op.groups.items()) == regroup(op.terms), where
+        # the parts in order of first appearance in the reference's terms
+        assert list(op.groups) == list(dict.fromkeys(t[3] for t in want)), where
         table = RowTable(op, basis)
         got_rows = {basis.monos[i]: basis.monomials(table[i]) for i in indices}
         assert got_rows == ref_rows(want, monos), where
 
 
 def test_directly_built_operator_groups_its_terms():
-    """An operator built from triples outside ``w_general`` records the
-    same grouping: alpha_{2}(E + 3 pt) has two annihilation parts."""
+    """An operator built from chunks outside ``w_general`` records the
+    same grouping: alpha_{2}(E + 3 pt) has two annihilation parts, one
+    single-entry chunk each."""
     op = heisenberg_mode(2, CohClass.basis(COH_E) + CohClass.basis(COH_PT).scale(3))
-    assert [t.annihilations for t in op.terms] == [((2, COH_E),), ((2, COH_PT),)]
-    assert list(op.groups.items()) == regroup(op.terms)
+    assert list(op.groups.items()) == [
+        (((2, COH_E),), [(1, ((1, ()),))]), (((2, COH_PT),), [(3, ((1, ()),))]),
+    ]
+    assert op.terms == [(1, (), ((2, COH_E),)), (3, (), ((2, COH_PT),))]
+
+
+def test_slope_field_is_stored_factored():
+    """w^{2,2}_sigma+ at N = 6 stands for 269 terms, held as at most one
+    chunk per (annihilation part, creation level): 70 parts and at most
+    122 chunks, which share their creation lists."""
+    op = w_general(2, 2, COH_SP, 6)
+    chunks = [chunk for group in op.groups.values() for chunk in group]
+    assert len(op.groups) == 70
+    assert len(chunks) <= 122
+    assert len(op.terms) == sum(len(clist) for _, clist in chunks) == 269
+    assert len({id(clist) for _, clist in chunks}) < len(chunks)
 
 
 def test_partition_caches_are_bounded():
-    for cache in (_partitions, _centralizers):
+    for cache in (_partitions, _centralizers, _coefficient_table):
         assert cache.cache_info().maxsize is not None
 
 

@@ -219,37 +219,63 @@ class TestOperatorExpr:
         with pytest.raises(ValueError):
             w_general(0, 0, COH_E, 4)
 
+    @staticmethod
+    def chunk(coeff, creations, annihilations):
+        """One term as a chunk: its creation list has the one entry."""
+        return coeff, ((1, creations),), annihilations
+
     def test_terms_must_share_the_energy_shift(self):
         # the energy shift is the created energy less the annihilated:
         # alpha_{-1}(E) shifts by 1, alpha_{-2}(E) by 2, alpha_{-2}(E) alpha_1(E) by 1
+        t = self.chunk
         with pytest.raises(ValueError, match="energy shift"):
-            OperatorExpr([(1, self.E1, ()), (1, self.E2, ())], None, 0, 1, 0)
+            OperatorExpr([t(1, self.E1, ()), t(1, self.E2, ())], None, 0, 1, 0)
         with pytest.raises(ValueError, match="energy shift"):
-            OperatorExpr([(1, self.E2, self.E1)], None, 0, 2, 0)
+            OperatorExpr([t(1, self.E2, self.E1)], None, 0, 2, 0)
+        # a creation list is checked entry by entry against its part's need
+        with pytest.raises(ValueError, match="energy shift"):
+            OperatorExpr([(1, ((1, self.E1), (1, self.E2)), ())], None, 0, 1, 0)
 
     def test_terms_must_share_parity(self):
+        t = self.chunk
         with pytest.raises(ValueError, match="parity"):
-            OperatorExpr([(1, self.E1, ()), (1, self.SP1, ())], None, 0, 1, 0)
+            OperatorExpr([t(1, self.E1, ()), t(1, self.SP1, ())], None, 0, 1, 0)
         with pytest.raises(ValueError, match="parity"):
-            OperatorExpr([(1, self.E2, self.SP1)], None, 0, 1, 0)
+            OperatorExpr([t(1, self.E2, self.SP1)], None, 0, 1, 0)
+        with pytest.raises(ValueError, match="parity"):
+            OperatorExpr([(1, ((1, self.E1), (1, self.SP1)), ())], None, 0, 1, 0)
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError, match="denominator"):
-            OperatorExpr([(1, self.E1, ())], None, 0, 1, 0, denom=0)
+            OperatorExpr([self.chunk(1, self.E1, ())], None, 0, 1, 0, denom=0)
 
     def test_negative_denominator_reduces(self):
         """4/-10 and -6/-10 reduce to -2/5 and 3/5: the gcd takes the
         denominator's sign, so the denominator ends positive."""
+        t = self.chunk
         op = OperatorExpr(
-            [(4, self.E2, self.E1), (-6, self.E1, ())], 6, 3, 1, 0, denom=-10
+            [t(4, self.E2, self.E1), t(-6, self.E1, ())], 6, 3, 1, 0, denom=-10
         )
         assert op.denom == 5 and op.charge_shift == 3
-        assert [tuple(t) for t in op.terms] == [
-            (-2, self.E2, self.E1), (3, self.E1, ()),
-        ]
-        assert [Fraction(t.coeff, op.denom) for t in op.terms] == [
+        assert op.terms == [(-2, self.E2, self.E1), (3, self.E1, ())]
+        assert [Fraction(c, op.denom) for c, _, _ in op.terms] == [
             Fraction(4, -10), Fraction(-6, -10),
         ]
+
+    def test_a_creation_list_folds_its_gcd_into_the_chunk(self):
+        """(2 alpha_{-2} + 4 alpha_{-1}^2) times 3 alpha_1(E) - alpha_1(pt),
+        over -12: the shared list's gcd 2 goes into both chunks, once, and
+        the terms -1/2, -1, 1/6 and 1/3 keep their least denominator 6."""
+        E11, PT1 = ((1, COH_E), (1, COH_E)), ((1, COH_PT),)
+        clist = ((2, self.E2), (4, E11))
+        op = OperatorExpr([(3, clist, self.E1), (-1, clist, PT1)], 4, 0, 1, 0, denom=-12)
+        assert op.denom == 6
+        assert op.terms == [
+            (-3, self.E2, self.E1), (-6, E11, self.E1), (1, self.E2, PT1), (2, E11, PT1),
+        ]
+        (chunk,), (other,) = op.groups.values()
+        assert chunk == (-3, ((1, self.E2), (2, E11))) and other[0] == 1
+        assert other[1] is chunk[1]
 
 
 def random_generators(test):

@@ -38,9 +38,9 @@ def doubled_pt(monkeypatch):
         op = true_w_small(n, li)
         if li != COH_PT:
             return op
-        (term,) = op.terms
+        ((part, [(a, creations)]),) = op.groups.items()
         return OperatorExpr(
-            ((2 * term.coeff, term.creations, term.annihilations),), op.truncation,
+            ((2 * a, creations, part),), op.truncation,
             op.charge_shift, op.energy_shift, op.parity, op.denom,
         )
 

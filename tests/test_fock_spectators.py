@@ -59,7 +59,8 @@ class UnfactoredRows(dict):
 
 class FullWindowEngine(verify._BracketEngine):
     """The bracket engine's pass over every monomial of the evaluation
-    window, on unfactored rows."""
+    window, on unfactored rows, with each order scanned on its own
+    target."""
 
     def rows(self, a, b, li):
         key = (a, b, li)
@@ -79,9 +80,11 @@ class FullWindowEngine(verify._BracketEngine):
         lhs = commutator_rows(rows_a, rows_b, indices, eps)
         fwd = self._target(a, b, gi, c, d, hi)
         rev = self._target(c, d, hi, a, b, gi)
+        central = (a + c, b + d) == (0, 0)
+        x, y = (a, b, gi), (c, d, hi)
         return (
-            self._evaluate(a, b, gi, c, d, hi, fwd, indices, lhs, denom),
-            self._evaluate(c, d, hi, a, b, gi, rev, indices, lhs, eps * denom),
+            self._report(x, y, fwd, verify._scan(central, fwd, indices, lhs), denom),
+            self._report(y, x, rev, verify._scan(central, rev, indices, lhs), eps * denom),
         )
 
 

@@ -79,7 +79,9 @@ class MonomialField:
         self.m, self.n_lo, self.n_hi, self.depth = m, n_lo, n_hi, depth
         table = FieldTable(m, depth, depth)
         self._create = table.create
-        self._annihilate = dict(pair for level in table.annihilate for pair in level)
+        self._annihilate = {
+            part: c for level in table.annihilate for c, part in level
+        }
         self.denom = table.denom
         self._slices: dict[Monomial, dict[int, IntRow]] = {}
 
@@ -100,7 +102,7 @@ class MonomialField:
             a_coeff = self._annihilate[part] * factor
             q = monomial_energy(part)
             for n in range(n_lo, min(self.n_hi, q) + 1):
-                for lam, c_coeff in self._create[q - n]:
+                for c_coeff, lam in self._create[q - n]:
                     final = creation_chain(reduced, lam)[1]
                     add_scaled(slices[n], {final: c_coeff * a_coeff}, 1)
         self._slices[mono] = slices
@@ -581,7 +583,8 @@ def test_skip_reads_the_field_terms_not_the_labels(monkeypatch, created, victim)
 
         def __init__(self, m, ann_depth, cre_depth):
             super().__init__(m, ann_depth, cre_depth)
-            self.create[1].append((((1, created),), m))
+            first, level, *rest = self.create
+            self.create = (first, (*level, (m, ((1, created),))), *rest)
 
     monkeypatch.setattr(fastapply, "FieldTable", Creating)
     calls = _recorded_checks(monkeypatch)
