@@ -36,7 +36,7 @@ from .fock.labels import LABEL_NAMES, label_index
 from .fock.monodromy import monodromy_f, monodromy_s
 from .fock.states import FockState, creation_chain
 from .fock.verify import bracket_verify
-from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, cyclo_str, frac_str, to_json
+from .serialize import CONVENTIONS, DEFAULT_SEED, WALL_TYPES, to_json
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +96,14 @@ def _parse_modes(text: str) -> list[tuple[int, int]]:
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(chunk) for chunk in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {exc}")
+    out = []
+    for chunk in text.split(","):
+        try:
+            out.append(Fraction(chunk))
+        except (ValueError, ZeroDivisionError) as exc:
+            why = exc if isinstance(exc, ValueError) else f"zero denominator in {chunk!r}"
+            raise argparse.ArgumentTypeError(f"bad rational list {text!r}: {why}")
+    return out
 
 
 def _state_from_modes(modes: Sequence[tuple[int, int]], charge: int) -> FockState:
@@ -161,7 +165,9 @@ def cmd_walls(args: argparse.Namespace) -> tuple[str, int]:
     chart = WallChart(args.type)
     if args.format == "svg":
         svg = emit_chamber_svg(chart.decomposition(args.n))
-    elif args.type == "A-1":
+        head, _, tail = svg.partition("\n")
+        return f"{head}\n<metadata>{to_json(_metadata(args))}</metadata>\n{tail}", 0
+    if args.type == "A-1":
         dec = chart.decomposition(args.n)
         walls = dec.walls
         body = dec.to_json_dict()
@@ -172,23 +178,18 @@ def cmd_walls(args: argparse.Namespace) -> tuple[str, int]:
             "n": args.n,
             "walls": [w.to_json_dict() for w in walls],
         }
-    if args.format == "svg":
-        head, _, tail = svg.partition("\n")
-        text = f"{head}\n<metadata>{to_json(_metadata(args))}</metadata>\n{tail}"
-    else:
-        rows = (
-            [
-                ";".join(map(str, w.root.finite)),
-                w.root.m,
-                w.root.n,
-                frac_str(w.level1_pos) if w.level1_pos is not None else "",
-                str(w.locus),
-            ]
-            for w in walls
-        )
-        header = ["root_finite", "root_m", "root_n", "level1_pos", "locus"]
-        text = _document(args, body, header, rows)
-    return text, 0
+    rows = (
+        [
+            ";".join(map(str, w.root.finite)),
+            w.root.m,
+            w.root.n,
+            str(w.level1_pos) if w.level1_pos is not None else "",
+            str(w.locus),
+        ]
+        for w in walls
+    )
+    header = ["root_finite", "root_m", "root_n", "level1_pos", "locus"]
+    return _document(args, body, header, rows), 0
 
 
 def cmd_bracket(args: argparse.Namespace) -> tuple[str, int]:
@@ -224,7 +225,7 @@ def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     rows = tensor_table_rows(p)
     body = {
         "k": k,
-        "a": [frac_str(x) for x in a],
+        "a": [str(x) for x in a],
         "character_table": [
             {"i": i, "A_i": value, "case": case} for i, value, case in rows
         ],
@@ -233,7 +234,7 @@ def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     if args.n is not None and args.format == "json":
         body["jet"] = {
             "n": args.n,
-            "trace": cyclo_str(jet_trace(args.n, p)),
+            "trace": str(jet_trace(args.n, p)),
             "splits": splits(args.n, p),
         }
     return _document(args, body, ["i", "A_i", "case"], rows), 0

@@ -122,11 +122,6 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not rational: {self}")
-        return Fraction(self.nums[0], self.den)
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Cyclotomic") -> None:

@@ -368,8 +368,6 @@ class BasisIndex:
         row on act, with the sign RowTable works out.  Distinct images
         stay distinct, and an image that already holds an odd mode of S
         drops out."""
-        if not spectators and sign == 1:
-            return row
         merges = self._merges[spectators]
         out: IndexRow = {}
         for u, c in row.items():

@@ -22,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Union
 
-from ..serialize import frac_str
 from .labels import (
     COH_E, COH_PT, COH_SM, COH_SP, LABEL_NAMES, LABEL_PARITY, pairing_scalar,
 )
@@ -100,7 +99,7 @@ class FockState:
             "terms": [
                 {
                     "modes": [[k, LABEL_NAMES[l]] for k, l in mono],
-                    "coeff": frac_str(self.terms[mono]),
+                    "coeff": str(self.terms[mono]),
                 }
                 for mono in sorted(self.terms)
             ],

@@ -59,7 +59,6 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Optional, Sequence, Union
 
-from ..serialize import frac_str
 from .fastapply import (
     BasisIndex,
     ChargedField,
@@ -126,12 +125,12 @@ class BracketReport(NamedTuple):
             "match": self.match,
             "kind": self.kind,
             "rescale_factors": (
-                {} if self.rescale is None else {"factor": frac_str(self.rescale)}
+                {} if self.rescale is None else {"factor": str(self.rescale)}
             ),
             "central": (
                 {}
                 if self.central_value is None
-                else {"value": frac_str(self.central_value)}
+                else {"value": str(self.central_value)}
             ),
             "truncation": self.truncation,
         }
@@ -379,7 +378,7 @@ class SweepSummary:
             "matches": self.matches,
             "mismatches": [r.to_json_dict() for r in self.mismatches],
             "rescale_factors": {
-                f"({k[0]},{k[1]});{k[2]}": frac_str(v)
+                f"({k[0]},{k[1]});{k[2]}": str(v)
                 for k, v in sorted(self.rescales.items())
             },
             "rescale_conflicts": list(self.rescale_conflicts),
@@ -391,30 +390,17 @@ class SweepSummary:
 
 def _solve_central(instances: list[tuple[int, int, Fraction]]) -> dict:
     """Fit value = a*c_s + b*c_t exactly over the collected central
-    instances; report the fit or the inconsistency."""
-    c_t: Optional[Fraction] = None
-    c_s: Optional[Fraction] = None
-    for a, b, v in instances:
-        if a == 0 and b != 0:
-            cand = v / b
-            if c_t is None:
-                c_t = cand
-            elif c_t != cand:
-                return {"consistent": False, "instances": len(instances)}
-    for a, b, v in instances:
-        if a != 0:
-            if b != 0 and c_t is None:
-                continue
-            residual = v - (c_t or Fraction(0)) * b
-            cand = residual / a
-            if c_s is None:
-                c_s = cand
-            elif c_s != cand:
-                return {"consistent": False, "instances": len(instances)}
+    instances: c_t from a = 0, c_s from a != 0 where b = 0 or c_t is set.
+    Each is read with ``min``, never in set order (0 when empty)."""
+    c_t = {v / b for a, b, v in instances if a == 0}
+    t = min(c_t, default=Fraction(0))
+    c_s = {(v - t * b) / a for a, b, v in instances if a and (c_t or not b)}
+    if len(c_t) > 1 or len(c_s) > 1:
+        return {"consistent": False, "instances": len(instances)}
     return {
         "consistent": True,
-        "c_s": frac_str(c_s if c_s is not None else Fraction(0)),
-        "c_t": frac_str(c_t if c_t is not None else Fraction(0)),
+        "c_s": str(min(c_s, default=Fraction(0))),
+        "c_t": str(t),
         "instances": len(instances),
     }
 
@@ -685,7 +671,7 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
             witness = report.witness or {
                 "state": FockState.from_monomial(()).to_json_dict(),
                 "got": FockState.from_monomial((), report.central_value).to_json_dict(),
-                "expected": frac_str(expected),
+                "expected": str(expected),
             }
             failures.append(
                 {

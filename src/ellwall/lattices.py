@@ -93,12 +93,10 @@ class MukaiVector(Record):
         return Fraction(self.twice_ch2, 2)
 
     def to_json_dict(self) -> dict:
-        from .serialize import frac_str
-
         return {
             "rank": self.rank,
             "c1": [str(c) for c in self.c1],
-            "ch2": frac_str(self.ch2),
+            "ch2": str(self.ch2),
         }
 
 

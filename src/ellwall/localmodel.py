@@ -29,7 +29,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import weyl
 from .cyclotomic import Cyclotomic, _element, _power_table
 from .roots import Record, UnsupportedTypeError
-from .serialize import cyclo_str
 
 Scalar = Union[int, Fraction, Cyclotomic]
 Matrix = tuple[tuple[Cyclotomic, ...], ...]
@@ -124,14 +123,6 @@ def hh0_audit(order: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _coerce(k: int, x: Scalar) -> Cyclotomic:
-    if isinstance(x, Cyclotomic):
-        if x.k != k:
-            raise ValueError(f"expected an order-{k} value, got order {x.k}")
-        return x
-    return Cyclotomic(k, x)
-
-
 class BimoduleParam(Record):
     """An extension parameter: one coefficient per group element of the
     order-k cyclic group, indexed 0..k-1 by the exponent of the chosen
@@ -159,7 +150,8 @@ class BimoduleParam(Record):
 
     @classmethod
     def make(cls, k: int, values: Sequence[Scalar]) -> "BimoduleParam":
-        return cls(k, tuple(_coerce(k, v) for v in values))
+        lift = (v if isinstance(v, Cyclotomic) else Cyclotomic(k, v) for v in values)
+        return cls(k, tuple(lift))
 
 
 def _char_table(k: int, a: Sequence[Cyclotomic]) -> tuple[Cyclotomic, ...]:
@@ -355,4 +347,4 @@ def tensor_table(p: BimoduleParam) -> list[TensorDecomposition]:
 
 def tensor_table_rows(p: BimoduleParam) -> list[tuple[int, str, str]]:
     """CSV-ready rows (i, A_i, split|ext)."""
-    return [(t.i, cyclo_str(t.value), t.tag) for t in tensor_table(p)]
+    return [(t.i, str(t.value), t.tag) for t in tensor_table(p)]

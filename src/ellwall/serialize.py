@@ -1,21 +1,15 @@
-"""JSON/CSV-friendly encoding of exact values, and the conventions the
-metadata block of every emitted document carries.
+"""Deterministic JSON, and the conventions the metadata block of every
+emitted document carries.
 
-Rationals travel as strings ("3/4", "-2", "0") so round-trips are exact;
-cyclotomic values are rendered the same way when rational and as a
-reduced polynomial in the root of unity otherwise.  The constants the
-command line echoes are defined here, so it reads them without loading
-the modules that use them.
+Exact values reach the documents already as strings, each ``str(value)``
+of its own type.  The constants the command line echoes are defined
+here, so it reads them without loading the modules that use them.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:
-    from .cyclotomic import Cyclotomic
+from typing import Any
 
 DEFAULT_SEED = 20260823
 
@@ -33,19 +27,6 @@ CONVENTIONS = {
 }
 
 WALL_TYPES = ("A-1", "D4", "E6", "E7", "E8")
-
-
-def frac_str(x: Fraction | int) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def cyclo_str(x: Cyclotomic) -> str:
-    """Render a cyclotomic value: plain rational when rational, else the
-    reduced polynomial in the root of unity."""
-    if x.is_rational():
-        return frac_str(x.rational_value())
-    return repr(x)
 
 
 def to_json(obj: Any) -> str:

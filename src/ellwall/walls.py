@@ -31,7 +31,7 @@ from .lattices import (
     surface_lattice,
 )
 from .roots import EllipticRoot, UnsupportedTypeError, build_elliptic
-from .serialize import WALL_TYPES, frac_str
+from .serialize import WALL_TYPES
 
 Scalar = Union[int, Fraction]
 Key = tuple[int, int, int]
@@ -167,13 +167,13 @@ class TriPoly:
                 if e
             )
             if not mono:
-                parts.append(frac_str(Fraction(num, self.den)))
+                parts.append(str(Fraction(num, self.den)))
             elif num == self.den:
                 parts.append(mono)
             elif num == -self.den:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{frac_str(Fraction(num, self.den))}*{mono}")
+                parts.append(f"{Fraction(num, self.den)}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self) -> str:
@@ -241,7 +241,7 @@ class WallSpec(NamedTuple):
             "kclass": self.kclass.to_json_dict(),
             "locus": str(self.locus),
             "n1_ray": list(self.n1_ray) if self.n1_ray else None,
-            "level1_pos": frac_str(self.level1_pos)
+            "level1_pos": str(self.level1_pos)
             if self.level1_pos is not None
             else None,
         }

@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from ellwall.serialize import frac_str
 from ellwall.walls import TriPoly
 
 Scalar = Union[int, Fraction]
@@ -105,13 +104,13 @@ class FracTriPoly:
                 if e
             )
             if not mono:
-                parts.append(frac_str(coeff))
+                parts.append(str(coeff))
             elif coeff == 1:
                 parts.append(mono)
             elif coeff == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{frac_str(coeff)}*{mono}")
+                parts.append(f"{coeff}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
 

@@ -363,6 +363,23 @@ class TestLocal:
         assert rc == 2
         assert "3 coefficients" in err
 
+    @pytest.mark.parametrize(
+        "a,why",
+        [
+            ("1/0,1,1", "zero denominator in '1/0'"),
+            ("1,-2/0,1", "zero denominator in '-2/0'"),
+            ("x,1,1", "Invalid literal for Fraction: 'x'"),
+        ],
+    )
+    def test_bad_rational_is_usage_error(self, capsys, a, why):
+        """A bad entry is named in the usage error, a zero denominator as
+        such rather than as the Fraction it could not build."""
+        with pytest.raises(SystemExit) as exc:
+            main(["local", "--k", "3", "--a", a])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"ellwall local: error: argument --a: bad rational list {a!r}: {why}"
+
     def test_rational_entries_echoed(self, capsys):
         doc = run_json(capsys, "local", "--k", "2", "--a", "1/2,-3")
         assert doc["a"] == ["1/2", "-3"]
@@ -798,15 +815,23 @@ class TestImportBoundary:
         "module,loads",
         [
             ("ellwall.fock.labels", set()),
-            ("ellwall.fock.states", {"ellwall.fock.labels", "ellwall.serialize"}),
+            ("ellwall.fock.states", {"ellwall.fock.labels"}),
+            (
+                "ellwall.fock.verify",
+                {f"ellwall.fock.{m}" for m in ("labels", "states", "operators", "fastapply")},
+            ),
+            ("ellwall.localmodel", {"ellwall.cyclotomic", "ellwall.roots", "ellwall.weyl"}),
         ],
     )
     def test_fock_module_loads_only_its_own_imports(self, module, loads):
         """``ellwall.fock`` is a bare package: importing one Fock module
-        loads that module and what it imports, not the rest of the stack."""
+        loads that module and what it imports, not the rest of the stack.
+        Exact values print through ``str``, so neither a Fock module nor
+        the local calculus loads the serializer."""
         probe = (
             f"import json, sys, {module}\n"
             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'ellwall')))\n"
         )
         out = json.loads(TestCrossProcess.run_fresh([], "1", entry=("-c", probe)))
-        assert set(out) == {"ellwall", "ellwall.fock", module} | loads
+        package = module.rpartition(".")[0]  # ellwall.fock, or ellwall itself
+        assert set(out) == {"ellwall", package, module} | loads

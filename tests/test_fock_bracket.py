@@ -158,6 +158,23 @@ class TestCentralSolver:
         got = _solve_central([(0, 1, Fraction(2)), (0, 2, Fraction(6))])
         assert got == {"consistent": False, "instances": 2}
 
+    def test_mixed_instance_skipped_without_c_t(self):
+        # no a = 0 instance fits c_t, so (1, 1) is skipped, not fitted
+        # against c_t = 0 (which would make c_s both 5 and 3)
+        got = _solve_central([(1, 1, Fraction(5)), (1, 0, Fraction(3))])
+        assert got == {
+            "consistent": True,
+            "c_s": "3",
+            "c_t": "0",
+            "instances": 2,
+        }
+
+    def test_inconsistent_c_s(self):
+        got = _solve_central(
+            [(0, 1, Fraction(2)), (1, 0, Fraction(3)), (2, 1, Fraction(7))]
+        )
+        assert got == {"consistent": False, "instances": 3}
+
     def test_all_zero(self):
         got = _solve_central([(0, 1, Fraction(0)), (1, 0, Fraction(0))])
         assert got["consistent"] and got["c_s"] == "0" and got["c_t"] == "0"
