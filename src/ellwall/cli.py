@@ -217,12 +217,12 @@ def cmd_monodromy(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
-    from .localmodel import BimoduleParam, jet_trace, splits, tensor_table_rows
+    from .localmodel import BimoduleParam, jet_trace, tensor_table_rows
 
     k = args.k
     a = [Fraction(0)] * k if args.a is None else args.a
     p = BimoduleParam.make(k, a)
-    rows = tensor_table_rows(p)
+    rows = [(i, str(value), case) for i, value, case in tensor_table_rows(p)]
     body = {
         "k": k,
         "a": [str(x) for x in a],
@@ -232,10 +232,11 @@ def cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     }
     # the CSV document is the character table alone
     if args.n is not None and args.format == "json":
+        trace = jet_trace(args.n, p)
         body["jet"] = {
             "n": args.n,
-            "trace": str(jet_trace(args.n, p)),
-            "splits": splits(args.n, p),
+            "trace": str(trace),
+            "splits": trace.is_zero(),
         }
     return _document(args, body, ["i", "A_i", "case"], rows), 0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from . import weyl
 from .cyclotomic import Cyclotomic, _element, _power_table
@@ -128,8 +128,10 @@ class BimoduleParam(Record):
     order-k cyclic group, indexed 0..k-1 by the exponent of the chosen
     generator; coefficients live in Q(zeta_k).
 
-    ``chars`` holds A_0..A_{k-1} (see ``char_value``), computed once from
-    the coefficients; it takes no part in equality, hashing or repr."""
+    ``chars`` holds A_0..A_{k-1}, A_r = sum_g a_g zeta^(r g) (the trace
+    of the parameter on the weight-r isotypic line; a weight r >= k reads
+    A_(r mod k)), computed once from the coefficients; it takes no part
+    in equality, hashing or repr."""
 
     _fields = ("k", "a")
     __slots__ = (*_fields, "chars")
@@ -184,14 +186,6 @@ def _char_table(k: int, a: Sequence[Cyclotomic]) -> tuple[Cyclotomic, ...]:
     return tuple(chars)
 
 
-def char_value(p: BimoduleParam, r: int) -> Cyclotomic:
-    """A_r = sum_g a_g zeta^(r g), with the weight r read mod k: the
-    weight-r character evaluated on the parameter, i.e. the trace of the
-    parameter acting through the r-th isotypic line.  Read from the
-    parameter's table."""
-    return p.chars[r % p.k]
-
-
 # ---------------------------------------------------------------------------
 # jet action matrix, splitting criterion, Jordan oracle
 # ---------------------------------------------------------------------------
@@ -211,7 +205,7 @@ def y_matrix(n: int, p: BimoduleParam) -> Matrix:
         if i % size != size - 1:
             row[i + 1] = Cyclotomic(p.k, 1)
         if i < size:
-            row[size + i] = char_value(p, i)
+            row[size + i] = p.chars[i % p.k]
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -221,7 +215,7 @@ def jet_trace(n: int, p: BimoduleParam) -> Cyclotomic:
     block of the jet action matrix)."""
     acc = Cyclotomic(p.k, 0)
     for r in range(n + 1):
-        acc = acc + char_value(p, r)
+        acc = acc + p.chars[r % p.k]
     return acc
 
 
@@ -306,45 +300,8 @@ def nilpotent_jordan_type(mat: Matrix) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class TensorDecomposition(NamedTuple):
-    """How the i-th simple torsion sheaf tensors against the bimodule:
-    either the split pair (s_i, s_{i-1}) or the indecomposable
-    extension of s_{i-1} by s_i, decided by the exact vanishing of the
-    character value A_i."""
-
-    i: int
-    value: Cyclotomic
-    split: bool
-
-    @property
-    def tag(self) -> str:
-        return "split" if self.split else "ext"
-
-    @property
-    def summands(self) -> Optional[tuple[str, str]]:
-        if not self.split:
-            return None
-        k = self.value.k
-        return (f"s{self.i}", f"s{(self.i - 1) % k}")
-
-    @property
-    def extension(self) -> Optional[str]:
-        if self.split:
-            return None
-        k = self.value.k
-        return f"e[{self.i},{(self.i - 1) % k}]"
-
-
-def tensor_simple(i: int, p: BimoduleParam) -> TensorDecomposition:
-    r = i % p.k
-    value = char_value(p, r)
-    return TensorDecomposition(r, value, value.is_zero())
-
-
-def tensor_table(p: BimoduleParam) -> list[TensorDecomposition]:
-    return [tensor_simple(i, p) for i in range(p.k)]
-
-
-def tensor_table_rows(p: BimoduleParam) -> list[tuple[int, str, str]]:
-    """CSV-ready rows (i, A_i, split|ext)."""
-    return [(t.i, str(t.value), t.tag) for t in tensor_table(p)]
+def tensor_table_rows(p: BimoduleParam) -> list[tuple[int, Cyclotomic, str]]:
+    """Rows (i, A_i, split|ext): s_i tensored with the bimodule is the
+    split pair (s_i, s_{i-1}) when A_i vanishes, else the indecomposable
+    extension of s_{i-1} by s_i."""
+    return [(i, x, "split" if x.is_zero() else "ext") for i, x in enumerate(p.chars)]

@@ -337,6 +337,14 @@ class TestLocal:
         assert doc["jet"] == {"n": 1, "trace": "0", "splits": True}
         assert [row["case"] for row in doc["character_table"]] == ["ext", "ext"]
 
+    @pytest.mark.parametrize(
+        "a,trace,split", [("1,1", "4", False), ("0,1", "0", True)]
+    )
+    def test_jet_past_the_order_reads_characters_mod_k(self, capsys, a, trace, split):
+        # n = 3 >= k = 2: the trace is A_0 + A_1 + A_0 + A_1
+        doc = run_json(capsys, "local", "--k", "2", "--a", a, "--n", "3")
+        assert doc["jet"] == {"n": 3, "trace": trace, "splits": split}
+
     def test_zero_parameter_all_split(self, capsys):
         doc = run_json(capsys, "local", "--k", "3")
         assert all(row["case"] == "split" for row in doc["character_table"])

@@ -16,15 +16,12 @@ from ellwall.localmodel import (
     _mat_mul,
     HH0_TABLE,
     BimoduleParam,
-    char_value,
     hh0_audit,
     hh0_dim,
     jet_trace,
     matrix_rank,
     nilpotent_jordan_type,
     splits,
-    tensor_simple,
-    tensor_table,
     tensor_table_rows,
     y_matrix,
 )
@@ -106,25 +103,25 @@ class TestHH0:
 class TestCharValues:
     def test_identity_indicator(self):
         p = BimoduleParam.make(4, [1, 0, 0, 0])
-        assert all(char_value(p, r) == Cyclotomic(4, 1) for r in range(4))
+        assert p.chars == (Cyclotomic(4, 1),) * 4
 
     def test_order_two_generator(self):
         p = BimoduleParam.make(2, [0, 1])
-        assert char_value(p, 0) == Cyclotomic(2, 1)
-        assert char_value(p, 1) == Cyclotomic(2, -1)
+        assert p.chars == (Cyclotomic(2, 1), Cyclotomic(2, -1))
 
     def test_order_three_generator_against_cyclotomic_oracle(self):
         p = BimoduleParam.make(3, [0, 1, 0])
         for r in range(3):
-            assert char_value(p, r) == Cyclotomic.zeta(3, r)
+            assert p.chars[r] == Cyclotomic.zeta(3, r)
 
     def test_periodicity(self):
+        # the jet readers take A_(r mod k) for a weight r >= k
         rng = random.Random(7)
         for k in (2, 3, 4, 6):
             p = random_param(rng, k)
+            m = y_matrix(2 * k - 1, p)
             for r in range(k):
-                assert char_value(p, r) == char_value(p, r + k)
-                assert char_value(p, r) == char_value(p, r - k)
+                assert m[r][2 * k + r] == m[r + k][3 * k + r] == p.chars[r]
 
     @given(
         st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
@@ -138,8 +135,8 @@ class TestCharValues:
             k, tuple(a * Cyclotomic(k, c) + b for a, b in zip(p.a, q.a))
         )
         for r in range(k):
-            assert char_value(combined, r) == (
-                char_value(p, r) * Cyclotomic(k, c) + char_value(q, r)
+            assert combined.chars[r] == (
+                p.chars[r] * Cyclotomic(k, c) + q.chars[r]
             )
 
     def test_rejects_wrong_length(self):
@@ -153,7 +150,7 @@ class TestCharValues:
 
 def regular_rep_image(p: BimoduleParam, r: int):
     """Oracle for A_r by linear algebra over Q(zeta_k); it reads neither
-    ``char_value`` nor ``p.chars``.  The circulant C = sum_g a_g T^g
+    ``p.chars`` nor ``_char_table``.  The circulant C = sum_g a_g T^g
     acts on the regular representation (T e_h = e_(h+1), so C[h][j] is
     a_(h-j)), and v_r = sum_h zeta^(-r h) e_h spans the weight-r line:
     T v_r = zeta^r v_r, so C v_r = A_r v_r.  Returns (C v_r, v_r)."""
@@ -242,7 +239,8 @@ class TestCharTableOracle:
                 p = param_with_characters(k, chars)
                 assert p.chars == chars
                 assert table_matches_oracle(p)
-                assert [t.split for t in tensor_table(p)] == [x.is_zero() for x in chars]
+                cases = [case for _, _, case in tensor_table_rows(p)]
+                assert cases == ["split" if x.is_zero() else "ext" for x in chars]
 
     @pytest.mark.parametrize("mutation", sorted(TABLE_MUTATIONS))
     def test_oracle_catches_table_mutation(self, monkeypatch, mutation):
@@ -262,11 +260,10 @@ class TestCharTableOracle:
         monkeypatch.setattr(Cyclotomic, "zeta", staticmethod(refuse))
         monkeypatch.setattr(Cyclotomic, "__mul__", refuse)
         for p in params + [BimoduleParam.make(6, [1, 1, 0, 0, 0, 0])]:
-            for n in range(3):
+            for n in (0, 1, 2, 7):
                 y_matrix(n, p)
                 splits(n, p)
-            tensor_table(p)
-            char_value(p, 7)
+            tensor_table_rows(p)
 
 
 class TestCharTableIsInvisible:
@@ -288,43 +285,43 @@ class TestCharTableIsInvisible:
 class TestTensorSimple:
     def test_vanishing_character_splits(self):
         p = BimoduleParam.make(2, [1, 1])  # A_0 = 2, A_1 = 0
-        dec = tensor_simple(1, p)
-        assert dec.split and dec.tag == "split"
-        assert dec.summands == ("s1", "s0")
-        assert dec.extension is None
+        i, value, case = tensor_table_rows(p)[1]
+        assert i == 1 and value.is_zero() and case == "split"
 
     def test_identity_indicator_never_splits(self):
         p = BimoduleParam.make(4, [1, 0, 0, 0])
-        for i in range(4):
-            dec = tensor_simple(i, p)
-            assert not dec.split and dec.tag == "ext"
-            assert dec.extension == f"e[{i},{(i - 1) % 4}]"
-            assert dec.summands is None
+        rows = tensor_table_rows(p)
+        assert [(i, case) for i, _, case in rows] == [(i, "ext") for i in range(4)]
 
     def test_split_set_equals_character_kernel(self):
         rng = random.Random(21)
         for k in (2, 3, 4, 6):
             for _ in range(10):
                 p = random_param(rng, k)
-                split_set = {t.i for t in tensor_table(p) if t.split}
-                kernel = {r for r in range(k) if char_value(p, r).is_zero()}
+                split_set = {i for i, _, case in tensor_table_rows(p) if case == "split"}
+                kernel = {r for r in range(k) if p.chars[r].is_zero()}
                 assert split_set == kernel
 
     def test_index_reduced_mod_order(self):
+        # the coupling entry of jet row 3 is A_(3 mod 2) = A_1
         p = BimoduleParam.make(2, [1, 1])
-        assert tensor_simple(3, p).i == 1
+        assert y_matrix(3, p)[3][7] == p.chars[1] == Cyclotomic(2, 0)
 
     def test_csv_rows(self):
         p = BimoduleParam.make(2, [1, 1])
-        assert tensor_table_rows(p) == [(0, "2", "ext"), (1, "0", "split")]
+        rows = tensor_table_rows(p)
+        assert [(i, str(x), case) for i, x, case in rows] == [
+            (0, "2", "ext"),
+            (1, "0", "split"),
+        ]
 
     def test_json_dict(self):
+        # the rows keep A_i exact; the document prints it through str
         p = BimoduleParam.make(2, [1, 1])
-        ext, split = tensor_simple(0, p), tensor_simple(1, p)
-        assert (ext.i, str(ext.value), ext.tag) == (0, "2", "ext")
-        assert ext.extension == "e[0,1]" and ext.summands is None
-        assert (split.i, str(split.value), split.tag) == (1, "0", "split")
-        assert split.summands == ("s1", "s0") and split.extension is None
+        assert tensor_table_rows(p) == [
+            (0, Cyclotomic(2, 2), "ext"),
+            (1, Cyclotomic(2, 0), "split"),
+        ]
 
 
 def int_matrix(mat):
@@ -361,7 +358,7 @@ class TestJetMatrix:
                 elif j == i + 1 and (i % size) != size - 1:
                     assert entry == Cyclotomic(3, 1)
                 elif i < size and j == size + i:
-                    assert entry == char_value(p, i)
+                    assert entry == p.chars[i]
                 else:
                     assert entry.is_zero()
 
@@ -651,7 +648,7 @@ class TestSplitting:
             for n in range(5):
                 acc = Cyclotomic(k, 0)
                 for r in range(n + 1):
-                    acc = acc + char_value(p, r)
+                    acc = acc + p.chars[r % k]
                 assert jet_trace(n, p) == acc
 
     def test_jordan_cross_check(self):
@@ -676,7 +673,7 @@ class TestRootHyperplane:
         k = 4
         mat = tuple(
             tuple(
-                char_value(BimoduleParam.make(k, [int(j == g) for j in range(k)]), i)
+                BimoduleParam.make(k, [int(j == g) for j in range(k)]).chars[i]
                 for g in range(k)
             )
             for i in range(k)

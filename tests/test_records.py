@@ -1,4 +1,4 @@
-"""The nine value records keep their contract as plain classes: equality
+"""The eight value records keep their contract as plain classes: equality
 and hash over the same fields, immutability, the repr text and the
 validation of their constructors."""
 
@@ -8,7 +8,7 @@ import pytest
 
 from ellwall.cyclotomic import Cyclotomic
 from ellwall.lattices import BilinearLattice, MukaiVector, surface_lattice
-from ellwall.localmodel import BimoduleParam, TensorDecomposition
+from ellwall.localmodel import BimoduleParam
 from ellwall.roots import EllipticRoot
 from ellwall.walls import ChamberDecomposition, TriPoly, WallSpec
 from ellwall.weyl import ExtendedElement, WeylElement
@@ -37,10 +37,6 @@ RECORDS = {
     "BimoduleParam": (
         lambda: BimoduleParam.make(3, [1, 0, 2]),
         lambda: BimoduleParam.make(3, [1, 0, 1]),
-    ),
-    "TensorDecomposition": (
-        lambda: TensorDecomposition(1, Cyclotomic(3, 0), True),
-        lambda: TensorDecomposition(1, Cyclotomic(3, 0), False),
     ),
     "WallSpec": (lambda: _wall(1), lambda: _wall(2)),
     "ChamberDecomposition": (
