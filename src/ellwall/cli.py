@@ -113,7 +113,7 @@ def _state_from_modes(modes: Sequence[tuple[int, int]], charge: int) -> FockStat
     for k, li in reversed(modes):
         hit = creation_chain(mono, ((k, li),))
         if hit is None:
-            return FockState.zero(charge)
+            return FockState(charge)
         s, mono = hit
         sign *= s
     return FockState.from_monomial(mono, coeff=sign, charge=charge)

@@ -7,8 +7,8 @@ representation, so equality and hashing are tuple compares.  Phi_k is
 monic with integer coefficients and divides x^k - 1, so each order keeps
 one integer table of x^j mod Phi_k for j < k, built on first use; powers
 of zeta are rows of it and products are reduced through it.  Values
-combine (+, -, *) only with values of the same order, divide only by a
-nonzero rational, and compare equal to a rational; a rational enters as
+combine (+, -, *) and compare equal only with values of the same order,
+and divide only by a nonzero rational; a rational enters as
 ``Cyclotomic(k, r)``, and coefficients are ints or Fractions, never floats.
 """
 
@@ -119,9 +119,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Cyclotomic") -> None:
@@ -185,12 +182,6 @@ class Cyclotomic:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Cyclotomic):
             return self.k == other.k and self.den == other.den and self.nums == other.nums
-        if isinstance(other, (int, Fraction)):
-            return (
-                self.den == other.denominator
-                and self.nums[0] == other.numerator
-                and self.is_rational()
-            )
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -35,7 +35,7 @@ def monodromy_f(state: FockState) -> FockState:
             raise ValueError("mixed-weight input: apply weight-by-weight")
         terms[mono] = -coeff if (energy + len(mono)) & 1 else coeff
     if weight is None:
-        return state.copy()
+        return FockState(state.charge)
     image = FockState(-weight - state.charge)
     image.terms = terms
     return image

@@ -62,10 +62,6 @@ class FockState:
                     self.terms[mono] = coeff
 
     @staticmethod
-    def zero(charge: int = 0) -> "FockState":
-        return FockState(charge)
-
-    @staticmethod
     def from_monomial(
         mono: Monomial, coeff: Scalar = 1, charge: int = 0
     ) -> "FockState":
@@ -73,9 +69,6 @@ class FockState:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def copy(self) -> "FockState":
-        return FockState(self.charge, dict(self.terms))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockState):

@@ -244,7 +244,7 @@ class _BracketEngine:
 
     def _target(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
-    ) -> Optional[tuple[Fraction, RowTable]]:
+    ) -> Optional[tuple[int, RowTable]]:
         """(scale, rows) of the relation's generator term
         scale * w^{a+c,b+d}_{g*h} for [A, B}, or None when it has none: a
         central pair, a zero coefficient or a vanishing star product."""
@@ -255,7 +255,7 @@ class _BracketEngine:
         if coef == 0 or product is None:
             return None
         lbl, sign = product
-        return Fraction(coef * sign), self.rows(a + c, b + d, lbl)
+        return coef * sign, self.rows(a + c, b + d, lbl)
 
     def _report(
         self, x: tuple, y: tuple, target: Optional[tuple], scan: tuple, denom: int

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .roots import EllipticRoot, Record, UnsupportedTypeError, build_elliptic, finite_gram
+from .roots import EllipticRoot, Record, build_elliptic, finite_gram
 from .serialize import WALL_TYPES
 
 Scalar = Union[int, Fraction]
@@ -126,7 +126,7 @@ def surface_lattice(type_name: str) -> BilinearLattice:
     """The lattice of a type with a surface model: the one place that
     refuses any other type."""
     if type_name not in WALL_TYPES:
-        raise UnsupportedTypeError(
+        raise ValueError(
             f"type {type_name} has no equivariant surface model; choose one of "
             f"{WALL_TYPES}"
         )

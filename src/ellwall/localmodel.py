@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 from . import weyl
 from .cyclotomic import Cyclotomic, _element, _power_table
-from .roots import Record, UnsupportedTypeError
+from .roots import Record
 
 Scalar = Union[int, Fraction, Cyclotomic]
 Matrix = tuple[tuple[Cyclotomic, ...], ...]
@@ -47,7 +47,7 @@ _PLANE_ROTATION = {
 
 def _check_order(order: int) -> None:
     if order not in HH0_TABLE:
-        raise UnsupportedTypeError(
+        raise ValueError(
             f"no elliptic symmetry of order {order}; supported: "
             f"{', '.join(map(str, HH0_TABLE))}"
         )

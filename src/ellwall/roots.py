@@ -58,10 +58,6 @@ def cartan_matrix(type_name: str) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class UnsupportedTypeError(ValueError):
-    """Raised for surface types and symmetry orders that are not modeled."""
-
-
 class Record:
     """An immutable value over ``__slots__``, for the records that derive
     or validate a field; the others are ``NamedTuple``s.  ``__init__``
@@ -100,9 +96,6 @@ class EllipticRoot(NamedTuple):
 
     def is_delta_only(self) -> bool:
         return all(c == 0 for c in self.finite)
-
-    def __neg__(self) -> "EllipticRoot":
-        return EllipticRoot(tuple(-c for c in self.finite), -self.m, -self.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,9 +191,6 @@ class EllipticRootSystem:
                     out.append(EllipticRoot(f, m, n))
         out.sort(key=lambda b: (b.m, b.n, b.finite))
         return out
-
-    def __repr__(self) -> str:
-        return f"EllipticRootSystem({self.type_name!r})"
 
 
 # Keyed by the surface type: one of the ten DELIGNE_TYPES, since the

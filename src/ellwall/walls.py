@@ -30,7 +30,7 @@ from .lattices import (
     root_to_kclass,
     surface_lattice,
 )
-from .roots import EllipticRoot, UnsupportedTypeError, build_elliptic
+from .roots import EllipticRoot, build_elliptic
 from .serialize import WALL_TYPES
 
 Scalar = Union[int, Fraction]
@@ -117,8 +117,6 @@ class TriPoly:
         return TriPoly(self.nums, self.den * k)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = TriPoly.const(other)
         if not isinstance(other, TriPoly):
             return NotImplemented
         return self.den == other.den and self.nums == other.nums
@@ -282,7 +280,7 @@ class WallChart:
     def __init__(self, type_name: str):
         # reject the wild types explicitly; surface_lattice refuses the rest
         if type_name in WILD_TYPES:
-            raise UnsupportedTypeError(
+            raise ValueError(
                 f"type {type_name} is wild: its point-counting moduli do not admit "
                 "the wall description; choose one of "
                 f"{WALL_TYPES}"
@@ -323,7 +321,7 @@ class WallChart:
 
     def decomposition(self, n: int) -> ChamberDecomposition:
         if self.type_name != "A-1":
-            raise UnsupportedTypeError(
+            raise ValueError(
                 "chamber positions on the level-1 line are modeled for type A-1 "
                 "only; other types expose wall lists via WallChart.walls"
             )

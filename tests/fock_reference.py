@@ -160,9 +160,9 @@ def star_product(u: CohClass, v: CohClass) -> CohClass:
 
 def add(a: FockState, b: FockState) -> FockState:
     if b.is_zero():
-        return a.copy()
+        return FockState(a.charge, a.terms)
     if a.is_zero():
-        return b.copy()
+        return FockState(b.charge, b.terms)
     if a.charge != b.charge:
         raise ValueError(f"cannot add states of charges {a.charge} and {b.charge}")
     out = dict(a.terms)
@@ -178,7 +178,7 @@ def sub(a: FockState, b: FockState) -> FockState:
 def scale(state: FockState, x: Scalar) -> FockState:
     x = _as_fraction(x)
     if not x:
-        return FockState.zero(state.charge)
+        return FockState(state.charge)
     return FockState(state.charge, {m: c * x for m, c in state.terms.items()})
 
 
@@ -288,7 +288,7 @@ def apply(op: OperatorExpr, state: FockState) -> FockState:
             f"state energy {max_energy(state)} exceeds operator window "
             f"{op.truncation}"
         )
-    out = FockState.zero(state.charge + op.charge_shift)
+    out = FockState(state.charge + op.charge_shift)
     for coeff, creations, annihilations in op.terms:
         cur = state
         for k, label in reversed(annihilations):

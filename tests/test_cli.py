@@ -249,12 +249,14 @@ class TestMonodromy:
         assert "unrecognized arguments" in err and "Traceback" not in err
 
     def test_odd_mode_square_collapses_to_zero(self, capsys):
-        doc = run_json(
-            capsys, "monodromy", "--generator", "f",
-            "--modes", "1:sigma+,1:sigma+",
-        )
-        assert doc["input"]["terms"] == []
-        assert doc["output"]["terms"] == []
+        # the zero state keeps its charge under f and ff; s is defined at charge 0
+        for generator, charge in (("f", 0), ("f", 2), ("ff", 2), ("s", 0)):
+            doc = run_json(
+                capsys, "monodromy", "--generator", generator,
+                "--modes", "1:sigma+,1:sigma+", "--charge", str(charge),
+            )
+            assert doc["input"] == {"charge": charge, "terms": []}, generator
+            assert doc["output"] == {"charge": charge, "terms": []}, generator
 
     @pytest.mark.parametrize(
         "modes,canonical,sign",

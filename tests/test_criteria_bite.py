@@ -5,6 +5,8 @@ and checks that the criterion's runner returns ``pass: False`` with a
 report that still serializes.
 """
 
+import pytest
+
 from ellwall import lattices, localmodel, verify, walls
 from ellwall.fock import labels as fock_labels
 from ellwall.fock import operators
@@ -249,6 +251,47 @@ def test_c07_fails_when_polynomial_products_drop_bc_terms(monkeypatch):
     assert result["pass"] is False
     assert (result["checked"], result["failures"]) == (130, 128)
     to_json(result)
+
+
+def _sign_flipped_rank(mat):
+    """``localmodel.matrix_rank`` with the update r <- p r + c prow."""
+    rows = [list(r) for r in mat]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next(
+            (i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for row in rows[rank + 1 :]:
+            c = row[col]
+            for j in range(col + 1, len(row)):
+                row[j] = p * row[j] + c * prow[j]
+        rank += 1
+    return rank
+
+
+def test_c08_fails_when_the_rank_update_is_sign_flipped(monkeypatch):
+    # c08 conjugates each jet matrix by I + e_{1,0}, so its eliminations
+    # meet entries right of their pivots: 440 of the 500 samples of seed 7
+    # get a wrong rank sequence, and the first one already has no Jordan type
+    monkeypatch.setattr(localmodel, "matrix_rank", _sign_flipped_rank)
+    with pytest.raises(ArithmeticError, match="has no Jordan type"):
+        verify.check_jet_splitting(24, seed=7)
+    # verify_all reports the raise as c08's failure; the other checks pass
+    for name in ("check_hh0_table", "check_small_modes", "check_vertex_commutator",
+                 "check_bracket_table", "check_monodromy", "check_wall_sets",
+                 "check_wall_sign_flip", "check_tensor_table", "check_weyl_relations"):
+        monkeypatch.setattr(verify, name, lambda **kw: {"pass": True})
+    report, _ = verify.verify_all(42)
+    assert report["all_pass"] is False
+    (c08,) = [c for c in report["criteria"] if not c["pass"]]
+    assert c08["criterion"] == "jet-splitting"
+    assert c08["error"].startswith("ArithmeticError: rank sequence")
+    to_json(report)
 
 
 def test_c10_fails_when_a_gram_entry_is_changed(monkeypatch):

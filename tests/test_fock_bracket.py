@@ -93,7 +93,7 @@ class TestAgainstDirectApplication:
             if (a + c, b + d) == (0, 0):
                 rhs = scale(s, rep.central_value)
             else:
-                rhs = FockState.zero(a + c)
+                rhs = FockState(a + c)
                 for lbl, comp in product.support():
                     img = apply(w_general(a + c, b + d, lbl, N), s)
                     scl = coef * comp

@@ -48,7 +48,7 @@ class TestFiberAction:
             monodromy_f(mixed)
 
     def test_zero_state_passes_through(self):
-        z = FockState.zero(5)
+        z = FockState(5)
         assert monodromy_f(z).is_zero()
 
 

@@ -54,7 +54,7 @@ class TestHeisenbergModes:
         if m + k == 0:
             expected = scale(s, m * pairing_scalar(g, h))
         else:
-            expected = FockState.zero(0)
+            expected = FockState(0)
         assert got == expected
 
     def test_gradings(self):

@@ -152,8 +152,8 @@ class TestFockState:
             add(FockState(0, {(): 1}), FockState(1, {(): 1}))
 
     def test_zero_states_equal_across_charges(self):
-        assert FockState.zero(0) == FockState.zero(7)
-        assert add(FockState.zero(0), FockState(4, {(): 1})) == FockState(4, {(): 1})
+        assert FockState(0) == FockState(7)
+        assert add(FockState(0), FockState(4, {(): 1})) == FockState(4, {(): 1})
 
     def test_states_are_unhashable(self):
         # equal zero states of two charges could not hash alike, and a

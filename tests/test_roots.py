@@ -117,7 +117,7 @@ def test_negation_symmetry(tname):
     sys_t = build_elliptic(tname)
     box = sys_t.roots_in_box(1, 1, finite_height_max=3)
     as_set = set(box)
-    assert {(-b) for b in as_set} == as_set
+    assert {EllipticRoot(tuple(-c for c in b.finite), -b.m, -b.n) for b in as_set} == as_set
 
 
 def test_affine_projection_layer_counts():

@@ -1,11 +1,12 @@
-"""Every definition in ``src/ellwall`` is reached, and every import is read.
+"""Every module-level definition in ``src/ellwall`` is reached, and every
+import is read.
 
-A definition is a module-level function, class or assigned name, or a
-method of a module-level class; dunder names are left out, since Python
-calls them itself.  A definition is reached when its name is read (an
-``ast.Name`` or ``ast.Attribute`` load, so not a string or an import
-alias) in ``scripts/``, or in ``src/`` outside the
-definition itself and outside every unreached definition.  The unreached
+A definition is a module-level function, class or assigned name; dunder
+names are left out, since Python reads them itself.  A definition is
+reached when its name is read (an ``ast.Name`` or ``ast.Attribute``
+load, so not a string or an import alias) in ``scripts/``, or in
+``src/`` outside the definition itself and outside every unreached
+definition.  The unreached
 set grows to a fixed point, so code that only unreached code reads is
 unreached too.  A plain name resolves through its module's definitions
 and ``from`` imports; an attribute matches every definition of that name.
@@ -14,10 +15,12 @@ The criteria and the CLI commands are reached from ``cli.main``, which
 ``__main__`` reads at module level; so a definition that no criterion,
 command or script reaches fails the test.
 
-Blind spot: since an attribute read matches every definition of that
-name, a method that shares its name with a reached one (``to_json_dict``,
-``is_zero``) passes even when nothing calls it on its own class.  Only a
-line trace of the criteria, the commands and the scripts finds those.
+Methods are left to ``test_call_profile``, which runs the README's
+commands and the scripts under ``sys.setprofile`` and fails on any
+function or method that nothing enters: a name read cannot tell a method
+from another of the same name (``to_json_dict``, ``is_zero``) on a class
+nothing calls it on.  This test keeps what that one cannot see: a class,
+constant or other assigned name that nothing reads, and an unread import.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class Source:
         for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 self.defs[node.name] = node
-                if isinstance(node, ast.ClassDef):
-                    for sub in node.body:
-                        if isinstance(sub, ast.FunctionDef) and not _is_dunder(sub.name):
-                            self.defs[f"{node.name}.{sub.name}"] = sub
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for t in targets:
@@ -120,7 +119,7 @@ def unreached_definitions() -> set[str]:
     every = {f"{m}:{key}" for m, src in package.items() for key in src.defs}
     by_short: dict[str, set[str]] = {}
     for key in every:
-        by_short.setdefault(key.rpartition(":")[2].rpartition(".")[2], set()).add(key)
+        by_short.setdefault(key.rpartition(":")[2], set()).add(key)
     events: list[tuple[frozenset[str], frozenset[str]]] = []
     for src in [*package.values(), *scripts]:
         for name, is_attr, owners in src.reads:
@@ -141,12 +140,7 @@ def unreached_definitions() -> set[str]:
         if not grown:
             break
         unreached |= grown
-    # a method of an unreached class is reported with its class
-    return {
-        key for key in unreached
-        if "." not in key.partition(":")[2]
-        or key.rpartition(".")[0] not in unreached
-    }
+    return unreached
 
 
 def unread_imports() -> list[str]:
