@@ -8,35 +8,23 @@ Bracket verification: the target relation is
 with the star product (unit pt) on labels.  Each instance is checked on
 every monomial of the evaluation window (truncation minus the worst
 intermediate energy raise), through the monomials whose modes the
-operands or the target contract (see _BracketEngine); a pair whose
-terms super-commute, term by term, skips the commutator pass.  Per the
-comparison policy: exact match, match up to one recorded nonzero
-rational rescale per root space ((a+c, b+d), target label), or mismatch
-with a witness state.  Central scalars are solved per ordered label
-pair from the sweep's central instances and reported with their label
-dependence; they are never asserted to be label-independent.
+operands or the target contract; a pair whose terms super-commute,
+term by term, skips the commutator pass, and its two orders read one
+scan of its rows (see _BracketEngine).  Per the comparison policy,
+decided in integers (``_verdict``): exact match, match up to one
+recorded nonzero rational rescale per root space ((a+c, b+d), target
+label), or mismatch with a witness state.  Central scalars are solved
+per ordered label pair from the sweep's central instances and reported
+with their label dependence; they are never asserted to be
+label-independent.
 
 Vertex-commutator verification: the Heisenberg mode alpha_k(g) commutes
 past the slope-m charged exponential field up to the pairing factor
 <g, mE> and a mode shift by k; it holds on every basis monomial of the
-valid window.  A (k, g) is skipped whole when the mode contracts no
-mode the field's terms create, the field contracts no mode the mode
-creates (read off the built terms, never off the labels) and the
-pairing factor is 0: the two then super-commute, and the identity holds.
-A monomial's modes other than pt commute with the field (it is even,
-contracts pt alone and creates only E modes), so the identity on a
-monomial follows from the identity on its pt part whenever the sign of
-passing the Heisenberg mode over those modes is 1 or the pairing factor
-is 0: the sweep checks state-by-state every pt-only monomial, and any
-other one only where its pt part failed or that guard does not hold
-(see vertex_commutator_sweep).  It numbers the window
-(fastapply.BasisIndex) and every image on first sight, and works on
-index rows: each Heisenberg mode fills its (target, factor) entry per
-monomial on first read (fastapply.ModeTable), each field builds a
-monomial's slices the first time a check reads them, the sweep and the
-fields read one pt-part split per monomial (BasisIndex.split), and a
-check compares the mode's image of a slice against the expected row by
-dict equality, building the difference only for a failure witness.
+valid window.  The sweep skips a (k, g) whose mode super-commutes with
+the field, checks a monomial through its pt part where that decides
+it, builds each index row on first read, and builds a difference only
+for a failure witness (see vertex_commutator_sweep).
 
 The expected pairings, n <g, h> of the slope-zero central values and
 <g, mE> here, are the integral of the cup product (``cup_pairing``),
@@ -147,11 +135,10 @@ class _BracketEngine:
     Each table is the operator's RowTable on the engine's one
     BasisIndex, over the operator's denom, so a row is built only when a
     composition or the target comparison reads it, and the tables share
-    the basis's cached contractions and merges.  A pair's commutator
-    rows come from one fastapply.commutator_rows pass over the window
-    and are over the product of the two denominators;
-    exact rationals are built only for the reported rescale and central
-    scalar and for witnesses.
+    the basis's cached contractions and merges.  A pair's step
+    (``scan_pair``) runs one fastapply.commutator_rows pass over the
+    window, over the product of the two denominators, and one ``_scan``
+    that both orders' verdicts read (``_verdict``).
 
     Spectator reduction: let U be the modes that A, B or the target of
     either order contracts (``RowTable.contracted``).  A window monomial
@@ -175,8 +162,9 @@ class _BracketEngine:
     super-commutes with each term of B, and [A, B} is zero on every
     state (rows are keyed by monomials, so the charge shift adds no
     sign).  Such a pair skips the commutator pass; its empty rows meet
-    the target as any others, and with no generator term it reads no
-    row: [A, B} = 0 is then its relation (central scalar 0 at (0, 0)).
+    the target as any others, and with no generator term it builds no
+    mode set, window or scan and reads no row: [A, B} = 0 is then its
+    relation (central scalar 0 at (0, 0)).
 
     The generator w^{a,b} is built at the window N - max(0, -b): it
     raises the energy by -b, and every row read from it (an operand or
@@ -202,45 +190,39 @@ class _BracketEngine:
             cached = self._rows[key] = RowTable(op, self.basis)
         return cached
 
-    def pair_reports(
+    def scan_pair(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
-    ) -> tuple[BracketReport, BracketReport]:
-        """Reports for [A, B} and [B, A} from one commutator pass and one
-        ``_scan``: the rows of [A, B} over the denominator D serve
-        [B, A} = eps [A, B} over eps * D.  Both run on the window
-        monomials whose modes A, B or a target contracts; see the class
-        docstring."""
+    ) -> tuple[tuple, tuple, tuple]:
+        """``(scan, fwd, rev)``: the ``_scan`` of the rows of [A, B} over
+        the denominator D, from one commutator pass, and each order's
+        (target, denom), as those rows serve [B, A} = eps [A, B} over
+        eps * D.  See the class docstring for the monomials it reads."""
         w = _eval_window(self.N, b, d)
         if w < 0:
-            raise ValueError(
-                f"truncation {self.N} too small for modes {b}, {d}"
-            )
+            raise ValueError(f"truncation {self.N} too small for modes {b}, {d}")
         rows_a = self.rows(a, b, gi)
         rows_b = self.rows(c, d, hi)
         denom = rows_a.op.denom * rows_b.op.denom
         eps = 1 if (LABEL_PARITY[gi] and LABEL_PARITY[hi]) else -1
-        target_fwd = self._target(a, b, gi, c, d, hi)
-        target_rev = self._target(c, d, hi, a, b, gi)
-        modes = rows_a.contracted | rows_b.contracted
-        if target_fwd is not None:  # both orders' targets are one RowTable
-            modes = modes | target_fwd[1].contracted
+        target = self._target(a, b, gi, c, d, hi)
+        # both orders' targets are one RowTable, or neither order has one
+        reverse = None if target is None else self._target(c, d, hi, a, b, gi)
+        fwd, rev = (target, denom), (reverse, eps * denom)
+        central = (a + c, b + d) == (0, 0)
         # the terms super-commute; see the class docstring
-        commute = not (
-            rows_a.contracted & rows_b.created or rows_b.contracted & rows_a.created
-        )
-        skip = commute and target_fwd is None  # [A, B} = 0 is the relation
-        indices = () if skip else self.basis.within(w, modes)
+        commute = rows_a.contracted.isdisjoint(rows_b.created)
+        commute = commute and rows_b.contracted.isdisjoint(rows_a.created)
+        if commute and target is None:  # [A, B} = 0 is the relation
+            return (None, None, None if central else (0, 0)), fwd, rev
+        modes = rows_a.contracted | rows_b.contracted
+        if target is not None:
+            modes |= target[1].contracted
+        indices = self.basis.within(w, modes)
         if commute:
             lhs = [{}] * len(indices)
         else:
             lhs = commutator_rows(rows_a, rows_b, indices, eps)
-        scan = _scan((a + c, b + d) == (0, 0), target_fwd, indices, lhs)
-        x, y = (a, b, gi), (c, d, hi)
-        # exact: _report divides by the denominator only through Fraction
-        return (
-            self._report(x, y, target_fwd, scan, denom),
-            self._report(y, x, target_rev, scan, eps * denom),
-        )
+        return _scan(central, target, indices, lhs), fwd, rev
 
     def _target(
         self, a: int, b: int, gi: int, c: int, d: int, hi: int
@@ -257,28 +239,21 @@ class _BracketEngine:
         lbl, sign = product
         return coef * sign, self.rows(a + c, b + d, lbl)
 
-    def _report(
-        self, x: tuple, y: tuple, target: Optional[tuple], scan: tuple, denom: int
-    ) -> BracketReport:
-        """The report of [x, y}, with generator term ``target``, from the
-        ``_scan`` of its rows over ``denom``."""
+    def _report(self, x: tuple, y: tuple, order: tuple, scan: tuple) -> BracketReport:
+        """The report of [x, y}, with (target, denom) ``order``, from the
+        ``_scan`` of its rows; see ``_verdict``."""
         (a, b, gi), (c, d, hi) = x, y
         lp, rp = (a, b, LABEL_NAMES[gi]), (c, d, LABEL_NAMES[hi])
+        central = (a + c, b + d) == (0, 0)
+        kind, value = _verdict(central, order, scan)
+        if kind == "central":
+            return BracketReport(lp, rp, self.N, True, kind, central_value=value)
+        if kind != "mismatch":  # "exact" has factor 1; a rescale is never 0
+            factor = value or Fraction(1)
+            return BracketReport(lp, rp, self.N, True, kind, rescale=factor)
         basis = self.basis
         i, row, detail = scan
-        central = (a + c, b + d) == (0, 0)
-        if i is None and central:
-            return BracketReport(
-                lp, rp, self.N, True, "central",
-                central_value=Fraction(detail or 0, denom),
-            )
-        if i is None:
-            factor = Fraction(1)
-            if detail[1]:  # got = factor * scale * want
-                (g0, w0), (scale, target_rows) = detail, target
-                factor = Fraction(g0 * target_rows.op.denom, w0 * denom) / scale
-            kind = "exact" if factor == 1 else "rescaled"
-            return BracketReport(lp, rp, self.N, True, kind, rescale=factor)
+        target, denom = order
         if central:
             expected = "scalar multiple of the state" if detail is None else (
                 f"uniform scalar {Fraction(detail, denom)}"
@@ -301,6 +276,27 @@ class _BracketEngine:
         )
 
 
+def _verdict(central: bool, order: tuple, scan: tuple) -> tuple:
+    """(kind, value) of one order of a pair, from its (target, denom) and
+    the pair's ``_scan``: ("exact", None), ("rescaled", factor),
+    ("central", scalar) or ("mismatch", None).  "exact" is decided in
+    integers, got = scale * want; a Fraction is built only for a factor
+    other than 1 or a central scalar."""
+    i, _, detail = scan
+    if i is not None:
+        return "mismatch", None
+    target, denom = order
+    if central:
+        return "central", Fraction(detail or 0, denom)
+    g0, w0 = detail
+    if w0:  # g0 / denom = factor * scale * w0 / target denom
+        scale, target_rows = target
+        got, want = g0 * target_rows.op.denom, w0 * denom * scale
+        if got != want:
+            return "rescaled", Fraction(got, want)
+    return "exact", None
+
+
 def _scan(
     central: bool, target: Optional[tuple], indices: Sequence[int], lhs: list[IndexRow]
 ) -> tuple:
@@ -311,7 +307,8 @@ def _scan(
     the target's, and (i, row, detail) at the first failing monomial i,
     detail the central scalar its row broke or the target's row.  No
     rescale moves the failing monomial, the key sets or the ratio test,
-    so one scan serves both orders."""
+    and both orders' targets are one table, so one scan serves both
+    orders; ``_verdict`` reads each one's result from it."""
     if central:
         scalar: Optional[int] = None
         for i, row in zip(indices, lhs):
@@ -346,19 +343,14 @@ _engine = lru_cache(maxsize=1)(_BracketEngine)
 
 
 def bracket_verify(
-    a: int,
-    b: int,
-    gamma: Union[int, str],
-    c: int,
-    d: int,
-    eta: Union[int, str],
-    N: int,
+    a: int, b: int, gamma: Union[int, str], c: int, d: int, eta: Union[int, str], N: int
 ) -> BracketReport:
     """Verify one bracket instance on the evaluation window; see the
     module docstring for the comparison policy."""
     gi, hi = label_index(gamma), label_index(eta)
-    report, _ = _engine(N).pair_reports(a, b, gi, c, d, hi)
-    return report
+    engine = _engine(N)
+    scan, fwd, _ = engine.scan_pair(a, b, gi, c, d, hi)
+    return engine._report((a, b, gi), (c, d, hi), fwd, scan)
 
 
 class SweepSummary:
@@ -408,10 +400,12 @@ def _solve_central(instances: list[tuple[int, int, Fraction]]) -> dict:
 def bracket_sweep(N: int, a_range: int = 1, b_range: int = 2) -> SweepSummary:
     """Verify every ordered bracket instance with |a|,|c| <= a_range,
     |b|,|d| <= b_range, (a,b) != (0,0) != (c,d), over the labels E, sigma+
-    and sigma-.  The two orders of each unordered pair share their
-    compositions.  Rescale factors are recorded per root space and
-    checked for consistency; central scalars are solved per ordered label
-    pair.  The sweep's engine is its own and is dropped when it returns."""
+    and sigma-.  The two orders of each unordered pair share one
+    ``scan_pair`` step; each order's ``_verdict`` is tallied in the order
+    of product(operands, repeat=2), and a report is built only for a
+    mismatch.  Rescale factors are recorded per root space and checked
+    for consistency; central scalars are solved per ordered label pair.
+    The sweep's engine is its own and is dropped when it returns."""
     engine = _BracketEngine(N)
     operands = [
         (a, b, g)
@@ -420,38 +414,42 @@ def bracket_sweep(N: int, a_range: int = 1, b_range: int = 2) -> SweepSummary:
         if (a, b) != (0, 0)
         for g in (COH_E, COH_SP, COH_SM)
     ]
-    by_job: dict[tuple[tuple, tuple], BracketReport] = {}
+    n = len(operands)
+    # [operands[i], operands[j]} at i * n + j -> its verdict unless exact
+    found: dict[int, tuple[str, object]] = {}
     for i, x in enumerate(operands):
-        for y in operands[i:]:
-            by_job[(x, y)], by_job[(y, x)] = engine.pair_reports(*x, *y)
+        for j in range(i, n):
+            y = operands[j]
+            scan, fwd, rev = engine.scan_pair(*x, *y)
+            central = (x[0] + y[0], x[1] + y[1]) == (0, 0)
+            orders = ((i * n + j, x, y, fwd), (j * n + i, y, x, rev))
+            # a diagonal pair is one instance, read in the reverse order
+            for k, p, q, order in orders[1:] if i == j else orders:
+                kind, value = _verdict(central, order, scan)
+                if kind == "mismatch":  # the one verdict that keeps a report
+                    value = engine._report(p, q, order, scan)
+                if kind != "exact":
+                    found[k] = kind, value
 
     summary = SweepSummary(truncation=N)
+    summary.instances = n * n
     central_instances: dict[tuple[str, str], list[tuple[int, int, Fraction]]] = {}
-    for x, y in product(operands, repeat=2):
-        report = by_job[(x, y)]
-        (a, b, gi), (c, d, hi) = x, y
-        summary.instances += 1
-        if not report.match:
-            summary.mismatches.append(report)
-            continue
-        summary.matches += 1
-        if report.kind == "central":
+    for k in sorted(found):  # the order of product(operands, repeat=2)
+        kind, value = found[k]
+        (a, b, gi), (c, d, hi) = operands[k // n], operands[k % n]
+        if kind == "mismatch":
+            summary.mismatches.append(value)
+        elif kind == "central":
             key = (LABEL_NAMES[gi], LABEL_NAMES[hi])
-            central_instances.setdefault(key, []).append(
-                (a, b, report.central_value)
-            )
-        elif report.rescale is not None and report.rescale != 1:
-            star = star_label(gi, hi)
-            target_label = LABEL_NAMES[star[0]] if star else "0"
-            key = (a + c, b + d, target_label)
-            prev = summary.rescales.get(key)
-            if prev is None:
-                summary.rescales[key] = report.rescale
-            elif prev != report.rescale:
+            central_instances.setdefault(key, []).append((a, b, value))
+        else:  # a rescale has a generator term, so a star product
+            key = (a + c, b + d, LABEL_NAMES[star_label(gi, hi)[0]])
+            prev = summary.rescales.setdefault(key, value)
+            if prev != value:
                 summary.rescale_conflicts.append(
-                    f"root space ({key[0]},{key[1]});{key[2]}: "
-                    f"{prev} vs {report.rescale}"
+                    f"root space ({key[0]},{key[1]});{key[2]}: {prev} vs {value}"
                 )
+    summary.matches = summary.instances - len(summary.mismatches)
     for key, inst in central_instances.items():
         summary.central[key] = _solve_central(inst)
     return summary
@@ -665,12 +663,14 @@ def small_mode_sweep(N: int = 8, n_max: int = 6) -> dict:
             continue
         for gi, hi in pairs:
             expected = Fraction(n * cup_pairing(gi, hi))
-            report, _ = engine.pair_reports(0, n, gi, 0, -n, hi)
-            if report.kind == "central" and report.central_value == expected:
+            x, y = (0, n, gi), (0, -n, hi)
+            scan, fwd, _ = engine.scan_pair(*x, *y)
+            _, value = _verdict(True, fwd, scan)  # None on a mismatch
+            if value == expected:
                 continue
-            witness = report.witness or {
+            witness = engine._report(x, y, fwd, scan).witness if value is None else {
                 "state": FockState.from_monomial(()).to_json_dict(),
-                "got": FockState.from_monomial((), report.central_value).to_json_dict(),
+                "got": FockState.from_monomial((), value).to_json_dict(),
                 "expected": str(expected),
             }
             failures.append(

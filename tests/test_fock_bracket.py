@@ -18,6 +18,7 @@ from ellwall.fock.verify import (
 )
 
 from fock_reference import CohClass, add, apply, commutator_apply, scale, star_product
+from test_fock_spectators import pair_reports
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -315,8 +316,8 @@ class TestMismatchWitness:
         monkeypatch.setattr(verify, "star_label", lambda i, j: (COH_E, 1))
         N = 3
         a, b, g, c, d, h = 1, -1, "sigma+", 0, -1, "pt"
-        engine = verify._BracketEngine(N)
-        fwd, rev = engine.pair_reports(a, b, label_index(g), c, d, label_index(h))
+        x, y = (a, b, label_index(g)), (c, d, label_index(h))
+        fwd, rev = pair_reports(verify._BracketEngine(N), x, y)
         assert not fwd.match and not rev.match and rev.kind == "mismatch"
         assert rev.lhs_params == (c, d, h) and rev.rhs_params == (a, b, g)
         (term,) = rev.witness["state"]["terms"]
@@ -438,7 +439,7 @@ def test_super_commuting_pairs_without_a_generator_term_read_no_row():
         for y in operands[i:]:
             pairs += 1
             before = (len(windows), sum(map(len, engine._rows.values())))
-            fwd, rev = engine.pair_reports(*x, *y)
+            fwd, rev = pair_reports(engine, x, y)
             if len(windows) > before[0]:
                 continue
             assert sum(map(len, engine._rows.values())) == before[1]

@@ -4,15 +4,16 @@ A mode that no annihilation group of an operator contracts is a
 spectator: it super-commutes with the operator, so the operator's row on
 a monomial is its row on the monomial's contracted modes (the active
 part), spread with the spectators and a sign.  ``RowTable`` builds only
-active-part rows from the terms, and ``_BracketEngine.pair_reports``
-runs the commutator pass and the comparison only on the window
-monomials whose modes the operands or a target contract.
+active-part rows from the terms, and ``_BracketEngine.scan_pair`` runs
+the commutator pass and the comparison only on the window monomials
+whose modes the operands or a target contract.
 
 ``FullWindowEngine`` keeps the pass before that reduction: every
-monomial of the window, with every row built from the terms.  Its
-reports, witnesses included, must be byte-equal to the engine's.  The
-signed spread is checked against the reference ``apply`` on monomials
-with odd spectators.
+monomial of the window, with every row built from the terms, and each
+order scanned on its own target.  The reports that ``_report`` builds
+from its step, witnesses included, must be byte-equal to those built
+from the engine's.  The signed spread is checked against the reference
+``apply`` on monomials with odd spectators.
 """
 
 from fractions import Fraction
@@ -70,7 +71,7 @@ class FullWindowEngine(verify._BracketEngine):
             cached = self._rows[key] = UnfactoredRows(op, self.basis)
         return cached
 
-    def pair_reports(self, a, b, gi, c, d, hi):
+    def scan_pair(self, a, b, gi, c, d, hi):
         w = verify._eval_window(self.N, b, d)
         rows_a = self.rows(a, b, gi)
         rows_b = self.rows(c, d, hi)
@@ -81,11 +82,16 @@ class FullWindowEngine(verify._BracketEngine):
         fwd = self._target(a, b, gi, c, d, hi)
         rev = self._target(c, d, hi, a, b, gi)
         central = (a + c, b + d) == (0, 0)
-        x, y = (a, b, gi), (c, d, hi)
-        return (
-            self._report(x, y, fwd, verify._scan(central, fwd, indices, lhs), denom),
-            self._report(y, x, rev, verify._scan(central, rev, indices, lhs), eps * denom),
-        )
+        scan = verify._scan(central, fwd, indices, lhs)
+        # the reverse order, scanned on its own target, meets the same scan
+        assert verify._scan(central, rev, indices, lhs) == scan
+        return scan, (fwd, denom), (rev, eps * denom)
+
+
+def pair_reports(engine, x, y):
+    """The reports of [x, y} and [y, x} from one ``scan_pair`` step."""
+    scan, fwd, rev = engine.scan_pair(*x, *y)
+    return engine._report(x, y, fwd, scan), engine._report(y, x, rev, scan)
 
 
 # E, sigma+- with |a| <= 1, |b| <= 2, and the slope-0 pt generators
@@ -104,7 +110,7 @@ def report_bytes(engine, N):
     out = {}
     for x, y in PAIRS:
         if verify._eval_window(N, x[1], y[1]) >= 0:
-            out[x, y] = [to_json(r.to_json_dict()) for r in engine.pair_reports(*x, *y)]
+            out[x, y] = [to_json(r.to_json_dict()) for r in pair_reports(engine, x, y)]
     return out
 
 
@@ -206,7 +212,7 @@ def test_skipped_pairs_commute_on_the_whole_window(N, monkeypatch):
         if w < 0:
             continue
         before = len(kernel_calls)
-        engine.pair_reports(*x, *y)
+        engine.scan_pair(*x, *y)
         if len(kernel_calls) > before:
             reached.append((x, y))
             continue
